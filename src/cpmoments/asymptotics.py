@@ -70,8 +70,8 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     radius).
     """
     chi = float(chi)
-    if chi <= 0:
-        raise DomainError("chi must be positive")
+    if not (math.isfinite(chi) and chi > 0):
+        raise DomainError(f"chi must be positive and finite, got {chi}")
     target = 1.0 / chi
     trace: list[tuple[float, float]] = []
 

@@ -64,6 +64,26 @@ class AuxiliaryDistribution:
             if lp > -math.inf
         }
 
+    def local_limit_ratio(self, k: int) -> float:
+        """r_k = P(Z = k) sqrt(2 pi) sigma / span, the local-limit ratio at k.
+
+        It tends to 1 as k grows at fixed chi when the law is tilted so that
+        E Z = k, as ``local_limit_check`` does.
+        """
+        check_lattice_order(self.model, k)
+        if k > self.support_cap:
+            raise DomainError("saddle order fell outside the retained support")
+        return self.pmf(k) * math.sqrt(2.0 * math.pi) * self.sigma / self.span
+
+
+def check_lattice_order(model: WeightModel, k: int) -> None:
+    """Reject an order the tilted law cannot be centered on: k must be
+    positive and, for an even-only weight sequence, even."""
+    if k <= 0:
+        raise DomainError("order must be positive")
+    if model.parity_even_only and k % 2:
+        raise DomainError(f"model {model.name!r} lives on even orders; {k} is odd")
+
 
 def build_aux(
     model: WeightModel, x: float, u: float, mass_tolerance: float = 1e-12
@@ -136,14 +156,6 @@ def local_limit_check(model: WeightModel, chi: float, k: int) -> float:
     x = chi k).  Returns r_k = p_k * sqrt(2 pi) * sigma / span, which tends
     to 1 as k grows at fixed chi.
     """
-    if k <= 0:
-        raise DomainError("order must be positive")
-    if model.parity_even_only and k % 2:
-        raise DomainError(f"model {model.name!r} lives on even orders; {k} is odd")
+    check_lattice_order(model, k)
     sol = solve_saddle(model, chi)
-    x = chi * k
-    aux = build_aux(model, x, sol.u)
-    if k > aux.support_cap:
-        raise DomainError("saddle order fell outside the retained support")
-    span = aux.span
-    return float(math.exp(aux.log_pmf[k])) * math.sqrt(2.0 * math.pi) * aux.sigma / span
+    return build_aux(model, chi * k, sol.u).local_limit_ratio(k)

@@ -52,6 +52,20 @@ def validate_header(obj: object) -> dict:
     return obj
 
 
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that rejects nan and +-inf, so no header or result
+    line can carry a non-standard JSON token."""
+
+    def convert(self, value, param, ctx):
+        out = super().convert(value, param, ctx)
+        if not math.isfinite(out):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return out
+
+
+FINITE_FLOAT = _FiniteFloat()
+
+
 def _echo_header(command: str, config: dict) -> None:
     click.echo(json.dumps(
         {"tool": "cpm", "version": __version__, "command": command, "config": config},
@@ -144,6 +158,8 @@ def main() -> None:
 @_guarded
 def moments(weights_spec, k_max, x_text, exact, finite_n, out_path, fmt):
     """Tabulate M_0(x) .. M_k(x)."""
+    if finite_n is not None and not exact:
+        raise click.UsageError("--finite-n needs the exact path; drop --log")
     model = wts.from_spec(weights_spec)
     x = Fraction(x_text)
     _echo_header("moments", {
@@ -152,11 +168,9 @@ def moments(weights_spec, k_max, x_text, exact, finite_n, out_path, fmt):
     })
     rows = []
     if exact:
-        for k in range(k_max + 1):
-            if finite_n is not None:
-                mv = mom.finite_n_moment(model, k, finite_n, x)
-            else:
-                mv = mom.moment_recurrence(model, k, x)
+        method = "recurrence" if finite_n is None else "finite_n"
+        for k, value in enumerate(mom.moment_sequence(model, k_max, x, finite_n)):
+            mv = mom.MomentValue.from_exact(k, x, value, method)
             row = {
                 "k": k, "x": str(x), "method": mv.method,
                 "value": format_exact(mv.value_exact),
@@ -178,7 +192,7 @@ def moments(weights_spec, k_max, x_text, exact, finite_n, out_path, fmt):
 
 @main.command()
 @click.option("--weights", "weights_spec", required=True)
-@click.option("--chi", type=float, required=True, help="Intensity-to-order ratio x/k.")
+@click.option("--chi", type=FINITE_FLOAT, required=True, help="Intensity-to-order ratio x/k.")
 @_guarded
 def rate(weights_spec, chi):
     """Print the limiting rate: chi, tilt u, psi, fluctuation prefactor."""
@@ -193,7 +207,7 @@ def rate(weights_spec, chi):
 
 @main.command()
 @click.option("--weights", "weights_spec", required=True)
-@click.option("--chi", type=float, required=True)
+@click.option("--chi", type=FINITE_FLOAT, required=True)
 @click.option("--k-max", "k_max", type=int, required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
@@ -223,9 +237,9 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
 
 @main.command()
 @click.option("--weights", "weights_spec", required=True)
-@click.option("--x", "x_val", type=float, default=None, help="Intensity (direct tilt mode).")
-@click.option("--u", "u_val", type=float, default=None, help="Tilt parameter (direct mode).")
-@click.option("--llt-chi", "llt_chi", type=float, default=None,
+@click.option("--x", "x_val", type=FINITE_FLOAT, default=None, help="Intensity (direct tilt mode).")
+@click.option("--u", "u_val", type=FINITE_FLOAT, default=None, help="Tilt parameter (direct mode).")
+@click.option("--llt-chi", "llt_chi", type=FINITE_FLOAT, default=None,
               help="Ratio x/k for the local-limit mode; supply --k too.")
 @click.option("--k", "k_val", type=int, default=None, help="Order for the local-limit mode.")
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -237,6 +251,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
     if llt_chi is not None:
         if k_val is None:
             raise click.UsageError("--llt-chi requires --k")
+        auxdist.check_lattice_order(model, k_val)
         sol = asym.solve_saddle(model, llt_chi)
         x_eff, u_eff = llt_chi * k_val, sol.u
     else:
@@ -248,24 +263,24 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
         "k": k_val, "out": out_path, "format": fmt,
     })
     dist = auxdist.build_aux(model, x_eff, u_eff)
+    summary = {
+        "mean": dist.mean, "variance": dist.variance, "log_G": dist.log_G,
+        "support_cap": dist.support_cap,
+    }
+    if llt_chi is not None:
+        summary["r_k"] = dist.local_limit_ratio(k_val)
     rows = [
         {"j": j, "p_j": format_log(math.exp(lp))}
         for j, lp in enumerate(dist.log_pmf)
         if lp > -math.inf
     ]
     _write_table(out_path, ["j", "p_j"], rows, fmt)
-    summary = {
-        "mean": dist.mean, "variance": dist.variance, "log_G": dist.log_G,
-        "support_cap": dist.support_cap,
-    }
-    if llt_chi is not None:
-        summary["r_k"] = auxdist.local_limit_check(model, llt_chi, k_val)
     click.echo(json.dumps(summary, sort_keys=True))
 
 
 @main.command(name="graphsim")
 @click.option("--n", type=int, required=True, help="Vertex count.")
-@click.option("--kappa", type=float, required=True, help="Edge intensity: rho = kappa ln n.")
+@click.option("--kappa", type=FINITE_FLOAT, required=True, help="Edge intensity: rho = kappa ln n.")
 @click.option("--weights", "weights_spec", required=True,
               help="exponential | normal:V2 | gamma:m,theta | bernoulli | unit")
 @click.option("--s", "s_text", required=True, help="Deviation levels, comma separated.")

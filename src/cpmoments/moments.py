@@ -17,10 +17,15 @@ partition profiles directly (exponential cost, capped at k <= 25) and both
 paths stay in exact rational arithmetic.  A log-sum-exp variant of the
 recurrence reaches k ~ 10^3 without overflow for asymptotic studies.
 
-Also here: finite-population pre-limit moments with exact falling
-factorials, centered moments by binomial expansion, the even-block
-set-partition counts, and the closed-form polynomial identities used as
-oracles for exponential and factorial weight sequences.
+The same recurrence gives two more moment families.  The finite-population
+pre-limit moment has EGF (1 + x (H(u) - 1)/n)^n; J.C.P. Miller's power
+recurrence F'f = n f'F for F = f^n turns each coefficient C(k-1, j-1) into
+C(k-1, j-1) - C(k-1, j)/n and scales x by 1/n.  The centered moment of
+Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1.
+
+Also here: Bell numbers and polynomials, the even-block set-partition
+counts, and the closed-form polynomial identities used as oracles for
+exponential and factorial weight sequences.
 """
 
 from __future__ import annotations
@@ -58,8 +63,7 @@ class MomentValue:
 
     ``value_exact`` is set on the rational paths; ``value_log`` is ln of the
     value whenever it is positive (-inf for a zero moment, None for a
-    negative one); ``value_float`` holds the raw result of the guarded
-    floating-point path.
+    negative one).
     """
 
     k: int
@@ -67,7 +71,6 @@ class MomentValue:
     value_exact: Fraction | None
     value_log: float | None
     method: str
-    value_float: float | None = None
 
     @classmethod
     def from_exact(cls, k: int, x: Fraction | float, value: Fraction, method: str) -> "MomentValue":
@@ -82,8 +85,6 @@ class MomentValue:
     def as_float(self) -> float:
         if self.value_exact is not None:
             return float(self.value_exact)
-        if self.value_float is not None:
-            return self.value_float
         if self.value_log is not None:
             return math.exp(self.value_log)
         raise ValueError("empty moment value")
@@ -135,19 +136,33 @@ def enumerate_profiles(k: int) -> Iterator[PartitionProfile]:
         yield PartitionProfile(l=prof, weight_count=profile_weight_count(k, prof))
 
 
-def moment_sequence(model: WeightModel, k_max: int, x: NumberLike) -> list[Fraction]:
-    """Exact M_0(x) .. M_kmax(x) by the convolution recurrence."""
+def moment_sequence(
+    model: WeightModel, k_max: int, x: NumberLike, n: int | None = None
+) -> list[Fraction]:
+    """Exact M_0(x) .. M_kmax(x) by the convolution recurrence.
+
+    With a population size ``n`` the sequence is instead the pre-limit
+    moment E (sum_{i<=n} a_i W_i)^k, P(a_i = 1) = x/n, by the power
+    recurrence M_k = (x/n) sum_j (n C(k-1, j-1) - C(k-1, j)) V_j M_{k-j};
+    ``None`` is its n -> infinity limit.
+    """
     if k_max < 0:
         raise DomainError("order must be >= 0")
+    if n is not None and n <= 0:
+        raise DomainError("population size n must be positive")
     xe = _frac(x)
+    scale = xe if n is None else xe / n
     vs = [model.moment(j) for j in range(k_max + 1)]
     ms = [Fraction(1)]
     for k in range(1, k_max + 1):
         acc = Fraction(0)
         for j in range(1, k + 1):
             if vs[j]:
-                acc += math.comb(k - 1, j - 1) * xe * vs[j] * ms[k - j]
-        ms.append(acc)
+                coef = math.comb(k - 1, j - 1)
+                if n is not None:
+                    coef = n * coef - math.comb(k - 1, j)
+                acc += coef * vs[j] * ms[k - j]
+        ms.append(scale * acc)
     return ms
 
 
@@ -213,87 +228,22 @@ def even_partition_number(two_k: int) -> int:
 def finite_n_moment(model: WeightModel, k: int, n: int, lam: NumberLike) -> MomentValue:
     """Exact pre-limit moment of sum_{j<=n} a_j W_j with P(a_j = 1) = lam/n.
 
-    Sum over profiles of the class count times prod (lam V_i / n)^{l_i}
-    times the falling factorial n (n-1) ... (n - #blocks + 1).  Converges to
+    One term of ``moment_sequence`` with population size n.  Converges to
     M_k(lam) with relative error O(k^2/n).
     """
-    if n <= 0:
-        raise DomainError("population size n must be positive")
-    if k > ORACLE_CAP:
-        raise DomainError(f"partition enumeration capped at k <= {ORACLE_CAP}, got {k}")
     lame = _frac(lam)
-    total = Fraction(0)
-    for prof in partition_profiles(k):
-        blocks = sum(prof)
-        falling = Fraction(1)
-        for i in range(blocks):
-            falling *= n - i
-        if falling == 0:
-            continue
-        term = falling
-        for i, li in enumerate(prof, start=1):
-            if li:
-                term *= (lame * model.moment(i) / n) ** li
-                term /= Fraction(math.factorial(i) ** li * math.factorial(li))
-        total += term
-    total *= math.factorial(k)
-    return MomentValue.from_exact(k, lame, total, "finite_n")
-
-
-def _centered_exact(model: WeightModel, k: int, lam: Fraction) -> MomentValue:
-    v1 = model.moment(1)
-    ms = moment_sequence(model, k, lam)
-    shift = -lam * v1
-    total = Fraction(0)
-    for r in range(k + 1):
-        total += math.comb(k, r) * ms[r] * shift ** (k - r)
-    return MomentValue.from_exact(k, lam, total, "centered_tilde")
-
-
-def _centered_float_sum(model: WeightModel, k: int, lam: float) -> tuple[float, float]:
-    """Float binomial expansion; returns (value, decimal digits cancelled)."""
-    v1 = float(model.moment(1))
-    vs = [float(model.moment(j)) for j in range(k + 1)]
-    ms = [1.0]
-    for kk in range(1, k + 1):
-        ms.append(sum(math.comb(kk - 1, j - 1) * lam * vs[j] * ms[kk - j] for j in range(1, kk + 1)))
-    shift = -lam * v1
-    total = 0.0
-    mag = 0.0
-    for r in range(k + 1):
-        term = math.comb(k, r) * ms[r] * shift ** (k - r)
-        total += term
-        mag += abs(term)
-    if mag == 0.0:
-        return 0.0, 0.0
-    if total == 0.0:
-        return 0.0, math.inf
-    return total, math.log10(mag / abs(total))
+    return MomentValue.from_exact(k, lame, moment_sequence(model, k, lame, n)[k], "finite_n")
 
 
 def centered_moment_tilde(model: WeightModel, k: int, lam: NumberLike) -> MomentValue:
-    """k-th moment of the centered variable Y - lam*V_1 by binomial expansion.
+    """k-th moment of the centered variable Y - lam*V_1.
 
-    Exact for rational intensities.  A float intensity runs in double
-    precision with a cancellation guard: once the alternating sum has lost
-    more than 8 decimal digits the computation is redone exactly (floats are
-    exact binary rationals, so this is always possible).
+    The moment of the mean-shift model ``tilde_transform(model)``, exact for
+    every intensity: a float lam is the binary rational it stands for.
     """
-    if k < 0:
-        raise DomainError("order must be >= 0")
-    if isinstance(lam, float):
-        value, lost = _centered_float_sum(model, k, lam)
-        if lost > 8.0:
-            return _centered_exact(model, k, Fraction(lam))
-        if value > 0:
-            lg = math.log(value)
-        elif value == 0:
-            lg = -math.inf
-        else:
-            lg = None
-        return MomentValue(k=k, x=lam, value_exact=None, value_log=lg,
-                           method="centered_tilde", value_float=value)
-    return _centered_exact(model, k, _frac(lam))
+    lame = _frac(lam)
+    value = moment_sequence(_weights.tilde_transform(model), k, lame)[k]
+    return MomentValue.from_exact(k, lame, value, "centered_tilde")
 
 
 def log_moment_sequence(model: WeightModel, k_max: int, x: float) -> np.ndarray:

@@ -156,13 +156,12 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
     if mf <= 0 or tf <= 0:
         raise DomainError("gamma needs m > 0 and theta > 0")
     fm, ft = float(mf), float(tf)
+    vals = [Fraction(1)]  # running product V_l = V_{l-1} theta (m + l - 1)
 
-    @lru_cache(maxsize=None)
     def mom(order: int) -> Fraction:
-        out = Fraction(1)
-        for i in range(order):
-            out *= mf + i
-        return tf**order * out
+        while len(vals) <= order:
+            vals.append(vals[-1] * tf * (mf + len(vals) - 1))
+        return vals[order]
 
     return WeightModel(
         name=f"gamma({mf},{tf})",

@@ -62,8 +62,9 @@ class TestSolveSaddle:
             assert all(a < b for a, b in zip(gs, gs[1:])), model.name
 
     def test_rejects_bad_chi(self):
-        with pytest.raises(DomainError):
-            asym.solve_saddle(UNIT, 0.0)
+        for chi in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                asym.solve_saddle(UNIT, chi)
 
     def test_unreachable_target_for_truncated_model(self):
         # finite declared radius makes u H'(u) bounded

@@ -218,3 +218,35 @@ class TestExitCodes:
             "rate", "--weights", f"custom:{path}", "--chi", "1",
         ])
         assert result.exit_code == 3
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("args, code, message", [
+        (["moments", "--weights", "unit", "--k", "5", "--x", "1", "--finite-n", "10", "--log",
+          "--out", "OUT"],
+         2, "Error: --finite-n needs the exact path; drop --log"),
+        (["moments", "--weights", "unit", "--k", "-1", "--x", "1", "--out", "OUT"],
+         3, "cpm: error: order must be >= 0"),
+        (["rate", "--weights", "unit", "--chi", "inf"],
+         2, "Error: Invalid value for '--chi': 'inf' is not a finite number"),
+        (["rate", "--weights", "unit", "--chi", "nan"],
+         2, "Error: Invalid value for '--chi': 'nan' is not a finite number"),
+        (["graphsim", "--n", "50", "--kappa", "inf", "--weights", "unit", "--s", "1.0",
+          "--trials", "5", "--out", "OUT"],
+         2, "Error: Invalid value for '--kappa': 'inf' is not a finite number"),
+        (["aux", "--weights", "bernoulli", "--llt-chi", "1", "--k", "41", "--out", "OUT"],
+         3, "cpm: error: model 'bernoulli' lives on even orders; 41 is odd"),
+    ], ids=["finite-n-with-log", "negative-order", "chi-inf", "chi-nan", "kappa-inf",
+            "llt-odd-order"])
+    def test_exit_code_and_one_error_line(self, runner, tmp_path, args, code, message):
+        out = tmp_path / "t.csv"
+        result = runner.invoke(cli.main, [str(out) if a == "OUT" else a for a in args])
+        assert result.exit_code == code, result.output
+        # click puts the command synopsis above a usage error; the error
+        # itself is one line, and a domain error is all of stderr
+        assert result.stderr.splitlines()[-1] == message
+        if code == 2:
+            assert result.stdout == ""
+        else:
+            assert result.stderr == message + "\n"
+        assert not out.exists()

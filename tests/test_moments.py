@@ -149,6 +149,19 @@ class TestFiniteN:
         got = moments.finite_n_moment(unit, k, 10**6, 1).value_exact
         assert abs(got / target - 1) <= 10 * k**2 / 10**6
 
+    def test_beyond_profile_enumeration_range(self):
+        # unit weights: E Bin(n, lam/n)^k = sum_p S(k, p) (n)_p (lam/n)^p
+        k, lam = 40, Fraction(7, 2)
+        stirling = [[1]]
+        for row in range(1, k + 1):
+            prev = stirling[-1] + [0]
+            stirling.append([0] + [p * prev[p] + prev[p - 1] for p in range(1, row + 1)])
+        for n in (7, 1000):
+            expected = sum(
+                stirling[k][p] * math.perm(n, p) * (lam / n) ** p for p in range(k + 1)
+            )
+            assert moments.finite_n_moment(MODELS["unit"], k, n, lam).value_exact == expected
+
     def test_small_population_allowed_zero_rejected(self):
         assert moments.finite_n_moment(MODELS["unit"], 3, 2, 1).value_exact > 0
         with pytest.raises(DomainError):
@@ -178,15 +191,12 @@ class TestCenteredMoments:
                 assert a == b, (name, k)
 
     def test_float_path_guard_recomputes_exactly(self):
-        model = MODELS["unit"]
-        lam = 100.0
-        got = moments.centered_moment_tilde(model, 12, lam)
-        exact = moments.centered_moment_tilde(model, 12, Fraction(100))
-        assert got.value_exact == exact.value_exact  # guard fired, exact result
-
-    def test_float_path_digit_tracking(self):
-        value, lost = moments._centered_float_sum(MODELS["unit"], 12, 100.0)
-        assert lost > 8.0  # the alternating sum really does cancel heavily
+        # a float intensity is the binary rational it stands for; these
+        # inputs cancel heavily in a float binomial expansion
+        for name, k in (("unit", 12), ("exponential", 9)):
+            got = moments.centered_moment_tilde(MODELS[name], k, 100.0)
+            exact = moments.centered_moment_tilde(MODELS[name], k, Fraction(100))
+            assert got.value_exact == exact.value_exact, name
 
 
 class TestLogMoments:

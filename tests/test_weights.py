@@ -81,6 +81,11 @@ class TestBuiltins:
                 assert model.moment(2 * k) == Fraction(v2) ** k * dfact
                 assert model.moment(2 * k - 1) == 0
 
+    def test_gamma_high_order_on_fresh_model(self):
+        m, theta = Fraction(3, 2), Fraction(1, 3)
+        direct = theta**1000 * math.prod(m + i for i in range(1000))
+        assert weights.gamma(m, theta).moment(1000) == direct
+
     def test_domain_checks(self):
         model = weights.exponential()
         with pytest.raises(DomainError):
