@@ -52,18 +52,36 @@ def validate_header(obj: object) -> dict:
     return obj
 
 
-class _FiniteFloat(click.types.FloatParamType):
-    """A float option that rejects nan and +-inf, so no header or result
-    line can carry a non-standard JSON token."""
+class _Parsed(click.ParamType):
+    """Option type from a parse function; its ValueError or ZeroDivisionError is a usage error."""
+
+    def __init__(self, name: str, parse, expected: str) -> None:
+        self.name, self._parse, self._expected = name, parse, expected
 
     def convert(self, value, param, ctx):
-        out = super().convert(value, param, ctx)
-        if not math.isfinite(out):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        return out
+        try:
+            return self._parse(value)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"{value!r} is not {self._expected}", param, ctx)
 
 
-FINITE_FLOAT = _FiniteFloat()
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# refusing nan and +-inf keeps every header and result line standard JSON
+FINITE_FLOAT = _Parsed("float", _finite_float, "a finite number")
+RATIONAL = _Parsed("rational", Fraction, "an integer, decimal or ratio")
+FINITE_FLOAT_LIST = _Parsed("list", lambda text: tuple(map(_finite_float, text.split(","))),
+                            "a comma-separated list of finite numbers")
+
+WEIGHTS_OPTION = click.option("--weights", "weights_spec", required=True, help=(
+    "unit | gaussian[:V2] | gamma:m,theta | bernoulli | exponential | logfact | custom:path.json"
+    ' holding {"moments": [1, v1, ...]}; parameters are integers, decimals or ratios such as'
+    " 1/2.  graphsim cannot sample logfact or custom."))
 
 
 def _echo_header(command: str, config: dict) -> None:
@@ -145,10 +163,9 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--weights", "weights_spec", required=True,
-              help="unit | gaussian:V2 | gamma:m,theta | bernoulli | exponential | logfact | custom:path.json")
+@WEIGHTS_OPTION
 @click.option("--k", "k_max", type=int, required=True, help="Largest moment order.")
-@click.option("--x", "x_text", required=True, help="Poisson intensity (integer, decimal or ratio).")
+@click.option("--x", type=RATIONAL, required=True, help="Poisson intensity (integer, decimal or ratio).")
 @click.option("--exact/--log", "exact", default=True,
               help="Exact rational recurrence (default) or log-space values.")
 @click.option("--finite-n", "finite_n", type=int, default=None,
@@ -156,12 +173,11 @@ def main() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @_guarded
-def moments(weights_spec, k_max, x_text, exact, finite_n, out_path, fmt):
+def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
     """Tabulate M_0(x) .. M_k(x)."""
     if finite_n is not None and not exact:
         raise click.UsageError("--finite-n needs the exact path; drop --log")
     model = wts.from_spec(weights_spec)
-    x = Fraction(x_text)
     _echo_header("moments", {
         "weights": weights_spec, "k": k_max, "x": str(x), "exact": exact,
         "finite_n": finite_n, "out": out_path, "format": fmt,
@@ -191,7 +207,7 @@ def moments(weights_spec, k_max, x_text, exact, finite_n, out_path, fmt):
 
 
 @main.command()
-@click.option("--weights", "weights_spec", required=True)
+@WEIGHTS_OPTION
 @click.option("--chi", type=FINITE_FLOAT, required=True, help="Intensity-to-order ratio x/k.")
 @_guarded
 def rate(weights_spec, chi):
@@ -206,7 +222,7 @@ def rate(weights_spec, chi):
 
 
 @main.command()
-@click.option("--weights", "weights_spec", required=True)
+@WEIGHTS_OPTION
 @click.option("--chi", type=FINITE_FLOAT, required=True)
 @click.option("--k-max", "k_max", type=int, required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -236,7 +252,7 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
 
 
 @main.command()
-@click.option("--weights", "weights_spec", required=True)
+@WEIGHTS_OPTION
 @click.option("--x", "x_val", type=FINITE_FLOAT, default=None, help="Intensity (direct tilt mode).")
 @click.option("--u", "u_val", type=FINITE_FLOAT, default=None, help="Tilt parameter (direct mode).")
 @click.option("--llt-chi", "llt_chi", type=FINITE_FLOAT, default=None,
@@ -281,22 +297,22 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
 @main.command(name="graphsim")
 @click.option("--n", type=int, required=True, help="Vertex count.")
 @click.option("--kappa", type=FINITE_FLOAT, required=True, help="Edge intensity: rho = kappa ln n.")
-@click.option("--weights", "weights_spec", required=True,
-              help="exponential | normal:V2 | gamma:m,theta | bernoulli | unit")
-@click.option("--s", "s_text", required=True, help="Deviation levels, comma separated.")
+@WEIGHTS_OPTION
+@click.option("--s", "s_values", type=FINITE_FLOAT_LIST, required=True,
+              help="Deviation levels, comma separated.")
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, envvar="CPM_SEED", default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @_guarded
-def graphsim_cmd(n, kappa, weights_spec, s_text, trials, seed, out_path, fmt):
+def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
     """Monte Carlo deviation probabilities of the maximal weighted degree."""
-    s_values = tuple(float(part) for part in s_text.split(","))
+    graphsim.weight_sampler(weights_spec)  # a bad spec fails before the header
+    config = graphsim.config_from_kappa(n, kappa, weights_spec, s_values, trials, seed)
     _echo_header("graphsim", {
         "n": n, "kappa": kappa, "weights": weights_spec, "s": list(s_values),
         "trials": trials, "seed": seed, "out": out_path, "format": fmt,
     })
-    config = graphsim.config_from_kappa(n, kappa, weights_spec, s_values, trials, seed)
     result = graphsim.deviation_experiment(config)
     rows = [
         {

@@ -29,17 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from . import weights as _weights
 from .asymptotics import solve_saddle
 from .errors import DomainError
-from .weights import WeightModel, tilde_transform
-
-WeightDraw = Callable[[np.random.Generator, int], np.ndarray]
+from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 
 
 @dataclass(frozen=True)
@@ -55,8 +50,8 @@ class GraphSimConfig:
     kappa: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("need at least one vertex")
+        if self.n < 2:
+            raise DomainError("need n >= 2 vertices")
         if not 0.0 <= self.rho / self.n <= 1.0:
             raise DomainError("edge probability rho/n must lie in [0, 1]")
         if self.trials < 1:
@@ -76,7 +71,7 @@ def config_from_kappa(
     """Convenience constructor with rho = kappa * ln n."""
     return GraphSimConfig(
         n=n,
-        rho=kappa * math.log(n),
+        rho=kappa * math.log(max(n, 1)),  # GraphSimConfig rejects n < 2
         weight_name=weight_name,
         s_values=tuple(s_values),
         trials=trials,
@@ -100,36 +95,11 @@ class GraphTrialResult:
 
 
 def weight_sampler(name: str) -> tuple[WeightDraw, WeightModel]:
-    """Map a sampler name to (draw function, matching weight model).
-
-    Grammar mirrors the model names: ``exponential | normal:V2 | gamma:m,theta
-    | bernoulli | unit``.
-    """
-    head, _, arg = name.partition(":")
-    key = head.strip().lower()
-    if key == "exponential":
-        return (lambda rng, size: rng.standard_exponential(size), _weights.exponential())
-    if key in ("normal", "gaussian"):
-        model = _weights.gaussian_centered(arg or 1)
-        sd = math.sqrt(float(model.moment(2)))
-        return (lambda rng, size: rng.normal(0.0, sd, size), model)
-    if key == "gamma":
-        try:
-            m_txt, theta_txt = arg.split(",")
-        except ValueError:
-            raise DomainError(f"gamma sampler needs two parameters, got {name!r}") from None
-        shape = float(Fraction(m_txt))
-        scale = float(Fraction(theta_txt))
-        model = _weights.gamma(m_txt, theta_txt)
-        return (lambda rng, size: rng.gamma(shape, scale, size), model)
-    if key in ("bernoulli", "pm1"):
-        return (
-            lambda rng, size: rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0,
-            _weights.bernoulli_centered(),
-        )
-    if key == "unit":
-        return (lambda rng, size: np.ones(size), _weights.unit())
-    raise DomainError(f"unknown weight sampler: {name!r}")
+    """(draw function, model) for a ``weights.from_spec`` spec whose model has a sampler."""
+    model = from_spec(name)
+    if model.sample is None:
+        raise DomainError(f"weight model {name!r} cannot be sampled")
+    return model.sample, model
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:

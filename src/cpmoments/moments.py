@@ -33,23 +33,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
 from . import weights as _weights
 from .errors import DomainError
-from .weights import WeightModel
-
-NumberLike = Union[int, float, str, Fraction]
+from .weights import NumberLike, WeightModel
 
 ORACLE_CAP = 25  # profile enumeration beyond this is pointless, cost is exponential
 
 _UNIT = _weights.unit()
-
-
-def _frac(v: NumberLike) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _log_fraction(v: Fraction) -> float:
@@ -81,13 +75,6 @@ class MomentValue:
         else:
             lg = None
         return cls(k=k, x=x, value_exact=value, value_log=lg, method=method)
-
-    def as_float(self) -> float:
-        if self.value_exact is not None:
-            return float(self.value_exact)
-        if self.value_log is not None:
-            return math.exp(self.value_log)
-        raise ValueError("empty moment value")
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,7 @@ def moment_sequence(
         raise DomainError("order must be >= 0")
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
-    xe = _frac(x)
+    xe = Fraction(x)
     scale = xe if n is None else xe / n
     vs = [model.moment(j) for j in range(k_max + 1)]
     ms = [Fraction(1)]
@@ -168,7 +155,7 @@ def moment_sequence(
 
 def moment_recurrence(model: WeightModel, k: int, x: NumberLike) -> MomentValue:
     """M_k(x) via the O(k^2) recurrence; exact for rational inputs."""
-    xe = _frac(x)
+    xe = Fraction(x)
     value = moment_sequence(model, k, xe)[k]
     return MomentValue.from_exact(k, xe, value, "recurrence")
 
@@ -177,7 +164,7 @@ def moment_partition_oracle(model: WeightModel, k: int, x: NumberLike) -> Moment
     """M_k(x) by direct enumeration of partition profiles (oracle, k <= 25)."""
     if k > ORACLE_CAP:
         raise DomainError(f"partition enumeration capped at k <= {ORACLE_CAP}, got {k}")
-    xe = _frac(x)
+    xe = Fraction(x)
     total = Fraction(0)
     for prof in partition_profiles(k):
         term = Fraction(1)
@@ -231,7 +218,7 @@ def finite_n_moment(model: WeightModel, k: int, n: int, lam: NumberLike) -> Mome
     One term of ``moment_sequence`` with population size n.  Converges to
     M_k(lam) with relative error O(k^2/n).
     """
-    lame = _frac(lam)
+    lame = Fraction(lam)
     return MomentValue.from_exact(k, lame, moment_sequence(model, k, lame, n)[k], "finite_n")
 
 
@@ -241,7 +228,7 @@ def centered_moment_tilde(model: WeightModel, k: int, lam: NumberLike) -> Moment
     The moment of the mean-shift model ``tilde_transform(model)``, exact for
     every intensity: a float lam is the binary rational it stands for.
     """
-    lame = _frac(lam)
+    lame = Fraction(lam)
     value = moment_sequence(_weights.tilde_transform(model), k, lame)[k]
     return MomentValue.from_exact(k, lame, value, "centered_tilde")
 
@@ -285,7 +272,7 @@ def exp_identity_sum(k: int, x: NumberLike) -> Fraction:
     """
     if k < 1:
         raise DomainError("identity defined for k >= 1")
-    xe = _frac(x)
+    xe = Fraction(x)
     return sum(
         (xe**p / math.factorial(p)) * math.comb(k - 1, p - 1) for p in range(1, k + 1)
     )
@@ -298,7 +285,7 @@ def factorial_identity_rising(k: int, x: NumberLike) -> Fraction:
     """
     if k < 1:
         raise DomainError("identity defined for k >= 1")
-    xe = _frac(x)
+    xe = Fraction(x)
     out = Fraction(1)
     for i in range(k):
         out *= xe + i

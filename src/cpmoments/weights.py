@@ -19,7 +19,7 @@ Two transforms recur throughout the package:
   "moment" sequence is V with V_1 zeroed.  That sequence generates the
   moments of the mean-centered compound Poisson variable but is not the
   moment sequence of any weight distribution, so pseudo-models are flagged
-  and must never be sampled.
+  and carry no sampler.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, HorizonError
 
 NumberLike = Union[int, float, str, Fraction]
-
-
-def _frac(v: NumberLike) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(v)
+WeightDraw = Callable[[np.random.Generator, int], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +47,7 @@ class WeightModel:
     ``pseudo`` marks tilde-transformed models whose moment list is a formal
     device rather than the moments of a distribution; ``truncated`` marks
     custom models that only know a finite prefix of the series.
+    ``sample(rng, size)`` draws i.i.d. weights; only built-in weight laws have one.
     """
 
     name: str
@@ -62,6 +60,7 @@ class WeightModel:
     pseudo: bool = False
     truncated: bool = False
     horizon: int | None = None
+    sample: WeightDraw | None = None
 
     def moment(self, order: int) -> Fraction:
         """Raw moment V_order, exact; V_0 = 1 always."""
@@ -118,12 +117,13 @@ def unit() -> WeightModel:
         _egf=math.exp,
         _egf_d1=math.exp,
         _egf_d2=math.exp,
+        sample=lambda rng, size: np.ones(size),
     )
 
 
 def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
     """Centered normal weights of variance v2: V_{2k} = v2^k (2k-1)!!, odd moments zero."""
-    v2f = _frac(v2)
+    v2f = Fraction(v2)
     if v2f <= 0:
         raise DomainError("gaussian_centered needs v2 > 0")
     fv2 = float(v2f)
@@ -147,12 +147,13 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         _egf=h,
         _egf_d1=lambda u: fv2 * u * h(u),
         _egf_d2=lambda u: (fv2 + (fv2 * u) ** 2) * h(u),
+        sample=lambda rng, size: rng.normal(0.0, math.sqrt(fv2), size),
     )
 
 
 def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
     """Gamma(shape m, scale theta) weights: V_l = theta^l m(m+1)...(m+l-1)."""
-    mf, tf = _frac(m), _frac(theta)
+    mf, tf = Fraction(m), Fraction(theta)
     if mf <= 0 or tf <= 0:
         raise DomainError("gamma needs m > 0 and theta > 0")
     fm, ft = float(mf), float(tf)
@@ -170,6 +171,7 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         _egf=lambda u: (1.0 - ft * u) ** (-fm),
         _egf_d1=lambda u: fm * ft * (1.0 - ft * u) ** (-fm - 1.0),
         _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * (1.0 - ft * u) ** (-fm - 2.0),
+        sample=lambda rng, size: rng.gamma(fm, ft, size),
     )
 
 
@@ -183,6 +185,7 @@ def bernoulli_centered() -> WeightModel:
         _egf=math.cosh,
         _egf_d1=math.sinh,
         _egf_d2=math.cosh,
+        sample=lambda rng, size: rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0,
     )
 
 
@@ -195,6 +198,7 @@ def exponential() -> WeightModel:
         _egf=lambda u: 1.0 / (1.0 - u),
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
+        sample=lambda rng, size: rng.standard_exponential(size),
     )
 
 
@@ -221,7 +225,7 @@ def custom_model(moments: Sequence[NumberLike], radius: float = math.inf) -> Wei
     that operations needing the full tail refuse it instead of silently
     truncating.
     """
-    vals = [_frac(v) for v in moments]
+    vals = [Fraction(v) for v in moments]
     if not vals or vals[0] != 1:
         raise DomainError("custom moment list must start with V_0 = 1")
     horizon = len(vals) - 1
@@ -285,8 +289,8 @@ def tilde_transform(model: WeightModel) -> WeightModel:
     """Mean-shift pseudo-model: EGF H(u) - u V_1, moment list V with V_1 zeroed.
 
     The transformed sequence generates the moments of the mean-centered
-    compound Poisson variable; it is flagged ``pseudo`` because it is not
-    the moment sequence of a weight distribution and must never be sampled.
+    compound Poisson variable; it is flagged ``pseudo`` and has no sampler
+    because it is not the moment sequence of a weight distribution.
     Identity when V_1 = 0 already.
     """
     v1 = model.moment(1)
@@ -310,33 +314,54 @@ def tilde_transform(model: WeightModel) -> WeightModel:
     )
 
 
-def from_spec(text: str) -> WeightModel:
-    """Parse a CLI model name.
+# family -> (constructor, allowed numbers of parameters)
+_FAMILIES: dict[str, tuple[Callable[..., WeightModel], tuple[int, ...]]] = {
+    "unit": (unit, (0,)),
+    "gaussian": (gaussian_centered, (0, 1)),
+    "normal": (gaussian_centered, (0, 1)),
+    "gamma": (gamma, (2,)),
+    "bernoulli": (bernoulli_centered, (0,)),
+    "pm1": (bernoulli_centered, (0,)),
+    "exponential": (exponential, (0,)),
+    "logfact": (log_factorial, (0,)),
+    "log_factorial": (log_factorial, (0,)),
+}
 
-    Grammar: ``unit | gaussian:V2 | gamma:m,theta | bernoulli | exponential
+
+def _number(text: str, spec: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"weight spec {spec!r}: {text!r} is not a number") from None
+
+
+def from_spec(text: str) -> WeightModel:
+    """Parse a weight spec, the one grammar of every subcommand's ``--weights``.
+
+    Grammar: ``unit | gaussian[:V2] | gamma:m,theta | bernoulli | exponential
     | logfact | custom:path.json`` where custom JSON is
     ``{"moments": [1, v1, v2, ...]}``.  Numeric parameters accept integers,
-    decimals and ratios like ``1/2``.
+    decimals and ratios like ``1/2``.  Malformed specs raise ``DomainError``.
     """
     head, _, arg = text.partition(":")
     key = head.strip().lower()
-    if key == "unit":
-        return unit()
-    if key in ("gaussian", "normal"):
-        return gaussian_centered(Fraction(arg) if arg else Fraction(1))
-    if key == "gamma":
-        try:
-            m_txt, theta_txt = arg.split(",")
-        except ValueError:
-            raise DomainError(f"gamma model needs two parameters, got {text!r}") from None
-        return gamma(Fraction(m_txt), Fraction(theta_txt))
-    if key in ("bernoulli", "pm1"):
-        return bernoulli_centered()
-    if key == "exponential":
-        return exponential()
-    if key in ("logfact", "log_factorial"):
-        return log_factorial()
     if key == "custom":
-        data = json.loads(Path(arg).read_text())
-        return custom_model([Fraction(str(v)) for v in data["moments"]])
-    raise DomainError(f"unknown weight model: {text!r}")
+        try:
+            data = json.loads(Path(arg).read_text())
+        except ValueError as exc:  # undecodable bytes or invalid JSON
+            raise DomainError(f"weight spec {text!r}: not a JSON file ({exc})") from None
+        moments = data.get("moments") if isinstance(data, dict) else None
+        if not isinstance(moments, list):
+            raise DomainError(f'weight spec {text!r}: expected {{"moments": [1, v1, ...]}}')
+        return custom_model([_number(str(v), text) for v in moments])
+    if key not in _FAMILIES:
+        raise DomainError(f"unknown weight model: {text!r}")
+    constructor, counts = _FAMILIES[key]
+    params = [_number(part, text) for part in arg.split(",")] if arg else []
+    if len(params) not in counts:
+        allowed = " or ".join(map(str, counts)) + " parameters"
+        raise DomainError(f"weight spec {text!r}: {key} takes {allowed}, got {len(params)}")
+    try:
+        return constructor(*params)
+    except OverflowError:
+        raise DomainError(f"weight spec {text!r}: parameter out of float range") from None

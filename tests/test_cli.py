@@ -220,33 +220,118 @@ class TestExitCodes:
         assert result.exit_code == 3
 
 
+def bad_input(case_id, args, code, message, *, header=False, weights_json=None):
+    """One row: ``{out}`` and ``{w}`` in args and message name the output
+    file and a weights file holding ``weights_json``."""
+    return pytest.param(args, code, message, header, weights_json, id=case_id)
+
+
+GRAPHSIM = ["graphsim", "--n", "50", "--kappa", "1", "--s", "1.0", "--trials", "2",
+            "--out", "{out}"]
+MOMENTS = ["moments", "--k", "3", "--x", "1", "--out", "{out}"]
+
+
 class TestBadInputs:
-    @pytest.mark.parametrize("args, code, message", [
-        (["moments", "--weights", "unit", "--k", "5", "--x", "1", "--finite-n", "10", "--log",
-          "--out", "OUT"],
-         2, "Error: --finite-n needs the exact path; drop --log"),
-        (["moments", "--weights", "unit", "--k", "-1", "--x", "1", "--out", "OUT"],
-         3, "cpm: error: order must be >= 0"),
-        (["rate", "--weights", "unit", "--chi", "inf"],
-         2, "Error: Invalid value for '--chi': 'inf' is not a finite number"),
-        (["rate", "--weights", "unit", "--chi", "nan"],
-         2, "Error: Invalid value for '--chi': 'nan' is not a finite number"),
-        (["graphsim", "--n", "50", "--kappa", "inf", "--weights", "unit", "--s", "1.0",
-          "--trials", "5", "--out", "OUT"],
-         2, "Error: Invalid value for '--kappa': 'inf' is not a finite number"),
-        (["aux", "--weights", "bernoulli", "--llt-chi", "1", "--k", "41", "--out", "OUT"],
-         3, "cpm: error: model 'bernoulli' lives on even orders; 41 is odd"),
-    ], ids=["finite-n-with-log", "negative-order", "chi-inf", "chi-nan", "kappa-inf",
-            "llt-odd-order"])
-    def test_exit_code_and_one_error_line(self, runner, tmp_path, args, code, message):
-        out = tmp_path / "t.csv"
-        result = runner.invoke(cli.main, [str(out) if a == "OUT" else a for a in args])
+    @pytest.mark.parametrize("args, code, message, header, weights_json", [
+        bad_input("finite-n-with-log",
+                  ["moments", "--weights", "unit", "--k", "5", "--x", "1", "--finite-n", "10",
+                   "--log", "--out", "{out}"],
+                  2, "Error: --finite-n needs the exact path; drop --log"),
+        bad_input("negative-order",
+                  ["moments", "--weights", "unit", "--k", "-1", "--x", "1", "--out", "{out}"],
+                  3, "cpm: error: order must be >= 0", header=True),
+        bad_input("chi-inf", ["rate", "--weights", "unit", "--chi", "inf"],
+                  2, "Error: Invalid value for '--chi': 'inf' is not a finite number"),
+        bad_input("chi-nan", ["rate", "--weights", "unit", "--chi", "nan"],
+                  2, "Error: Invalid value for '--chi': 'nan' is not a finite number"),
+        bad_input("kappa-inf",
+                  ["graphsim", "--n", "50", "--kappa", "inf", "--weights", "unit", "--s", "1.0",
+                   "--trials", "5", "--out", "{out}"],
+                  2, "Error: Invalid value for '--kappa': 'inf' is not a finite number"),
+        bad_input("llt-odd-order",
+                  ["aux", "--weights", "bernoulli", "--llt-chi", "1", "--k", "41",
+                   "--out", "{out}"],
+                  3, "cpm: error: model 'bernoulli' lives on even orders; 41 is odd"),
+        bad_input("param-to-exponential", GRAPHSIM + ["--weights", "exponential:5"],
+                  3, "cpm: error: weight spec 'exponential:5': exponential takes 0 parameters,"
+                     " got 1"),
+        bad_input("param-to-unit", MOMENTS + ["--weights", "unit:5"],
+                  3, "cpm: error: weight spec 'unit:5': unit takes 0 parameters, got 1"),
+        bad_input("param-to-bernoulli", ["rate", "--weights", "bernoulli:0.3", "--chi", "1"],
+                  3, "cpm: error: weight spec 'bernoulli:0.3': bernoulli takes 0 parameters,"
+                     " got 1"),
+        bad_input("param-to-logfact",
+                  ["compare", "--weights", "logfact:2", "--chi", "1", "--k-max", "5",
+                   "--out", "{out}"],
+                  3, "cpm: error: weight spec 'logfact:2': logfact takes 0 parameters, got 1"),
+        bad_input("gamma-one-param",
+                  ["aux", "--weights", "gamma:1", "--x", "1", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: weight spec 'gamma:1': gamma takes 2 parameters, got 1"),
+        bad_input("gaussian-not-a-number", MOMENTS + ["--weights", "gaussian:abc"],
+                  3, "cpm: error: weight spec 'gaussian:abc': 'abc' is not a number"),
+        bad_input("gamma-not-a-number", GRAPHSIM + ["--weights", "gamma:1,x"],
+                  3, "cpm: error: weight spec 'gamma:1,x': 'x' is not a number"),
+        bad_input("gaussian-overflow", MOMENTS + ["--weights", "gaussian:1e400"],
+                  3, "cpm: error: weight spec 'gaussian:1e400': parameter out of"
+                     " float range"),
+        bad_input("custom-invalid-json", MOMENTS + ["--weights", "custom:{w}"],
+                  3, "cpm: error: weight spec 'custom:{w}': not a JSON file"
+                     " (Expecting value: line 1 column 1 (char 0))",
+                  weights_json="moments: 1, 2"),
+        bad_input("custom-top-level-list", MOMENTS + ["--weights", "custom:{w}"],
+                  3, "cpm: error: weight spec 'custom:{w}': expected"
+                     ' {{"moments": [1, v1, ...]}}',
+                  weights_json="[1, 2]"),
+        bad_input("custom-missing-moments", MOMENTS + ["--weights", "custom:{w}"],
+                  3, "cpm: error: weight spec 'custom:{w}': expected"
+                     ' {{"moments": [1, v1, ...]}}',
+                  weights_json='{"moment": [1, 2]}'),
+        bad_input("custom-moments-not-list", MOMENTS + ["--weights", "custom:{w}"],
+                  3, "cpm: error: weight spec 'custom:{w}': expected"
+                     ' {{"moments": [1, v1, ...]}}',
+                  weights_json='{"moments": 5}'),
+        bad_input("custom-non-numeric", MOMENTS + ["--weights", "custom:{w}"],
+                  3, "cpm: error: weight spec 'custom:{w}': 'x' is not a number",
+                  weights_json='{"moments": [1, "x"]}'),
+        bad_input("custom-missing-file", MOMENTS + ["--weights", "custom:{w}"],
+                  4, "cpm: i/o error: [Errno 2] No such file or directory: '{w}'"),
+        bad_input("x-not-a-number",
+                  ["moments", "--weights", "unit", "--k", "3", "--x", "abc", "--out", "{out}"],
+                  2, "Error: Invalid value for '--x': 'abc' is not an integer, decimal or ratio"),
+        bad_input("s-empty-item",
+                  ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1,,2",
+                   "--trials", "2", "--out", "{out}"],
+                  2, "Error: Invalid value for '--s': '1,,2' is not a comma-separated list of"
+                     " finite numbers"),
+        bad_input("one-vertex",
+                  ["graphsim", "--n", "1", "--kappa", "1", "--weights", "unit", "--s", "1.0",
+                   "--trials", "2", "--out", "{out}"],
+                  3, "cpm: error: need n >= 2 vertices"),
+        bad_input("no-vertices",
+                  ["graphsim", "--n", "0", "--kappa", "1", "--weights", "unit", "--s", "1.0",
+                   "--trials", "2", "--out", "{out}"],
+                  3, "cpm: error: need n >= 2 vertices"),
+        bad_input("unsampleable-model", GRAPHSIM + ["--weights", "logfact"],
+                  3, "cpm: error: weight model 'logfact' cannot be sampled"),
+    ])
+    def test_exit_code_and_one_error_line(
+        self, runner, tmp_path, args, code, message, header, weights_json
+    ):
+        out, spec_file = tmp_path / "t.csv", tmp_path / "w.json"
+        if weights_json is not None:
+            spec_file.write_text(weights_json)
+        paths = {"out": str(out), "w": str(spec_file)}
+        message = message.format(**paths)
+        result = runner.invoke(cli.main, [a.format(**paths) for a in args])
         assert result.exit_code == code, result.output
         # click puts the command synopsis above a usage error; the error
-        # itself is one line, and a domain error is all of stderr
+        # itself is one line, and a domain or i/o error is all of stderr
         assert result.stderr.splitlines()[-1] == message
-        if code == 2:
-            assert result.stdout == ""
-        else:
+        if code != 2:
             assert result.stderr == message + "\n"
+        # only the order check runs after the header
+        if header:
+            header_of(result.stdout)
+        else:
+            assert result.stdout == ""
         assert not out.exists()

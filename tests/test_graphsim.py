@@ -69,9 +69,12 @@ class TestWeightSamplers:
         se2 = math.sqrt(max(v4 - v2 * v2, 0.0) / sample.size) or 1e-12
         assert abs((sample**2).mean() - v2) <= 4 * se2
 
-    def test_unknown_sampler_rejected(self):
-        with pytest.raises(DomainError):
-            graphsim.weight_sampler("pareto")
+    def test_unknown_sampler_rejected(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"moments": [1, 1, 2]}')
+        for name in ("pareto", "logfact", f"custom:{path}"):
+            with pytest.raises(DomainError):
+                graphsim.weight_sampler(name)
 
 
 class TestReproducibility:

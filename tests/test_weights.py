@@ -162,6 +162,7 @@ class TestTildeTransform:
         for u in (0.2, 0.7, 1.5):
             assert tilde.egf(u) == pytest.approx(math.exp(u) - u)
         assert tilde.pseudo
+        assert tilde.sample is None
 
     def test_identity_when_already_centered(self):
         g = weights.gaussian_centered(1)
@@ -188,10 +189,26 @@ class TestTildeTransform:
             assert tilde.egf(u) + u * v1 == pytest.approx(model.egf(u), rel=1e-12)
 
 
+# every family name and alias but custom: (name, constructor, parameter count)
+SPEC_FAMILIES = [
+    ("unit", weights.unit, 0),
+    ("gaussian", weights.gaussian_centered, 1),
+    ("normal", weights.gaussian_centered, 1),
+    ("gamma", weights.gamma, 2),
+    ("bernoulli", weights.bernoulli_centered, 0),
+    ("pm1", weights.bernoulli_centered, 0),
+    ("exponential", weights.exponential, 0),
+    ("logfact", weights.log_factorial, 0),
+    ("log_factorial", weights.log_factorial, 0),
+]
+POSITIVE = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
+
+
 class TestSpecParsing:
     def test_round_trip_names(self):
         assert weights.from_spec("unit").name == "unit"
         assert weights.from_spec("gaussian:1").parity_even_only
+        assert weights.from_spec("gaussian:").name == "gaussian(1)"
         assert weights.from_spec("gamma:2,1/2").name == "gamma(2,1/2)"
         assert weights.from_spec("bernoulli").name == "bernoulli"
         assert weights.from_spec("exponential").name == "exponential"
@@ -207,3 +224,23 @@ class TestSpecParsing:
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
             weights.from_spec("cauchy")
+
+    @pytest.mark.parametrize("family, constructor, arity", SPEC_FAMILIES,
+                             ids=[f[0] for f in SPEC_FAMILIES])
+    @given(params=st.lists(POSITIVE, min_size=2, max_size=2))
+    def test_formatted_spec_matches_constructor(self, family, constructor, arity, params):
+        params = params[:arity]
+        spec = family + (":" + ",".join(map(str, params)) if params else "")
+        parsed, direct = weights.from_spec(spec), constructor(*params)
+        assert parsed.name == direct.name
+        assert [parsed.moment(j) for j in range(9)] == [direct.moment(j) for j in range(9)]
+
+    @given(st.one_of(
+        st.text(),
+        st.builds("{}:{}".format, st.sampled_from([f[0] for f in SPEC_FAMILIES]), st.text()),
+    ))
+    def test_arbitrary_text_raises_only_spec_errors(self, text):
+        try:
+            weights.from_spec(text)
+        except (DomainError, OSError):
+            pass
