@@ -63,11 +63,12 @@ class RateValue:
 def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     """Solve u H'(u) = 1/chi on (0, u0).
 
-    Brackets by geometric expansion from min(1, u0/2), capped just below a
-    finite radius, then refines with Newton steps safeguarded by bisection.
-    Deterministic; raises SaddleError when the target exceeds sup u H'(u)
-    (possible only for truncated custom models with a finite declared
-    radius).
+    Brackets by geometric expansion from min(1, u0/2), capped at
+    u0 (1 - 1e-12) below a finite radius, then refines with Newton steps
+    safeguarded by bisection.  Deterministic; raises SaddleError, naming the
+    smallest chi reached, when 1/chi exceeds u H'(u) at that cap: for a
+    truncated model with bounded u H'(u), and for small chi at any finite
+    radius (about 1e-24 for exponential weights, 1e-12 for factorial ones).
     """
     chi = float(chi)
     if not (math.isfinite(chi) and chi > 0):
@@ -88,12 +89,14 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     hi_cap = u0 * (1.0 - 1e-12) if finite else math.inf
     hi = min(1.0, u0 / 2.0) if finite else 1.0
     for _ in range(500):
-        if g(hi) >= target:
+        g_hi = g(hi)
+        if g_hi >= target:
             break
         if finite:
             if hi >= hi_cap:
                 raise SaddleError(
-                    f"target {target} unreachable: u H'(u) stays below it on (0, {u0})"
+                    f"chi = {chi} out of reach: the smallest chi model {model.name!r} reaches"
+                    f" is 1/(u H'(u)) = {1.0 / g_hi if g_hi > 0 else math.inf} at u = {hi}"
                 )
             hi = min(hi_cap, u0 - (u0 - hi) / 2.0)
         else:
@@ -162,17 +165,10 @@ def refined_prediction(model: WeightModel, k: int, chi: float) -> float:
     For even-only weight sequences the asymptotics hold along even orders,
     so odd k is rejected rather than silently adjusted.
     """
-    if k <= 0:
-        raise DomainError("order must be positive")
-    if model.parity_even_only and k % 2:
-        raise DomainError(f"model {model.name!r} has even-only moments; order {k} is odd")
+    model.check_order(k)
     rv = rate_function(model, chi)
     x = chi * k
-    # Even-only moment sequences tilt to a law supported on even integers
-    # (lattice span 2), which doubles the local-limit density at a lattice
-    # point relative to the span-1 case.
-    span = 2.0 if model.parity_even_only else 1.0
-    return math.log(span * rv.prefactor) + k * (math.log(x) + rv.psi)
+    return math.log(model.span * rv.prefactor) + k * (math.log(x) + rv.psi)
 
 
 def regime_b_prediction(model: WeightModel, k: int, x: float) -> float:

@@ -11,7 +11,7 @@ value P(Z = k) approaches the normal density at its center.  This module
 builds the law numerically from log-space moments and checks both facts:
 the inversion identity (a pure floating-point identity) and the local
 limit ratio p_k * sqrt(2 pi) * sigma / span -> 1, where span is the lattice
-spacing of the support (2 for even-only weight sequences, else 1).
+spacing of the support, ``WeightModel.span``.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import numpy as np
 from .asymptotics import solve_saddle
 from .errors import DomainError
 from .moments import log_moment_sequence, moment_sequence
-from .weights import WeightModel
+from .weights import WeightModel, log_rational
 
 _MAX_SUPPORT = 10**6
+_MASS_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,6 @@ class AuxiliaryDistribution:
     variance: float
     sigma: float
 
-    @property
-    def span(self) -> int:
-        return 2 if self.model.parity_even_only else 1
-
     def pmf(self, j: int) -> float:
         if not 0 <= j <= self.support_cap:
             return 0.0
@@ -70,26 +67,15 @@ class AuxiliaryDistribution:
         It tends to 1 as k grows at fixed chi when the law is tilted so that
         E Z = k, as ``local_limit_check`` does.
         """
-        check_lattice_order(self.model, k)
+        self.model.check_order(k)
         if k > self.support_cap:
             raise DomainError("saddle order fell outside the retained support")
-        return self.pmf(k) * math.sqrt(2.0 * math.pi) * self.sigma / self.span
+        return self.pmf(k) * math.sqrt(2.0 * math.pi) * self.sigma / self.model.span
 
 
-def check_lattice_order(model: WeightModel, k: int) -> None:
-    """Reject an order the tilted law cannot be centered on: k must be
-    positive and, for an even-only weight sequence, even."""
-    if k <= 0:
-        raise DomainError("order must be positive")
-    if model.parity_even_only and k % 2:
-        raise DomainError(f"model {model.name!r} lives on even orders; {k} is odd")
-
-
-def build_aux(
-    model: WeightModel, x: float, u: float, mass_tolerance: float = 1e-12
-) -> AuxiliaryDistribution:
+def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     """Materialize the tilted law, truncating once cumulative mass reaches
-    1 - mass_tolerance."""
+    1 - _MASS_TOLERANCE."""
     x = float(x)
     if x <= 0:
         raise DomainError("intensity x must be positive")
@@ -107,15 +93,15 @@ def build_aux(
         if cap_guess > _MAX_SUPPORT:
             raise DomainError(
                 f"support exceeded {_MAX_SUPPORT} terms before reaching mass"
-                f" 1 - {mass_tolerance}"
+                f" 1 - {_MASS_TOLERANCE}"
             )
         ln_m = log_moment_sequence(model, cap_guess, x)
         js = np.arange(cap_guess + 1)
         lgf = np.array([math.lgamma(j + 1.0) for j in range(cap_guess + 1)])
         log_pmf = ln_m + js * ln_u - lgf - log_g
         mass = np.cumsum(np.exp(log_pmf))
-        if mass[-1] >= 1.0 - mass_tolerance:
-            cap = int(np.searchsorted(mass, 1.0 - mass_tolerance))
+        if mass[-1] >= 1.0 - _MASS_TOLERANCE:
+            cap = int(np.searchsorted(mass, 1.0 - _MASS_TOLERANCE))
             cap = min(cap, cap_guess)
             return AuxiliaryDistribution(
                 model=model,
@@ -141,8 +127,7 @@ def inversion_check(aux: AuxiliaryDistribution, k: int) -> float:
     if not 0 <= k <= aux.support_cap or aux.log_pmf[k] == -math.inf:
         raise DomainError(f"order {k} is outside the retained support")
     if k <= 64:
-        exact = moment_sequence(aux.model, k, Fraction(aux.x))[k]
-        ref = math.log(exact.numerator) - math.log(exact.denominator)
+        ref = log_rational(moment_sequence(aux.model, k, Fraction(aux.x))[k])
     else:
         ref = float(log_moment_sequence(aux.model, k, aux.x)[k])
     delta = math.lgamma(k + 1.0) + aux.log_G - k * math.log(aux.u) + float(aux.log_pmf[k]) - ref
@@ -156,6 +141,6 @@ def local_limit_check(model: WeightModel, chi: float, k: int) -> float:
     x = chi k).  Returns r_k = p_k * sqrt(2 pi) * sigma / span, which tends
     to 1 as k grows at fixed chi.
     """
-    check_lattice_order(model, k)
+    model.check_order(k)
     sol = solve_saddle(model, chi)
     return build_aux(model, chi * k, sol.u).local_limit_ratio(k)

@@ -53,7 +53,8 @@ def validate_header(obj: object) -> dict:
 
 
 class _Parsed(click.ParamType):
-    """Option type from a parse function; its ValueError or ZeroDivisionError is a usage error."""
+    """Option type from a parse function; its ValueError, ZeroDivisionError
+    or OverflowError is a usage error."""
 
     def __init__(self, name: str, parse, expected: str) -> None:
         self.name, self._parse, self._expected = name, parse, expected
@@ -63,6 +64,8 @@ class _Parsed(click.ParamType):
             return self._parse(value)
         except (ValueError, ZeroDivisionError):
             self.fail(f"{value!r} is not {self._expected}", param, ctx)
+        except OverflowError as exc:
+            self.fail(str(exc), param, ctx)
 
 
 def _finite_float(text: str) -> float:
@@ -74,7 +77,7 @@ def _finite_float(text: str) -> float:
 
 # refusing nan and +-inf keeps every header and result line standard JSON
 FINITE_FLOAT = _Parsed("float", _finite_float, "a finite number")
-RATIONAL = _Parsed("rational", Fraction, "an integer, decimal or ratio")
+RATIONAL = _Parsed("rational", wts.parse_rational, "an integer, decimal or ratio")
 FINITE_FLOAT_LIST = _Parsed("list", lambda text: tuple(map(_finite_float, text.split(","))),
                             "a comma-separated list of finite numbers")
 
@@ -235,7 +238,7 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
         "weights": weights_spec, "chi": chi, "k_max": k_max, "out": out_path, "format": fmt,
     })
     rv = asym.rate_function(model, chi)
-    step = 2 if model.parity_even_only else 1
+    step = model.span
     rows = []
     for k in range(step, k_max + 1, step):
         x = chi * k
@@ -267,7 +270,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
     if llt_chi is not None:
         if k_val is None:
             raise click.UsageError("--llt-chi requires --k")
-        auxdist.check_lattice_order(model, k_val)
+        model.check_order(k_val)
         sol = asym.solve_saddle(model, llt_chi)
         x_eff, u_eff = llt_chi * k_val, sol.u
     else:

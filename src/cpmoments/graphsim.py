@@ -8,14 +8,14 @@ over the n vertices.  This module samples D_max, estimates the two-sided
 deviation probability P(|D_max/rho - V_1| > s), and evaluates the analytic
 quantities it is compared against at rho = kappa ln n:
 
-* the critical threshold  s* = Ht'(u) exp( (Ht(u)-1)/(u Ht'(u)) - 1/2 ),
-* the union bound         exp( 2 ln n ( 1/2 - ln s' + ln Ht'(u)
-                                        + (Ht(u)-1)/(u Ht'(u)) - 1 ) ),
+* the critical threshold  s* = exp( Psit(kappa/2) + 1/2 ),
+* the union bound         (s*/s')^(2 ln n),
 
-where Ht(u) = H(u) - u V_1 is the mean-shift transform and s' = s - V_1/n.
-Both come from a Markov bound on the centered degree's moment of even order
-2 ln n at intensity rho, so the tilt solves u Ht'(u) = (2 ln n)/rho = 2/kappa
-(the order-to-intensity ratio of that moment).
+where Psit is the rate function (``asymptotics.rate_function``) of the
+mean-shift transform Ht(u) = H(u) - u V_1 and s' = s - V_1/n.  Both come
+from a Markov bound on the centered degree's moment of even order 2 ln n at
+intensity rho, whose order-to-intensity ratio (2 ln n)/rho = 2/kappa puts
+the rate at chi = kappa/2.
 
 Edge sets are generated as a Bernoulli process over the flattened
 upper-triangle index space using geometric gap skipping; this reproduces the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import solve_saddle
+from .asymptotics import rate_function
 from .errors import DomainError
 from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 
@@ -156,15 +156,12 @@ def sample_dmax(config: GraphSimConfig, trial: int = 0) -> float:
 def critical_deviation_threshold(model: WeightModel, kappa: float) -> float:
     """Critical s above which P(|D_max/rho - V_1| > s) -> 0 at rho = kappa ln n.
 
-    Evaluates Ht'(u) exp( (Ht(u)-1)/(u Ht'(u)) - 1/2 ) at the tilt matched to
-    the bounding moment's order-to-intensity ratio, u Ht'(u) = 2/kappa.
+    Evaluates s* = exp( Psit(kappa/2) + 1/2 ), Psit the rate function of the
+    mean-shift model ``tilde_transform(model)``.
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
-    tm = tilde_transform(model)
-    sol = solve_saddle(tm, kappa / 2.0)
-    ratio = (sol.H_u - 1.0) / (sol.u * sol.H1_u)
-    return sol.H1_u * math.exp(ratio - 0.5)
+    return math.exp(rate_function(tilde_transform(model), kappa / 2.0).psi + 0.5)
 
 
 def moment_union_bound(
@@ -173,23 +170,14 @@ def moment_union_bound(
     """Union-of-vertices Markov bound on P(|D_max - rho V_1| >= s' rho).
 
     Uses the centered degree's moment of even order 2 ln n; returns
-    (min(value, 1), vacuous flag).  The displayed value is
-    exp( 2 ln n (1/2 - ln s' + ln Ht'(u) + (Ht(u)-1)/(u Ht'(u)) - 1) ).
+    (min(value, 1), vacuous flag) for value = (s*/s')^(2 ln n), s* the
+    ``critical_deviation_threshold``, so the bound is vacuous iff s' <= s*.
     """
     if s_prime <= 0:
         raise DomainError("s' must be positive")
     if n < 2:
         raise DomainError("need n >= 2")
-    tm = tilde_transform(model)
-    sol = solve_saddle(tm, kappa / 2.0)
-    bracket = (
-        0.5
-        - math.log(s_prime)
-        + math.log(sol.H1_u)
-        + (sol.H_u - 1.0) / (sol.u * sol.H1_u)
-        - 1.0
-    )
-    value = math.exp(2.0 * math.log(n) * bracket)
+    value = (critical_deviation_threshold(model, kappa) / s_prime) ** (2.0 * math.log(n))
     return min(value, 1.0), value >= 1.0
 
 

@@ -39,16 +39,11 @@ import numpy as np
 
 from . import weights as _weights
 from .errors import DomainError
-from .weights import NumberLike, WeightModel
+from .weights import NumberLike, WeightModel, log_rational
 
 ORACLE_CAP = 25  # profile enumeration beyond this is pointless, cost is exponential
 
 _UNIT = _weights.unit()
-
-
-def _log_fraction(v: Fraction) -> float:
-    # math.log on the (possibly huge) integer parts avoids float overflow
-    return math.log(v.numerator) - math.log(v.denominator)
 
 
 @dataclass(frozen=True)
@@ -68,12 +63,7 @@ class MomentValue:
 
     @classmethod
     def from_exact(cls, k: int, x: Fraction | float, value: Fraction, method: str) -> "MomentValue":
-        if value > 0:
-            lg = _log_fraction(value)
-        elif value == 0:
-            lg = -math.inf
-        else:
-            lg = None
+        lg = log_rational(value) if value >= 0 else None
         return cls(k=k, x=x, value_exact=value, value_log=lg, method=method)
 
 

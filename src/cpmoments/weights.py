@@ -18,14 +18,18 @@ Two transforms recur throughout the package:
 * ``tilde_transform`` mean-shift pseudo-model with EGF H(u) - u V_1; its
   "moment" sequence is V with V_1 zeroed.  That sequence generates the
   moments of the mean-centered compound Poisson variable but is not the
-  moment sequence of any weight distribution, so pseudo-models are flagged
-  and carry no sampler.
+  moment sequence of any weight distribution.
+
+Pseudo-models are the models without a sampler: only the built-in weight
+laws carry one, so a transformed, factorial or custom model is never sampled.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,14 +44,40 @@ NumberLike = Union[int, float, str, Fraction]
 WeightDraw = Callable[[np.random.Generator, int], np.ndarray]
 
 
+def log_rational(v: Fraction) -> float:
+    """ln v of an exact v >= 0 (-inf at 0), from the integer parts so that no float overflows."""
+    if v == 0:
+        return -math.inf
+    return math.log(v.numerator) - math.log(v.denominator)
+
+
+# Fraction's decimal form: integer digits, fraction digits, exponent
+_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, but an exponent that would make the numerator or the
+    denominator longer than the integer-to-string limit (CPython's default
+    4300 where it is unset or unknown) raises OverflowError before
+    ``Fraction`` builds 10**exponent; malformed text raises ValueError or
+    ZeroDivisionError."""
+    match = _DECIMAL_EXPONENT.fullmatch(text)
+    if match:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        whole, frac, exponent = match[1], match[2] or "", int(match[3])
+        if len(whole) + len(frac) + abs(exponent - len(frac)) > limit:
+            raise OverflowError(f"{text!r} needs integers of more than {limit} digits")
+    return Fraction(text)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightModel:
     """Immutable moment sequence + generating function of a weight variable.
 
-    ``pseudo`` marks tilde-transformed models whose moment list is a formal
-    device rather than the moments of a distribution; ``truncated`` marks
-    custom models that only know a finite prefix of the series.
-    ``sample(rng, size)`` draws i.i.d. weights; only built-in weight laws have one.
+    ``parity_even_only`` marks weights whose odd moments all vanish;
+    ``horizon`` is the last known moment order of a custom model that only
+    knows a finite prefix of the series.  ``sample(rng, size)`` draws i.i.d.
+    weights; only built-in weight laws have one.
     """
 
     name: str
@@ -57,10 +87,24 @@ class WeightModel:
     _egf_d1: Callable[[float], float]
     _egf_d2: Callable[[float], float]
     parity_even_only: bool = False
-    pseudo: bool = False
-    truncated: bool = False
     horizon: int | None = None
     sample: WeightDraw | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.horizon is not None
+
+    @property
+    def span(self) -> int:
+        """Lattice span of the tilted law and of the orders with M_k != 0."""
+        return 2 if self.parity_even_only else 1
+
+    def check_order(self, k: int) -> None:
+        """Raise DomainError unless k is a positive multiple of the span."""
+        if k <= 0:
+            raise DomainError("order must be positive")
+        if k % self.span:
+            raise DomainError(f"model {self.name!r} lives on even orders; {k} is odd")
 
     def moment(self, order: int) -> Fraction:
         """Raw moment V_order, exact; V_0 = 1 always."""
@@ -85,9 +129,7 @@ class WeightModel:
                 f"model {self.name!r} has negative weight moment V_{order} = {v};"
                 " use the exact path"
             )
-        if v == 0:
-            return -math.inf
-        return math.log(v.numerator) - math.log(v.denominator)
+        return log_rational(v)
 
     def _check_u(self, u: float) -> None:
         if not 0.0 <= u < self.radius:
@@ -243,7 +285,6 @@ def custom_model(moments: Sequence[NumberLike], radius: float = math.inf) -> Wei
     return WeightModel(
         name=f"custom[{horizon}]",
         radius=radius,
-        truncated=True,
         horizon=horizon,
         _moment_fn=lambda order: vals[order],
         _egf=lambda u: series(u, 0),
@@ -274,8 +315,6 @@ def hat_transform(model: WeightModel) -> WeightModel:
     return WeightModel(
         name=f"hat({model.name})",
         radius=model.radius,
-        pseudo=model.pseudo,
-        truncated=model.truncated,
         horizon=model.horizon,
         _moment_fn=mom,
         _egf=lambda u: math.exp(-fv1 * u) * model.egf(u),
@@ -289,8 +328,8 @@ def tilde_transform(model: WeightModel) -> WeightModel:
     """Mean-shift pseudo-model: EGF H(u) - u V_1, moment list V with V_1 zeroed.
 
     The transformed sequence generates the moments of the mean-centered
-    compound Poisson variable; it is flagged ``pseudo`` and has no sampler
-    because it is not the moment sequence of a weight distribution.
+    compound Poisson variable; it has no sampler because it is not the
+    moment sequence of a weight distribution.
     Identity when V_1 = 0 already.
     """
     v1 = model.moment(1)
@@ -304,8 +343,6 @@ def tilde_transform(model: WeightModel) -> WeightModel:
     return WeightModel(
         name=f"tilde({model.name})",
         radius=model.radius,
-        pseudo=True,
-        truncated=model.truncated,
         horizon=model.horizon,
         _moment_fn=mom,
         _egf=lambda u: model.egf(u) - fv1 * u,
@@ -330,7 +367,7 @@ _FAMILIES: dict[str, tuple[Callable[..., WeightModel], tuple[int, ...]]] = {
 
 def _number(text: str, spec: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"weight spec {spec!r}: {text!r} is not a number") from None
 
@@ -345,23 +382,23 @@ def from_spec(text: str) -> WeightModel:
     """
     head, _, arg = text.partition(":")
     key = head.strip().lower()
-    if key == "custom":
-        try:
-            data = json.loads(Path(arg).read_text())
-        except ValueError as exc:  # undecodable bytes or invalid JSON
-            raise DomainError(f"weight spec {text!r}: not a JSON file ({exc})") from None
-        moments = data.get("moments") if isinstance(data, dict) else None
-        if not isinstance(moments, list):
-            raise DomainError(f'weight spec {text!r}: expected {{"moments": [1, v1, ...]}}')
-        return custom_model([_number(str(v), text) for v in moments])
-    if key not in _FAMILIES:
-        raise DomainError(f"unknown weight model: {text!r}")
-    constructor, counts = _FAMILIES[key]
-    params = [_number(part, text) for part in arg.split(",")] if arg else []
-    if len(params) not in counts:
-        allowed = " or ".join(map(str, counts)) + " parameters"
-        raise DomainError(f"weight spec {text!r}: {key} takes {allowed}, got {len(params)}")
     try:
+        if key == "custom":
+            try:
+                data = json.loads(Path(arg).read_text())
+            except ValueError as exc:  # undecodable bytes or invalid JSON
+                raise DomainError(f"weight spec {text!r}: not a JSON file ({exc})") from None
+            moments = data.get("moments") if isinstance(data, dict) else None
+            if not isinstance(moments, list):
+                raise DomainError(f'weight spec {text!r}: expected {{"moments": [1, v1, ...]}}')
+            return custom_model([_number(str(v), text) for v in moments])
+        if key not in _FAMILIES:
+            raise DomainError(f"unknown weight model: {text!r}")
+        constructor, counts = _FAMILIES[key]
+        params = [_number(part, text) for part in arg.split(",")] if arg else []
+        if len(params) not in counts:
+            allowed = " or ".join(map(str, counts)) + " parameters"
+            raise DomainError(f"weight spec {text!r}: {key} takes {allowed}, got {len(params)}")
         return constructor(*params)
-    except OverflowError:
+    except OverflowError:  # every parameter ends up as a float
         raise DomainError(f"weight spec {text!r}: parameter out of float range") from None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpmoments import auxdist, moments, weights
-from cpmoments.asymptotics import solve_saddle
+from cpmoments.asymptotics import refined_prediction, solve_saddle
 from cpmoments.errors import DomainError
 
 UNIT = weights.unit()
@@ -53,7 +53,7 @@ class TestConstruction:
 
     def test_parity_support_is_even(self):
         aux = auxdist.build_aux(BERN, 4.0, 1.0)
-        assert aux.span == 2
+        assert aux.model.span == 2
         for j, lp in enumerate(aux.log_pmf):
             assert (lp == -math.inf) == bool(j % 2), j
         assert set(aux.pmf_dict()) == set(range(0, aux.support_cap + 1, 2))
@@ -117,8 +117,14 @@ class TestLocalLimit:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_odd_order_rejected_for_parity_models(self):
-        with pytest.raises(DomainError):
-            auxdist.local_limit_check(BERN, 1.0, 41)
+        # every entry point of the asymptotics applies the model's one lattice rule
+        aux = auxdist.build_aux(BERN, 41.0, solve_saddle(BERN, 1.0).u)
+        for reject in (lambda: refined_prediction(BERN, 41, 1.0),
+                       lambda: auxdist.local_limit_check(BERN, 1.0, 41),
+                       lambda: aux.local_limit_ratio(41)):
+            with pytest.raises(DomainError) as err:
+                reject()
+            assert str(err.value) == "model 'bernoulli' lives on even orders; 41 is odd"
 
     def test_window_matches_normal_density(self):
         # +-3 sigma window at order 200: sup |pmf - normal| stays within 10%

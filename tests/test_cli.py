@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,7 @@ def bad_input(case_id, args, code, message, *, header=False, weights_json=None):
 GRAPHSIM = ["graphsim", "--n", "50", "--kappa", "1", "--s", "1.0", "--trials", "2",
             "--out", "{out}"]
 MOMENTS = ["moments", "--k", "3", "--x", "1", "--out", "{out}"]
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 class TestBadInputs:
@@ -295,6 +297,24 @@ class TestBadInputs:
                   weights_json='{"moments": [1, "x"]}'),
         bad_input("custom-missing-file", MOMENTS + ["--weights", "custom:{w}"],
                   4, "cpm: i/o error: [Errno 2] No such file or directory: '{w}'"),
+        bad_input("gaussian-tiny-exponent", MOMENTS + ["--weights", "gaussian:1e-5000"],
+                  3, "cpm: error: weight spec 'gaussian:1e-5000': parameter out of"
+                     " float range"),
+        bad_input("custom-overflow", MOMENTS + ["--weights", "custom:{w}"],
+                  3, "cpm: error: weight spec 'custom:{w}': parameter out of float range",
+                  weights_json='{"moments": [1, "1e400"]}'),
+        bad_input("x-huge-exponent",
+                  ["moments", "--weights", "unit", "--k", "2", "--x", "1e5000", "--out", "{out}"],
+                  2, "Error: Invalid value for '--x': '1e5000' needs integers of more than"
+                     f" {LIMIT} digits"),
+        bad_input("x-tiny-exponent",
+                  ["moments", "--weights", "unit", "--k", "2", "--x", "1e-5000", "--out", "{out}"],
+                  2, "Error: Invalid value for '--x': '1e-5000' needs integers of more than"
+                     f" {LIMIT} digits"),
+        bad_input("chi-below-reach", ["rate", "--weights", "logfact", "--chi", "1e-13"],
+                  3, "cpm: error: chi = 1e-13 out of reach: the smallest chi model 'logfact'"
+                     " reaches is 1/(u H'(u)) = 9.999778782808785e-13 at u = 0.999999999999",
+                  header=True),
         bad_input("x-not-a-number",
                   ["moments", "--weights", "unit", "--k", "3", "--x", "abc", "--out", "{out}"],
                   2, "Error: Invalid value for '--x': 'abc' is not an integer, decimal or ratio"),
@@ -329,7 +349,7 @@ class TestBadInputs:
         assert result.stderr.splitlines()[-1] == message
         if code != 2:
             assert result.stderr == message + "\n"
-        # only the order check runs after the header
+        # only the order and saddle checks run after the header
         if header:
             header_of(result.stdout)
         else:

@@ -161,7 +161,6 @@ class TestTildeTransform:
         tilde = weights.tilde_transform(weights.unit())
         for u in (0.2, 0.7, 1.5):
             assert tilde.egf(u) == pytest.approx(math.exp(u) - u)
-        assert tilde.pseudo
         assert tilde.sample is None
 
     def test_identity_when_already_centered(self):
