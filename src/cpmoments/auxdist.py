@@ -12,22 +12,34 @@ builds the law numerically from log-space moments and checks both facts:
 the inversion identity (a pure floating-point identity) and the local
 limit ratio p_k * sqrt(2 pi) * sigma / span -> 1, where span is the lattice
 spacing of the support, ``WeightModel.span``.
+
+The inversion identity also serves ``cpm compare``: along the ray
+x = chi k one saddle u H'(u) = 1/chi centres every Z_k at k, and
+``log_moments_on_ray`` reads ln M_k from P(Z_k = k), one inverse DFT
+coefficient of the pgf exp(chi k (H(us) - H(u))) on the circle |s| = u.
+That costs O(k_max N) for the whole table, N ~ k_max + 40 sigma, where a
+fresh log recurrence per order costs O(k_max^3).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import solve_saddle
+from .asymptotics import SaddleSolution, solve_saddle
 from .errors import DomainError
-from .moments import log_moment_sequence, moment_sequence
+from .moments import log_moment, log_moment_sequence, moment_sequence
 from .weights import WeightModel, log_rational
 
-_MAX_SUPPORT = 10**6
+_MAX_LOG_WORK = 10**8  # sum of cap^2 over build_aux's recurrences, about 1 s
+_MAX_NODES = 2**18  # transform points of log_moments_on_ray, ~1 ms per order
+_MAX_ROUNDING = 1e-9  # relative rounding bound of a point mass read off the transform
+_EPS = sys.float_info.epsilon
 _MASS_TOLERANCE = 1e-12
 
 
@@ -75,7 +87,8 @@ class AuxiliaryDistribution:
 
 def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     """Materialize the tilted law, truncating once cumulative mass reaches
-    1 - _MASS_TOLERANCE."""
+    1 - _MASS_TOLERANCE; each doubling of the support reruns the O(cap^2) log
+    recurrence, and their total is bounded by _MAX_LOG_WORK."""
     x = float(x)
     if x <= 0:
         raise DomainError("intensity x must be positive")
@@ -89,11 +102,13 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     ln_u = math.log(u)
 
     cap_guess = int(mean + 12.0 * sigma) + 64
+    work = 0
     while True:
-        if cap_guess > _MAX_SUPPORT:
+        work += cap_guess * cap_guess
+        if work > _MAX_LOG_WORK:
             raise DomainError(
-                f"support exceeded {_MAX_SUPPORT} terms before reaching mass"
-                f" 1 - {_MASS_TOLERANCE}"
+                f"tilted law needs more than {_MAX_LOG_WORK} log-recurrence terms"
+                f" (sum of cap^2 over the support doublings) to reach mass 1 - {_MASS_TOLERANCE}"
             )
         ln_m = log_moment_sequence(model, cap_guess, x)
         js = np.arange(cap_guess + 1)
@@ -144,3 +159,86 @@ def local_limit_check(model: WeightModel, chi: float, k: int) -> float:
     model.check_order(k)
     sol = solve_saddle(model, chi)
     return build_aux(model, chi * k, sol.u).local_limit_ratio(k)
+
+
+def ray_nodes(model: WeightModel, saddle: SaddleSolution, k_max: int) -> int:
+    """Transform length for the orders k <= k_max on the ray x = chi k.
+
+    The power of two at or above k_max + 40 sigma + 40 / ln(u0/u) + 64,
+    sigma the standard deviation of Z at k_max: the aliased mass
+    P(Z >= k + N) then lies beyond 40 sigma of the centre and, below a
+    finite radius u0, beyond 40 e-folds of the geometric tail (u/u0)^j.
+    """
+    u = saddle.u
+    sigma = math.sqrt(saddle.chi * k_max * (u * saddle.H1_u + u * u * saddle.H2_u))
+    reach = k_max + 40.0 * sigma + 64.0
+    if math.isfinite(model.radius):
+        reach += 40.0 / math.log(model.radius / u)
+    reach = min(reach, 2.0**62)  # u^2 H''(u) overflows as chi nears 1e-308
+    return 1 << (math.ceil(reach) - 1).bit_length()
+
+
+def log_point_masses(
+    model: WeightModel, saddle: SaddleSolution, orders: Sequence[int], nodes: int
+) -> np.ndarray:
+    """ln P(Z_k = k) for ascending positive ``orders``, Z_k the law tilted at
+    the saddle u with x = chi k, from ``nodes`` points of the circle |s| = u.
+
+    With g_m = exp(chi (H(u w^m) - H(u))) w^-m, w = exp(2 pi i / N),
+    P(Z_k = k) = Re sum_m (g_m^k - P(Z_k = 0) w^-km) / N up to the aliased
+    mass P(Z_k = k + jN), j >= 1: the second sum is zero, and removing the
+    known mass at zero, exp(-chi k (H(u) - 1)), keeps the terms from
+    cancelling down from ~1 at small chi.  g_{N-m} is the conjugate of g_m,
+    so half the circle is evaluated; g^k and w^-km are running products
+    across the orders.  An order whose rounding bound,
+    eps (sum_m |g_m^k| / N + P(Z_k = 0)), exceeds _MAX_ROUNDING of its point
+    mass reads nan.
+    """
+    roots = np.exp((2j * math.pi / nodes) * np.arange(nodes // 2 + 1))
+    turns = roots.conj()
+    g = np.exp(saddle.chi * (model.egf_complex(saddle.u * roots) - saddle.H_u)) * turns
+    weights = np.full(roots.size, 2.0 / nodes)
+    weights[0] = weights[-1] = 1.0 / nodes
+    log_p0 = saddle.chi * (1.0 - saddle.H_u)  # ln P(Z_1 = 0)
+    power, turn = np.ones_like(g), np.ones_like(g)
+    steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    out = np.empty(len(orders))
+    for i, (k, step) in enumerate(zip(orders, np.diff(orders, prepend=0).tolist())):
+        if step not in steps:
+            steps[step] = g**step, turns**step
+        power *= steps[step][0]
+        turn *= steps[step][1]
+        p0 = math.exp(k * log_p0)
+        mass = float(weights @ (power.real - p0 * turn.real))
+        bound = _EPS * (float(weights @ np.abs(power.real)) + p0)
+        out[i] = math.log(mass) if mass * _MAX_ROUNDING > bound else math.nan
+    return out
+
+
+def log_moments_on_ray(
+    model: WeightModel, saddle: SaddleSolution, orders: Sequence[int]
+) -> np.ndarray:
+    """ln M_k(chi k) for ascending positive ``orders`` through the inversion
+    identity at the one tilt ``saddle`` = solve_saddle(model, chi):
+
+        ln M_k = ln k! + chi k (H(u) - 1) - k ln u + ln P(Z_k = k).
+
+    Every Z_k has mean k, so each order reads the point mass at the centre
+    of its own law.  Orders the transform cannot resolve take the log
+    recurrence: all of them when the saddle is so close to a finite radius
+    that N would pass _MAX_NODES, and single orders whose point mass is lost
+    to rounding (at tiny chi the law of Z_k clusters away from k).
+    """
+    ks = np.asarray(orders, dtype=float)
+    if not ks.size:
+        return ks
+    nodes = ray_nodes(model, saddle, orders[-1])
+    if nodes > _MAX_NODES:
+        log_p = np.full(ks.size, math.nan)
+    else:
+        log_p = log_point_masses(model, saddle, orders, nodes)
+    lgf = np.array([math.lgamma(k + 1.0) for k in orders])
+    out = lgf + ks * (saddle.chi * (saddle.H_u - 1.0) - math.log(saddle.u)) + log_p
+    for i in np.flatnonzero(np.isnan(log_p)).tolist():
+        out[i] = log_moment(model, orders[i], saddle.chi * orders[i])
+    return out

@@ -153,6 +153,14 @@ def format_exact(value: Fraction | None) -> str:
     return str(d)
 
 
+def format_ratio(value: Fraction) -> str:
+    """``str(value)``, n/d or n, through Decimal, which has no digit limit."""
+    numerator = str(decimal.Decimal(value.numerator))
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{decimal.Decimal(value.denominator)}"
+
+
 def format_log(value: float | None) -> str:
     if value is None:
         return ""
@@ -197,7 +205,7 @@ def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
             }
             if fmt == "json":
                 # JSON carries the ratio alongside the 30-digit decimal
-                row["value_ratio"] = str(mv.value_exact)
+                row["value_ratio"] = format_ratio(mv.value_exact)
             rows.append(row)
     else:
         seq = mom.log_moment_sequence(model, k_max, float(x))
@@ -236,13 +244,14 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
     model = wts.from_spec(weights_spec)
     _echo_header("compare", {
         "weights": weights_spec, "chi": chi, "k_max": k_max, "out": out_path, "format": fmt,
+        "method": "saddle_dft",
     })
     rv = asym.rate_function(model, chi)
-    step = model.span
+    orders = range(model.span, k_max + 1, model.span)
+    log_exacts = auxdist.log_moments_on_ray(model, rv.saddle, orders)
     rows = []
-    for k in range(step, k_max + 1, step):
+    for k, log_exact in zip(orders, log_exacts.tolist()):
         x = chi * k
-        log_exact = mom.log_moment(model, k, x)
         log_pred = asym.refined_prediction(model, k, chi)
         rate_gap = abs((log_exact - k * math.log(x)) / k - rv.psi)
         rows.append({

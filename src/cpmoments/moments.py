@@ -15,7 +15,10 @@ obtained by differentiating the generating function
 G(x,u) = sum M_k u^k/k! = exp(x (H(u) - 1)).  The oracle path enumerates
 partition profiles directly (exponential cost, capped at k <= 25) and both
 paths stay in exact rational arithmetic.  A log-sum-exp variant of the
-recurrence reaches k ~ 10^3 without overflow for asymptotic studies.
+recurrence gives a whole table ln M_0(x) .. ln M_k(x) at one intensity
+without overflow, in O(k^2); along a ray x = chi k, where each order has its
+own intensity, ``auxdist.log_moments_on_ray`` reads every ln M_k off one
+saddle instead.
 
 The same recurrence gives two more moment families.  The finite-population
 pre-limit moment has EGF (1 + x (H(u) - 1)/n)^n; J.C.P. Miller's power
@@ -251,7 +254,9 @@ def log_moment_sequence(model: WeightModel, k_max: int, x: float) -> np.ndarray:
 
 
 def log_moment(model: WeightModel, k: int, x: float) -> float:
-    """ln M_k(x) without overflow; usable up to k of order 10^3."""
+    """ln M_k(x) without overflow, by the O(k^2) log recurrence; the oracle
+    of ``auxdist.log_moments_on_ray`` and its route for orders the
+    transform cannot resolve."""
     return float(log_moment_sequence(model, k, x)[k])
 
 

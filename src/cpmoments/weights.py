@@ -77,7 +77,8 @@ class WeightModel:
     ``parity_even_only`` marks weights whose odd moments all vanish;
     ``horizon`` is the last known moment order of a custom model that only
     knows a finite prefix of the series.  ``sample(rng, size)`` draws i.i.d.
-    weights; only built-in weight laws have one.
+    weights; only built-in weight laws have one.  ``egf_complex`` evaluates
+    the closed form of H on the complex disc; a truncated model has none.
     """
 
     name: str
@@ -89,6 +90,7 @@ class WeightModel:
     parity_even_only: bool = False
     horizon: int | None = None
     sample: WeightDraw | None = None
+    _egf_complex: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def truncated(self) -> bool:
@@ -149,6 +151,12 @@ class WeightModel:
         self._check_u(u)
         return self._egf_d2(u)
 
+    def egf_complex(self, z: np.ndarray) -> np.ndarray:
+        """H(z) elementwise for complex z with |z| < radius (numpy arrays)."""
+        if self._egf_complex is None:
+            raise DomainError(f"model {self.name!r} has no closed-form complex EGF")
+        return self._egf_complex(z)
+
 
 def unit() -> WeightModel:
     """All weight moments equal to one: the plain Bell-polynomial case, H(u) = e^u."""
@@ -160,6 +168,7 @@ def unit() -> WeightModel:
         _egf_d1=math.exp,
         _egf_d2=math.exp,
         sample=lambda rng, size: np.ones(size),
+        _egf_complex=np.exp,
     )
 
 
@@ -190,6 +199,7 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         _egf_d1=lambda u: fv2 * u * h(u),
         _egf_d2=lambda u: (fv2 + (fv2 * u) ** 2) * h(u),
         sample=lambda rng, size: rng.normal(0.0, math.sqrt(fv2), size),
+        _egf_complex=lambda z: np.exp(fv2 * z * z / 2.0),
     )
 
 
@@ -214,6 +224,7 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         _egf_d1=lambda u: fm * ft * (1.0 - ft * u) ** (-fm - 1.0),
         _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * (1.0 - ft * u) ** (-fm - 2.0),
         sample=lambda rng, size: rng.gamma(fm, ft, size),
+        _egf_complex=lambda z: (1.0 - ft * z) ** (-fm),
     )
 
 
@@ -228,6 +239,7 @@ def bernoulli_centered() -> WeightModel:
         _egf_d1=math.sinh,
         _egf_d2=math.cosh,
         sample=lambda rng, size: rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0,
+        _egf_complex=np.cosh,
     )
 
 
@@ -241,6 +253,7 @@ def exponential() -> WeightModel:
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
         sample=lambda rng, size: rng.standard_exponential(size),
+        _egf_complex=lambda z: 1.0 / (1.0 - z),
     )
 
 
@@ -257,6 +270,7 @@ def log_factorial() -> WeightModel:
         _egf=lambda u: 1.0 - math.log1p(-u),
         _egf_d1=lambda u: 1.0 / (1.0 - u),
         _egf_d2=lambda u: (1.0 - u) ** -2.0,
+        _egf_complex=lambda z: 1.0 - np.log1p(-z),
     )
 
 
@@ -321,6 +335,7 @@ def hat_transform(model: WeightModel) -> WeightModel:
         _egf_d1=lambda u: math.exp(-fv1 * u) * (model.egf_d1(u) - fv1 * model.egf(u)),
         _egf_d2=lambda u: math.exp(-fv1 * u)
         * (model.egf_d2(u) - 2.0 * fv1 * model.egf_d1(u) + fv1 * fv1 * model.egf(u)),
+        _egf_complex=lambda z: np.exp(-fv1 * z) * model.egf_complex(z),
     )
 
 
@@ -348,6 +363,7 @@ def tilde_transform(model: WeightModel) -> WeightModel:
         _egf=lambda u: model.egf(u) - fv1 * u,
         _egf_d1=lambda u: model.egf_d1(u) - fv1,
         _egf_d2=model.egf_d2,
+        _egf_complex=lambda z: model.egf_complex(z) - fv1 * z,
     )
 
 

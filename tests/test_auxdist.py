@@ -150,3 +150,65 @@ class TestAgainstExactMoments:
             expected = float(ms[j]) * u**j / math.factorial(j)
             got = math.exp(aux.log_pmf[j] - aux.log_pmf[0])
             assert got == pytest.approx(expected, rel=1e-9)
+
+
+BUILTINS = (UNIT, GAUSS, GAMMA, BERN, EXP, LOGF)
+
+
+def ray_orders(model):
+    """Orders 1..10 and every 50th up to 200, on the model's lattice."""
+    return [k for k in [*range(1, 11), 50, 100, 150, 200] if k % model.span == 0]
+
+
+class TestLogMomentsOnRay:
+    @pytest.mark.parametrize("model", BUILTINS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("chi", [0.25, 1.0, 4.0])
+    def test_matches_exact_rationals(self, model, chi):
+        orders = ray_orders(model)
+        got = auxdist.log_moments_on_ray(model, solve_saddle(model, chi), orders)
+        for k, value in zip(orders, got):
+            exact = moments.moment_sequence(model, k, Fraction(chi * k))[k]
+            assert abs(value - weights.log_rational(exact)) <= 1e-12, (k, value)
+
+    @pytest.mark.parametrize("model", BUILTINS, ids=lambda m: m.name)
+    def test_order_2000_against_log_recurrence(self, model):
+        chi, k = 1.0, 2000
+        got = auxdist.log_moments_on_ray(model, solve_saddle(model, chi), [k])[0]
+        ref = moments.log_moment_sequence(model, k, chi * k)[k]
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("model, chi", [
+        (EXP, 1e-3), (EXP, 1e-6), (GAMMA, 1e-3), (GAMMA, 1e-6), (LOGF, 1e-3),
+    ], ids=lambda v: getattr(v, "name", v))
+    @pytest.mark.parametrize("k", [1, 10, 200])
+    def test_doubling_nodes_moves_nothing(self, model, chi, k):
+        # near a finite radius the geometric tail (u/u0)^j, not sigma, sets N
+        saddle = solve_saddle(model, chi)
+        nodes = auxdist.ray_nodes(model, saddle, k)
+        once, twice = (auxdist.log_point_masses(model, saddle, [k], n)[0]
+                       for n in (nodes, 2 * nodes))
+        assert abs(once - twice) < 1e-12
+
+    @pytest.mark.parametrize("model", [EXP, GAMMA], ids=lambda m: m.name)
+    def test_first_order_at_small_chi(self, model):
+        # M_1 = x V_1, and P(Z_1 = 1) is about 1e-6 of the mass at zero; left
+        # in the sum, that mass costs ln M_1 an error of 2e-11 or more
+        chi = 1e-6
+        got = auxdist.log_moments_on_ray(model, solve_saddle(model, chi), [1])[0]
+        assert abs(got - math.log(chi * float(model.moment(1)))) <= 1e-11
+
+    @pytest.mark.parametrize("model, chi", [(LOGF, 1e-6), (UNIT, 1e-307), (UNIT, 1e-30)],
+                             ids=["beyond-node-bound", "sigma-overflow", "lost-to-rounding"])
+    def test_unresolved_orders_use_recurrence(self, model, chi):
+        # logfact at chi = 1e-6 sits 1e-6 below its radius, so N would be 2^26;
+        # at chi = 1e-307, u^2 H''(u) overflows; unit weights at chi = 1e-30
+        # put Z_k near multiples of u = 64, not at k <= 4
+        saddle, orders = solve_saddle(model, chi), [1, 2, 3, 4]
+        nodes = auxdist.ray_nodes(model, saddle, orders[-1])
+        assert (nodes > auxdist._MAX_NODES
+                or np.isnan(auxdist.log_point_masses(model, saddle, orders, nodes)).all())
+        got = auxdist.log_moments_on_ray(model, saddle, orders)
+        assert got.tolist() == [moments.log_moment(model, k, chi * k) for k in orders]
+
+    def test_no_orders(self):
+        assert auxdist.log_moments_on_ray(UNIT, solve_saddle(UNIT, 1.0), []).size == 0

@@ -1,12 +1,13 @@
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from cpmoments import cli, moments, weights
+from cpmoments import auxdist, cli, moments, weights
 
 
 @pytest.fixture
@@ -105,6 +106,20 @@ class TestMoments:
         assert rows[3]["value_ratio"] == "1099/8"
         assert rows[3]["value"] == "137.375"
 
+    def test_json_ratio_past_the_integer_string_limit(self, runner, tmp_path):
+        # M_20(1e300) has 6001 digits, beyond str(int)'s default limit of 4300
+        out = tmp_path / "m.json"
+        result = runner.invoke(cli.main, [
+            "moments", "--weights", "unit", "--k", "20", "--x", "1e300",
+            "--out", str(out), "--format", "json",
+        ])
+        assert result.exit_code == 0, result.output
+        expected = moments.moment_sequence(weights.unit(), 20, Fraction(10**300))
+        for row, value in zip(cli.read_table(str(out)), expected, strict=True):
+            numerator, _, denominator = row["value_ratio"].partition("/")
+            parsed = Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
+            assert parsed == value, row["k"]
+
 
 class TestRate:
     def test_prints_rate_quadruple(self, runner):
@@ -136,6 +151,35 @@ class TestCompare:
         ])
         ks = [int(r["k"]) for r in cli.read_table(str(out))]
         assert ks == list(range(2, 21, 2))
+
+    def test_no_log_recurrence_per_row(self, runner, tmp_path, monkeypatch):
+        # the table reads every order off one saddle; a recurrence per row
+        # would make the command cubic in --k-max
+        calls = []
+        original = moments.log_moment_sequence
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "log_moment_sequence", counted)
+        monkeypatch.setattr(auxdist, "log_moment_sequence", counted)
+        out = tmp_path / "c.csv"
+        result = runner.invoke(cli.main, [
+            "compare", "--weights", "unit", "--chi", "1", "--k-max", "200", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert header_of(result.output)["config"]["method"] == "saddle_dft"
+        assert len(cli.read_table(str(out))) == 200
+        assert calls == []
+
+    def test_zero_k_max_writes_empty_table(self, runner, tmp_path):
+        out = tmp_path / "c.csv"
+        result = runner.invoke(cli.main, [
+            "compare", "--weights", "unit", "--chi", "1", "--k-max", "0", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert out.read_text() == "k,log_exact,log_predicted,rate_gap\n"
 
 
 class TestAux:
@@ -333,6 +377,11 @@ class TestBadInputs:
                   3, "cpm: error: need n >= 2 vertices"),
         bad_input("unsampleable-model", GRAPHSIM + ["--weights", "logfact"],
                   3, "cpm: error: weight model 'logfact' cannot be sampled"),
+        bad_input("aux-unbounded-support",
+                  ["aux", "--weights", "unit", "--x", "100000", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: tilted law needs more than 100000000 log-recurrence terms"
+                     " (sum of cap^2 over the support doublings) to reach mass 1 - 1e-12",
+                  header=True),
     ])
     def test_exit_code_and_one_error_line(
         self, runner, tmp_path, args, code, message, header, weights_json
@@ -349,7 +398,7 @@ class TestBadInputs:
         assert result.stderr.splitlines()[-1] == message
         if code != 2:
             assert result.stderr == message + "\n"
-        # only the order and saddle checks run after the header
+        # only the order, saddle and aux work checks run after the header
         if header:
             header_of(result.stdout)
         else:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -186,6 +187,37 @@ class TestTildeTransform:
             tilde = weights.tilde_transform(model)
             v1 = float(model.moment(1))
             assert tilde.egf(u) + u * v1 == pytest.approx(model.egf(u), rel=1e-12)
+
+
+# every built-in and both transforms of each
+WITH_TRANSFORMS = [
+    transformed
+    for model in builtin_models()
+    for transformed in (model, weights.hat_transform(model), weights.tilde_transform(model))
+]
+
+
+class TestComplexEgf:
+    @given(model=st.sampled_from(WITH_TRANSFORMS), frac=st.floats(0.0, 0.999))
+    def test_real_axis_matches_egf(self, model, frac):
+        u = frac * min(model.radius, 20.0)
+        value = model.egf_complex(np.array([complex(u, 0.0)]))[0]
+        assert value.imag == 0.0
+        assert value.real == pytest.approx(model.egf(u), rel=1e-14, abs=0.0), model.name
+
+    @given(model=st.sampled_from(WITH_TRANSFORMS), frac=st.floats(0.0, 0.999),
+           angle=st.floats(-math.pi, math.pi))
+    def test_conjugate_symmetry(self, model, frac, angle):
+        z = np.array([frac * min(model.radius, 5.0) * complex(math.cos(angle), math.sin(angle))])
+        value = model.egf_complex(z)[0]
+        mirrored = model.egf_complex(z.conj())[0]
+        assert abs(mirrored - value.conjugate()) <= 1e-14 * abs(value), model.name
+
+    def test_truncated_model_has_none(self):
+        custom = weights.custom_model([1, 1, 2])
+        for model in (custom, weights.hat_transform(custom), weights.tilde_transform(custom)):
+            with pytest.raises(DomainError, match="no closed-form complex EGF"):
+                model.egf_complex(np.array([0.5 + 0j]))
 
 
 # every family name and alias but custom: (name, constructor, parameter count)
