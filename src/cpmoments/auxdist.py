@@ -36,7 +36,7 @@ from .errors import DomainError
 from .moments import log_moment, log_moment_sequence, moment_sequence
 from .weights import WeightModel, log_rational
 
-_MAX_LOG_WORK = 10**8  # sum of cap^2 over build_aux's recurrences, about 1 s
+_MAX_LOG_WORK = 2 * 10**9  # sum of cap^2 over build_aux's recurrences, ~7 ns each
 _MAX_NODES = 2**18  # transform points of log_moments_on_ray, ~1 ms per order
 _MAX_ROUNDING = 1e-9  # relative rounding bound of a point mass read off the transform
 _EPS = sys.float_info.epsilon
@@ -188,18 +188,21 @@ def log_point_masses(
     P(Z_k = k) = Re sum_m (g_m^k - P(Z_k = 0) w^-km) / N up to the aliased
     mass P(Z_k = k + jN), j >= 1: the second sum is zero, and removing the
     known mass at zero, exp(-chi k (H(u) - 1)), keeps the terms from
-    cancelling down from ~1 at small chi.  g_{N-m} is the conjugate of g_m,
-    so half the circle is evaluated; g^k and w^-km are running products
-    across the orders.  An order whose rounding bound,
-    eps (sum_m |g_m^k| / N + P(Z_k = 0)), exceeds _MAX_ROUNDING of its point
-    mass reads nan.
+    cancelling down from ~1 at small chi.  H(u w^m) - H(u) is taken as a
+    difference of ``egf_m1`` values: at large chi both H values are 1 + O(1/chi),
+    and their difference would keep only ~chi eps of its digits.  g_{N-m} is
+    the conjugate of g_m, so half the circle is evaluated; g^k and w^-km are
+    running products across the orders, each term accurate to ~k eps.  An
+    order whose rounding bound, k eps (sum_m |g_m^k| / N + P(Z_k = 0)),
+    exceeds _MAX_ROUNDING of its point mass reads nan.
     """
     roots = np.exp((2j * math.pi / nodes) * np.arange(nodes // 2 + 1))
     turns = roots.conj()
-    g = np.exp(saddle.chi * (model.egf_complex(saddle.u * roots) - saddle.H_u)) * turns
+    excess = model.egf_m1(saddle.u * roots)  # roots[0] = 1: excess[0] = H(u) - 1
+    g = np.exp(saddle.chi * (excess - excess[0].real)) * turns
     weights = np.full(roots.size, 2.0 / nodes)
     weights[0] = weights[-1] = 1.0 / nodes
-    log_p0 = saddle.chi * (1.0 - saddle.H_u)  # ln P(Z_1 = 0)
+    log_p0 = -saddle.chi * excess[0].real  # ln P(Z_1 = 0)
     power, turn = np.ones_like(g), np.ones_like(g)
     steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     out = np.empty(len(orders))
@@ -210,7 +213,7 @@ def log_point_masses(
         turn *= steps[step][1]
         p0 = math.exp(k * log_p0)
         mass = float(weights @ (power.real - p0 * turn.real))
-        bound = _EPS * (float(weights @ np.abs(power.real)) + p0)
+        bound = k * _EPS * (float(weights @ np.abs(power)) + p0)
         out[i] = math.log(mass) if mass * _MAX_ROUNDING > bound else math.nan
     return out
 
@@ -238,7 +241,8 @@ def log_moments_on_ray(
     else:
         log_p = log_point_masses(model, saddle, orders, nodes)
     lgf = np.array([math.lgamma(k + 1.0) for k in orders])
-    out = lgf + ks * (saddle.chi * (saddle.H_u - 1.0) - math.log(saddle.u)) + log_p
+    excess = float(model.egf_m1(np.array([complex(saddle.u)]))[0].real)  # H(u) - 1
+    out = lgf + ks * (saddle.chi * excess - math.log(saddle.u)) + log_p
     for i in np.flatnonzero(np.isnan(log_p)).tolist():
         out[i] = log_moment(model, orders[i], saddle.chi * orders[i])
     return out

@@ -77,8 +77,8 @@ class WeightModel:
     ``parity_even_only`` marks weights whose odd moments all vanish;
     ``horizon`` is the last known moment order of a custom model that only
     knows a finite prefix of the series.  ``sample(rng, size)`` draws i.i.d.
-    weights; only built-in weight laws have one.  ``egf_complex`` evaluates
-    the closed form of H on the complex disc; a truncated model has none.
+    weights; only built-in weight laws have one.  ``egf_m1`` evaluates
+    H - 1 in closed form on the complex disc; a truncated model has none.
     """
 
     name: str
@@ -90,7 +90,7 @@ class WeightModel:
     parity_even_only: bool = False
     horizon: int | None = None
     sample: WeightDraw | None = None
-    _egf_complex: Callable[[np.ndarray], np.ndarray] | None = None
+    _egf_m1: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def truncated(self) -> bool:
@@ -151,11 +151,29 @@ class WeightModel:
         self._check_u(u)
         return self._egf_d2(u)
 
-    def egf_complex(self, z: np.ndarray) -> np.ndarray:
-        """H(z) elementwise for complex z with |z| < radius (numpy arrays)."""
-        if self._egf_complex is None:
+    def egf_m1(self, z: np.ndarray) -> np.ndarray:
+        """H(z) - 1 elementwise for complex z with |z| < radius (numpy arrays).
+
+        Each closed form avoids the cancellation of H(z) - 1 near z = 0, so
+        the value carries relative error ~eps however small |z| is.
+        """
+        if self._egf_m1 is None:
             raise DomainError(f"model {self.name!r} has no closed-form complex EGF")
-        return self._egf_complex(z)
+        return self._egf_m1(z)
+
+
+def _log1p_complex(z: np.ndarray) -> np.ndarray:
+    """ln(1 + z) for complex |z| < 1 without cancellation near z = 0.
+
+    numpy's complex log1p takes ln |1 + z| as ln hypot(1 + a, b), which loses
+    the digits of a small z; ln |1 + z| = log1p(t) / 2, t = |1 + z|^2 - 1 =
+    a (2 + a) + b^2, keeps them.  Where |1 + z| is far from 1 the hypot form
+    is the accurate one, and log1p(t) would lose t's digits as t nears -1.
+    """
+    a, b = z.real, z.imag
+    t = a * (2.0 + a) + b * b
+    modulus = np.where(np.abs(t) < 0.5, 0.5 * np.log1p(t), np.log(np.hypot(1.0 + a, b)))
+    return modulus + 1j * np.arctan2(b, 1.0 + a)
 
 
 def unit() -> WeightModel:
@@ -168,7 +186,7 @@ def unit() -> WeightModel:
         _egf_d1=math.exp,
         _egf_d2=math.exp,
         sample=lambda rng, size: np.ones(size),
-        _egf_complex=np.exp,
+        _egf_m1=np.expm1,
     )
 
 
@@ -199,7 +217,7 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         _egf_d1=lambda u: fv2 * u * h(u),
         _egf_d2=lambda u: (fv2 + (fv2 * u) ** 2) * h(u),
         sample=lambda rng, size: rng.normal(0.0, math.sqrt(fv2), size),
-        _egf_complex=lambda z: np.exp(fv2 * z * z / 2.0),
+        _egf_m1=lambda z: np.expm1(fv2 * z * z / 2.0),
     )
 
 
@@ -224,7 +242,7 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         _egf_d1=lambda u: fm * ft * (1.0 - ft * u) ** (-fm - 1.0),
         _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * (1.0 - ft * u) ** (-fm - 2.0),
         sample=lambda rng, size: rng.gamma(fm, ft, size),
-        _egf_complex=lambda z: (1.0 - ft * z) ** (-fm),
+        _egf_m1=lambda z: np.expm1(-fm * _log1p_complex(-ft * z)),
     )
 
 
@@ -239,7 +257,7 @@ def bernoulli_centered() -> WeightModel:
         _egf_d1=math.sinh,
         _egf_d2=math.cosh,
         sample=lambda rng, size: rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0,
-        _egf_complex=np.cosh,
+        _egf_m1=lambda z: 2.0 * np.sinh(z / 2.0) ** 2,
     )
 
 
@@ -253,7 +271,7 @@ def exponential() -> WeightModel:
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
         sample=lambda rng, size: rng.standard_exponential(size),
-        _egf_complex=lambda z: 1.0 / (1.0 - z),
+        _egf_m1=lambda z: z / (1.0 - z),
     )
 
 
@@ -270,7 +288,7 @@ def log_factorial() -> WeightModel:
         _egf=lambda u: 1.0 - math.log1p(-u),
         _egf_d1=lambda u: 1.0 / (1.0 - u),
         _egf_d2=lambda u: (1.0 - u) ** -2.0,
-        _egf_complex=lambda z: 1.0 - np.log1p(-z),
+        _egf_m1=lambda z: -_log1p_complex(-z),
     )
 
 
@@ -335,7 +353,6 @@ def hat_transform(model: WeightModel) -> WeightModel:
         _egf_d1=lambda u: math.exp(-fv1 * u) * (model.egf_d1(u) - fv1 * model.egf(u)),
         _egf_d2=lambda u: math.exp(-fv1 * u)
         * (model.egf_d2(u) - 2.0 * fv1 * model.egf_d1(u) + fv1 * fv1 * model.egf(u)),
-        _egf_complex=lambda z: np.exp(-fv1 * z) * model.egf_complex(z),
     )
 
 
@@ -363,7 +380,6 @@ def tilde_transform(model: WeightModel) -> WeightModel:
         _egf=lambda u: model.egf(u) - fv1 * u,
         _egf_d1=lambda u: model.egf_d1(u) - fv1,
         _egf_d2=model.egf_d2,
-        _egf_complex=lambda z: model.egf_complex(z) - fv1 * z,
     )
 
 

@@ -205,6 +205,18 @@ class TestAux:
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["r_k"] == pytest.approx(1.0, abs=0.01)
 
+    def test_large_order_stays_within_the_work_bound(self, runner, tmp_path):
+        # cap = 10489, so one recurrence of 1.1e8 cap^2 units (~0.6 s); the
+        # work bound refuses runaway supports, not runs of this size
+        out = tmp_path / "a.csv"
+        result = runner.invoke(cli.main, [
+            "aux", "--weights", "unit", "--llt-chi", "1", "--k", "9000",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.output.strip().splitlines()[-1])
+        assert summary["r_k"] == pytest.approx(1.0, abs=1e-4)
+
     def test_usage_error_when_modes_mixed(self, runner, tmp_path):
         result = runner.invoke(cli.main, [
             "aux", "--weights", "unit", "--llt-chi", "1",
@@ -379,7 +391,7 @@ class TestBadInputs:
                   3, "cpm: error: weight model 'logfact' cannot be sampled"),
         bad_input("aux-unbounded-support",
                   ["aux", "--weights", "unit", "--x", "100000", "--u", "0.5", "--out", "{out}"],
-                  3, "cpm: error: tilted law needs more than 100000000 log-recurrence terms"
+                  3, "cpm: error: tilted law needs more than 2000000000 log-recurrence terms"
                      " (sum of cap^2 over the support doublings) to reach mass 1 - 1e-12",
                   header=True),
     ])
