@@ -11,7 +11,11 @@ The refined version carries the Gaussian fluctuation prefactor:
 
 g(u) = u H'(u) is strictly increasing on (0, u0) for nonnegative weight
 moments, so the tilt is found by bracketing plus safeguarded Newton and the
-solve is total for every built-in model.  When x/k -> infinity the moments
+solve is total for every built-in model.  The solve stops on a relative
+residual, so the tilt keeps its digits at large chi, where 1/chi is small.
+H(u) - 1 comes from the model's closed form (``WeightModel.egf_m1``): at
+large chi it is O(1/chi), and forming it from H(u) would leave chi eps of
+error in it.  When x/k -> infinity the moments
 universalize: M_k ~ (x V_1)^k when V_1 > 0 and M_k ~ (x k V_2 / e)^{k/2}
 when V_1 = 0.
 
@@ -37,7 +41,8 @@ _UNIT = _weights.unit()
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Solution of u H'(u) = 1/chi with the generating function values at u.
+    """Solution of u H'(u) = 1/chi with the generating function values at u:
+    ``excess`` = H(u) - 1, ``H1_u`` = H'(u), ``H2_u`` = H''(u).
 
     ``trace`` records every (u, g(u)) evaluation of the solver in order; the
     monotonicity of g along it is asserted in tests.
@@ -46,7 +51,7 @@ class SaddleSolution:
     chi: float
     u: float
     residual: float
-    H_u: float
+    excess: float
     H1_u: float
     H2_u: float
     trace: tuple[tuple[float, float], ...]
@@ -54,10 +59,19 @@ class SaddleSolution:
 
 @dataclass(frozen=True)
 class RateValue:
+    """Psi(chi), its saddle and fluctuation prefactor, and the lattice span
+    of the model's orders."""
+
     chi: float
     psi: float
     saddle: SaddleSolution
     prefactor: float
+    span: int
+
+    def log_refined(self, k: int) -> float:
+        """ln of the refined value of M_k(chi k), for k on the model's lattice:
+        ln(span * prefactor) + k (ln(chi k) + psi)."""
+        return math.log(self.span * self.prefactor) + k * (math.log(self.chi * k) + self.psi)
 
 
 def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
@@ -65,8 +79,9 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
 
     Brackets by geometric expansion from min(1, u0/2), capped at
     u0 (1 - 1e-12) below a finite radius, then refines with Newton steps
-    safeguarded by bisection.  Deterministic; raises SaddleError, naming the
-    smallest chi reached, when 1/chi exceeds u H'(u) at that cap: for a
+    safeguarded by bisection until |u H'(u) - 1/chi| <= 1e-15 / chi.
+    Deterministic; raises SaddleError, naming the smallest chi reached,
+    when 1/chi exceeds u H'(u) at that cap: for a
     truncated model with bounded u H'(u), and for small chi at any finite
     radius (about 1e-24 for exponential weights, 1e-12 for factorial ones).
     """
@@ -112,7 +127,7 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
         res = abs(gu - target)
         if res < best_res and math.isfinite(gu):
             best_u, best_res = u, res
-        if res <= 1e-15 * max(1.0, target):
+        if res <= 1e-15 * target:
             break
         if gu > target:
             hi = u
@@ -120,9 +135,14 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
             lo = u
         nxt = None
         if math.isfinite(gu):
-            gp = model.egf_d1(u) + u * model.egf_d2(u)
+            uh2 = u * model.egf_d2(u)
+            gp = model.egf_d1(u) + uh2
             if gp > 0 and math.isfinite(gp):
                 nxt = u - (gu - target) / gp
+                if nxt < 0.5 * u:
+                    # a step far below u keeps few of its digits as a
+                    # difference; the same step with u H'(u) cancelled keeps all
+                    nxt = (target + u * uh2) / gp
         if nxt is None or not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if nxt == u:
@@ -134,7 +154,7 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
         chi=chi,
         u=u,
         residual=abs(u * model.egf_d1(u) - target),
-        H_u=model.egf(u),
+        excess=float(model.egf_m1(u)),
         H1_u=model.egf_d1(u),
         H2_u=model.egf_d2(u),
         trace=tuple(trace),
@@ -153,10 +173,9 @@ def rate_function(model: WeightModel, chi: float) -> RateValue:
     """Psi(chi) with its saddle point and fluctuation prefactor."""
     _reject_truncated(model)
     s = solve_saddle(model, chi)
-    uh1 = s.u * s.H1_u
-    psi = (s.H_u - 1.0) / uh1 - 1.0 + math.log(s.H1_u)
+    psi = s.excess / (s.u * s.H1_u) - 1.0 + math.log(s.H1_u)
     prefactor = 1.0 / math.sqrt(1.0 + chi * s.u * s.u * s.H2_u)
-    return RateValue(chi=float(chi), psi=psi, saddle=s, prefactor=prefactor)
+    return RateValue(chi=float(chi), psi=psi, saddle=s, prefactor=prefactor, span=model.span)
 
 
 def refined_prediction(model: WeightModel, k: int, chi: float) -> float:
@@ -166,9 +185,7 @@ def refined_prediction(model: WeightModel, k: int, chi: float) -> float:
     so odd k is rejected rather than silently adjusted.
     """
     model.check_order(k)
-    rv = rate_function(model, chi)
-    x = chi * k
-    return math.log(model.span * rv.prefactor) + k * (math.log(x) + rv.psi)
+    return rate_function(model, chi).log_refined(k)
 
 
 def regime_b_prediction(model: WeightModel, k: int, x: float) -> float:
@@ -207,7 +224,7 @@ def gaussian_moment_prediction(k: int, x: float, v2: float = 1.0) -> float:
         raise DomainError("normal weights have even-only moments")
     half = k // 2
     beta = solve_saddle(_UNIT, x / half).u
-    log_a = (math.exp(beta) - 1.0) / (beta * math.exp(beta)) - 2.0
+    log_a = math.expm1(beta) / (beta * math.exp(beta)) - 2.0
     # ln 2 is the lattice-span factor of the even-support tilted law.
     return math.log(2.0) + 0.5 * (math.log(x) - math.log(2.0 * (1.0 + beta))) + half * (
         math.log(2.0 * v2 / beta) + 2.0 * math.log(half) + log_a
@@ -231,7 +248,7 @@ def bernoulli_moment_prediction(k: int, x: float) -> float:
     half = k // 2
     chi_half = x / half
     u = solve_saddle(_weights.bernoulli_centered(), x / k).u  # u sinh u = k / x
-    log_a = (math.cosh(u) - 1.0) / (u * math.sinh(u)) - 1.0
+    log_a = 2.0 * math.sinh(u / 2.0) ** 2 / (u * math.sinh(u)) - 1.0
     pref = 0.5 * (math.log(2.0) - math.log(2.0 + chi_half * u * u * math.cosh(u)))
     # ln 2 is the lattice-span factor of the even-support tilted law.
     return math.log(2.0) + pref + k * (math.log(2.0 * half) + log_a - math.log(u))

@@ -251,13 +251,11 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
     log_exacts = auxdist.log_moments_on_ray(model, rv.saddle, orders)
     rows = []
     for k, log_exact in zip(orders, log_exacts.tolist()):
-        x = chi * k
-        log_pred = asym.refined_prediction(model, k, chi)
-        rate_gap = abs((log_exact - k * math.log(x)) / k - rv.psi)
+        rate_gap = abs((log_exact - k * math.log(chi * k)) / k - rv.psi)
         rows.append({
             "k": k,
             "log_exact": format_log(log_exact),
-            "log_predicted": format_log(log_pred),
+            "log_predicted": format_log(rv.log_refined(k)),
             "rate_gap": format_log(rate_gap),
         })
     _write_table(out_path, ["k", "log_exact", "log_predicted", "rate_gap"], rows, fmt)

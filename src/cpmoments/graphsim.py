@@ -146,13 +146,6 @@ def sample_degrees(
     return np.bincount(i, weights=w, minlength=n) + np.bincount(j, weights=w, minlength=n)
 
 
-def sample_dmax(config: GraphSimConfig, trial: int = 0) -> float:
-    """One D_max draw from the trial's dedicated stream."""
-    draw, _ = weight_sampler(config.weight_name)
-    rng = trial_generator(config.seed, trial)
-    return float(sample_degrees(config.n, config.rho / config.n, draw, rng).max())
-
-
 def critical_deviation_threshold(model: WeightModel, kappa: float) -> float:
     """Critical s above which P(|D_max/rho - V_1| > s) -> 0 at rho = kappa ln n.
 

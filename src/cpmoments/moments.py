@@ -70,15 +70,6 @@ class MomentValue:
         return cls(k=k, x=x, value_exact=value, value_log=lg, method=method)
 
 
-@dataclass(frozen=True)
-class PartitionProfile:
-    """Block-size multiplicities (l_1..l_k) and the number of set partitions
-    of a k-set realizing them, k! / prod((i!)^{l_i} l_i!)."""
-
-    l: tuple[int, ...]
-    weight_count: int
-
-
 def partition_profiles(k: int) -> Iterator[tuple[int, ...]]:
     """Yield every (l_1, ..., l_k) with sum i*l_i = k, ascending lexicographically."""
     if k < 0:
@@ -99,21 +90,6 @@ def partition_profiles(k: int) -> Iterator[tuple[int, ...]]:
         prof[size - 1] = 0
 
     yield from rec(1, k)
-
-
-def profile_weight_count(k: int, prof: tuple[int, ...]) -> int:
-    den = 1
-    for i, li in enumerate(prof, start=1):
-        if li:
-            den *= math.factorial(i) ** li * math.factorial(li)
-    count, rem = divmod(math.factorial(k), den)
-    assert rem == 0
-    return count
-
-
-def enumerate_profiles(k: int) -> Iterator[PartitionProfile]:
-    for prof in partition_profiles(k):
-        yield PartitionProfile(l=prof, weight_count=profile_weight_count(k, prof))
 
 
 def moment_sequence(

@@ -3,18 +3,23 @@
 A weight model bundles the raw moments V_0 = 1, V_1, V_2, ... of a weight
 variable W with the exponential generating function
 
-    H(u) = sum_{k>=0} V_k u^k / k!  ( = E exp(uW) for genuine weight laws )
+    H(u) = sum_{k>=0} V_k u^k / k!  ( = E exp(uW) for genuine weight laws ).
 
-and its first two derivatives, all evaluated on the convergence interval
-[0, u0).  Moments are exact fractions for every built-in model so that
-combinatorial identities downstream can be checked with exact arithmetic,
-while H, H', H'' use closed forms rather than partial series sums, which
-keeps them accurate near a finite radius u0.
+The package only ever needs H as H - 1 (the rate's (H(u) - 1)/(u H'(u)),
+the tilted law's normaliser exp(x (H(u) - 1)), the transform nodes), so a
+model carries H - 1, H' and H''.  H - 1 is evaluated on the complex disc
+|z| < u0 in a closed form free of the cancellation of 1 + small - 1; H' and
+H'' on the real interval [0, u0).  Moments are exact fractions for every
+built-in model so that combinatorial identities downstream can be checked
+with exact arithmetic, while the generating functions use closed forms
+rather than partial series sums, which keeps them accurate near a finite
+radius u0.  Only this module turns H into H - 1 or back.
 
 Two transforms recur throughout the package:
 
 * ``hat_transform``   central-moment model with EGF exp(-u V_1) H(u); its
-  moments are the moments of the centered weight W - E W.
+  moments are the moments of the centered weight W - E W, and its H - 1 is
+  expm1(-u V_1) + exp(-u V_1) (H(u) - 1).
 * ``tilde_transform`` mean-shift pseudo-model with EGF H(u) - u V_1; its
   "moment" sequence is V with V_1 zeroed.  That sequence generates the
   moments of the mean-centered compound Poisson variable but is not the
@@ -42,6 +47,7 @@ from .errors import DomainError, HorizonError
 
 NumberLike = Union[int, float, str, Fraction]
 WeightDraw = Callable[[np.random.Generator, int], np.ndarray]
+Complexish = Union[float, complex, np.ndarray]
 
 
 def log_rational(v: Fraction) -> float:
@@ -77,20 +83,20 @@ class WeightModel:
     ``parity_even_only`` marks weights whose odd moments all vanish;
     ``horizon`` is the last known moment order of a custom model that only
     knows a finite prefix of the series.  ``sample(rng, size)`` draws i.i.d.
-    weights; only built-in weight laws have one.  ``egf_m1`` evaluates
-    H - 1 in closed form on the complex disc; a truncated model has none.
+    weights; only built-in weight laws have one.  ``_egf_m1`` is the one
+    value closure, H - 1, for real or complex scalars and numpy arrays; H
+    itself is ``egf``.
     """
 
     name: str
     radius: float
     _moment_fn: Callable[[int], Fraction]
-    _egf: Callable[[float], float]
+    _egf_m1: Callable[[Complexish], Complexish]
     _egf_d1: Callable[[float], float]
     _egf_d2: Callable[[float], float]
     parity_even_only: bool = False
     horizon: int | None = None
     sample: WeightDraw | None = None
-    _egf_m1: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def truncated(self) -> bool:
@@ -140,8 +146,9 @@ class WeightModel:
             )
 
     def egf(self, u: float) -> float:
+        """H(u) = 1 + (H(u) - 1); prefer ``egf_m1`` wherever H - 1 is meant."""
         self._check_u(u)
-        return self._egf(u)
+        return 1.0 + float(self._egf_m1(u))
 
     def egf_d1(self, u: float) -> float:
         self._check_u(u)
@@ -151,29 +158,43 @@ class WeightModel:
         self._check_u(u)
         return self._egf_d2(u)
 
-    def egf_m1(self, z: np.ndarray) -> np.ndarray:
-        """H(z) - 1 elementwise for complex z with |z| < radius (numpy arrays).
+    def egf_m1(self, z: Complexish) -> Complexish:
+        """H(z) - 1 for |z| < radius, elementwise on numpy arrays; real in,
+        real out.  Not range-checked: the caller keeps z inside the disc.
 
         Each closed form avoids the cancellation of H(z) - 1 near z = 0, so
         the value carries relative error ~eps however small |z| is.
         """
-        if self._egf_m1 is None:
-            raise DomainError(f"model {self.name!r} has no closed-form complex EGF")
         return self._egf_m1(z)
 
 
-def _log1p_complex(z: np.ndarray) -> np.ndarray:
-    """ln(1 + z) for complex |z| < 1 without cancellation near z = 0.
+def _log1p(z: Complexish) -> Complexish:
+    """ln(1 + z) for |z| < 1 without cancellation near z = 0; real in, real out.
 
     numpy's complex log1p takes ln |1 + z| as ln hypot(1 + a, b), which loses
     the digits of a small z; ln |1 + z| = log1p(t) / 2, t = |1 + z|^2 - 1 =
     a (2 + a) + b^2, keeps them.  Where |1 + z| is far from 1 the hypot form
     is the accurate one, and log1p(t) would lose t's digits as t nears -1.
     """
+    if np.isrealobj(z):
+        return np.log1p(z)
     a, b = z.real, z.imag
     t = a * (2.0 + a) + b * b
     modulus = np.where(np.abs(t) < 0.5, 0.5 * np.log1p(t), np.log(np.hypot(1.0 + a, b)))
     return modulus + 1j * np.arctan2(b, 1.0 + a)
+
+
+def _running_product(step: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
+    """l -> P_l = step(1) step(2) ... step(l), P_0 = 1, each product extending
+    the last one kept, so that orders 0..K cost K multiplications in all."""
+    vals = [Fraction(1)]
+
+    def product(order: int) -> Fraction:
+        while len(vals) <= order:
+            vals.append(vals[-1] * step(len(vals)))
+        return vals[order]
+
+    return product
 
 
 def unit() -> WeightModel:
@@ -182,11 +203,10 @@ def unit() -> WeightModel:
         name="unit",
         radius=math.inf,
         _moment_fn=lambda order: Fraction(1),
-        _egf=math.exp,
+        _egf_m1=np.expm1,
         _egf_d1=math.exp,
         _egf_d2=math.exp,
         sample=lambda rng, size: np.ones(size),
-        _egf_m1=np.expm1,
     )
 
 
@@ -196,14 +216,7 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
     if v2f <= 0:
         raise DomainError("gaussian_centered needs v2 > 0")
     fv2 = float(v2f)
-
-    @lru_cache(maxsize=None)
-    def mom(order: int) -> Fraction:
-        if order % 2:
-            return Fraction(0)
-        k = order // 2
-        # (2k-1)!! = (2k)! / (2^k k!)
-        return v2f**k * Fraction(math.factorial(2 * k), 2**k * math.factorial(k))
+    even = _running_product(lambda k: v2f * (2 * k - 1))  # k -> V_{2k}
 
     def h(u: float) -> float:
         return math.exp(fv2 * u * u / 2.0)
@@ -212,12 +225,11 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         name=f"gaussian({v2f})",
         radius=math.inf,
         parity_even_only=True,
-        _moment_fn=mom,
-        _egf=h,
+        _moment_fn=lambda order: Fraction(0) if order % 2 else even(order // 2),
+        _egf_m1=lambda z: np.expm1(fv2 * z * z / 2.0),
         _egf_d1=lambda u: fv2 * u * h(u),
         _egf_d2=lambda u: (fv2 + (fv2 * u) ** 2) * h(u),
         sample=lambda rng, size: rng.normal(0.0, math.sqrt(fv2), size),
-        _egf_m1=lambda z: np.expm1(fv2 * z * z / 2.0),
     )
 
 
@@ -227,22 +239,14 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
     if mf <= 0 or tf <= 0:
         raise DomainError("gamma needs m > 0 and theta > 0")
     fm, ft = float(mf), float(tf)
-    vals = [Fraction(1)]  # running product V_l = V_{l-1} theta (m + l - 1)
-
-    def mom(order: int) -> Fraction:
-        while len(vals) <= order:
-            vals.append(vals[-1] * tf * (mf + len(vals) - 1))
-        return vals[order]
-
     return WeightModel(
         name=f"gamma({mf},{tf})",
         radius=float(1 / tf),
-        _moment_fn=mom,
-        _egf=lambda u: (1.0 - ft * u) ** (-fm),
+        _moment_fn=_running_product(lambda l: tf * (mf + l - 1)),
+        _egf_m1=lambda z: np.expm1(-fm * _log1p(-ft * z)),
         _egf_d1=lambda u: fm * ft * (1.0 - ft * u) ** (-fm - 1.0),
         _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * (1.0 - ft * u) ** (-fm - 2.0),
         sample=lambda rng, size: rng.gamma(fm, ft, size),
-        _egf_m1=lambda z: np.expm1(-fm * _log1p_complex(-ft * z)),
     )
 
 
@@ -253,11 +257,10 @@ def bernoulli_centered() -> WeightModel:
         radius=math.inf,
         parity_even_only=True,
         _moment_fn=lambda order: Fraction(1 - order % 2),
-        _egf=math.cosh,
+        _egf_m1=lambda z: 2.0 * np.sinh(z / 2.0) ** 2,
         _egf_d1=math.sinh,
         _egf_d2=math.cosh,
         sample=lambda rng, size: rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0,
-        _egf_m1=lambda z: 2.0 * np.sinh(z / 2.0) ** 2,
     )
 
 
@@ -266,29 +269,23 @@ def exponential() -> WeightModel:
     return WeightModel(
         name="exponential",
         radius=1.0,
-        _moment_fn=lambda order: Fraction(math.factorial(order)),
-        _egf=lambda u: 1.0 / (1.0 - u),
+        _moment_fn=_running_product(lambda l: l),
+        _egf_m1=lambda z: z / (1.0 - z),
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
         sample=lambda rng, size: rng.standard_exponential(size),
-        _egf_m1=lambda z: z / (1.0 - z),
     )
 
 
 def log_factorial() -> WeightModel:
     """Factorial weights V_k = (k-1)! (V_0 = 1), H(u) = 1 - ln(1-u) on [0, 1)."""
-
-    def mom(order: int) -> Fraction:
-        return Fraction(1) if order == 0 else Fraction(math.factorial(order - 1))
-
     return WeightModel(
         name="logfact",
         radius=1.0,
-        _moment_fn=mom,
-        _egf=lambda u: 1.0 - math.log1p(-u),
+        _moment_fn=_running_product(lambda l: max(l - 1, 1)),
+        _egf_m1=lambda z: -_log1p(-z),
         _egf_d1=lambda u: 1.0 / (1.0 - u),
         _egf_d2=lambda u: (1.0 - u) ** -2.0,
-        _egf_m1=lambda z: -_log1p_complex(-z),
     )
 
 
@@ -305,13 +302,13 @@ def custom_model(moments: Sequence[NumberLike], radius: float = math.inf) -> Wei
     horizon = len(vals) - 1
     fvals = [float(v) for v in vals]
 
-    def series(u: float, shift: int) -> float:
-        # shift-th derivative of the truncated series at u
-        total = 0.0
-        term = 1.0
+    def series(z: Complexish, shift: int, start: int = 0) -> Complexish:
+        # shift-th derivative of the truncated series at z, from its z^start term
+        total, term = 0.0, 1.0
         for j, v in enumerate(fvals[shift:]):
-            total += v * term
-            term *= u / (j + 1)
+            if j >= start:
+                total = total + v * term
+            term = term * (z / (j + 1))
         return total
 
     return WeightModel(
@@ -319,7 +316,7 @@ def custom_model(moments: Sequence[NumberLike], radius: float = math.inf) -> Wei
         radius=radius,
         horizon=horizon,
         _moment_fn=lambda order: vals[order],
-        _egf=lambda u: series(u, 0),
+        _egf_m1=lambda z: series(z, 0, start=1),
         _egf_d1=lambda u: series(u, 1),
         _egf_d2=lambda u: series(u, 2),
     )
@@ -328,7 +325,8 @@ def custom_model(moments: Sequence[NumberLike], radius: float = math.inf) -> Wei
 def hat_transform(model: WeightModel) -> WeightModel:
     """Central-moment model: EGF exp(-u V_1) H(u), moments of W - E W.
 
-    Identity when V_1 = 0 already.
+    Its H - 1 is expm1(-u V_1) + exp(-u V_1) (H(u) - 1), free of cancellation
+    wherever the model's own H - 1 is.  Identity when V_1 = 0 already.
     """
     v1 = model.moment(1)
     if v1 == 0:
@@ -349,7 +347,7 @@ def hat_transform(model: WeightModel) -> WeightModel:
         radius=model.radius,
         horizon=model.horizon,
         _moment_fn=mom,
-        _egf=lambda u: math.exp(-fv1 * u) * model.egf(u),
+        _egf_m1=lambda z: np.expm1(-fv1 * z) + np.exp(-fv1 * z) * model.egf_m1(z),
         _egf_d1=lambda u: math.exp(-fv1 * u) * (model.egf_d1(u) - fv1 * model.egf(u)),
         _egf_d2=lambda u: math.exp(-fv1 * u)
         * (model.egf_d2(u) - 2.0 * fv1 * model.egf_d1(u) + fv1 * fv1 * model.egf(u)),
@@ -377,7 +375,7 @@ def tilde_transform(model: WeightModel) -> WeightModel:
         radius=model.radius,
         horizon=model.horizon,
         _moment_fn=mom,
-        _egf=lambda u: model.egf(u) - fv1 * u,
+        _egf_m1=lambda z: model.egf_m1(z) - fv1 * z,
         _egf_d1=lambda u: model.egf_d1(u) - fv1,
         _egf_d2=model.egf_d2,
     )

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cpmoments import asymptotics as asym
@@ -27,6 +28,28 @@ def fixed_point_unit_tilt(chi, iterations=200):
     return u
 
 
+# H and H' of the six built-ins, for the mpmath reference of the rate
+CLOSED_FORMS = {
+    "unit": (mpmath.exp, mpmath.exp),
+    "gaussian(1)": (lambda u: mpmath.exp(u * u / 2), lambda u: u * mpmath.exp(u * u / 2)),
+    "gamma(2,1/2)": (lambda u: (1 - u / 2) ** -2, lambda u: (1 - u / 2) ** -3),
+    "bernoulli": (mpmath.cosh, mpmath.sinh),
+    "exponential": (lambda u: 1 / (1 - u), lambda u: (1 - u) ** -2),
+    "logfact": (lambda u: 1 - mpmath.log(1 - u), lambda u: 1 / (1 - u)),
+}
+
+
+def exact_psi(model, chi):
+    """Psi(chi) at 60 digits: the tilt by findroot from the float one, then
+    (H - 1)/(u H') - 1 + ln H' with H - 1 keeping 45 digits down to 1e-15."""
+    h, h1 = CLOSED_FORMS[model.name]
+    with mpmath.workdps(60):
+        target = 1 / mpmath.mpf(chi)
+        start = mpmath.mpf(asym.solve_saddle(model, chi).u)
+        u = mpmath.findroot(lambda v: v * h1(v) - target, start)
+        return float((h(u) - 1) / (u * h1(u)) - 1 + mpmath.log(h1(u)))
+
+
 class TestSolveSaddle:
     def test_unit_matches_fixed_point(self):
         sol = asym.solve_saddle(UNIT, 1.0)
@@ -46,6 +69,13 @@ class TestSolveSaddle:
                 sol = asym.solve_saddle(model, chi)
                 assert sol.residual <= 1e-12 * max(1.0, 1.0 / chi), (model.name, chi)
                 assert 0.0 < sol.u < model.radius
+
+    @pytest.mark.parametrize("model", ALL, ids=lambda m: m.name)
+    @pytest.mark.parametrize("chi", [1e6, 1e10, 1e14])
+    def test_relative_residual_at_large_chi(self, model, chi):
+        # 1/chi < 1 here: an absolute stop at 1e-15 would leave the tilt of
+        # gaussian weights 6.4e-3 off at chi = 1e14
+        assert asym.solve_saddle(model, chi).residual <= 1e-15 / chi
 
     def test_large_chi_tilt_scales_like_inverse_first_moment(self):
         chi = 1e6
@@ -102,6 +132,13 @@ class TestRateFunction:
                 1.0 / math.sqrt(2.0), abs=1e-3
             )
 
+    @pytest.mark.parametrize("model", ALL, ids=lambda m: m.name)
+    @pytest.mark.parametrize("chi", [0.25, 1.0, 4.0, 1e6, 1e10, 1e14])
+    def test_psi_matches_mpmath(self, model, chi):
+        # at large chi, H(u) - 1 ~ 1/chi; formed as H(u) - 1.0 it would carry
+        # chi eps of error into psi (-8e-4 for unit weights at 1e14, not 5e-15)
+        assert abs(asym.rate_function(model, chi).psi - exact_psi(model, chi)) <= 2e-15
+
     def test_rejects_truncated_models(self):
         with pytest.raises(TruncatedModelError):
             asym.rate_function(weights.custom_model([1, 1, 2, 6]), 1.0)
@@ -114,7 +151,7 @@ class TestRateFunction:
             u = rv.saddle.u
             tu = 1.0 - theta * u
             closed = tu * (1.0 - tu**m) / (m * theta * u)
-            generic = (rv.saddle.H_u - 1.0) / (u * rv.saddle.H1_u)
+            generic = rv.saddle.excess / (u * rv.saddle.H1_u)
             assert generic == pytest.approx(closed, abs=1e-10)
 
 
@@ -155,6 +192,12 @@ class TestRefinedPrediction:
     def test_parity_rejects_odd_orders(self):
         with pytest.raises(DomainError):
             asym.refined_prediction(BERN, 101, 1.0)
+
+    def test_rate_value_carries_the_prediction(self):
+        for model, chi in ((EXP, 1.5), (BERN, 0.7), (GAMMA, 1e6)):
+            rv = asym.rate_function(model, chi)
+            for k in (2, 40, 400):
+                assert rv.log_refined(k) == asym.refined_prediction(model, k, chi)
 
 
 class TestRegimeB:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -56,13 +57,14 @@ class TestConstruction:
         assert aux.model.span == 2
         for j, lp in enumerate(aux.log_pmf):
             assert (lp == -math.inf) == bool(j % 2), j
-        assert set(aux.pmf_dict()) == set(range(0, aux.support_cap + 1, 2))
+        support = [j for j, lp in enumerate(aux.log_pmf) if lp > -math.inf]
+        assert support == list(range(0, aux.support_cap + 1, 2))
 
     def test_pmf_accessors(self):
         aux = auxdist.build_aux(UNIT, 1.0, 0.5)
         assert aux.pmf(0) == pytest.approx(math.exp(aux.log_pmf[0]))
         assert aux.pmf(aux.support_cap + 5) == 0.0
-        assert sum(aux.pmf_dict().values()) == pytest.approx(1.0, abs=1e-10)
+        assert sum(map(aux.pmf, range(aux.support_cap + 1))) == pytest.approx(1.0, abs=1e-10)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -71,6 +73,52 @@ class TestConstruction:
             auxdist.build_aux(EXP, 1.0, 1.0)
         with pytest.raises(DomainError):
             auxdist.build_aux(EXP, 1.0, 0.0)
+
+
+def first_cap(model, x, u):
+    """build_aux's first support: mean + 12 sigma + 64."""
+    h1, h2 = model.egf_d1(u), model.egf_d2(u)
+    return int(x * u * h1 + 12.0 * math.sqrt(x * (u * h1 + u * u * h2))) + 64
+
+
+class TestSupportRounding:
+    @pytest.mark.parametrize("model, k", [(UNIT, 400), (GAMMA, 400), (EXP, 1000)],
+                             ids=["unit", "gamma", "exponential"])
+    def test_first_support_holds_the_mass(self, model, k):
+        # the first support misses mass 1 - 1e-12 by rounding alone; it used
+        # to double until the work bound refused the run
+        chi = 3.0
+        u = solve_saddle(model, chi).u
+        aux = auxdist.build_aux(model, chi * k, u)
+        assert aux.support_cap == first_cap(model, chi * k, u)
+        assert abs(np.exp(aux.log_pmf).sum() - 1.0) <= 1e-9
+        assert abs(aux.local_limit_ratio(k) - 1.0) < 0.02
+        if model is EXP:
+            # the exact path at k = 1000 takes 20 s; M_k = k! L_k^(-1)(-x) instead
+            with mpmath.workdps(30):
+                ref = mpmath.log(mpmath.factorial(k) * mpmath.laguerre(k, -1, -chi * k))
+            delta = (math.lgamma(k + 1.0) + aux.log_G - k * math.log(u) + aux.log_pmf[k]
+                     - float(ref))
+            assert abs(math.expm1(delta)) <= 1e-9
+        else:
+            assert auxdist.inversion_check(aux, k) <= 1e-9
+
+    def test_high_order_rounding_allowance_grows_with_the_support(self):
+        # at k = 9000 the recurrence's rounding moves the mass by 2.7e-9 (66
+        # times eps S); doubling would not move it, and the work bound refused
+        k, chi = 9000, 3.0
+        u = solve_saddle(GAMMA, chi).u
+        aux = auxdist.build_aux(GAMMA, chi * k, u)
+        assert aux.support_cap == first_cap(GAMMA, chi * k, u)
+        assert abs(np.exp(aux.log_pmf).sum() - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("model", [EXP, LOGF], ids=lambda m: m.name)
+    def test_too_small_support_still_doubles(self, model):
+        # chi = 1e-2, k = 10: the first support misses by 3.8 cap eps S or more
+        u = solve_saddle(model, 1e-2).u
+        aux = auxdist.build_aux(model, 0.1, u)
+        assert aux.support_cap > first_cap(model, 0.1, u)
+        assert np.exp(aux.log_pmf).sum() >= 1.0 - 1e-12
 
 
 class TestInversionIdentity:

@@ -1,12 +1,14 @@
 import json
 import math
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from cpmoments import asymptotics as asym
 from cpmoments import auxdist, cli, moments, weights
 
 
@@ -173,6 +175,44 @@ class TestCompare:
         assert len(cli.read_table(str(out))) == 200
         assert calls == []
 
+    def test_one_saddle_per_table(self, runner, tmp_path, monkeypatch):
+        # every row's prediction comes from the rate the command solved once
+        calls = []
+        original = asym.solve_saddle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(asym, "solve_saddle", counted)
+        out = tmp_path / "c.csv"
+        result = runner.invoke(cli.main, [
+            "compare", "--weights", "exponential", "--chi", "1.5", "--k-max", "200",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        monkeypatch.undo()
+        model = weights.exponential()
+        for row in cli.read_table(str(out)):
+            expected = asym.refined_prediction(model, int(row["k"]), 1.5)
+            assert row["log_predicted"] == cli.format_log(expected)
+
+    def test_rate_gap_at_large_chi(self, runner, tmp_path):
+        # H(u) - 1 ~ 1e-10 here; formed from H it put 8.3e-8 into every row.
+        # For unit weights M_k = x^k (1 + C(k, 2)/x + ...) and psi = 1/(2 chi)
+        # + O(chi^-2), so the true gap is 1/(2 chi k) to ~1e-18: 5e-11 at
+        # k = 1, 2.5e-13 at k = 200
+        chi = 1e10
+        out = tmp_path / "c.csv"
+        result = runner.invoke(cli.main, [
+            "compare", "--weights", "unit", "--chi", str(chi), "--k-max", "200", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        for row in cli.read_table(str(out)):
+            k = int(row["k"])
+            assert abs(float(row["rate_gap"]) - 1.0 / (2.0 * chi * k)) <= 1e-13, k
+
     def test_zero_k_max_writes_empty_table(self, runner, tmp_path):
         out = tmp_path / "c.csv"
         result = runner.invoke(cli.main, [
@@ -216,6 +256,29 @@ class TestAux:
         assert result.exit_code == 0, result.output
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["r_k"] == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("weights_spec, chi, k, cap", [
+        ("unit", "1e4", "10", 39), ("unit", "1e6", "10", 39), ("unit", "1e10", "10", 39),
+        ("unit", "3", "400", None), ("gamma:2,1/2", "3", "400", None),
+        ("exponential", "3", "1000", None),
+    ])
+    def test_first_support_suffices(self, runner, tmp_path, weights_spec, chi, k, cap):
+        # these runs used to double the support until the work bound refused
+        # them (3 to 194 s): large chi formed G from H - 1.0, and at chi = 3
+        # the mass missed 1 - 1e-12 by rounding alone
+        out = tmp_path / "a.csv"
+        start = time.perf_counter()
+        result = runner.invoke(cli.main, [
+            "aux", "--weights", weights_spec, "--llt-chi", chi, "--k", k, "--out", str(out),
+        ])
+        assert time.perf_counter() - start < 2.0
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.output.strip().splitlines()[-1])
+        assert abs(sum(float(r["p_j"]) for r in cli.read_table(str(out))) - 1.0) <= 1e-9
+        if cap is not None:  # k = 10 is too low an order for the local limit
+            assert summary["support_cap"] == cap
+        else:
+            assert abs(summary["r_k"] - 1.0) < 0.02
 
     def test_usage_error_when_modes_mixed(self, runner, tmp_path):
         result = runner.invoke(cli.main, [

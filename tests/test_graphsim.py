@@ -10,18 +10,25 @@ from cpmoments.errors import DomainError
 from cpmoments.weights import tilde_transform
 
 
+def dmax(cfg, trial=0):
+    """One D_max draw of ``cfg`` from the trial's own stream, as the experiment draws it."""
+    draw, _ = graphsim.weight_sampler(cfg.weight_name)
+    rng = graphsim.trial_generator(cfg.seed, trial)
+    return float(graphsim.sample_degrees(cfg.n, cfg.rho / cfg.n, draw, rng).max())
+
+
 class TestSampling:
     def test_no_edges_at_zero_intensity(self):
         cfg = graphsim.GraphSimConfig(
             n=50, rho=0.0, weight_name="unit", s_values=(0.5,), trials=3, seed=1
         )
-        assert graphsim.sample_dmax(cfg) == 0.0
+        assert dmax(cfg) == 0.0
 
     def test_forced_single_edge(self):
         cfg = graphsim.GraphSimConfig(
             n=2, rho=2.0, weight_name="unit", s_values=(0.5,), trials=1, seed=1
         )
-        assert graphsim.sample_dmax(cfg) == 1.0
+        assert dmax(cfg) == 1.0
 
     def test_degrees_symmetric_accumulation(self):
         # every edge contributes the same weight to both endpoints: total
@@ -94,9 +101,10 @@ class TestReproducibility:
 
     def test_trial_streams_are_order_independent(self):
         cfg = graphsim.config_from_kappa(100, 2.0, "normal:1", (0.5,), 8, seed=5)
-        direct = [graphsim.sample_dmax(cfg, trial=t) for t in range(8)]
-        reverse = [graphsim.sample_dmax(cfg, trial=t) for t in reversed(range(8))]
+        direct = [dmax(cfg, trial=t) for t in range(8)]
+        reverse = [dmax(cfg, trial=t) for t in reversed(range(8))]
         assert direct == list(reversed(reverse))
+        assert direct == graphsim.deviation_experiment(cfg).dmax_samples.tolist()
 
 
 class TestThresholdAndBound:
@@ -134,7 +142,7 @@ class TestThresholdAndBound:
         sol = solve_saddle(model, 0.5)
         assert sol.u**2 * math.exp(sol.u**2 / 2.0) == pytest.approx(2.0, rel=1e-12)
         expected = sol.H1_u * math.exp(
-            (sol.H_u - 1.0) / (sol.u * sol.H1_u) - 0.5
+            sol.excess / (sol.u * sol.H1_u) - 0.5
         )
         got = graphsim.critical_deviation_threshold(model, 1.0)
         assert got == pytest.approx(expected, rel=1e-12)

@@ -33,11 +33,17 @@ class TestProfiles:
         assert profs == sorted(profs)
 
     def test_profile_constraint_and_weight_counts(self):
+        # a profile (l_1..l_k) is realized by k! / prod((i!)^{l_i} l_i!) set
+        # partitions, and these counts sum to the Bell number
         for k in (4, 7):
             total = 0
-            for prof in moments.enumerate_profiles(k):
-                assert sum((i + 1) * li for i, li in enumerate(prof.l)) == k
-                total += prof.weight_count
+            for prof in moments.partition_profiles(k):
+                assert sum(i * li for i, li in enumerate(prof, start=1)) == k
+                den = math.prod(math.factorial(i) ** li * math.factorial(li)
+                                for i, li in enumerate(prof, start=1))
+                count, rem = divmod(math.factorial(k), den)
+                assert rem == 0
+                total += count
             assert total == moments.bell_number(k)
 
 

@@ -1,6 +1,9 @@
 import math
+import sys
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -86,6 +89,36 @@ class TestBuiltins:
         m, theta = Fraction(3, 2), Fraction(1, 3)
         direct = theta**1000 * math.prod(m + i for i in range(1000))
         assert weights.gamma(m, theta).moment(1000) == direct
+
+    def test_factorial_type_moments_match_closed_forms(self):
+        # the running products reproduce k!, (k-1)! and v2^k (2k-1)!! exactly,
+        # asked for out of order on fresh models
+        orders = (700, 0, 1, 2, 3, 9, 500, 1001)
+        exp, logf = weights.exponential(), weights.log_factorial()
+        gauss = weights.gaussian_centered(Fraction(3, 4))
+        for k in orders:
+            assert exp.moment(k) == math.factorial(k)
+            assert logf.moment(k) == (1 if k == 0 else math.factorial(k - 1))
+            double = math.factorial(k) // (2 ** (k // 2) * math.factorial(k // 2))
+            assert gauss.moment(k) == (0 if k % 2 else Fraction(3, 4) ** (k // 2) * double)
+
+    def test_fresh_moment_prefix_costs_no_more_than_gamma(self):
+        # orders 0..K of a fresh model cost K products in all, as gamma's do;
+        # the best of three runs keeps a stray pause out of the comparison
+        def cost(constructor):
+            runs = []
+            for _ in range(3):
+                start = time.perf_counter()
+                model = constructor()
+                for order in range(3001):
+                    model.moment(order)
+                runs.append(time.perf_counter() - start)
+            return min(runs)
+
+        gamma_cost = cost(lambda: weights.gamma(2, Fraction(1, 2)))
+        for constructor in (weights.exponential, weights.log_factorial,
+                            weights.gaussian_centered):
+            assert cost(constructor) <= 2.0 * gamma_cost, constructor.__name__
 
     def test_domain_checks(self):
         model = weights.exponential()
@@ -189,13 +222,32 @@ class TestTildeTransform:
             assert tilde.egf(u) + u * v1 == pytest.approx(model.egf(u), rel=1e-12)
 
 
+SYMBOLIC_EGF_M1 = {
+    name: sympy.lambdify(sympy.Symbol("u"), expr - 1, "mpmath")
+    for name, expr in SYMBOLIC_EGF.items()
+}
+
+
+def exact_egf_m1(name, u):
+    """H(u) - 1 from the sympy closed form to 30 digits: the working precision
+    grows with the digits that H(u) - 1 ~ u or u^2 cancels near u = 0."""
+    lost = 2 * max(0, -math.floor(math.log10(u))) if u else 0
+    with mpmath.workdps(30 + 10 + lost):
+        return SYMBOLIC_EGF_M1[name](mpmath.mpf(u))
+
+
 class TestComplexEgf:
     @given(model=st.sampled_from(builtin_models()), frac=st.floats(0.0, 0.999))
     def test_real_axis_matches_egf(self, model, frac):
-        u = frac * min(model.radius, 20.0)
-        value = model.egf_m1(np.array([complex(u, 0.0)]))[0]
-        assert value.imag == 0.0
-        assert 1.0 + value.real == pytest.approx(model.egf(u), rel=1e-14, abs=0.0), model.name
+        # exact reference; the range stops at 10, where rounding u^2 costs the
+        # gaussian form exp(u^2/2) at most u^2 eps / 2 < 1e-14 relative.
+        # Below the normal range only an absolute bound is possible.
+        u = frac * min(model.radius, 10.0)
+        exact = exact_egf_m1(model.name, u)
+        for value in (model.egf_m1(u), model.egf_m1(np.array([complex(u, 0.0)]))[0]):
+            assert value.imag == 0.0
+            error = abs(mpmath.mpf(float(value.real)) - exact)
+            assert error <= 1e-14 * abs(exact) + sys.float_info.min, (model.name, u)
 
     @given(model=st.sampled_from(builtin_models()), frac=st.floats(0.0, 0.999),
            angle=st.floats(-math.pi, math.pi))
@@ -216,11 +268,39 @@ class TestComplexEgf:
         value = model.egf_m1(np.array([z]))[0]
         assert abs(value - series) <= 1e-14 * abs(series), model.name
 
-    def test_truncated_model_has_none(self):
-        custom = weights.custom_model([1, 1, 2])
-        for model in (custom, weights.hat_transform(custom), weights.tilde_transform(custom)):
-            with pytest.raises(DomainError, match="no closed-form complex EGF"):
-                model.egf_m1(np.array([0.5 + 0j]))
+
+
+# custom, hat and tilde models beside the complex H - 1 their definitions give
+COMPOSED = [
+    (weights.custom_model([1, 1, 2, 6]), lambda z: z + z**2 + z**3),
+    (weights.custom_model([1, "1/2", 0, 3], radius=2.0), lambda z: z / 2 + z**3 / 2),
+    (weights.hat_transform(weights.exponential()), lambda z: np.exp(-z) / (1 - z) - 1),
+    (weights.hat_transform(weights.gamma(2, Fraction(1, 2))),
+     lambda z: np.exp(-z) * (1 - z / 2) ** -2 - 1),
+    (weights.tilde_transform(weights.exponential()), lambda z: 1 / (1 - z) - 1 - z),
+    (weights.tilde_transform(weights.unit()), lambda z: np.exp(z) - 1 - z),
+    (weights.hat_transform(weights.custom_model([1, 1, 2])),
+     lambda z: np.exp(-z) * (1 + z + z**2) - 1),
+    (weights.tilde_transform(weights.custom_model([1, 1, 2])), lambda z: z**2),
+]
+
+
+class TestComposedEgf:
+    @pytest.mark.parametrize("model, definition", COMPOSED, ids=lambda v: getattr(v, "name", ""))
+    @given(frac=st.floats(0.05, 0.95), angle=st.floats(-math.pi, math.pi))
+    def test_matches_definition(self, model, definition, frac, angle):
+        r = frac * min(model.radius, 3.0)
+        for z in (r, r * complex(math.cos(angle), math.sin(angle))):
+            value, expected = model.egf_m1(np.array([z]))[0], definition(z)
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), (model.name, z)
+        assert model.egf_m1(r) == pytest.approx(definition(r), rel=1e-12), model.name
+
+    @pytest.mark.parametrize("model, definition", COMPOSED, ids=lambda v: getattr(v, "name", ""))
+    @given(frac=st.floats(0.0, 0.95), angle=st.floats(-math.pi, math.pi))
+    def test_conjugate_symmetry(self, model, definition, frac, angle):
+        z = np.array([frac * min(model.radius, 3.0) * complex(math.cos(angle), math.sin(angle))])
+        value, mirrored = model.egf_m1(z)[0], model.egf_m1(z.conj())[0]
+        assert abs(mirrored - value.conjugate()) <= 1e-14 * abs(value), model.name
 
 
 # every family name and alias but custom: (name, constructor, parameter count)
