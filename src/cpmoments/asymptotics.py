@@ -9,10 +9,14 @@ The refined version carries the Gaussian fluctuation prefactor:
 
     M_k(x) ~ (1 + chi u^2 H''(u))^{-1/2} * ( x H'(u) e^{(H(u)-1)/(uH'(u)) - 1} )^k.
 
-g(u) = u H'(u) is strictly increasing on (0, u0) for nonnegative weight
-moments, so the tilt is found by bracketing plus safeguarded Newton and the
-solve is total for every built-in model.  The solve stops on a relative
-residual, so the tilt keeps its digits at large chi, where 1/chi is small.
+For nonnegative weight moments g(u) = u H'(u) is a sum of exponentials in
+t = ln u with nonnegative coefficients, so ln(chi g) is increasing and
+convex in t: a bracket finds a point right of the root and Newton in t
+falls monotonically onto it, in a handful of steps from chi = 1e-6 to the
+float maximum.  The solve stops on a relative residual, so the tilt keeps
+its digits at large chi, where 1/chi is small.  Below a finite radius u0
+the bracket stops at u0 (1 - 1e-12), so small chi is out of reach there
+(below about 1e-24 for exponential weights, 1e-12 for factorial ones).
 H(u) - 1 comes from the model's closed form (``WeightModel.egf_m1``): at
 large chi it is O(1/chi), and forming it from H(u) would leave chi eps of
 error in it.  When x/k -> infinity the moments
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 from . import weights as _weights
 from .errors import DomainError, SaddleError, TruncatedModelError
@@ -74,16 +79,36 @@ class RateValue:
         return math.log(self.span * self.prefactor) + k * (math.log(self.chi * k) + self.psi)
 
 
+def _or_inf(f: Callable[[float], float], u: float) -> float:
+    """f(u), or inf where it overflows."""
+    try:
+        return f(u)
+    except OverflowError:
+        return math.inf
+
+
 def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     """Solve u H'(u) = 1/chi on (0, u0).
 
+    Premise: the weight moments are nonnegative.  Then g(u) = u H'(u) =
+    sum_k V_k u^k / (k-1)! is a sum of exponentials in t = ln u with
+    nonnegative coefficients, so F(t) = ln(chi g) is increasing and convex.
+
     Brackets by geometric expansion from min(1, u0/2), capped at
-    u0 (1 - 1e-12) below a finite radius, then refines with Newton steps
-    safeguarded by bisection until |u H'(u) - 1/chi| <= 1e-15 / chi.
-    Deterministic; raises SaddleError, naming the smallest chi reached,
-    when 1/chi exceeds u H'(u) at that cap: for a
-    truncated model with bounded u H'(u), and for small chi at any finite
-    radius (about 1e-24 for exponential weights, 1e-12 for factorial ones).
+    u0 (1 - 1e-12) below a finite radius, until g >= 1/chi; where g or H''
+    overflows it steps back toward the last point below the root.  From
+    there Newton on F in t, u <- u exp(-F/F') with F' = 1 + u H''/H', falls
+    monotonically onto the root, in one step for a power law g = c u^j.  It
+    stops at |g - 1/chi| <= 1e-15 / chi, or when a step no longer shrinks
+    |g - 1/chi|.
+
+    Deterministic.  Raises SaddleError, naming the smallest chi reached,
+    when 1/chi exceeds u H'(u) at that cap: for a truncated model with
+    bounded u H'(u), and for small chi at any finite radius (about 1e-24
+    for exponential weights, 1e-12 for factorial ones).  Also raises it
+    when u H'(u) or H''(u) overflows before u H'(u) reaches 1/chi, and,
+    naming the model, at a refinement point with u H'(u) <= 0, which
+    negative weight moments can produce.
     """
     chi = float(chi)
     if not (math.isfinite(chi) and chi > 0):
@@ -91,72 +116,60 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     target = 1.0 / chi
     trace: list[tuple[float, float]] = []
 
-    def g(u: float) -> float:
-        try:
-            val = u * model.egf_d1(u)
-        except OverflowError:
-            val = math.inf
-        trace.append((u, val))
-        return val
+    def point(u: float) -> tuple[float, float, float]:
+        d1 = _or_inf(model.egf_d1, u)
+        trace.append((u, u * d1))
+        return u * d1, d1, _or_inf(model.egf_d2, u)
 
     u0 = model.radius
     finite = math.isfinite(u0)
     hi_cap = u0 * (1.0 - 1e-12) if finite else math.inf
-    hi = min(1.0, u0 / 2.0) if finite else 1.0
+    lo, u = 0.0, min(1.0, u0 / 2.0)
     for _ in range(500):
-        g_hi = g(hi)
-        if g_hi >= target:
+        gu, d1, d2 = point(u)
+        if math.inf in (gu, d2):
+            u = 0.5 * (lo + u)
+        elif gu >= target:
             break
-        if finite:
-            if hi >= hi_cap:
-                raise SaddleError(
-                    f"chi = {chi} out of reach: the smallest chi model {model.name!r} reaches"
-                    f" is 1/(u H'(u)) = {1.0 / g_hi if g_hi > 0 else math.inf} at u = {hi}"
-                )
-            hi = min(hi_cap, u0 - (u0 - hi) / 2.0)
+        elif u >= hi_cap:
+            raise SaddleError(
+                f"chi = {chi} out of reach: the smallest chi model {model.name!r} reaches"
+                f" is 1/(u H'(u)) = {1.0 / gu if gu > 0 else math.inf} at u = {u}"
+            )
         else:
-            hi *= 2.0
+            lo, u = u, min(hi_cap, u0 - (u0 - u) / 2.0) if finite else 2.0 * u
     else:
-        raise SaddleError(f"target {target} unreachable for model {model.name!r}")
+        raise SaddleError(
+            f"target {target} unreachable for model {model.name!r} in 500 bracket steps"
+            " (u H'(u) too small, or u H'(u) or H''(u) overflowing)"
+        )
 
-    lo = 0.0
-    u = 0.5 * hi
-    best_u, best_res = u, math.inf
-    for _ in range(200):
-        gu = g(u)
-        res = abs(gu - target)
-        if res < best_res and math.isfinite(gu):
-            best_u, best_res = u, res
-        if res <= 1e-15 * target:
+    residual = gu - target
+    for _ in range(100):
+        if residual <= 1e-15 * target:
             break
-        if gu > target:
-            hi = u
-        else:
-            lo = u
-        nxt = None
-        if math.isfinite(gu):
-            uh2 = u * model.egf_d2(u)
-            gp = model.egf_d1(u) + uh2
-            if gp > 0 and math.isfinite(gp):
-                nxt = u - (gu - target) / gp
-                if nxt < 0.5 * u:
-                    # a step far below u keeps few of its digits as a
-                    # difference; the same step with u H'(u) cancelled keeps all
-                    nxt = (target + u * uh2) / gp
-        if nxt is None or not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt == u:
+        if not (gu > 0.0 and d1 > 0.0):
+            raise SaddleError(
+                f"model {model.name!r} has u H'(u) = {gu} at u = {u}; the saddle needs it"
+                " positive, as nonnegative weight moments make it"
+            )
+        # chi g overflows only far right of the root, where F's digits do not matter
+        scaled = chi * gu
+        f = math.log(scaled) if scaled < math.inf else math.log(gu) + math.log(chi)
+        nxt = u * math.exp(-f / (1.0 + u * d2 / d1))
+        g_nxt, d1_nxt, d2_nxt = point(nxt)
+        if not abs(g_nxt - target) < residual:
             break
-        u = nxt
+        u, gu, d1, d2 = nxt, g_nxt, d1_nxt, d2_nxt
+        residual = abs(gu - target)
 
-    u = best_u
     return SaddleSolution(
         chi=chi,
         u=u,
-        residual=abs(u * model.egf_d1(u) - target),
+        residual=residual,
         excess=float(model.egf_m1(u)),
-        H1_u=model.egf_d1(u),
-        H2_u=model.egf_d2(u),
+        H1_u=d1,
+        H2_u=d2,
         trace=tuple(trace),
     )
 

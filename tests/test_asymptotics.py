@@ -71,11 +71,32 @@ class TestSolveSaddle:
                 assert 0.0 < sol.u < model.radius
 
     @pytest.mark.parametrize("model", ALL, ids=lambda m: m.name)
-    @pytest.mark.parametrize("chi", [1e6, 1e10, 1e14])
+    @pytest.mark.parametrize("chi", [1e6, 1e10, 1e14, 1e120, 1e300, 1.7e308])
     def test_relative_residual_at_large_chi(self, model, chi):
         # 1/chi < 1 here: an absolute stop at 1e-15 would leave the tilt of
         # gaussian weights 6.4e-3 off at chi = 1e14
         assert asym.solve_saddle(model, chi).residual <= 1e-15 / chi
+
+    @pytest.mark.parametrize("model, v2", [
+        (GAUSS, 1), (weights.gaussian_centered(Fraction(1, 2)), Fraction(1, 2)), (BERN, 1),
+    ], ids=["gaussian(1)", "gaussian(1/2)", "bernoulli"])
+    @pytest.mark.parametrize("chi", [1e120, 1e300, 1.7e308])
+    def test_even_only_tilt_at_huge_chi(self, model, v2, chi):
+        # u H'(u) = V_2 u^2 (1 + O(u^2)), so u = (V_2 chi)^(-1/2) to far below eps
+        with mpmath.workdps(30):
+            expected = float(1 / mpmath.sqrt(mpmath.mpf(v2.numerator) / v2.denominator * chi))
+        assert asym.solve_saddle(model, chi).u == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_evaluations_bounded_over_chi(self):
+        for model in ALL:
+            for quarter in range(-24, 1233):
+                chi = 10.0 ** (quarter / 4)
+                assert len(asym.solve_saddle(model, chi).trace) <= 32, (model.name, chi)
+
+    def test_nonpositive_slope_rejected(self):
+        # H'(u) = u - 2 vanishes at u = 2, where the Newton iteration lands
+        with pytest.raises(SaddleError, match="custom"):
+            asym.solve_saddle(weights.custom_model([1, -2, 1]), 1.0)
 
     def test_large_chi_tilt_scales_like_inverse_first_moment(self):
         chi = 1e6

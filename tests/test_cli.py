@@ -434,6 +434,12 @@ class TestBadInputs:
                   3, "cpm: error: chi = 1e-13 out of reach: the smallest chi model 'logfact'"
                      " reaches is 1/(u H'(u)) = 9.999778782808785e-13 at u = 0.999999999999",
                   header=True),
+        bad_input("llt-negative-moment",
+                  ["aux", "--weights", "custom:{w}", "--llt-chi", "1", "--k", "10",
+                   "--out", "{out}"],
+                  3, "cpm: error: model 'custom[2]' has u H'(u) = 0.0 at u = 2.0; the saddle"
+                     " needs it positive, as nonnegative weight moments make it",
+                  weights_json='{"moments": [1, -2, 1]}'),
         bad_input("x-not-a-number",
                   ["moments", "--weights", "unit", "--k", "3", "--x", "abc", "--out", "{out}"],
                   2, "Error: Invalid value for '--x': 'abc' is not an integer, decimal or ratio"),
