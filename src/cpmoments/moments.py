@@ -12,9 +12,12 @@ O(k^2) convolution recurrence
     M_k = sum_{j=1..k} C(k-1, j-1) x V_j M_{k-j}
 
 obtained by differentiating the generating function
-G(x,u) = sum M_k u^k/k! = exp(x (H(u) - 1)).  The oracle path enumerates
-partition profiles directly (exponential cost, capped at k <= 25) and both
-paths stay in exact rational arithmetic.  A log-sum-exp variant of the
+G(x,u) = sum M_k u^k/k! = exp(x (H(u) - 1)).  It runs on Python integers:
+scaled by D^k, with D the denominator of x times an integer that clears
+the weight moments' denominators, every M_k is an integer combination of
+the lower ones, and each is divided by D^k once.  The oracle path
+enumerates partition profiles directly (exponential cost, capped at
+k <= 25) in Fractions.  Both are exact.  A log-sum-exp variant of the
 recurrence gives a whole table ln M_0(x) .. ln M_k(x) at one intensity
 without overflow, in O(k^2); along a ray x = chi k, where each order has its
 own intensity, ``auxdist.log_moments_on_ray`` reads every ln M_k off one
@@ -28,12 +31,14 @@ Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1.
 
 Also here: Bell numbers and polynomials, the even-block set-partition
 counts, and the closed-form polynomial identities used as oracles for
-exponential and factorial weight sequences.
+exponential and factorial weight sequences; the composition identity is
+a partial Bell polynomial, built by its own triangle recurrence.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -92,6 +97,24 @@ def partition_profiles(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, k)
 
 
+def _moment_scale(vs: list[Fraction]) -> int:
+    """An integer l with l^j V_j integral for every V_j = vs[j - 1].
+
+    Grown greedily along j: whenever den(V_j) does not divide l^j, l takes
+    the missing factor den(V_j) / gcd(den(V_j), l^j).  The lcm of the
+    denominators would also do, but for V_j = (2j-1)!!/2^j it is 2^j, not 2,
+    and the recurrence's integers would grow by k^2 bits.
+    """
+    ell, power = 1, 1
+    for j, v in enumerate(vs, start=1):
+        power *= ell
+        g = math.gcd(v.denominator, power)
+        if g != v.denominator:
+            ell *= v.denominator // g
+            power = ell**j
+    return ell
+
+
 def moment_sequence(
     model: WeightModel, k_max: int, x: NumberLike, n: int | None = None
 ) -> list[Fraction]:
@@ -101,6 +124,11 @@ def moment_sequence(
     moment E (sum_{i<=n} a_i W_i)^k, P(a_i = 1) = x/n, by the power
     recurrence M_k = (x/n) sum_j (n C(k-1, j-1) - C(k-1, j)) V_j M_{k-j};
     ``None`` is its n -> infinity limit.
+
+    The recurrence runs on integers.  With scale x (or x/n) = p/q and
+    ``_moment_scale``'s l, D = q l, the scaled moments N_k = D^k M_k obey
+    N_k = sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j, and each order
+    is reduced once, as Fraction(N_k, D^k).
     """
     if k_max < 0:
         raise DomainError("order must be >= 0")
@@ -108,18 +136,26 @@ def moment_sequence(
         raise DomainError("population size n must be positive")
     xe = Fraction(x)
     scale = xe if n is None else xe / n
-    vs = [model.moment(j) for j in range(k_max + 1)]
-    ms = [Fraction(1)]
-    for k in range(1, k_max + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if vs[j]:
-                coef = math.comb(k - 1, j - 1)
-                if n is not None:
-                    coef = n * coef - math.comb(k - 1, j)
-                acc += coef * vs[j] * ms[k - j]
-        ms.append(scale * acc)
-    return ms
+    p, q = scale.numerator, scale.denominator
+    vs = [model.moment(j) for j in range(1, k_max + 1)]
+    ell = _moment_scale(vs)
+    d = q * ell
+    cs, step = [], p * ell  # step = p q^(j-1) l^j
+    for v in vs:
+        cs.append(step * v.numerator // v.denominator)
+        step *= d
+    # a_k(j) = C(k-1, j-1), or n C(k-1, j-1) - C(k-1, j): either obeys
+    # Pascal's rule a_{k+1}(j) = a_k(j) + a_k(j-1), with a_k(0) = 0 or -1
+    row, edge = ([1], 0) if n is None else ([n], -1)
+    ns = [1]
+    for _ in range(k_max):
+        ns.append(sum(map(operator.mul, map(operator.mul, row, cs), reversed(ns))))
+        row = [row[0] + edge, *map(operator.add, row[1:], row), row[-1]]
+    out, power = [], 1
+    for value in ns:
+        out.append(Fraction(value, power))
+        power *= d
+    return out
 
 
 def moment_recurrence(model: WeightModel, k: int, x: NumberLike) -> MomentValue:
@@ -153,9 +189,7 @@ def bell_polynomial(k: int, x: NumberLike = 1) -> MomentValue:
 
 def bell_number(k: int) -> int:
     """Number of set partitions of a k-set, B_k(1)."""
-    value = bell_polynomial(k, 1).value_exact
-    assert value is not None and value.denominator == 1
-    return value.numerator
+    return moment_sequence(_UNIT, k, 1)[k].numerator
 
 
 def even_partition_number(two_k: int) -> int:
@@ -267,15 +301,18 @@ def composition_identity_lhs(k: int, p: int) -> int:
     """Sum of multinomials p!/prod(l_i!) over profiles of k with p blocks.
 
     Counts ordered compositions of k into p positive parts, so it must equal
-    C(k-1, p-1).
+    C(k-1, p-1).  Evaluated as p! B_{k,p}(1!, 2!, ...) / k!, since the partial
+    Bell polynomial B_{k,p}(v) sums k! prod_i v_i^{l_i} / ((i!)^{l_i} l_i!)
+    over those profiles; B is built column by column from the recurrence
+    B_{m,r} = sum_i C(m-1, i-1) v_i B_{m-i,r-1} (Comtet, Advanced
+    Combinatorics, 1974, section 3.3), so no profile is enumerated.
     """
     if not 1 <= p <= k:
         raise DomainError("need 1 <= p <= k")
-    total = 0
-    for prof in partition_profiles(k):
-        if sum(prof) == p:
-            den = 1
-            for li in prof:
-                den *= math.factorial(li)
-            total += math.factorial(p) // den
-    return total
+    col = [1] + [0] * k  # B_{m,0}, m = 0..k
+    for _ in range(p):
+        col = [0] + [
+            sum(math.comb(m - 1, i - 1) * math.factorial(i) * col[m - i] for i in range(1, m + 1))
+            for m in range(1, k + 1)
+        ]
+    return math.factorial(p) * col[k] // math.factorial(k)

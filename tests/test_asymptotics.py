@@ -93,6 +93,16 @@ class TestSolveSaddle:
                 chi = 10.0 ** (quarter / 4)
                 assert len(asym.solve_saddle(model, chi).trace) <= 32, (model.name, chi)
 
+    @pytest.mark.parametrize("v2", [1e250, 1e300, 1e305])
+    def test_bracket_backs_off_in_log_u_past_overflow(self, v2):
+        # u H'(u) = v2 u^2 e^(v2 u^2 / 2) overflows at the first guesses;
+        # at chi = 1 the root is v2 u^2 = 2 W(1/2)
+        with mpmath.workdps(30):
+            expected = float(mpmath.sqrt(2 * mpmath.lambertw(mpmath.mpf(1) / 2).real))
+        sol = asym.solve_saddle(weights.gaussian_centered(v2), 1.0)
+        assert sol.u * math.sqrt(v2) == pytest.approx(expected, rel=1e-14, abs=0)
+        assert len(sol.trace) <= 40
+
     def test_nonpositive_slope_rejected(self):
         # H'(u) = u - 2 vanishes at u = 2, where the Newton iteration lands
         with pytest.raises(SaddleError, match="custom"):

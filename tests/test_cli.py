@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -43,14 +44,101 @@ class TestHeader:
             cli.validate_header([1, 2])
 
 
+@pytest.fixture
+def int_str_limit_640():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
 class TestBell:
     def test_known_value(self, runner):
         result = runner.invoke(cli.main, ["bell", "--k", "10"])
         assert result.exit_code == 0
         assert result.output.strip().splitlines()[-1] == "115975"
 
+    def test_past_the_integer_string_limit(self, runner, int_str_limit_640):
+        # B_500 has 844 digits, beyond str(int)'s limit, lowered here to 640
+        result = runner.invoke(cli.main, ["bell", "--k", "500"])
+        assert result.exit_code == 0, result.output
+        printed = result.output.strip().splitlines()[-1]
+        row = [1]  # the Bell triangle: B_k starts row k
+        for _ in range(500):
+            nxt = [row[-1]]
+            for value in row:
+                nxt.append(nxt[-1] + value)
+            row = nxt
+        assert len(printed) == 844
+        assert Decimal(printed) == Decimal(row[0])
+
+
+class TestIdentities:
+    def test_all_pass_without_profile_enumeration(self, runner, monkeypatch):
+        def refuse(k):
+            raise AssertionError("partition_profiles called")
+
+        monkeypatch.setattr(moments, "partition_profiles", refuse)
+        result = runner.invoke(cli.main, ["identities"])
+        assert result.exit_code == 0, result.output
+        checks = result.output.strip().splitlines()[1:]
+        assert len(checks) == 4
+        assert all(line.endswith("  PASS") for line in checks), result.output
+
+
+# sha256 of the `cpm moments --k 40 --x 7/2` tables that the Fraction form of
+# the recurrence writes; the integer engine reproduces them byte for byte
+MOMENT_TABLE_DIGESTS = [
+    ("unit", "csv", [],
+     "7a68c39a524dcf761e885ac15619b0e9adc4fccf91d67af5c1576d31832e59b8"),
+    ("unit", "json", [],
+     "efcc955e10d8be308c2e2a9d21efa5a470b43ac88b68ad72a6334bbf78038ce8"),
+    ("unit", "csv", ["--finite-n", "50"],
+     "c2f44f0e2eef2d08f27b9c82e674050acc2fa1af6c798339afcf2319cc44dccf"),
+    ("gaussian", "csv", [],
+     "2e11a3cba6ba83de9e338c6c1a72ef1dec88f70316a9fdc1e2f3fa15d8d4a600"),
+    ("gaussian", "json", [],
+     "f2d1f5c91c99487650d9a24b13d6ba5251f09c7044651000050340838a30e915"),
+    ("gaussian", "csv", ["--finite-n", "50"],
+     "a3a74aa5f5cd17861e720a78a4d76a86b7cf27d39c62eda6ff23ed0ef9dd8599"),
+    ("gamma:2,1/2", "csv", [],
+     "be32e9c289bc56a865493047a1197283d3d7358b6301f20681442f5984dd2084"),
+    ("gamma:2,1/2", "json", [],
+     "b246dca30fd5160093a31b31c5f2f58be6f6f66da7440e36a467382e1bc1ab7f"),
+    ("gamma:2,1/2", "csv", ["--finite-n", "50"],
+     "17bfbb8599c33e2fd41a1417dc84935654d596f4e9cb3938ea04d43e73b2e6a2"),
+    ("bernoulli", "csv", [],
+     "22bee024c7c59bc4e060641de866b0d3415269525238ad9d155d83587b931ee3"),
+    ("bernoulli", "json", [],
+     "3eea2741cbc2a0bf0998a03e68a6b8a3b50d490e73dd71973bc1917311d3e5da"),
+    ("bernoulli", "csv", ["--finite-n", "50"],
+     "f0072a361982c97adff901ec11bc5ac794ddfee043911ccc229b7dfce68d6b77"),
+    ("exponential", "csv", [],
+     "5cfee1a038badb718a45ab80b815dceb005fcd29740395c38ccb70bf47f02277"),
+    ("exponential", "json", [],
+     "7daf3bd30169763947d72ec7265c233898da1771c6c26b13e02219baed541ff4"),
+    ("exponential", "csv", ["--finite-n", "50"],
+     "e14b4e0f9e88463f0d144baee9337c153d4244baed4ac16ac677eb009c76527e"),
+    ("logfact", "csv", [],
+     "f93300c04e5f8b523e2889edbf09ca818de4ee436db73a284337776bf3d08327"),
+    ("logfact", "json", [],
+     "ce7a4e09f6acbd1d747eecea8bee40c8218c82f5fd2bfb4f45b24514e6427cef"),
+    ("logfact", "csv", ["--finite-n", "50"],
+     "d128d1137607d92e4fb251b082c918945303f1d62c2aeeb466133f8e64554292"),
+]
+
 
 class TestMoments:
+    @pytest.mark.parametrize("spec, fmt, extra, digest", MOMENT_TABLE_DIGESTS)
+    def test_tables_are_byte_identical(self, runner, tmp_path, spec, fmt, extra, digest):
+        out = tmp_path / f"m.{fmt}"
+        result = runner.invoke(cli.main, [
+            "moments", "--weights", spec, "--k", "40", "--x", "7/2", "--out", str(out),
+            "--format", fmt, *extra,
+        ])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_exact_table_round_trips(self, runner, tmp_path):
         out = tmp_path / "m.csv"
         result = runner.invoke(cli.main, [

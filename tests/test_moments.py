@@ -21,6 +21,41 @@ MODELS = {
 RATIONALS = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8)
 
 
+def fraction_moment_sequence(model, k_max, x, n=None):
+    """The convolution recurrence in Fractions, term by term: the reference
+    of the scaled integer engine ``moments.moment_sequence``."""
+    if k_max < 0:
+        raise DomainError("order must be >= 0")
+    if n is not None and n <= 0:
+        raise DomainError("population size n must be positive")
+    xe = Fraction(x)
+    scale = xe if n is None else xe / n
+    vs = [model.moment(j) for j in range(k_max + 1)]
+    ms = [Fraction(1)]
+    for k in range(1, k_max + 1):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            if vs[j]:
+                coef = math.comb(k - 1, j - 1)
+                if n is not None:
+                    coef = n * coef - math.comb(k - 1, j)
+                acc += coef * vs[j] * ms[k - j]
+        ms.append(scale * acc)
+    return ms
+
+
+def compositions(k, p):
+    """Every ordered tuple of p positive parts summing to k; no partial sum
+    ever exceeds k."""
+    if p == 0:
+        if k == 0:
+            yield ()
+        return
+    for first in range(1, k - p + 2):
+        for rest in compositions(k - first, p - 1):
+            yield (first,) + rest
+
+
 class TestProfiles:
     def test_counts_match_partition_function(self):
         # p(k) for k = 0..10
@@ -80,6 +115,63 @@ class TestRecurrenceAgainstOracles:
     def test_oracle_cap(self):
         with pytest.raises(DomainError):
             moments.moment_partition_oracle(MODELS["unit"], 26, 1)
+
+
+MODEL_ZOO = {
+    **MODELS,
+    "gamma(1/2,1)": weights.gamma(Fraction(1, 2), 1),
+    "gamma(2/3,5/7)": weights.gamma(Fraction(2, 3), Fraction(5, 7)),
+    "gaussian(1/3)": weights.gaussian_centered(Fraction(1, 3)),
+    **{f"hat({name})": weights.hat_transform(MODELS[name])
+       for name in ("unit", "exponential", "gamma", "logfact")},
+    **{f"tilde({name})": weights.tilde_transform(MODELS[name])
+       for name in ("unit", "exponential", "gamma", "logfact")},
+}
+INTENSITIES = (0, Fraction(1, 3), Fraction(7, 2), 10**300, Fraction(0.7373))
+POPULATIONS = (None, 1, 2, 1000)
+CUSTOM_MOMENTS = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=1, max_size=14
+)
+
+
+class TestIntegerEngine:
+    """``moment_sequence`` equals the Fraction recurrence term by term."""
+
+    @pytest.mark.parametrize("name", MODEL_ZOO)
+    def test_matches_fraction_recurrence(self, name):
+        model = MODEL_ZOO[name]
+        for x in INTENSITIES:
+            for n in POPULATIONS:
+                got = moments.moment_sequence(model, 16, x, n)
+                assert got == fraction_moment_sequence(model, 16, x, n), (x, n)
+                assert all(type(v) is Fraction for v in got)
+
+    @given(CUSTOM_MOMENTS, st.sampled_from(INTENSITIES), st.sampled_from(POPULATIONS),
+           st.integers(0, 14), st.sampled_from([None, "hat", "tilde"]))
+    def test_custom_models_match_fraction_recurrence(self, tail, x, n, k_max, transform):
+        model = weights.custom_model([1, *tail])
+        if transform is not None:
+            model = getattr(weights, f"{transform}_transform")(model)
+        k_max = min(k_max, len(tail))
+        got = moments.moment_sequence(model, k_max, x, n)
+        assert got == fraction_moment_sequence(model, k_max, x, n)
+
+    @given(st.sampled_from(sorted(MODEL_ZOO)), st.integers(0, 60),
+           st.fractions(min_value=-3, max_value=3, max_denominator=50), st.sampled_from(POPULATIONS))
+    def test_random_orders_and_intensities(self, name, k_max, x, n):
+        model = MODEL_ZOO[name]
+        got = moments.moment_sequence(model, k_max, x, n)
+        assert got == fraction_moment_sequence(model, k_max, x, n)
+
+    def test_scale_stays_small_for_geometric_denominators(self):
+        # V_j = (2j-1)!!/2^j needs l = 2, where the lcm of the denominators is 2^j
+        for model, ell in ((MODELS["unit"], 1), (MODELS["exponential"], 1), (MODELS["logfact"], 1),
+                           (MODELS["bernoulli"], 1), (MODELS["gaussian"], 1), (MODELS["gamma"], 2),
+                           (MODEL_ZOO["gamma(1/2,1)"], 2), (MODEL_ZOO["gaussian(1/3)"], 3),
+                           (MODEL_ZOO["gamma(2/3,5/7)"], 21)):
+            vs = [model.moment(j) for j in range(1, 61)]
+            assert moments._moment_scale(vs) == ell, model.name
+            assert all((ell**j * v).denominator == 1 for j, v in enumerate(vs, start=1))
 
 
 class TestBell:
@@ -264,17 +356,21 @@ class TestClosedFormIdentities:
                 assert lhs == moments.moment_recurrence(MODELS["logfact"], k, x).value_exact
 
     def test_composition_identity_brute_force(self):
-        from itertools import product
-
         for k in range(1, 10):
             for p in range(1, min(k, 8) + 1):
-                direct = sum(
-                    1
-                    for parts in product(range(1, k + 1), repeat=p)
-                    if sum(parts) == k
-                )
+                direct = sum(1 for _ in compositions(k, p))
                 assert moments.composition_identity_lhs(k, p) == direct
                 assert direct == math.comb(k - 1, p - 1)
+
+    def test_composition_identity_without_profile_enumeration(self, monkeypatch):
+        # the partial Bell triangle, not partition_profiles, carries the identity
+        def refuse(k):
+            raise AssertionError("partition_profiles called")
+
+        monkeypatch.setattr(moments, "partition_profiles", refuse)
+        for k in range(1, 31):
+            for p in range(1, k + 1):
+                assert moments.composition_identity_lhs(k, p) == math.comb(k - 1, p - 1), (k, p)
 
     @given(st.integers(1, 10), RATIONALS)
     def test_exp_identity_is_the_partition_sum(self, k, x):
