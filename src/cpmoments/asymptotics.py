@@ -33,6 +33,7 @@ rounding, except for the normal-weight prefactor (see tests).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -94,83 +95,77 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     sum_k V_k u^k / (k-1)! is a sum of exponentials in t = ln u with
     nonnegative coefficients, so F(t) = ln(chi g) is increasing and convex.
 
-    Brackets by geometric expansion from min(1, u0/2), capped at
-    u0 (1 - 1e-12) below a finite radius, until g >= 1/chi; where g or H''
-    overflows it steps back in ln u, dividing u by 2, 4, 16, 256, ... until
-    a point lies below the root, and then bisects ln u between the last
-    point below the root and the last one that overflowed.  From
-    there Newton on F in t, u <- u exp(-F/F') with F' = 1 + u H''/H', falls
-    monotonically onto the root, in one step for a power law g = c u^j.  It
-    stops at |g - 1/chi| <= 1e-15 / chi, or when a step no longer shrinks
-    |g - 1/chi|.
+    One Newton iteration on F in t, u <- u exp(-F/F') with F' = 1 + u H''/H',
+    from u = min(1, u0/2).  By convexity a step from left of the root lands
+    right of it, and from there the iterates fall monotonically onto the
+    root, in one step for a power law g = c u^j.  Steps are only clipped: at
+    u0 (1 - 1e-12) below a finite radius (else at the float maximum), and to
+    the midpoint in t below the first point where g or u H'' overflowed;
+    before any point is finite, u is divided by 2, 4, 16, 256, ...  The solve
+    stops at |g - 1/chi| <= 1e-15 / chi, or when a step is below rounding or
+    no longer shrinks |g - 1/chi| (any rise of g, until g passes 1/chi).
 
     Deterministic.  Raises SaddleError, naming the smallest chi reached,
-    when 1/chi exceeds u H'(u) at that cap: for a truncated model with
+    when 1/chi exceeds u H'(u) at the cap: for a truncated model with
     bounded u H'(u), and for small chi at any finite radius (about 1e-24
     for exponential weights, 1e-12 for factorial ones).  Also raises it
-    when u H'(u) or H''(u) overflows before u H'(u) reaches 1/chi, and,
-    naming the model, at a refinement point with u H'(u) <= 0, which
-    negative weight moments can produce.
+    when the solve stops left of the root (after 100 evaluations, or where
+    u H'(u) or u H''(u) overflows below the root), and, naming the model, at
+    a point with u H'(u) <= 0, which negative weight moments can produce.
     """
     chi = float(chi)
     if not (math.isfinite(chi) and chi > 0):
         raise DomainError(f"chi must be positive and finite, got {chi}")
     target = 1.0 / chi
     trace: list[tuple[float, float]] = []
-
-    def point(u: float) -> tuple[float, float, float]:
-        d1 = _or_inf(model.egf_d1, u)
-        trace.append((u, u * d1))
-        return u * d1, d1, _or_inf(model.egf_d2, u)
-
     u0 = model.radius
-    finite = math.isfinite(u0)
-    hi_cap = u0 * (1.0 - 1e-12) if finite else math.inf
-    lo, hi, u = 0.0, math.inf, min(1.0, u0 / 2.0)
-    retreats = 0
-    for _ in range(500):
-        gu, d1, d2 = point(u)
-        if math.inf in (gu, d2):
-            hi = u
-            u = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else math.ldexp(u, -(1 << retreats))
-            retreats += 1
-        elif gu >= target:
-            break
-        elif u >= hi_cap:
-            raise SaddleError(
-                f"chi = {chi} out of reach: the smallest chi model {model.name!r} reaches"
-                f" is 1/(u H'(u)) = {1.0 / gu if gu > 0 else math.inf} at u = {u}"
-            )
-        elif hi < math.inf:
-            lo = u
-            u = math.sqrt(lo) * math.sqrt(hi)
-        else:
-            lo, u = u, min(hi_cap, u0 - (u0 - u) / 2.0) if finite else 2.0 * u
-    else:
-        raise SaddleError(
-            f"target {target} unreachable for model {model.name!r} in 500 bracket steps"
-            " (u H'(u) too small, or u H'(u) or H''(u) overflowing)"
-        )
-
-    residual = gu - target
+    cap = u0 * (1.0 - 1e-12) if math.isfinite(u0) else sys.float_info.max
+    hi = math.inf  # the smallest u where g or u H'' overflowed
+    best = None  # the last accepted point: u, g, H', H'', |g - 1/chi|
+    above = False  # until a point right of the root, g - 1/chi may round to -1/chi
+    u = min(1.0, u0 / 2.0)
     for _ in range(100):
-        if residual <= 1e-15 * target:
-            break
-        if not (gu > 0.0 and d1 > 0.0):
+        d1 = _or_inf(model.egf_d1, u)
+        gu, d2 = u * d1, _or_inf(model.egf_d2, u)
+        trace.append((u, gu))
+        res = abs(gu - target)
+        if math.inf in (gu, u * d2):
+            hi = u
+        elif not (gu > 0.0 and d1 > 0.0):
             raise SaddleError(
                 f"model {model.name!r} has u H'(u) = {gu} at u = {u}; the saddle needs it"
                 " positive, as nonnegative weight moments make it"
             )
-        # chi g overflows only far right of the root, where F's digits do not matter
-        scaled = chi * gu
-        f = math.log(scaled) if scaled < math.inf else math.log(gu) + math.log(chi)
-        nxt = u * math.exp(-f / (1.0 + u * d2 / d1))
-        g_nxt, d1_nxt, d2_nxt = point(nxt)
-        if not abs(g_nxt - target) < residual:
+        elif best is None or res < best[4] or (gu > best[1] and not above):
+            above = above or gu >= target
+            best = (u, gu, d1, d2, res)
+            if res <= 1e-15 * target:
+                break
+        else:
             break
-        u, gu, d1, d2 = nxt, g_nxt, d1_nxt, d2_nxt
-        residual = abs(gu - target)
-
+        if best is None:
+            u = math.ldexp(hi, -(1 << (len(trace) - 1)))
+            continue
+        bu, bg, bd1, bd2, _ = best
+        if bg < target and bu >= cap:
+            raise SaddleError(
+                f"chi = {chi} out of reach: the smallest chi model {model.name!r} reaches"
+                f" is 1/(u H'(u)) = {1.0 / bg} at u = {bu}"
+            )
+        # chi g overflows only far right of the root, where F's digits do not matter
+        scaled = chi * bg
+        f = math.log(scaled) if scaled < math.inf else math.log(bg) + math.log(chi)
+        u = min(bu * _or_inf(math.exp, -f / (1.0 + bu * bd2 / bd1)), cap)
+        if u >= hi:
+            u = math.sqrt(bu) * math.sqrt(hi)
+        if u in (bu, hi):  # the step is below rounding
+            break
+    if best is None or not (above or best[4] <= 1e-15 * target):
+        raise SaddleError(
+            f"target {target} unreachable for model {model.name!r} in {len(trace)} evaluations"
+            " (u H'(u) too small, or u H'(u) or H''(u) overflowing)"
+        )
+    u, _, d1, d2, residual = best
     return SaddleSolution(
         chi=chi,
         u=u,
@@ -191,11 +186,19 @@ def _reject_truncated(model: WeightModel) -> None:
 
 
 def rate_function(model: WeightModel, chi: float) -> RateValue:
-    """Psi(chi) with its saddle point and fluctuation prefactor."""
+    """Psi(chi) with its saddle point and fluctuation prefactor; raises
+    SaddleError where psi or chi u^2 H''(u) is not finite."""
     _reject_truncated(model)
     s = solve_saddle(model, chi)
     psi = s.excess / (s.u * s.H1_u) - 1.0 + math.log(s.H1_u)
     prefactor = 1.0 / math.sqrt(1.0 + chi * s.u * s.u * s.H2_u)
+    # chi u^2 H''(u) in this order: u^2 H''(u) alone overflows for unit weights
+    # at chi = 1e-307, where the prefactor is 0.038
+    if not (math.isfinite(psi) and 0.0 < prefactor < math.inf):
+        raise SaddleError(
+            f"model {model.name!r} at chi = {chi}: psi = {psi} and prefactor = {prefactor}"
+            f" at u = {s.u}; chi u^2 H''(u) or psi is not finite"
+        )
     return RateValue(chi=float(chi), psi=psi, saddle=s, prefactor=prefactor, span=model.span)
 
 

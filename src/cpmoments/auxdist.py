@@ -33,10 +33,9 @@ import numpy as np
 
 from .asymptotics import SaddleSolution, solve_saddle
 from .errors import DomainError
-from .moments import log_moment, log_moment_sequence, moment_sequence
+from .moments import check_log_work, log_moment, log_moment_sequence, moment_sequence
 from .weights import WeightModel, log_rational
 
-_MAX_LOG_WORK = 2 * 10**9  # sum of cap^2 over build_aux's recurrences, ~7 ns each
 _MAX_NODES = 2**18  # transform points of log_moments_on_ray, ~1 ms per order
 _MAX_ROUNDING = 1e-9  # relative rounding bound of a point mass read off the transform
 _EPS = sys.float_info.epsilon
@@ -82,7 +81,8 @@ class AuxiliaryDistribution:
 def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     """Materialize the tilted law, truncating once cumulative mass reaches
     1 - _MASS_TOLERANCE; each doubling of the support reruns the O(cap^2) log
-    recurrence, and their total is bounded by _MAX_LOG_WORK.
+    recurrence, which refuses a cap^2 above ``moments.MAX_LOG_WORK``, so the
+    doublings total at most 4/3 of that bound.
 
     A support is accepted when its mass misses that mark by no more than
     rounding.  ln p_j = ln M_j + j ln u - ln j! - ln G sums terms whose sizes
@@ -101,22 +101,23 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
         raise DomainError("intensity x must be positive")
     if not 0.0 < u < model.radius:
         raise DomainError(f"tilt u must lie in (0, {model.radius}), got {u}")
-    h1, h2 = model.egf_d1(u), model.egf_d2(u)
-    log_g = x * float(model.egf_m1(u))
+    try:
+        h1, h2 = model.egf_d1(u), model.egf_d2(u)
+    except OverflowError:
+        h1 = h2 = math.inf
     mean = x * u * h1
     variance = x * (u * h1 + u * u * h2)
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise DomainError(
+            f"tilted law of model {model.name!r} at x = {x}, u = {u} overflows: mean {mean},"
+            f" variance {variance}"
+        )
+    log_g = x * float(model.egf_m1(u))
     sigma = math.sqrt(variance)
     ln_u = math.log(u)
 
     cap_guess = int(mean + 12.0 * sigma) + 64
-    work = 0
     while True:
-        work += cap_guess * cap_guess
-        if work > _MAX_LOG_WORK:
-            raise DomainError(
-                f"tilted law needs more than {_MAX_LOG_WORK} log-recurrence terms"
-                f" (sum of cap^2 over the support doublings) to reach mass 1 - {_MASS_TOLERANCE}"
-            )
         ln_m = log_moment_sequence(model, cap_guess, x)
         js = np.arange(cap_guess + 1)
         lgf = np.array([math.lgamma(j + 1.0) for j in range(cap_guess + 1)])
@@ -239,11 +240,14 @@ def log_moments_on_ray(
     of its own law.  Orders the transform cannot resolve take the log
     recurrence: all of them when the saddle is so close to a finite radius
     that N would pass _MAX_NODES, and single orders whose point mass is lost
-    to rounding (at tiny chi the law of Z_k clusters away from k).
+    to rounding (at tiny chi the law of Z_k clusters away from k).  Their
+    k^2, summed, is held to ``moments.MAX_LOG_WORK`` before any runs.
     """
     ks = np.asarray(orders, dtype=float)
     if not ks.size:
         return ks
+    if not math.isfinite(saddle.chi * orders[-1]):
+        raise DomainError(f"intensity chi k = {saddle.chi} * {orders[-1]} overflows")
     nodes = ray_nodes(model, saddle, orders[-1])
     if nodes > _MAX_NODES:
         log_p = np.full(ks.size, math.nan)
@@ -251,6 +255,8 @@ def log_moments_on_ray(
         log_p = log_point_masses(model, saddle, orders, nodes)
     lgf = np.array([math.lgamma(k + 1.0) for k in orders])
     out = lgf + ks * (saddle.chi * saddle.excess - math.log(saddle.u)) + log_p
-    for i in np.flatnonzero(np.isnan(log_p)).tolist():
+    fallback = np.flatnonzero(np.isnan(log_p)).tolist()
+    check_log_work(sum(orders[i] ** 2 for i in fallback))
+    for i in fallback:
         out[i] = log_moment(model, orders[i], saddle.chi * orders[i])
     return out

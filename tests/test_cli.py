@@ -438,6 +438,11 @@ GRAPHSIM = ["graphsim", "--n", "50", "--kappa", "1", "--s", "1.0", "--trials", "
             "--out", "{out}"]
 MOMENTS = ["moments", "--k", "3", "--x", "1", "--out", "{out}"]
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+# gamma:2,1e-300 at chi = 1: u^2 overflows while H''(u) underflows to 0
+NOT_FINITE = (
+    f"cpm: error: model 'gamma(2,1/1{'0' * 300})' at chi = 1.0: psi = -689.980562029241 and"
+    " prefactor = nan at u = 6.249999999999414e+298; chi u^2 H''(u) or psi is not finite"
+)
 
 
 class TestBadInputs:
@@ -525,7 +530,7 @@ class TestBadInputs:
         bad_input("llt-negative-moment",
                   ["aux", "--weights", "custom:{w}", "--llt-chi", "1", "--k", "10",
                    "--out", "{out}"],
-                  3, "cpm: error: model 'custom[2]' has u H'(u) = 0.0 at u = 2.0; the saddle"
+                  3, "cpm: error: model 'custom[2]' has u H'(u) = -1.0 at u = 1.0; the saddle"
                      " needs it positive, as nonnegative weight moments make it",
                   weights_json='{"moments": [1, -2, 1]}'),
         bad_input("x-not-a-number",
@@ -548,8 +553,41 @@ class TestBadInputs:
                   3, "cpm: error: weight model 'logfact' cannot be sampled"),
         bad_input("aux-unbounded-support",
                   ["aux", "--weights", "unit", "--x", "100000", "--u", "0.5", "--out", "{out}"],
-                  3, "cpm: error: tilted law needs more than 2000000000 log-recurrence terms"
-                     " (sum of cap^2 over the support doublings) to reach mass 1 - 1e-12",
+                  3, "cpm: error: log-space recurrence needs 7520184961 terms (k^2 summed over"
+                     " its runs to order k), more than 2000000000",
+                  header=True),
+        bad_input("moments-log-unbounded",
+                  ["moments", "--weights", "unit", "--k", "100000000", "--x", "1", "--log",
+                   "--out", "{out}"],
+                  3, "cpm: error: log-space recurrence needs 10000000000000000 terms (k^2 summed"
+                     " over its runs to order k), more than 2000000000",
+                  header=True),
+        bad_input("compare-fallback-unbounded",
+                  ["compare", "--weights", "logfact", "--chi", "1e-4", "--k-max", "5000",
+                   "--out", "{out}"],
+                  3, "cpm: error: log-space recurrence needs 41679167500 terms (k^2 summed over"
+                     " its runs to order k), more than 2000000000",
+                  header=True),
+        bad_input("compare-intensity-overflow",
+                  ["compare", "--weights", "unit", "--chi", "1e308", "--k-max", "5",
+                   "--out", "{out}"],
+                  3, "cpm: error: intensity chi k = 1e+308 * 5 overflows", header=True),
+        bad_input("rate-curvature-not-finite",
+                  ["rate", "--weights", "gamma:2,1e-300", "--chi", "1"],
+                  3, NOT_FINITE, header=True),
+        bad_input("compare-curvature-not-finite",
+                  ["compare", "--weights", "gamma:2,1e-300", "--chi", "1", "--k-max", "5",
+                   "--out", "{out}"],
+                  3, NOT_FINITE, header=True),
+        bad_input("aux-mean-overflow",
+                  ["aux", "--weights", "unit", "--x", "1e308", "--u", "1", "--out", "{out}"],
+                  3, "cpm: error: tilted law of model 'unit' at x = 1e+308, u = 1.0 overflows:"
+                     " mean inf, variance inf",
+                  header=True),
+        bad_input("aux-egf-overflow",
+                  ["aux", "--weights", "unit", "--x", "1", "--u", "800", "--out", "{out}"],
+                  3, "cpm: error: tilted law of model 'unit' at x = 1.0, u = 800.0 overflows:"
+                     " mean inf, variance inf",
                   header=True),
     ])
     def test_exit_code_and_one_error_line(
@@ -567,7 +605,8 @@ class TestBadInputs:
         assert result.stderr.splitlines()[-1] == message
         if code != 2:
             assert result.stderr == message + "\n"
-        # only the order, saddle and aux work checks run after the header
+        # only checks on the model's numbers (order, saddle, work, overflow)
+        # run after the header
         if header:
             header_of(result.stdout)
         else:

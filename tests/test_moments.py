@@ -328,6 +328,18 @@ class TestLogMoments:
         with pytest.raises(DomainError):
             moments.log_moment(MODELS["unit"], 3, 0.0)
 
+    def test_work_bound_refuses_before_any_work(self, monkeypatch):
+        # unbounded, k_max = 1e8 would allocate gigabytes before its first term
+        def refuse(self, j):
+            raise AssertionError("weight moments evaluated")
+
+        monkeypatch.setattr(weights.WeightModel, "log_weight_moment", refuse)
+        k_max = math.isqrt(moments.MAX_LOG_WORK) + 1
+        for k in (k_max, 10**8):
+            with pytest.raises(DomainError, match="more than 2000000000"):
+                moments.log_moment_sequence(MODELS["unit"], k, 1.0)
+        moments.check_log_work(moments.MAX_LOG_WORK)
+
     def test_rejects_negative_weight_moments(self):
         hat = weights.hat_transform(weights.custom_model([1, 2, 3, 4, 5, 6]))
         # central moments of this prefix go negative at order 3
@@ -363,7 +375,7 @@ class TestClosedFormIdentities:
                 assert direct == math.comb(k - 1, p - 1)
 
     def test_composition_identity_without_profile_enumeration(self, monkeypatch):
-        # the partial Bell triangle, not partition_profiles, carries the identity
+        # the exact engine, not partition_profiles, carries the identity
         def refuse(k):
             raise AssertionError("partition_profiles called")
 
