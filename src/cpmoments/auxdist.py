@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import SaddleSolution, solve_saddle
+from .asymptotics import SaddleSolution, _or_inf, solve_saddle
 from .errors import DomainError
 from .moments import check_log_work, log_moment, log_moment_sequence, moment_sequence
 from .weights import WeightModel, log_rational
@@ -101,10 +101,7 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
         raise DomainError("intensity x must be positive")
     if not 0.0 < u < model.radius:
         raise DomainError(f"tilt u must lie in (0, {model.radius}), got {u}")
-    try:
-        h1, h2 = model.egf_d1(u), model.egf_d2(u)
-    except OverflowError:
-        h1 = h2 = math.inf
+    h1, h2 = _or_inf(model.egf_d1, u), _or_inf(model.egf_d2, u)
     mean = x * u * h1
     variance = x * (u * h1 + u * u * h2)
     if not (math.isfinite(mean) and math.isfinite(variance)):
