@@ -20,13 +20,20 @@ the rate at chi = kappa/2.
 Edge sets are generated as a Bernoulli process over the flattened
 upper-triangle index space using geometric gap skipping; this reproduces the
 row-by-row "binomial count + uniform partners" construction exactly, in
-O(E) expected time and vectorized form.  Every trial draws from its own
-counter-based Philox stream keyed by (seed, trial index), so results do not
-depend on trial execution order and are bit-reproducible for a given seed.
+O(E) expected time and vectorized form.  Below p = 1/3 each gap is the
+inversion ceil(E / -ln(1 - p)) of an Exp(1) draw E (Devroye 1986, ch. X),
+done in place on the stream's exponentials, which is the draw numpy's
+geometric sampler makes there; at and above 1/3 numpy's search sampler
+draws the gaps.  The row of each edge comes from per-row edge counts, n
+lookups into the sorted positions rather than one lookup per edge.  Every
+trial draws from its own counter-based Philox stream keyed by (seed, trial
+index), so results do not depend on trial execution order and are
+bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,14 +115,47 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _geometric_gaps(
+    rng: np.random.Generator, p: float, size: int, cap: int
+) -> np.ndarray:
+    """``rng.geometric(p, size)`` with every gap above ``cap`` cut to ``cap``.
+
+    Below p = 1/3 numpy's sampler is ceil(-E / ln(1 - p)) for one Exp(1)
+    draw E per gap; the same division, done in place on the stream's
+    exponentials, gives the same gaps from the same draws.  At and above 1/3
+    numpy searches instead, and its gaps stay small.
+    """
+    if p >= 1.0 / 3.0:
+        return np.minimum(rng.geometric(p, size=size), cap)
+    gaps = rng.standard_exponential(size)
+    gaps /= -math.log1p(-p)
+    np.ceil(gaps, out=gaps)
+    # cut before the cast: a gap past INT64_MAX has no int64 value, and
+    # numpy's saturated INT64_MAX gaps make the gap sum wrap
+    np.minimum(gaps, cap, out=gaps)
+    return gaps.astype(np.int64)
+
+
+@functools.lru_cache(maxsize=8)
+def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (row i, flat index of slot (i, i + 1), that index - i - 1) for i < n."""
+    idx = np.arange(n, dtype=np.int64)
+    row_start = idx * n - idx * (idx + 1) // 2
+    tables = (idx, row_start, row_start - idx - 1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def sample_degrees(
     n: int, edge_p: float, draw: WeightDraw, rng: np.random.Generator
 ) -> np.ndarray:
     """All n weighted degrees of one graph draw.
 
     The upper-triangle slots are visited as a Bernoulli(edge_p) process via
-    cumulative geometric gaps; flat slot indices are mapped back to (i, j)
-    through the row-start table.
+    cumulative geometric gaps (``_geometric_gaps``).  The sorted flat slot
+    indices are split into rows by counting, for each row, the indices
+    before its row start; slot (i, j) sits at row_start[i] + j - i - 1.
     """
     deg = np.zeros(n)
     npairs = n * (n - 1) // 2
@@ -129,19 +169,23 @@ def sample_degrees(
     chunks = []
     total = 0
     while total <= npairs:
-        gaps = rng.geometric(edge_p, size=batch)
+        # a gap of npairs + 1 already ends the process: cutting longer ones
+        # moves no kept slot
+        gaps = _geometric_gaps(rng, edge_p, batch, npairs + 1)
         chunks.append(gaps)
         total += int(gaps.sum())
         batch = max(16, int((npairs - total) * edge_p) + 16)
-    pos = np.concatenate(chunks).cumsum() - 1
-    pos = pos[pos < npairs]
+    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    pos[0] -= 1  # slot index = cumulative gap - 1
+    np.cumsum(pos, out=pos)
+    pos = pos[: np.searchsorted(pos, npairs)]
     if pos.size == 0:
         return deg
 
-    idx = np.arange(n, dtype=np.int64)
-    row_start = idx * n - idx * (idx + 1) // 2
-    i = np.searchsorted(row_start, pos, side="right") - 1
-    j = pos - row_start[i] + i + 1
+    idx, row_start, offset = _row_tables(n)
+    counts = np.diff(np.searchsorted(pos, row_start), append=pos.size)
+    i = np.repeat(idx, counts)
+    j = pos - np.repeat(offset, counts)
     w = draw(rng, pos.size)
     return np.bincount(i, weights=w, minlength=n) + np.bincount(j, weights=w, minlength=n)
 
@@ -170,7 +214,15 @@ def moment_union_bound(
         raise DomainError("s' must be positive")
     if n < 2:
         raise DomainError("need n >= 2")
-    value = (critical_deviation_threshold(model, kappa) / s_prime) ** (2.0 * math.log(n))
+    return _union_bound(critical_deviation_threshold(model, kappa), n, s_prime)
+
+
+def _union_bound(threshold: float, n: int, s_prime: float) -> tuple[float, bool]:
+    """``moment_union_bound`` from its threshold s*; a value past float range is vacuous."""
+    try:
+        value = (threshold / s_prime) ** (2.0 * math.log(n))
+    except OverflowError:
+        return 1.0, True
     return min(value, 1.0), value >= 1.0
 
 
@@ -182,6 +234,10 @@ def deviation_experiment(config: GraphSimConfig) -> GraphTrialResult:
     """
     draw, model = weight_sampler(config.weight_name)
     v1 = float(model.moment(1))
+    kappa = config.kappa if config.kappa is not None else config.rho / math.log(config.n)
+    # the one saddle solve of the run; a kappa or model out of its reach
+    # refuses here, before any trial is drawn
+    threshold = critical_deviation_threshold(model, kappa)
     edge_p = config.rho / config.n
     dmax = np.empty(config.trials)
     for t in range(config.trials):
@@ -189,8 +245,6 @@ def deviation_experiment(config: GraphSimConfig) -> GraphTrialResult:
         dmax[t] = sample_degrees(config.n, edge_p, draw, rng).max()
 
     deviations = np.abs(dmax / config.rho - v1)
-    kappa = config.kappa if config.kappa is not None else config.rho / math.log(config.n)
-    threshold = critical_deviation_threshold(model, kappa)
 
     trials = config.trials
     p_hat, ci, bounds, vacuous = [], [], [], []
@@ -205,7 +259,7 @@ def deviation_experiment(config: GraphSimConfig) -> GraphTrialResult:
             bounds.append(1.0)
             vacuous.append(True)
         else:
-            b, vac = moment_union_bound(model, config.n, kappa, s_prime)
+            b, vac = _union_bound(threshold, config.n, s_prime)
             bounds.append(b)
             vacuous.append(vac)
 

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from cpmoments import asymptotics as asym
-from cpmoments import auxdist, cli, moments, weights
+from cpmoments import auxdist, cli, graphsim, moments, weights
 
 
 @pytest.fixture
@@ -376,7 +376,70 @@ class TestAux:
         assert result.exit_code == 2
 
 
+# sha256 of `cpm graphsim` tables as numpy's geometric sampler and one row
+# lookup per edge wrote them: the dense search sampler (n = 5), the
+# inversion at small and large n, and a heavy-tailed weight at small kappa
+GRAPHSIM_TABLE_DIGESTS = [
+    ("5", "1.5", "unit", "0.25,0.5,1.0", "400", "11",
+     "0656c5ad6aa751827459317c9e1b3f2fe3fef1b33c4a6845ff30583c9556f4db"),
+    ("200", "4", "bernoulli", "0.5,0.6,0.7,0.8,1.5", "300", "12",
+     "26f2ea980410abb85c45d1e7922cc4654769e4dbc0ea26a972ad4bd13e19e9e2"),
+    ("2000", "4", "exponential", "0.9,1.0,1.1,1.2,1.5", "20", "13",
+     "614ad0b2c23125579357e94703e20bf74a8e81a89540acb2249dc62b698246b7"),
+    ("300", "0.3", "gamma:1/2,1", "3.0,4.0,5.0,6.0", "200", "14",
+     "6e9fb5b583b55c20681c63a902ecca4ce1d020152f3b92060b84633b2b967ec5"),
+]
+
+
+def graphsim_args(n, kappa, spec, s, trials, seed, out):
+    return ["graphsim", "--n", n, "--kappa", kappa, "--weights", spec, "--s", s,
+            "--trials", trials, "--seed", seed, "--out", str(out)]
+
+
 class TestGraphsim:
+    @pytest.mark.parametrize("n, kappa, spec, s, trials, seed, digest", GRAPHSIM_TABLE_DIGESTS)
+    def test_tables_are_byte_identical(self, runner, tmp_path, n, kappa, spec, s, trials, seed,
+                                       digest):
+        out = tmp_path / "g.csv"
+        result = runner.invoke(cli.main, graphsim_args(n, kappa, spec, s, trials, seed, out))
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_tiny_edge_probability_ends(self, runner, tmp_path):
+        out = tmp_path / "g.csv"
+        result = runner.invoke(
+            cli.main, graphsim_args("2000", "1e-20", "exponential", "1", "1", "0", out))
+        assert result.exit_code == 0, result.output
+        assert float(cli.read_table(str(out))[0]["p_hat"]) == 0.0
+
+    def test_overflowing_union_bound_is_vacuous(self, runner, tmp_path):
+        # (s*/s')^(2 ln n) with s* about 7e149 is past float range
+        out = tmp_path / "g.csv"
+        result = runner.invoke(
+            cli.main, graphsim_args("2000", "4", "gaussian:1e300", "1", "20", "0", out))
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        row = cli.read_table(str(out))[0]
+        assert float(row["bound"]) == 1.0 and int(row["vacuous_flag"]) == 1
+
+    @pytest.mark.parametrize("kappa, spec, message", [
+        ("0", "exponential", "cpm: error: kappa must be positive"),
+        ("4", "gamma:1e-300,1", "cpm: error: chi = 2.0 out of reach: the smallest chi model"
+                                " 'tilde(gamma(1/1" + "0" * 300 + ",1))' reaches is"
+                                " 1/(u H'(u)) = 9.999778782818783e+287 at u = 0.999999999999"),
+    ])
+    def test_refusal_comes_before_any_trial(self, runner, tmp_path, monkeypatch, kappa, spec,
+                                            message):
+        def refuse(*args):
+            raise AssertionError("sample_degrees called")
+
+        monkeypatch.setattr(graphsim, "sample_degrees", refuse)
+        out = tmp_path / "g.csv"
+        result = runner.invoke(cli.main, graphsim_args("2000", kappa, spec, "1", "2000", "0", out))
+        assert result.exit_code == 3, result.output
+        assert result.stderr == message + "\n"
+        assert not out.exists()
+
     def test_csv_columns_and_reproducibility(self, runner, tmp_path):
         args = [
             "graphsim", "--n", "150", "--kappa", "2", "--weights", "exponential",

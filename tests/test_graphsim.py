@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpmoments import graphsim, weights
+from cpmoments import asymptotics, graphsim, weights
 from cpmoments.asymptotics import solve_saddle
 from cpmoments.errors import DomainError
 from cpmoments.weights import tilde_transform
@@ -17,7 +17,64 @@ def dmax(cfg, trial=0):
     return float(graphsim.sample_degrees(cfg.n, cfg.rho / cfg.n, draw, rng).max())
 
 
+def reference_degrees(n, edge_p, draw, rng):
+    """Weighted degrees by numpy's geometric gaps and one row lookup per edge."""
+    npairs = n * (n - 1) // 2
+    expected = npairs * edge_p
+    batch = int(expected + 8.0 * math.sqrt(expected + 1.0)) + 16
+    chunks, total = [], 0
+    while total <= npairs:
+        gaps = rng.geometric(edge_p, size=batch)
+        chunks.append(gaps)
+        total += int(gaps.sum())
+        batch = max(16, int((npairs - total) * edge_p) + 16)
+    pos = np.concatenate(chunks).cumsum() - 1
+    pos = pos[pos < npairs]
+    idx = np.arange(n, dtype=np.int64)
+    row_start = idx * n - idx * (idx + 1) // 2
+    i = np.searchsorted(row_start, pos, side="right") - 1
+    j = pos - row_start[i] + i + 1
+    w = draw(rng, pos.size)
+    return np.bincount(i, weights=w, minlength=n) + np.bincount(j, weights=w, minlength=n)
+
+
+# numpy inverts an exponential below p = 1/3 and searches at and above it
+GAP_PROBABILITIES = [1e-300, 1e-30, 1e-12, 1e-6, 1.98e-3, 0.0152, 0.106, 0.2, 0.3333,
+                     math.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0]
+
+
 class TestSampling:
+    @pytest.mark.parametrize("p", GAP_PROBABILITIES)
+    def test_gaps_and_next_draw_match_numpy_geometric(self, p):
+        cap = 2**62
+        ours, numpys = graphsim.trial_generator(3, 1), graphsim.trial_generator(3, 1)
+        gaps = graphsim._geometric_gaps(ours, p, 5000, cap)
+        assert gaps.dtype == np.int64
+        assert np.array_equal(gaps, np.minimum(numpys.geometric(p, size=5000), cap))
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("n, edge_p, name", [
+        (2, 1.0, "unit"),
+        (3, 0.5, "unit"),
+        (10, 0.5, "exponential"),
+        (300, 0.3 * math.log(300) / 300, "gamma:1/2,1"),
+        (2000, 4 * math.log(2000) / 2000, "exponential"),
+        (200, 4 * math.log(200) / 200, "bernoulli"),
+    ])
+    def test_degrees_bit_identical_to_reference(self, n, edge_p, name):
+        draw, _ = graphsim.weight_sampler(name)
+        for trial in range(5):
+            ours, ref = graphsim.trial_generator(8, trial), graphsim.trial_generator(8, trial)
+            got = graphsim.sample_degrees(n, edge_p, draw, ours)
+            assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref))
+            assert ours.random() == ref.random()
+
+    def test_tiny_edge_probability_gives_no_edges(self):
+        # numpy's gaps saturate at INT64_MAX here, where their sum wraps
+        draw, _ = graphsim.weight_sampler("exponential")
+        deg = graphsim.sample_degrees(2000, 1e-25, draw, graphsim.trial_generator(0, 0))
+        assert np.array_equal(deg, np.zeros(2000))
+
     def test_no_edges_at_zero_intensity(self):
         cfg = graphsim.GraphSimConfig(
             n=50, rho=0.0, weight_name="unit", s_values=(0.5,), trials=3, seed=1
@@ -225,6 +282,19 @@ class TestDeviationExperiment:
                 ):
                     if not vac:
                         assert p <= bound + ci, (n, kappa, s, p, bound, ci)
+
+    def test_one_saddle_per_experiment(self, monkeypatch):
+        calls = []
+        original = asymptotics.solve_saddle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "solve_saddle", counted)
+        cfg = graphsim.config_from_kappa(100, 2.0, "exponential", (0.5, 1.0, 1.5, 2.0), 3, seed=4)
+        graphsim.deviation_experiment(cfg)
+        assert len(calls) == 1
 
     def test_small_s_bound_vacuous(self):
         cfg = graphsim.config_from_kappa(100, 2.0, "exponential", (1e-9,), 5, seed=2)
