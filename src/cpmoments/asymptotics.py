@@ -99,19 +99,21 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     from u = min(1, u0/2).  By convexity a step from left of the root lands
     right of it, and from there the iterates fall monotonically onto the
     root, in one step for a power law g = c u^j.  Steps are only clipped: at
-    u0 (1 - 1e-12) below a finite radius (else at the float maximum), and to
-    the midpoint in t below the first point where g or u H'' overflowed;
-    before any point is finite, u is divided by 2, 4, 16, 256, ...  The solve
-    stops at |g - 1/chi| <= 1e-15 / chi, or when a step is below rounding or
-    no longer shrinks |g - 1/chi| (any rise of g, until g passes 1/chi).
+    u0 (1 - 1e-12) below a finite radius (else at the float maximum), and
+    below the first point where g or u H'' overflowed: to the zero of F's
+    chord to it where g is finite there (left of the root, by convexity),
+    else to the midpoint in t; before any point is finite, u is divided by
+    2, 4, 16, 256, ...  The solve stops at |g - 1/chi| <= 1e-15 / chi, or
+    when a step is below rounding or no longer shrinks |g - 1/chi| (any
+    rise of g, until g passes 1/chi).
 
     Deterministic.  Raises SaddleError, naming the smallest chi reached,
     when 1/chi exceeds u H'(u) at the cap: for a truncated model with
     bounded u H'(u), and for small chi at any finite radius (about 1e-24
-    for exponential weights, 1e-12 for factorial ones).  Also raises it
-    when the solve stops left of the root (after 100 evaluations, or where
-    u H'(u) or u H''(u) overflows below the root), and, naming the model, at
-    a point with u H'(u) <= 0, which negative weight moments can produce.
+    for exponential weights, 1e-12 for factorial ones).  Also raises it at
+    a point left of the root where u H''(u) overflows, as it then does at
+    the root; after 100 evaluations left of the root; and, naming the
+    model, at a point with u H'(u) <= 0, which negative moments can produce.
     """
     chi = float(chi)
     if not (math.isfinite(chi) and chi > 0):
@@ -120,7 +122,7 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     trace: list[tuple[float, float]] = []
     u0 = model.radius
     cap = u0 * (1.0 - 1e-12) if math.isfinite(u0) else sys.float_info.max
-    hi = math.inf  # the smallest u where g or u H'' overflowed
+    hi = hi_f = math.inf  # the smallest u where g or u H'' overflowed, and F there
     best = None  # the last accepted point: u, g, H', H'', |g - 1/chi|
     above = False  # until a point right of the root, g - 1/chi may round to -1/chi
     u = min(1.0, u0 / 2.0)
@@ -130,7 +132,12 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
         trace.append((u, gu))
         res = abs(gu - target)
         if math.inf in (gu, u * d2):
-            hi = u
+            if gu < target:  # the root lies right of u, where u H'' overflows too
+                raise SaddleError(
+                    f"chi = {chi} out of reach: u H''(u) of model {model.name!r} overflows at"
+                    f" u = {u}, where u H'(u) = {gu} is still below 1/chi"
+                )
+            hi, hi_f = u, math.log(gu) + math.log(chi)
         elif not (gu > 0.0 and d1 > 0.0):
             raise SaddleError(
                 f"model {model.name!r} has u H'(u) = {gu} at u = {u}; the saddle needs it"
@@ -156,8 +163,11 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
         scaled = chi * bg
         f = math.log(scaled) if scaled < math.inf else math.log(bg) + math.log(chi)
         u = min(bu * _or_inf(math.exp, -f / (1.0 + bu * bd2 / bd1)), cap)
-        if u >= hi:
-            u = math.sqrt(bu) * math.sqrt(hi)
+        if u >= hi:  # F's chord to hi, or the midpoint in t where g overflowed there
+            if hi_f < math.inf:
+                u = bu * math.exp(f / (f - hi_f) * (math.log(hi) - math.log(bu)))
+            else:
+                u = math.sqrt(bu) * math.sqrt(hi)
         if u in (bu, hi):  # the step is below rounding
             break
     if best is None or not (above or best[4] <= 1e-15 * target):

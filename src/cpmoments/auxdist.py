@@ -17,8 +17,13 @@ The inversion identity also serves ``cpm compare``: along the ray
 x = chi k one saddle u H'(u) = 1/chi centres every Z_k at k, and
 ``log_moments_on_ray`` reads ln M_k from P(Z_k = k), one inverse DFT
 coefficient of the pgf exp(chi k (H(us) - H(u))) on the circle |s| = u.
-That costs O(k_max N) for the whole table, N ~ k_max + 40 sigma, where a
+That costs O(k_max N) for the whole table, N from ``ray_nodes``, where a
 fresh log recurrence per order costs O(k_max^3).
+
+``tail_reach`` alone decides how far Z reaches, by the Chernoff bound
+P(Z >= c) <= exp(x (H(v) - H(u))) (u/v)^c, v in (u, u0), with the mass at
+zero taken out: ``build_aux`` takes the reach of mass 1e-12 and
+``ray_nodes`` that of e^-40.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ _MAX_NODES = 2**18  # transform points of log_moments_on_ray, ~1 ms per order
 _MAX_ROUNDING = 1e-9  # relative rounding bound of a point mass read off the transform
 _EPS = sys.float_info.epsilon
 _MASS_TOLERANCE = 1e-12
-_MASS_ROUNDING = 1 / 8  # of cap eps S, the mass a support may miss by rounding (see build_aux)
+# t / ln(u0/u) of tail_reach's tilts u e^t, 8 per octave of the distance to 0 and to 1
+_REACH_GRID = 1.0 / (1.0 + 2.0 ** np.arange(-40.0, 40.0, 0.125))
+_REACH_TOP = 64.0  # ln(u0/u) for tail_reach below an infinite radius
 
 
 @dataclass(frozen=True)
@@ -78,24 +85,29 @@ class AuxiliaryDistribution:
         return self.pmf(k) * math.sqrt(2.0 * math.pi) * self.sigma / self.model.span
 
 
-def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
-    """Materialize the tilted law, truncating once cumulative mass reaches
-    1 - _MASS_TOLERANCE; each doubling of the support reruns the O(cap^2) log
-    recurrence, which refuses a cap^2 above ``moments.MAX_LOG_WORK``, so the
-    doublings total at most 4/3 of that bound.
+def tail_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int | float:
+    """The smallest c >= 1 at which the Chernoff bound on the mass away from 0,
 
-    A support is accepted when its mass misses that mark by no more than
-    rounding.  ln p_j = ln M_j + j ln u - ln j! - ln G sums terms whose sizes
-    add to S_j = |ln M_j| + j |ln u| + ln j! + |ln G|, and the recurrence
-    builds each ln M_j from all lower orders, so the rounding of ln p_j
-    grows up to ~j eps S_j and the summed mass moves by up to ~cap eps S,
-    S = sum_j p_j S_j.  Where the first support holds all the mass the
-    measured miss is at most 0.016 cap eps S (unit, gamma, exponential,
-    logfact and Bernoulli weights, chi = 0.1 to 3, k = 400 to 20000), and
-    doubling leaves it unchanged; _MASS_ROUNDING cap eps S is allowed.  A
-    support that is truly too small misses by 3.8 cap eps S or more
-    (logfact weights at chi = 1e-2, k = 10, cap 1820), and doubles.
+        P(Z >= c) <= exp(x (H(v) - H(u))) (1 - exp(-x (H(v) - 1))) (u/v)^c,
+
+    that is (E (v/u)^Z - P(Z = 0)) (u/v)^c, falls to e^log_tol at a tilt
+    v = u e^t of _REACH_GRID in (u, u0); c exceeds the mean x u H'(u)
+    unless P(Z >= 1) < e^log_tol.  Tilts whose bound is nan or inf are
+    skipped; with none left the reach is math.inf, which the work bound of
+    the log recurrence and the node bound refuse.
     """
+    t = _REACH_GRID * (math.log(model.radius / u) if math.isfinite(model.radius) else _REACH_TOP)
+    with np.errstate(all="ignore"):
+        ev = model.egf_m1(u * np.exp(t))
+        c = (x * (ev - model.egf_m1(u)) + np.log(-np.expm1(-x * ev)) - log_tol) / t
+    c = c[np.isfinite(c)]
+    return max(1, math.ceil(c.min())) if c.size else math.inf
+
+
+def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
+    """Materialize the tilted law by one log recurrence, run to the reach of
+    mass _MASS_TOLERANCE (bounded by ``moments.MAX_LOG_WORK``) and cut where
+    the summed mass first reaches 1 - _MASS_TOLERANCE, else at the reach."""
     x = float(x)
     if x <= 0:
         raise DomainError("intensity x must be positive")
@@ -110,35 +122,22 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
             f" variance {variance}"
         )
     log_g = x * float(model.egf_m1(u))
-    sigma = math.sqrt(variance)
-    ln_u = math.log(u)
-
-    cap_guess = int(mean + 12.0 * sigma) + 64
-    while True:
-        ln_m = log_moment_sequence(model, cap_guess, x)
-        js = np.arange(cap_guess + 1)
-        lgf = np.array([math.lgamma(j + 1.0) for j in range(cap_guess + 1)])
-        log_pmf = ln_m + js * ln_u - lgf - log_g
-        p = np.exp(log_pmf)
-        mass = np.cumsum(p)
-        held = p > 0  # off the lattice ln M_j = -inf
-        sizes = np.abs(ln_m[held]) + js[held] * abs(ln_u) + lgf[held] + abs(log_g)
-        scale = float(p[held] @ sizes)
-        if mass[-1] >= 1.0 - _MASS_TOLERANCE - _MASS_ROUNDING * cap_guess * _EPS * scale:
-            cap = int(np.searchsorted(mass, 1.0 - _MASS_TOLERANCE))
-            cap = min(cap, cap_guess)
-            return AuxiliaryDistribution(
-                model=model,
-                x=x,
-                u=u,
-                log_G=log_g,
-                support_cap=cap,
-                log_pmf=log_pmf[: cap + 1],
-                mean=mean,
-                variance=variance,
-                sigma=sigma,
-            )
-        cap_guess *= 2
+    ln_m = log_moment_sequence(model, tail_reach(model, x, u, math.log(_MASS_TOLERANCE)), x)
+    lgf = np.array([math.lgamma(j + 1.0) for j in range(ln_m.size)])
+    log_pmf = ln_m + np.arange(ln_m.size) * math.log(u) - lgf - log_g
+    cap = int(np.searchsorted(np.cumsum(np.exp(log_pmf)), 1.0 - _MASS_TOLERANCE))
+    cap = min(cap, ln_m.size - 1)
+    return AuxiliaryDistribution(
+        model=model,
+        x=x,
+        u=u,
+        log_G=log_g,
+        support_cap=cap,
+        log_pmf=log_pmf[: cap + 1],
+        mean=mean,
+        variance=variance,
+        sigma=math.sqrt(variance),
+    )
 
 
 def inversion_check(aux: AuxiliaryDistribution, k: int) -> float:
@@ -168,21 +167,14 @@ def local_limit_check(model: WeightModel, chi: float, k: int) -> float:
     return build_aux(model, chi * k, sol.u).local_limit_ratio(k)
 
 
-def ray_nodes(model: WeightModel, saddle: SaddleSolution, k_max: int) -> int:
-    """Transform length for the orders k <= k_max on the ray x = chi k.
-
-    The power of two at or above k_max + 40 sigma + 40 / ln(u0/u) + 64,
-    sigma the standard deviation of Z at k_max: the aliased mass
-    P(Z >= k + N) then lies beyond 40 sigma of the centre and, below a
-    finite radius u0, beyond 40 e-folds of the geometric tail (u/u0)^j.
-    """
-    u = saddle.u
-    sigma = math.sqrt(saddle.chi * k_max * (u * saddle.H1_u + u * u * saddle.H2_u))
-    reach = k_max + 40.0 * sigma + 64.0
-    if math.isfinite(model.radius):
-        reach += 40.0 / math.log(model.radius / u)
-    reach = min(reach, 2.0**62)  # u^2 H''(u) overflows as chi nears 1e-308
-    return 1 << (math.ceil(reach) - 1).bit_length()
+def ray_nodes(model: WeightModel, saddle: SaddleSolution, k_max: int) -> int | float:
+    """Transform length for the orders k <= k_max on the ray x = chi k: the
+    power of two at or above the reach of Z_kmax at e^-40, so the aliased
+    mass P(Z_k >= k + N) is below e^-40.  The reach exceeds E Z_kmax = k_max
+    unless P(Z_kmax >= 1) < e^-40, so no mass but the known one at zero
+    aliases from below.  An unbounded reach gives math.inf."""
+    reach = tail_reach(model, saddle.chi * k_max, saddle.u, -40.0)
+    return reach if reach == math.inf else 1 << (reach - 1).bit_length()
 
 
 def log_point_masses(

@@ -358,11 +358,8 @@ def identities() -> None:
     _echo_header("identities", {})
     checks: list[tuple[str, bool]] = []
 
-    ok = all(
-        mom.composition_identity_lhs(k, p) == math.comb(k - 1, p - 1)
-        for p in range(1, 9)
-        for k in range(p, 13)
-    )
+    counts = mom.composition_counts(12)
+    ok = all(counts[k][p] == math.comb(k - 1, p - 1) for p in range(1, 9) for k in range(p, 13))
     checks.append(("composition multinomial sum = C(k-1, p-1), p <= 8", ok))
 
     def matches_moments(model: wts.WeightModel, closed_form) -> bool:

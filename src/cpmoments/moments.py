@@ -32,7 +32,8 @@ Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1.
 Also here: Bell numbers and polynomials, the even-block set-partition
 counts, and the closed-form polynomial identities used as oracles for
 exponential and factorial weight sequences; the composition identity is
-a partial Bell polynomial, read off one exact moment of exponential weights.
+a partial Bell polynomial, read off one exact sequence of exponential-weight
+moments.
 """
 
 from __future__ import annotations
@@ -313,20 +314,27 @@ def factorial_identity_rising(k: int, x: NumberLike) -> Fraction:
     return out / math.factorial(k)
 
 
-def composition_identity_lhs(k: int, p: int) -> int:
-    """Sum of multinomials p!/prod(l_i!) over profiles of k with p blocks.
+def composition_counts(k_max: int) -> list[list[int]]:
+    """counts[k][p] for 1 <= p <= k <= k_max: the sum of multinomials
+    p!/prod(l_i!) over the profiles of k with p blocks, which counts ordered
+    compositions of k into p positive parts, so it must equal C(k-1, p-1).
 
-    Counts ordered compositions of k into p positive parts, so it must equal
-    C(k-1, p-1).  Evaluated as p! B_{k,p}(1!, 2!, ...) / k!, since the partial
-    Bell polynomial B_{k,p}(v) sums k! prod_i v_i^{l_i} / ((i!)^{l_i} l_i!)
-    over those profiles.  Exponential weights have V_j = j! and
-    M_k(x) = sum_r x^r B_{k,r}(1!, 2!, ...), and every B_{k,r} =
-    C(k-1, r-1) k!/r! is below 2^k k! < 2^b, so B_{k,p} is the p-th base-2^b
-    digit of the exact moment M_k(2^b); no profile is enumerated.
+    Evaluated as p! B_{k,p}(1!, 2!, ...) / k!, since the partial Bell
+    polynomial B_{k,p}(v) sums k! prod_i v_i^{l_i} / ((i!)^{l_i} l_i!) over
+    those profiles.  Exponential weights have V_j = j! and M_k(x) =
+    sum_r x^r B_{k,r}(1!, 2!, ...), and every B_{k,r} = C(k-1, r-1) k!/r! is
+    below 2^k k! < 2^b for k <= k_max, so B_{k,p} is the p-th base-2^b digit
+    of M_k(2^b): one exact sequence holds the triangle, no profile enumerated.
     """
+    b = (math.factorial(k_max) << k_max).bit_length()
+    mask = (1 << b) - 1
+    ms = moment_sequence(_EXPONENTIAL, k_max, 1 << b)
+    return [[math.factorial(p) * ((m.numerator >> b * p) & mask) // math.factorial(k)
+             for p in range(k + 1)] for k, m in enumerate(ms)]
+
+
+def composition_identity_lhs(k: int, p: int) -> int:
+    """``composition_counts(k)[k][p]``, the compositions of k into p parts."""
     if not 1 <= p <= k:
         raise DomainError("need 1 <= p <= k")
-    b = (math.factorial(k) << k).bit_length()
-    m_k = moment_sequence(_EXPONENTIAL, k, 1 << b)[k].numerator
-    digit = (m_k >> (b * p)) & ((1 << b) - 1)
-    return math.factorial(p) * digit // math.factorial(k)
+    return composition_counts(k)[k][p]

@@ -197,6 +197,12 @@ def _running_product(step: Callable[[int], Fraction]) -> Callable[[int], Fractio
     return product
 
 
+def _param_name(value: Fraction) -> str:
+    """The exact ratio, or past 20 characters its float unless that is 0."""
+    text, near = str(value), float(value)
+    return repr(near) if len(text) > 20 and near else text
+
+
 def unit() -> WeightModel:
     """All weight moments equal to one: the plain Bell-polynomial case, H(u) = e^u."""
     return WeightModel(
@@ -222,7 +228,7 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         return math.exp(fv2 * u * u / 2.0)
 
     return WeightModel(
-        name=f"gaussian({v2f})",
+        name=f"gaussian({_param_name(v2f)})",
         radius=math.inf,
         parity_even_only=True,
         _moment_fn=lambda order: Fraction(0) if order % 2 else even(order // 2),
@@ -240,7 +246,7 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         raise DomainError("gamma needs m > 0 and theta > 0")
     fm, ft = float(mf), float(tf)
     return WeightModel(
-        name=f"gamma({mf},{tf})",
+        name=f"gamma({_param_name(mf)},{_param_name(tf)})",
         radius=float(1 / tf),
         _moment_fn=_running_product(lambda l: tf * (mf + l - 1)),
         _egf_m1=lambda z: np.expm1(-fm * _log1p(-ft * z)),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -88,10 +89,25 @@ class TestSolveSaddle:
         assert asym.solve_saddle(model, chi).u == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_evaluations_bounded_over_chi(self):
+        # refusals count too: below chi = 10^(-1226/4) u H''(u) of gaussian(1)
+        # overflows left of the root, and the solve took 68 to 72 evaluations
         for model in ALL:
-            for quarter in range(-24, 1233):
+            calls = []
+            counted = dataclasses.replace(
+                model, _egf_d1=lambda u, d1=model._egf_d1: calls.append(u) or d1(u))
+            for quarter in range(-1232, 1233):
                 chi = 10.0 ** (quarter / 4)
-                assert len(asym.solve_saddle(model, chi).trace) <= 32, (model.name, chi)
+                calls.clear()
+                try:
+                    asym.solve_saddle(counted, chi)
+                except SaddleError:
+                    assert quarter < -24, (model.name, chi)
+                assert len(calls) <= 32, (model.name, chi)
+
+    @pytest.mark.parametrize("chi", [1e-308, 10.0 ** (-1227 / 4)])
+    def test_curvature_overflow_left_of_root_refused_at_once(self, chi):
+        with pytest.raises(SaddleError, match=r"u H''\(u\) of model 'gaussian\(1\)' overflows"):
+            asym.solve_saddle(GAUSS, chi)
 
     @pytest.mark.parametrize("v2", [1e250, 1e300, 1e305])
     def test_bracket_backs_off_in_log_u_past_overflow(self, v2):

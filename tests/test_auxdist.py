@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -75,22 +77,45 @@ class TestConstruction:
             auxdist.build_aux(EXP, 1.0, 0.0)
 
 
-def first_cap(model, x, u):
-    """build_aux's first support: mean + 12 sigma + 64."""
-    h1, h2 = model.egf_d1(u), model.egf_d2(u)
-    return int(x * u * h1 + 12.0 * math.sqrt(x * (u * h1 + u * u * h2))) + 64
+# the chi = 3 saddles, whose summed mass rounding leaves short of 1 - 1e-12,
+# and the geometric tails at chi = 1e-2, far beyond 12 sigma of the mean
+SADDLE_CASES = [(UNIT, 3.0, 400), (GAMMA, 3.0, 400), (EXP, 3.0, 1000), (GAMMA, 3.0, 9000),
+                (EXP, 1e-2, 10), (LOGF, 1e-2, 10)]
+LN_TOL = math.log(1e-12)
+
+
+def mass_cases():
+    cases = [pytest.param(model, x, u, id=f"{model.name}-{x}-{u:.3g}") for model, x, u in grid()]
+    for model, chi, k in SADDLE_CASES:
+        u = solve_saddle(model, chi).u
+        cases.append(pytest.param(model, chi * k, u, id=f"{model.name}-chi{chi}-k{k}"))
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def tail_masses(model, x, u):
+    """Mass of the tilted law beyond each j = 0 .. 2 reach, summed from the far
+    end of one log recurrence run to twice build_aux's reach, so no rounding
+    of the bulk enters it; by the Chernoff bound at the reach, the mass
+    beyond 2 reach is below 1e-12 e^(-t reach) for some t > 0."""
+    n = 2 * auxdist.tail_reach(model, x, u, LN_TOL)
+    js = np.arange(n + 1)
+    lgf = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    log_pmf = moments.log_moment_sequence(model, n, x) + js * math.log(u) - lgf
+    p = np.exp(log_pmf - x * float(model.egf_m1(u)))
+    return np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)
 
 
 class TestSupportRounding:
     @pytest.mark.parametrize("model, k", [(UNIT, 400), (GAMMA, 400), (EXP, 1000)],
                              ids=["unit", "gamma", "exponential"])
     def test_first_support_holds_the_mass(self, model, k):
-        # the first support misses mass 1 - 1e-12 by rounding alone; it used
+        # rounding leaves the summed mass short of 1 - 1e-12; the support used
         # to double until the work bound refused the run
         chi = 3.0
         u = solve_saddle(model, chi).u
         aux = auxdist.build_aux(model, chi * k, u)
-        assert aux.support_cap == first_cap(model, chi * k, u)
+        assert aux.support_cap <= auxdist.tail_reach(model, chi * k, u, LN_TOL)
         assert abs(np.exp(aux.log_pmf).sum() - 1.0) <= 1e-9
         assert abs(aux.local_limit_ratio(k) - 1.0) < 0.02
         if model is EXP:
@@ -103,22 +128,85 @@ class TestSupportRounding:
         else:
             assert auxdist.inversion_check(aux, k) <= 1e-9
 
-    def test_high_order_rounding_allowance_grows_with_the_support(self):
-        # at k = 9000 the recurrence's rounding moves the mass by 2.7e-9 (66
-        # times eps S); doubling would not move it, and the work bound refused
+    def test_high_order_support_holds_the_mass(self):
+        # at k = 9000 the recurrence's rounding moves the summed mass by 2.7e-9
         k, chi = 9000, 3.0
         u = solve_saddle(GAMMA, chi).u
         aux = auxdist.build_aux(GAMMA, chi * k, u)
-        assert aux.support_cap == first_cap(GAMMA, chi * k, u)
+        assert aux.support_cap <= auxdist.tail_reach(GAMMA, chi * k, u, LN_TOL)
         assert abs(np.exp(aux.log_pmf).sum() - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("model", [EXP, LOGF], ids=lambda m: m.name)
-    def test_too_small_support_still_doubles(self, model):
-        # chi = 1e-2, k = 10: the first support misses by 3.8 cap eps S or more
+    def test_geometric_tail_reached_in_one_run(self, model):
+        # chi = 1e-2, k = 10: the tail is geometric, (u/u0)^j, and the mass
+        # reaches 1 - 1e-12 far beyond mean + 12 sigma
         u = solve_saddle(model, 1e-2).u
         aux = auxdist.build_aux(model, 0.1, u)
-        assert aux.support_cap > first_cap(model, 0.1, u)
+        assert aux.support_cap > aux.mean + 12.0 * aux.sigma + 64
         assert np.exp(aux.log_pmf).sum() >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("model, x, u", mass_cases())
+    def test_mass_beyond_support_cap_is_below_tolerance(self, model, x, u):
+        aux = auxdist.build_aux(model, x, u)
+        assert tail_masses(model, x, u)[aux.support_cap] <= 1e-12
+
+    @pytest.mark.parametrize("model, x, u", mass_cases())
+    def test_reach_is_close_to_the_support_needed(self, model, x, u):
+        # the smallest support holding 1 - 1e-12 of the mass, from the tail sums
+        needed = int(np.argmax(tail_masses(model, x, u) <= 1e-12))
+        assert auxdist.tail_reach(model, x, u, LN_TOL) <= 1.4 * needed + 16
+
+    @pytest.mark.parametrize("model, x, u", mass_cases())
+    def test_one_recurrence_per_build(self, model, x, u, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return moments.log_moment_sequence(*args)
+
+        monkeypatch.setattr(auxdist, "log_moment_sequence", counted)
+        auxdist.build_aux(model, x, u)
+        assert len(calls) == 1
+
+
+POISSON = weights.custom_model([1, 1])  # H(u) = 1 + u: Z is Poisson(x u)
+
+
+class TestTailReach:
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 30.0, 2000.0])
+    @pytest.mark.parametrize("log_tol", [LN_TOL, -40.0])
+    def test_poisson_tail_bounded_and_close(self, lam, log_tol):
+        reach = auxdist.tail_reach(POISSON, lam, 1.0, log_tol)
+        js = np.arange(4 * reach + 64)
+        log_pmf = js * math.log(lam) - lam - np.array([math.lgamma(j + 1.0) for j in js])
+        tail = np.cumsum(np.exp(log_pmf)[::-1])[::-1]  # tail[c] = P(Z >= c)
+        assert tail[reach] <= math.exp(log_tol)
+        needed = int(np.argmax(tail <= math.exp(log_tol)))
+        assert reach <= 1.4 * needed + 16
+
+    @pytest.mark.parametrize("model, x, u", [(EXP, 1e-300, 1 - 1e-12), (LOGF, 1e-20, 1 - 1e-8)],
+                             ids=["exponential", "logfact"])
+    def test_mass_at_zero_leaves_the_bound(self, model, x, u):
+        # P(Z >= 1) = 1 - exp(-x (H(u) - 1)) is far below 1e-12, but e^-t
+        # stays above 1 - 1e-12 for every tilt short of the radius: with the
+        # mass at zero in the bound, the reach would be 27.6 / ln(u0/u)
+        assert auxdist.tail_reach(model, x, u, LN_TOL) == 1
+        assert auxdist.build_aux(model, x, u).support_cap == 0
+
+    def test_reach_exceeds_the_mean(self):
+        for model, x, u in grid():
+            mean = x * u * model.egf_d1(u)
+            assert auxdist.tail_reach(model, x, u, -40.0) > mean, (model.name, x, u)
+
+    def test_no_finite_tilt_is_refused_by_the_bounds(self):
+        # every bound nan: the reach is unbounded, and both of its users refuse
+        # it through the existing work and node bounds
+        blind = dataclasses.replace(EXP, _egf_m1=lambda z: np.full(np.shape(z), np.nan))
+        assert auxdist.tail_reach(blind, 1.0, 0.5, LN_TOL) == math.inf
+        with pytest.raises(DomainError, match="needs inf terms"):
+            auxdist.build_aux(blind, 1.0, 0.5)
+        saddle = solve_saddle(EXP, 1.0)
+        assert auxdist.ray_nodes(blind, saddle, 10) > auxdist._MAX_NODES
 
 
 class TestInversionIdentity:
@@ -252,14 +340,18 @@ class TestLogMomentsOnRay:
                              ids=["beyond-node-bound", "sigma-overflow", "lost-to-rounding"])
     def test_unresolved_orders_use_recurrence(self, model, chi):
         # logfact at chi = 1e-6 sits 1e-6 below its radius, so N would be 2^26;
-        # at chi = 1e-307, u^2 H''(u) overflows; unit weights at chi = 1e-30
-        # put Z_k near multiples of u = 64, not at k <= 4
+        # unit weights at chi = 1e-307 (where u^2 H''(u) overflows) and at
+        # chi = 1e-30 put Z_k near multiples of u = 700 or 64, not at k <= 4
         saddle, orders = solve_saddle(model, chi), [1, 2, 3, 4]
         nodes = auxdist.ray_nodes(model, saddle, orders[-1])
         assert (nodes > auxdist._MAX_NODES
                 or np.isnan(auxdist.log_point_masses(model, saddle, orders, nodes)).all())
         got = auxdist.log_moments_on_ray(model, saddle, orders)
         assert got.tolist() == [moments.log_moment(model, k, chi * k) for k in orders]
+
+    def test_nodes_from_the_tail_reach(self):
+        # Z_200 at chi = 1 reaches e^-40 by 384; 40 sigma + 64 made it 1024
+        assert auxdist.ray_nodes(UNIT, solve_saddle(UNIT, 1.0), 200) == 512
 
     def test_no_orders(self):
         assert auxdist.log_moments_on_ray(UNIT, solve_saddle(UNIT, 1.0), []).size == 0

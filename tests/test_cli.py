@@ -85,6 +85,28 @@ class TestIdentities:
         assert len(checks) == 4
         assert all(line.endswith("  PASS") for line in checks), result.output
 
+    def test_one_exact_sequence_for_the_composition_grid(self, runner, monkeypatch):
+        # one M_k(2^b) sequence for the 68 (k, p) pairs, then one per intensity
+        # and model; the output is the one the per-pair calls wrote
+        calls = []
+        sequence = moments.moment_sequence
+
+        def counted(*args):
+            calls.append(args)
+            return sequence(*args)
+
+        monkeypatch.setattr(moments, "moment_sequence", counted)
+        result = runner.invoke(cli.main, ["identities"])
+        assert result.exit_code == 0, result.output
+        assert result.output == (
+            '{"command": "identities", "config": {}, "tool": "cpm", "version": "0.1.0"}\n'
+            "composition multinomial sum = C(k-1, p-1), p <= 8      PASS\n"
+            "k! S_k(x) = exponential-weight moment, k <= 12         PASS\n"
+            "k! T_k(x) = factorial-weight moment, k <= 12           PASS\n"
+            "even-order recurrence reproduces its reference values  PASS\n"
+        )
+        assert len(calls) <= 7
+
 
 # sha256 of the `cpm moments --k 40 --x 7/2` tables that the Fraction form of
 # the recurrence writes; the integer engine reproduces them byte for byte
@@ -425,7 +447,7 @@ class TestGraphsim:
     @pytest.mark.parametrize("kappa, spec, message", [
         ("0", "exponential", "cpm: error: kappa must be positive"),
         ("4", "gamma:1e-300,1", "cpm: error: chi = 2.0 out of reach: the smallest chi model"
-                                " 'tilde(gamma(1/1" + "0" * 300 + ",1))' reaches is"
+                                " 'tilde(gamma(1e-300,1))' reaches is"
                                 " 1/(u H'(u)) = 9.999778782818783e+287 at u = 0.999999999999"),
     ])
     def test_refusal_comes_before_any_trial(self, runner, tmp_path, monkeypatch, kappa, spec,
@@ -503,7 +525,7 @@ MOMENTS = ["moments", "--k", "3", "--x", "1", "--out", "{out}"]
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 # gamma:2,1e-300 at chi = 1: u^2 overflows while H''(u) underflows to 0
 NOT_FINITE = (
-    f"cpm: error: model 'gamma(2,1/1{'0' * 300})' at chi = 1.0: psi = -689.980562029241 and"
+    "cpm: error: model 'gamma(2,1e-300)' at chi = 1.0: psi = -689.980562029241 and"
     " prefactor = nan at u = 6.249999999999414e+298; chi u^2 H''(u) or psi is not finite"
 )
 
@@ -616,7 +638,7 @@ class TestBadInputs:
                   3, "cpm: error: weight model 'logfact' cannot be sampled"),
         bad_input("aux-unbounded-support",
                   ["aux", "--weights", "unit", "--x", "100000", "--u", "0.5", "--out", "{out}"],
-                  3, "cpm: error: log-space recurrence needs 7520184961 terms (k^2 summed over"
+                  3, "cpm: error: log-space recurrence needs 7236734761 terms (k^2 summed over"
                      " its runs to order k), more than 2000000000",
                   header=True),
         bad_input("moments-log-unbounded",

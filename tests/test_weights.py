@@ -328,6 +328,19 @@ class TestSpecParsing:
         assert weights.from_spec("exponential").name == "exponential"
         assert weights.from_spec("logfact").name == "logfact"
 
+    @pytest.mark.parametrize("spec, name", [
+        ("gamma:2,1e-300", "gamma(2,1e-300)"),
+        ("gamma:1e-300,1", "gamma(1e-300,1)"),
+        ("gaussian:0.12345678901234567890123", "gaussian(0.12345678901234568)"),
+        ("gaussian:1/3", "gaussian(1/3)"),  # 20 characters or fewer stay exact
+        ("gamma:2/3,5/7", "gamma(2/3,5/7)"),
+        ("gamma:1234567891/123456789,1", "gamma(1234567891/123456789,1)"),
+        ("gamma:12345678911/123456789,1", f"gamma({12345678911 / 123456789!r},1)"),
+        ("gamma:1e-400,1", "gamma(1/1" + "0" * 400 + ",1)"),  # no float but 0 is near
+    ])
+    def test_long_parameters_print_as_floats(self, spec, name):
+        assert weights.from_spec(spec).name == name
+
     def test_custom_from_json(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text('{"moments": [1, "1/2", 1]}')
