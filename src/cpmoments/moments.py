@@ -243,7 +243,9 @@ def check_log_work(terms: int) -> None:
     """Refuse log recurrences whose k^2, summed over the orders k they run
     to, exceeds MAX_LOG_WORK: 13 s for one run to k = 44721, 27 s for
     ``compare``'s per-order runs to k = 1816 (2-core Xeon).  Every log
-    recurrence is bounded by this one check."""
+    recurrence, ``moments --log``'s and ``compare``'s fallback, is bounded
+    by this one check; ``auxdist.build_aux`` runs none, and its transforms
+    are bounded by ``auxdist._MAX_NODES`` instead."""
     if terms > MAX_LOG_WORK:
         raise DomainError(
             f"log-space recurrence needs {terms} terms (k^2 summed over its runs to order k),"
@@ -254,9 +256,12 @@ def check_log_work(terms: int) -> None:
 def log_moment_sequence(model: WeightModel, k_max: int, x: float) -> np.ndarray:
     """ln M_0(x) .. ln M_kmax(x) by the recurrence in log-sum-exp form.
 
-    Requires x > 0 and a nonnegative weight sequence (all partial sums are
-    then positive and representable in log space).  Refuses k_max^2 above
-    MAX_LOG_WORK.
+    Divided by (k-1)!, the recurrence is a plain convolution, M_k/(k-1)! =
+    sum_j a_j b_{k-j}, of a_j = x V_j/(j-1)! with b_i = M_i/i!; each order
+    is one add of the logs into a buffer, its max, an in-place shift and
+    exp, and a sum.  Requires x > 0 and a nonnegative weight sequence (all
+    partial sums are then positive and representable in log space).
+    Refuses k_max^2 above MAX_LOG_WORK.
     """
     x = float(x)
     if x <= 0:
@@ -264,20 +269,22 @@ def log_moment_sequence(model: WeightModel, k_max: int, x: float) -> np.ndarray:
     if k_max < 0:
         raise DomainError("order must be >= 0")
     check_log_work(k_max * k_max)
-    lnx = math.log(x)
     lgf = np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
-    lgv = np.array([model.log_weight_moment(j) for j in range(k_max + 1)])
-    ln_m = np.empty(k_max + 1)
-    ln_m[0] = 0.0
+    lgv = np.array([model.log_weight_moment(j) for j in range(1, k_max + 1)])
+    a = math.log(x) + lgv - lgf[:-1]  # ln a_j, j = 1 .. k_max; b holds ln b_i
+    b = np.empty(k_max + 1)
+    b[0] = 0.0
+    buf = np.empty(k_max)
     for k in range(1, k_max + 1):
-        # term(j) = ln C(k-1, j-1) + ln x + ln V_j + ln M_{k-j},  j = 1..k
-        terms = (lgf[k - 1] - lgf[0:k] - lgf[k - 1 :: -1]) + lnx + lgv[1 : k + 1] + ln_m[k - 1 :: -1]
+        terms = np.add(a[:k], b[k - 1 :: -1], out=buf[:k])
         peak = terms.max()
         if peak == -math.inf:
-            ln_m[k] = -math.inf
-        else:
-            ln_m[k] = peak + math.log(np.exp(terms - peak).sum())
-    return ln_m
+            b[k] = -math.inf
+            continue
+        terms -= peak
+        np.exp(terms, out=terms)
+        b[k] = peak + math.log(terms.sum()) + lgf[k - 1] - lgf[k]
+    return b + lgf
 
 
 def log_moment(model: WeightModel, k: int, x: float) -> float:

@@ -92,17 +92,21 @@ def mass_cases():
     return cases
 
 
+def recurrence_log_pmf(model, x, u, n):
+    """ln P(Z = j), j = 0 .. n, of the tilted law by one log recurrence."""
+    js = np.arange(n + 1)
+    lgf = np.array([math.lgamma(j + 1.0) for j in js])
+    log_g = x * float(model.egf_m1(u))
+    return moments.log_moment_sequence(model, n, x) + js * math.log(u) - lgf - log_g
+
+
 @functools.lru_cache(maxsize=None)
 def tail_masses(model, x, u):
     """Mass of the tilted law beyond each j = 0 .. 2 reach, summed from the far
     end of one log recurrence run to twice build_aux's reach, so no rounding
     of the bulk enters it; by the Chernoff bound at the reach, the mass
     beyond 2 reach is below 1e-12 e^(-t reach) for some t > 0."""
-    n = 2 * auxdist.tail_reach(model, x, u, LN_TOL)
-    js = np.arange(n + 1)
-    lgf = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-    log_pmf = moments.log_moment_sequence(model, n, x) + js * math.log(u) - lgf
-    p = np.exp(log_pmf - x * float(model.egf_m1(u)))
+    p = np.exp(recurrence_log_pmf(model, x, u, 2 * auxdist.tail_reach(model, x, u, LN_TOL)))
     return np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)
 
 
@@ -157,16 +161,17 @@ class TestSupportRounding:
         assert auxdist.tail_reach(model, x, u, LN_TOL) <= 1.4 * needed + 16
 
     @pytest.mark.parametrize("model, x, u", mass_cases())
-    def test_one_recurrence_per_build(self, model, x, u, monkeypatch):
+    def test_no_log_recurrence_per_build(self, model, x, u, monkeypatch):
         calls = []
+        original = moments.log_moment_sequence
 
         def counted(*args):
             calls.append(args)
-            return moments.log_moment_sequence(*args)
+            return original(*args)
 
-        monkeypatch.setattr(auxdist, "log_moment_sequence", counted)
+        monkeypatch.setattr(moments, "log_moment_sequence", counted)
         auxdist.build_aux(model, x, u)
-        assert len(calls) == 1
+        assert calls == []
 
 
 POISSON = weights.custom_model([1, 1])  # H(u) = 1 + u: Z is Poisson(x u)
@@ -200,13 +205,74 @@ class TestTailReach:
 
     def test_no_finite_tilt_is_refused_by_the_bounds(self):
         # every bound nan: the reach is unbounded, and both of its users refuse
-        # it through the existing work and node bounds
+        # it through the node bound
         blind = dataclasses.replace(EXP, _egf_m1=lambda z: np.full(np.shape(z), np.nan))
         assert auxdist.tail_reach(blind, 1.0, 0.5, LN_TOL) == math.inf
-        with pytest.raises(DomainError, match="needs inf terms"):
+        with pytest.raises(DomainError, match="reaches order inf, past 262144 transform points"):
             auxdist.build_aux(blind, 1.0, 0.5)
         saddle = solve_saddle(EXP, 1.0)
         assert auxdist.ray_nodes(blind, saddle, 10) > auxdist._MAX_NODES
+
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 30.0, 2000.0])
+    @pytest.mark.parametrize("log_tol", [LN_TOL, -50.0])
+    def test_poisson_floor_bounded_and_close(self, lam, log_tol):
+        floor = auxdist.floor_reach(POISSON, lam, 1.0, log_tol)
+        js = np.arange(1, int(lam + 20 * math.sqrt(lam)) + 64)
+        log_pmf = js * math.log(lam) - lam - np.array([math.lgamma(j + 1.0) for j in js])
+        head = np.cumsum(np.exp(log_pmf))  # head[c - 1] = P(1 <= Z <= c)
+        assert floor == 0 or head[floor - 1] <= math.exp(log_tol)
+        # the largest c the exact law allows, from below
+        allowed = int(np.argmax(head > math.exp(log_tol)))
+        assert floor >= 0.9 * allowed - 16
+
+
+# logfact at chi = 1e-3, k = 10 and 100: the two laws of the grid below that
+# the bands refuse (see TestBands.test_long_geometric_tail_is_refused)
+LONG_GEOMETRIC_TAILS = {(LOGF, 1e-3 * 10), (LOGF, 1e-3 * 100)}
+
+
+class TestBands:
+    """The banded transforms against the log recurrence, at every order whose
+    point mass is above 1e-300."""
+
+    @staticmethod
+    def cases():
+        for model, x, u in grid():
+            yield pytest.param(model, x, u, id=f"{model.name}-{x}-{u:.3g}")
+        for model in (UNIT, GAUSS, GAMMA, BERN, EXP, LOGF):
+            for chi in (1e-3, 1e-2, 0.5, 1.0, 3.0, 1e4, 1e6):
+                u = solve_saddle(model, chi).u
+                for k in (10, 100, 1000):
+                    if (model, chi * k) not in LONG_GEOMETRIC_TAILS:
+                        yield pytest.param(model, chi * k, u, id=f"{model.name}-chi{chi}-k{k}")
+
+    @pytest.mark.parametrize("model, x, u", cases())
+    def test_matches_log_recurrence(self, model, x, u):
+        aux = auxdist.build_aux(model, x, u)
+        n = min(aux.support_cap, 4000)  # the recurrence is quadratic in n
+        ref = recurrence_log_pmf(model, x, u, n)
+        assert np.array_equal(ref == -math.inf, aux.log_pmf[: n + 1] == -math.inf)
+        held = ref > math.log(1e-300)
+        assert np.abs(np.expm1(aux.log_pmf[: n + 1][held] - ref[held])).max() <= 1e-9
+
+    @pytest.mark.parametrize("model, x", sorted(LONG_GEOMETRIC_TAILS, key=lambda c: c[1]),
+                             ids=["k10", "k100"])
+    def test_long_geometric_tail_is_refused(self, model, x):
+        # logfact at chi = 1e-3 reaches past order 25000 with P(Z = j) ~ x u^j / j:
+        # a band that fits 2^18 points must tilt so low that the top orders
+        # fall below its rounding, so the law is refused in one line
+        u = solve_saddle(model, 1e-3).u
+        with pytest.raises(DomainError, match=r"P\(Z = \d+\) is lost to rounding in its band"):
+            auxdist.build_aux(model, x, u)
+
+    def test_negative_point_mass_is_refused(self):
+        # H(u) - 1 = u - u^2/2, a signed moment sequence: at x = 1/2 the pgf
+        # exp(x (H(us) - H(u))) has s^2 coefficient x (x - 1) u^2 / 2 < 0
+        signed = dataclasses.replace(UNIT, name="signed", _egf_m1=lambda z: z - z * z / 2.0,
+                                     _egf_d1=lambda u: 1.0 - u, _egf_d2=lambda u: -1.0)
+        with pytest.raises(DomainError, match=r"has P\(Z = 2\) = -.*below minus its rounding"):
+            auxdist.build_aux(signed, 0.5, 0.5)
 
 
 class TestInversionIdentity:

@@ -1,16 +1,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from cpmoments import asymptotics as asym
-from cpmoments import auxdist, cli, graphsim, moments, weights
+from cpmoments import cli, graphsim, moments, weights
 
 
 @pytest.fixture
@@ -275,7 +278,6 @@ class TestCompare:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(moments, "log_moment_sequence", counted)
-        monkeypatch.setattr(auxdist, "log_moment_sequence", counted)
         out = tmp_path / "c.csv"
         result = runner.invoke(cli.main, [
             "compare", "--weights", "unit", "--chi", "1", "--k-max", "200", "--out", str(out),
@@ -356,8 +358,8 @@ class TestAux:
         assert summary["r_k"] == pytest.approx(1.0, abs=0.01)
 
     def test_large_order_stays_within_the_work_bound(self, runner, tmp_path):
-        # cap = 10489, so one recurrence of 1.1e8 cap^2 units (~0.6 s); the
-        # work bound refuses runaway supports, not runs of this size
+        # the support reaches past order 10000, far inside the transform's
+        # 2^18 points; that bound refuses runaway supports, not this one
         out = tmp_path / "a.csv"
         result = runner.invoke(cli.main, [
             "aux", "--weights", "unit", "--llt-chi", "1", "--k", "9000",
@@ -389,6 +391,23 @@ class TestAux:
             assert summary["support_cap"] == cap
         else:
             assert abs(summary["r_k"] - 1.0) < 0.02
+
+    def test_large_intensity_reads_in_bands(self, runner, tmp_path):
+        # x = 1e5: about 85000 orders, which the log recurrence's work bound
+        # refused; the banded transforms read them in well under a second
+        x, u = 100000.0, 0.5
+        out = tmp_path / "a.csv"
+        start = time.perf_counter()
+        result = runner.invoke(cli.main, [
+            "aux", "--weights", "unit", "--x", "100000", "--u", "0.5", "--out", str(out),
+        ])
+        assert time.perf_counter() - start < 2.0
+        assert result.exit_code == 0, result.output
+        rows = cli.read_table(str(out))
+        ps = [float(r["p_j"]) for r in rows]
+        assert abs(math.fsum(ps) - 1.0) <= 1e-10
+        mean = math.fsum(int(r["j"]) * p for r, p in zip(rows, ps))
+        assert mean == pytest.approx(x * u * math.exp(u), rel=1e-9)
 
     def test_usage_error_when_modes_mixed(self, runner, tmp_path):
         result = runner.invoke(cli.main, [
@@ -511,6 +530,17 @@ class TestExitCodes:
             "rate", "--weights", f"custom:{path}", "--chi", "1",
         ])
         assert result.exit_code == 3
+
+
+class TestImport:
+    def test_import_leaves_numpy_fft_unloaded(self):
+        # only the tilted law's bands use numpy.fft, so they load it on first
+        # use: the exact tables and the graph draws never pay for it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, cpmoments.cli; print('numpy.fft' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout == "False\n"
 
 
 def bad_input(case_id, args, code, message, *, header=False, weights_json=None):
@@ -636,11 +666,21 @@ class TestBadInputs:
                   3, "cpm: error: need n >= 2 vertices"),
         bad_input("unsampleable-model", GRAPHSIM + ["--weights", "logfact"],
                   3, "cpm: error: weight model 'logfact' cannot be sampled"),
-        bad_input("aux-unbounded-support",
-                  ["aux", "--weights", "unit", "--x", "100000", "--u", "0.5", "--out", "{out}"],
-                  3, "cpm: error: log-space recurrence needs 7236734761 terms (k^2 summed over"
-                     " its runs to order k), more than 2000000000",
+        bad_input("aux-beyond-transform-points",
+                  ["aux", "--weights", "unit", "--x", "1e6", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: tilted law of model 'unit' at x = 1000000.0, u = 0.5 reaches"
+                     " order 832645, past 262144 transform points",
                   header=True),
+        bad_input("aux-custom-negative-moment",
+                  ["aux", "--weights", "custom:{w}", "--x", "1", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: model 'custom[2]' has negative weight moment V_1 = -2; use the"
+                     " exact path",
+                  header=True, weights_json='{"moments": [1, -2, 1]}'),
+        bad_input("aux-custom-beyond-horizon",
+                  ["aux", "--weights", "custom:{w}", "--x", "1", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: model 'custom[2]' declares moments only up to order 2, got"
+                     " request for order 3",
+                  header=True, weights_json='{"moments": [1, 1, 1]}'),
         bad_input("moments-log-unbounded",
                   ["moments", "--weights", "unit", "--k", "100000000", "--x", "1", "--log",
                    "--out", "{out}"],
