@@ -46,7 +46,10 @@ from .errors import DomainError
 from .moments import check_log_work, log_moment, moment_sequence
 from .weights import WeightModel, log_rational
 
-_MAX_NODES = 2**18  # transform points of a band of build_aux, and of log_moments_on_ray
+_MAX_NODES = 2**18  # reach of build_aux, and transform points of log_moments_on_ray
+# points of build_aux's longest band: its bands pass _MAX_NODES only where
+# one of _MAX_NODES points cannot read an order (a geometric tail)
+_MAX_BAND = 8 * _MAX_NODES
 _MAX_ROUNDING = 1e-9  # relative rounding bound of a point mass read off the transform
 _EPS = sys.float_info.epsilon
 _MASS_TOLERANCE = 1e-12
@@ -141,7 +144,10 @@ def _centre_tilt(model: WeightModel, x: float, u: float, centre: float) -> float
     bounds at c = centre: there the mean of Z_v away from zero,
     x v H'(v) / (1 - P(Z_v = 0)), sits at the centre, and P(Z_v = c) /
     P(Z_v >= 1) is largest.  Where P(Z_v = 0) is negligible this is the
-    saddle x v H'(v) = centre."""
+    saddle x v H'(v) = centre.  The grid tilt is refined by a parabola: a
+    band at large x reads only about 2.6 sigma either side of its centre,
+    and the grid alone puts the centre of the unit law at x = 1e5 that far
+    from the order it is after."""
     t = np.concatenate((_TILTS_DOWN, _tilts_up(model, u)[::-1]))
     phi = _log_mgf(model, x, u, t) - centre * t
     phi[~np.isfinite(phi)] = math.inf
@@ -188,42 +194,50 @@ def _band(model: WeightModel, x: float, v: float, start: int, nodes: int):
     rounding of w = e^(i theta), |g| (2 x |H(v w) - H(v)| + 1) more in the
     form g - p0, and 2 |g - p0|.
     """
-    roots, excess, g = _half_circle(model, x, v, nodes)
+    excess, g = _half_circle(model, x, v, nodes)[1:]
     e0 = float(excess[0].real)
     p0 = math.exp(-x * e0)
     step = 2.0 * math.pi / nodes
-    turn = (1.0 + step * np.arange(roots.size)) * np.abs(np.gradient(excess, step))
-    err = np.abs(g) * x * (2.0 * np.abs(excess) + turn)
+    err = np.abs(np.gradient(excess, step))
+    err *= 1.0 + step * np.arange(err.size)
+    err += 2.0 * np.abs(excess)
+    err *= x
     if x * e0 <= 1.0:
-        diff = p0 * np.expm1(x * excess)
+        err *= np.abs(g)
+        diff = np.expm1(x * excess)
+        diff *= p0
     else:
-        diff = g - p0
-        err += np.abs(g) * (2.0 * x * np.abs(excess - e0) + 1.0)
+        err += 2.0 * x * np.abs(excess - e0) + 1.0
+        err *= np.abs(g)
+        diff = g
+        diff -= p0
+    del excess, g
     err += 2.0 * np.abs(diff)
     # sums over the whole circle; that of |diff|^2 is N sum_j P(Z_v = j)^2
     node_sq, diff_sq = (2.0 * float(a @ a) - a[0] ** 2 - a[-1] ** 2 for a in (err, np.abs(diff)))
     rounding = math.sqrt(node_sq) / nodes + math.sqrt(diff_sq / nodes)
     bound = _SAFETY * _EPS * rounding - 2.0 * math.exp(_ALIAS_LOG) * math.expm1(-x * e0)
+    np.conj(diff, out=diff)
     if start:
-        diff *= np.exp((-2j * math.pi / nodes) * (np.arange(roots.size) * start % nodes))
-    return np.fft.irfft(diff.conj(), nodes), bound, e0
+        diff *= np.exp((2j * math.pi / nodes) * (np.arange(diff.size) * start % nodes))
+    return np.fft.irfft(diff, nodes), bound, e0
 
 
-def _window(model: WeightModel, x: float, u: float, v: float, target: float, order: int, law: str):
-    """The tilt, first order and length of the band through ``order``, from
-    the tilt v of mean ``target`` away from zero: the orders where Z_v keeps
-    all but e^_ALIAS_LOG of its mass away from zero on either side.  Where
-    they pass _MAX_NODES (a geometric tail at a finite radius) the target
-    moves down until they fit."""
+def _window(model: WeightModel, x: float, u: float, v: float, target: float, order: int, limit: int):
+    """The tilt, first order and length of a band through ``order``, from the
+    tilt v of mean ``target`` away from zero: the orders where Z_v keeps all
+    but e^_ALIAS_LOG of its mass away from zero on either side.  Where they
+    pass ``limit`` (a geometric tail at a finite radius) the target moves
+    down until they fit; None where no target of 1 or more fits."""
     while True:
         alias = _ALIAS_LOG + math.log(-math.expm1(-x * float(model.egf_m1(v))))
         width = tail_reach(model, x, v, alias)
         start = min(floor_reach(model, x, v, alias), order)
-        if width - start <= _MAX_NODES:
+        if width - start <= limit:
             return v, start, 1 << (max(width, order + 1) - start - 1).bit_length()
-        target *= _MAX_NODES / (width - start)
+        target *= limit / (width - start)
         if not target >= 1.0:
-            raise DomainError(f"{law}: no band of {_MAX_NODES} points holds order {order}")
+            return None
         v = _centre_tilt(model, x, u, target)
 
 
@@ -240,27 +254,37 @@ def _read_bands(
     target, v = mean / -math.expm1(-x * excess), u  # the mean of Z away from zero
     order = min(max(span, span * round(target / span)), top)
     while order:
-        v, start, nodes = _window(model, x, u, v, target, order, law)
-        q, bound, e_v = _band(model, x, v, start, nodes)
-        q = q[: reach + 1 - start]
-        if start == 0:
-            q[0] = 0.0  # the aliases alone; P(Z = 0) is closed-form
-        negative = np.flatnonzero(q < -bound)
-        if negative.size:
-            j = start + int(negative[0])
-            raise DomainError(
-                f"{law} has P(Z = {j}) = {q[j - start]}, below minus its rounding bound"
-            )
-        ok = np.zeros(reach + 1, dtype=bool)
-        ok[start : start + q.size] = q * _MAX_ROUNDING > bound
-        ok &= unread
-        if not ok[order]:
-            raise DomainError(f"{law}: P(Z = {order}) is lost to rounding in its band")
+        limit = _MAX_NODES
+        while True:
+            window = _window(model, x, u, v, target, order, limit)
+            if window:
+                v_band, start, nodes = window
+                q, bound, e_v = _band(model, x, v_band, start, nodes)
+                q = q[: reach + 1 - start]
+                if start == 0:
+                    q[0] = 0.0  # the aliases alone; P(Z = 0) is closed-form
+                negative = np.flatnonzero(q < -bound)
+                if negative.size:
+                    j = start + int(negative[0])
+                    raise DomainError(
+                        f"{law} has P(Z = {j}) = {q[j - start]}, below minus its rounding bound"
+                    )
+                ok = np.zeros(reach + 1, dtype=bool)
+                ok[start : start + q.size] = q * _MAX_ROUNDING > bound
+                ok &= unread
+                if ok[order]:
+                    break
+            if limit == _MAX_BAND:
+                raise DomainError(
+                    f"{law}: P(Z = {order}) is lost to rounding in every band of up to"
+                    f" {_MAX_BAND} points"
+                )
+            limit *= 2  # a longer band may tilt nearer to the order
         blocked = span * np.flatnonzero(~ok[::span])  # order 0 among them
         above = blocked[blocked > order]
         last = above[0] if above.size else top + span
         js = np.arange(blocked[blocked < order][-1] + span, last, span)
-        log_pmf[js] = np.log(q[js - start]) + js * math.log(u / v) + x * (e_v - excess)
+        log_pmf[js] = np.log(q[js - start]) + js * math.log(u / v_band) + x * (e_v - excess)
         unread[js] = False
         order = int(np.flatnonzero(unread)[-1]) if unread.any() else 0
         if order:
@@ -290,14 +314,17 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     where Z_v keeps all but e^_ALIAS_LOG of its mass on either side (by
     ``floor_reach`` and ``tail_reach``); where that passes _MAX_NODES (a
     geometric tail at a finite radius), the band's centre moves down until
-    the window fits, and past about 2.5e4 orders such a tail's top orders
-    fall below the rounding of every band that fits.
+    the window fits.  Where such a band cannot read its order, the window
+    may double, up to _MAX_BAND points, so that the band tilts nearer to
+    it: logfact's tail P(Z = j) ~ x u^j / j at 44721 orders, the most the
+    log recurrence's work bound allowed, takes bands of 2^21 points, about
+    1 s and 150 MB.
 
     Refused with a DomainError before any transform runs: a reach of
     _MAX_NODES or more, or an infinite one, and a custom model with a
     negative weight moment or one it does not declare, up to the reach.
     Refused as they are read: a point mass below minus its rounding bound,
-    and an order no band can read.
+    and an order no band of up to _MAX_BAND points can read.
     """
     x = float(x)
     if x <= 0:

@@ -213,7 +213,6 @@ class TestTailReach:
         saddle = solve_saddle(EXP, 1.0)
         assert auxdist.ray_nodes(blind, saddle, 10) > auxdist._MAX_NODES
 
-
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 30.0, 2000.0])
     @pytest.mark.parametrize("log_tol", [LN_TOL, -50.0])
     def test_poisson_floor_bounded_and_close(self, lam, log_tol):
@@ -225,11 +224,6 @@ class TestTailReach:
         # the largest c the exact law allows, from below
         allowed = int(np.argmax(head > math.exp(log_tol)))
         assert floor >= 0.9 * allowed - 16
-
-
-# logfact at chi = 1e-3, k = 10 and 100: the two laws of the grid below that
-# the bands refuse (see TestBands.test_long_geometric_tail_is_refused)
-LONG_GEOMETRIC_TAILS = {(LOGF, 1e-3 * 10), (LOGF, 1e-3 * 100)}
 
 
 class TestBands:
@@ -244,8 +238,7 @@ class TestBands:
             for chi in (1e-3, 1e-2, 0.5, 1.0, 3.0, 1e4, 1e6):
                 u = solve_saddle(model, chi).u
                 for k in (10, 100, 1000):
-                    if (model, chi * k) not in LONG_GEOMETRIC_TAILS:
-                        yield pytest.param(model, chi * k, u, id=f"{model.name}-chi{chi}-k{k}")
+                    yield pytest.param(model, chi * k, u, id=f"{model.name}-chi{chi}-k{k}")
 
     @pytest.mark.parametrize("model, x, u", cases())
     def test_matches_log_recurrence(self, model, x, u):
@@ -256,15 +249,23 @@ class TestBands:
         held = ref > math.log(1e-300)
         assert np.abs(np.expm1(aux.log_pmf[: n + 1][held] - ref[held])).max() <= 1e-9
 
-    @pytest.mark.parametrize("model, x", sorted(LONG_GEOMETRIC_TAILS, key=lambda c: c[1]),
-                             ids=["k10", "k100"])
-    def test_long_geometric_tail_is_refused(self, model, x):
-        # logfact at chi = 1e-3 reaches past order 25000 with P(Z = j) ~ x u^j / j:
-        # a band that fits 2^18 points must tilt so low that the top orders
-        # fall below its rounding, so the law is refused in one line
-        u = solve_saddle(model, 1e-3).u
-        with pytest.raises(DomainError, match=r"P\(Z = \d+\) is lost to rounding in its band"):
-            auxdist.build_aux(model, x, u)
+    def test_long_geometric_tail_matches_log_recurrence(self):
+        # logfact at chi = 1e-3, k = 10: P(Z = j) ~ x u^j / j out to order 20036;
+        # a band of 2^18 points that holds the top orders must tilt so low that
+        # they fall below its rounding, so they are read by a longer band
+        u = solve_saddle(LOGF, 1e-3).u
+        aux = auxdist.build_aux(LOGF, 0.01, u)
+        assert aux.support_cap > 20000
+        ref = recurrence_log_pmf(LOGF, 0.01, u, aux.support_cap)
+        assert np.abs(np.expm1(aux.log_pmf - ref)).max() <= 1e-9
+
+    def test_tail_past_every_band_is_refused(self):
+        # logfact at chi = 1e-4, k = 1 reaches order 211945; no band of up to
+        # 2^21 points reads its top orders, and the law is refused in one line
+        u = solve_saddle(LOGF, 1e-4).u
+        with pytest.raises(DomainError, match=r"P\(Z = \d+\) is lost to rounding in every band"
+                           r" of up to 2097152 points"):
+            auxdist.build_aux(LOGF, 1e-4, u)
 
     def test_negative_point_mass_is_refused(self):
         # H(u) - 1 = u - u^2/2, a signed moment sequence: at x = 1/2 the pgf

@@ -409,6 +409,18 @@ class TestAux:
         mean = math.fsum(int(r["j"]) * p for r, p in zip(rows, ps))
         assert mean == pytest.approx(x * u * math.exp(u), rel=1e-9)
 
+    def test_long_geometric_tail_reads_in_longer_bands(self, runner, tmp_path):
+        # logfact at chi = 1e-3 reaches order 25654 with P(Z = j) ~ x u^j / j:
+        # no band of 2^18 points reads its top orders, a longer one does
+        out = tmp_path / "a.csv"
+        result = runner.invoke(cli.main, [
+            "aux", "--weights", "logfact", "--llt-chi", "0.001", "--k", "10", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        ps = [float(r["p_j"]) for r in cli.read_table(str(out))]
+        assert len(ps) > 20000
+        assert abs(math.fsum(ps) - 1.0) <= 1e-10
+
     def test_usage_error_when_modes_mixed(self, runner, tmp_path):
         result = runner.invoke(cli.main, [
             "aux", "--weights", "unit", "--llt-chi", "1",
