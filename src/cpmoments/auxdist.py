@@ -223,7 +223,9 @@ def _band(model: WeightModel, x: float, v: float, start: int, nodes: int):
     return np.fft.irfft(diff, nodes), bound, e0
 
 
-def _window(model: WeightModel, x: float, u: float, v: float, target: float, order: int, limit: int):
+def _window(
+    model: WeightModel, x: float, u: float, v: float, target: float, order: int, limit: int
+):
     """The tilt, first order and length of a band through ``order``, from the
     tilt v of mean ``target`` away from zero: the orders where Z_v keeps all
     but e^_ALIAS_LOG of its mass away from zero on either side.  Where they
