@@ -181,7 +181,7 @@ def _band(model: WeightModel, x: float, v: float, start: int, nodes: int):
     the absolute rounding bound of every entry and H(v) - 1.
 
     One real inverse FFT of the pgf on the unit circle less the known mass
-    at zero, p0 = exp(-x (H(v) - 1)), turned by w^-start: entry i reads the
+    at zero, p0 = exp(-x (H(v) - 1)), rotated by ``start``: entry i reads the
     sum of P(Z_v = j) over j = start + i mod N, j >= 1.  Where p0 is near 1
     the difference is taken as p0 expm1(x (H(v w) - 1)), so that its digits
     are not lost to cancellation.  The bound is _SAFETY eps times the root
@@ -218,9 +218,7 @@ def _band(model: WeightModel, x: float, v: float, start: int, nodes: int):
     rounding = math.sqrt(node_sq) / nodes + math.sqrt(diff_sq / nodes)
     bound = _SAFETY * _EPS * rounding - 2.0 * math.exp(_ALIAS_LOG) * math.expm1(-x * e0)
     np.conj(diff, out=diff)
-    if start:
-        diff *= np.exp((2j * math.pi / nodes) * (np.arange(diff.size) * start % nodes))
-    return np.fft.irfft(diff, nodes), bound, e0
+    return np.roll(np.fft.irfft(diff, nodes), -start), bound, e0
 
 
 def _window(
@@ -252,45 +250,40 @@ def _read_bands(
     log_pmf = np.full(reach + 1, -math.inf)
     unread = np.zeros(reach + 1, dtype=bool)
     unread[span::span] = True
-    top = reach - reach % span
     target, v = mean / -math.expm1(-x * excess), u  # the mean of Z away from zero
-    order = min(max(span, span * round(target / span)), top)
+    order = min(max(span, span * round(target / span)), reach - reach % span)
+    limit = _MAX_NODES
     while order:
-        limit = _MAX_NODES
-        while True:
-            window = _window(model, x, u, v, target, order, limit)
-            if window:
-                v_band, start, nodes = window
-                q, bound, e_v = _band(model, x, v_band, start, nodes)
-                q = q[: reach + 1 - start]
-                if start == 0:
-                    q[0] = 0.0  # the aliases alone; P(Z = 0) is closed-form
-                negative = np.flatnonzero(q < -bound)
-                if negative.size:
-                    j = start + int(negative[0])
-                    raise DomainError(
-                        f"{law} has P(Z = {j}) = {q[j - start]}, below minus its rounding bound"
-                    )
-                ok = np.zeros(reach + 1, dtype=bool)
-                ok[start : start + q.size] = q * _MAX_ROUNDING > bound
-                ok &= unread
-                if ok[order]:
-                    break
+        window = _window(model, x, u, v, target, order, limit)
+        if window:
+            v_band, start, nodes = window
+            q, bound, e_v = _band(model, x, v_band, start, nodes)
+            q = q[: reach + 1 - start]
+            if start == 0:
+                q[0] = 0.0  # the aliases alone; P(Z = 0) is closed-form
+            negative = np.flatnonzero(q < -bound)
+            if negative.size:
+                j = start + int(negative[0])
+                raise DomainError(
+                    f"{law} has P(Z = {j}) = {q[j - start]}, below minus its rounding bound"
+                )
+            ok = np.zeros(reach + 1, dtype=bool)
+            ok[start : start + q.size] = q * _MAX_ROUNDING > bound
+            ok &= unread
+        if not (window and ok[order]):
             if limit == _MAX_BAND:
                 raise DomainError(
                     f"{law}: P(Z = {order}) is lost to rounding in every band of up to"
                     f" {_MAX_BAND} points"
                 )
             limit *= 2  # a longer band may tilt nearer to the order
-        blocked = span * np.flatnonzero(~ok[::span])  # order 0 among them
-        above = blocked[blocked > order]
-        last = above[0] if above.size else top + span
-        js = np.arange(blocked[blocked < order][-1] + span, last, span)
+            continue
+        js = np.flatnonzero(ok)
         log_pmf[js] = np.log(q[js - start]) + js * math.log(u / v_band) + x * (e_v - excess)
         unread[js] = False
         order = int(np.flatnonzero(unread)[-1]) if unread.any() else 0
         if order:
-            target = float(order)
+            target, limit = float(order), _MAX_NODES
             v = _centre_tilt(model, x, u, target)
     return log_pmf
 
@@ -311,8 +304,8 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     read and the tilt at which the mean of Z_v away from zero sits at j
     (``_centre_tilt``): the saddle x v H'(v) = j wherever P(Z_v = 0) is
     negligible, and the tilt that maximizes P(Z_v = j) / P(Z_v >= 1).  A
-    band reads the run of unread orders through its centre whose P(Z_v = i)
-    clear the band's rounding bound by 1/_MAX_ROUNDING.  Its window is
+    band keeps every unread order whose P(Z_v = i) clears the band's
+    rounding bound by 1/_MAX_ROUNDING.  Its window is
     where Z_v keeps all but e^_ALIAS_LOG of its mass on either side (by
     ``floor_reach`` and ``tail_reach``); where that passes _MAX_NODES (a
     geometric tail at a finite radius), the band's centre moves down until

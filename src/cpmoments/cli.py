@@ -143,10 +143,8 @@ def read_table(path: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def format_exact(value: Fraction | None) -> str:
+def format_exact(value: Fraction) -> str:
     """Ratio rendered as a 30-significant-digit decimal string."""
-    if value is None:
-        return ""
     with decimal.localcontext() as ctx:
         ctx.prec = 30
         d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
@@ -197,15 +195,13 @@ def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
     if exact:
         method = "recurrence" if finite_n is None else "finite_n"
         for k, value in enumerate(mom.moment_sequence(model, k_max, x, finite_n)):
-            mv = mom.MomentValue.from_exact(k, x, value, method)
             row = {
-                "k": k, "x": str(x), "method": mv.method,
-                "value": format_exact(mv.value_exact),
-                "log_value": format_log(mv.value_log),
+                "k": k, "x": str(x), "method": method, "value": format_exact(value),
+                "log_value": format_log(wts.log_rational(value) if value >= 0 else None),
             }
             if fmt == "json":
                 # JSON carries the ratio alongside the 30-digit decimal
-                row["value_ratio"] = format_ratio(mv.value_exact)
+                row["value_ratio"] = format_ratio(value)
             rows.append(row)
     else:
         seq = mom.log_moment_sequence(model, k_max, float(x))

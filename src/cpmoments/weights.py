@@ -186,13 +186,17 @@ def _log1p(z: Complexish) -> Complexish:
 
 def _running_product(step: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
     """l -> P_l = step(1) step(2) ... step(l), P_0 = 1, each product extending
-    the last one kept, so that orders 0..K cost K multiplications in all."""
-    vals = [Fraction(1)]
+    the last one asked for, so that orders 0..K asked in ascending order cost
+    K multiplications in all.  Only that last product is kept, not all K of
+    them, whose bits grow as K^2; a lower order starts again from P_0."""
+    last = [0, Fraction(1)]
 
     def product(order: int) -> Fraction:
-        while len(vals) <= order:
-            vals.append(vals[-1] * step(len(vals)))
-        return vals[order]
+        if order < last[0]:
+            last[:] = 0, Fraction(1)
+        for l in range(last[0] + 1, order + 1):
+            last[:] = l, last[1] * step(l)
+        return last[1]
 
     return product
 

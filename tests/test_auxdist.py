@@ -68,6 +68,11 @@ class TestConstruction:
         assert aux.pmf(aux.support_cap + 5) == 0.0
         assert sum(map(aux.pmf, range(aux.support_cap + 1))) == pytest.approx(1.0, abs=1e-10)
 
+    def test_local_limit_ratio_past_the_support(self):
+        aux = auxdist.build_aux(UNIT, 1.0, 0.5)
+        with pytest.raises(DomainError, match="saddle order fell outside the retained support"):
+            aux.local_limit_ratio(aux.support_cap + 1)
+
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             auxdist.build_aux(UNIT, -1.0, 0.5)
@@ -175,6 +180,8 @@ class TestSupportRounding:
 
 
 POISSON = weights.custom_model([1, 1])  # H(u) = 1 + u: Z is Poisson(x u)
+# every Chernoff bound nan: no tilt bounds the reach
+BLIND = dataclasses.replace(EXP, _egf_m1=lambda z: np.full(np.shape(z), np.nan))
 
 
 class TestTailReach:
@@ -206,12 +213,16 @@ class TestTailReach:
     def test_no_finite_tilt_is_refused_by_the_bounds(self):
         # every bound nan: the reach is unbounded, and both of its users refuse
         # it through the node bound
-        blind = dataclasses.replace(EXP, _egf_m1=lambda z: np.full(np.shape(z), np.nan))
-        assert auxdist.tail_reach(blind, 1.0, 0.5, LN_TOL) == math.inf
+        assert auxdist.tail_reach(BLIND, 1.0, 0.5, LN_TOL) == math.inf
         with pytest.raises(DomainError, match="reaches order inf, past 262144 transform points"):
-            auxdist.build_aux(blind, 1.0, 0.5)
+            auxdist.build_aux(BLIND, 1.0, 0.5)
         saddle = solve_saddle(EXP, 1.0)
-        assert auxdist.ray_nodes(blind, saddle, 10) > auxdist._MAX_NODES
+        assert auxdist.ray_nodes(BLIND, saddle, 10) > auxdist._MAX_NODES
+
+    def test_unbounded_window_fits_no_band(self):
+        # an infinite window moves the band's target to 0 in one step, below
+        # the first order, and the band reader is told that no window fits
+        assert auxdist._window(BLIND, 1.0, 0.5, 0.5, 3.0, 3, auxdist._MAX_NODES) is None
 
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 30.0, 2000.0])
     @pytest.mark.parametrize("log_tol", [LN_TOL, -50.0])

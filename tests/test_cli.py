@@ -199,6 +199,19 @@ class TestMoments:
         assert rows[10]["value"] == ""
         assert float(rows[10]["log_value"]) == pytest.approx(math.log(115975), rel=1e-12)
 
+    def test_negative_moment_has_no_log_value(self, runner, tmp_path):
+        # custom weights V_1 = -2: M_1(1) = -2 has no logarithm, M_2(1) = 1 + 4
+        out, spec = tmp_path / "m.csv", tmp_path / "w.json"
+        spec.write_text('{"moments": [1, -2, 1]}')
+        result = runner.invoke(cli.main, [
+            "moments", "--weights", f"custom:{spec}", "--k", "2", "--x", "1",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        rows = cli.read_table(str(out))
+        assert [(row["value"], row["log_value"]) for row in rows] == [
+            ("1", "0"), ("-2", ""), ("5", cli.format_log(math.log(5)))]
+
     def test_finite_n_mode(self, runner, tmp_path):
         out = tmp_path / "m.csv"
         result = runner.invoke(cli.main, [
@@ -672,6 +685,14 @@ class TestBadInputs:
                   ["graphsim", "--n", "1", "--kappa", "1", "--weights", "unit", "--s", "1.0",
                    "--trials", "2", "--out", "{out}"],
                   3, "cpm: error: need n >= 2 vertices"),
+        bad_input("seed-past-64-bits",
+                  ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0",
+                   "--trials", "2", "--seed", "18446744073709551616", "--out", "{out}"],
+                  3, "cpm: error: seed must fit in 64 bits"),
+        bad_input("seed-negative",
+                  ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0",
+                   "--trials", "2", "--seed", "-1", "--out", "{out}"],
+                  3, "cpm: error: seed must fit in 64 bits"),
         bad_input("no-vertices",
                   ["graphsim", "--n", "0", "--kappa", "1", "--weights", "unit", "--s", "1.0",
                    "--trials", "2", "--out", "{out}"],

@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -119,6 +120,23 @@ class TestBuiltins:
         for constructor in (weights.exponential, weights.log_factorial,
                             weights.gaussian_centered):
             assert cost(constructor) <= 2.0 * gamma_cost, constructor.__name__
+
+    @pytest.mark.parametrize("constructor", [lambda: weights.gamma(Fraction(1, 1000), 1),
+                                             weights.exponential, weights.log_factorial],
+                             ids=["gamma(1/1000,1)", "exponential", "logfact"])
+    def test_moment_prefix_keeps_one_product(self, constructor):
+        # orders 0..K asked in ascending order keep only the last product; all
+        # K of them would hold O(K^2) bits, 2.4 MiB for K! at K = 2000 and
+        # 7.5 MiB for gamma(1/1000,1)
+        model = constructor()
+        tracemalloc.start()
+        try:
+            for order in range(2001):
+                model.moment(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_domain_checks(self):
         model = weights.exponential()
