@@ -33,14 +33,14 @@ the band's tilted law keeps at most e^-50 on either side.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .asymptotics import SaddleSolution, _or_inf, solve_saddle
 from .errors import DomainError
 from .moments import check_log_work, log_moment, moment_sequence
@@ -55,11 +55,25 @@ _EPS = sys.float_info.epsilon
 _MASS_TOLERANCE = 1e-12
 _ALIAS_LOG = -50.0  # ln of the mass a band may alias onto its window from either side
 _SAFETY = 4.0  # a band's rounding bound over its estimate of the rounding
-# t / ln(u0/u) of tail_reach's tilts u e^t and -t / _REACH_TOP of floor_reach's,
-# 8 per octave of the distance to 0 and to 1
-_REACH_GRID = 1.0 / (1.0 + 2.0 ** np.arange(-40.0, 40.0, 0.125))
 _REACH_TOP = 64.0  # ln(u0/u) for tail_reach below an infinite radius
-_TILTS_DOWN = -_REACH_TOP * _REACH_GRID  # t of floor_reach's tilts u e^t
+
+
+@functools.cache
+def _reach_grid() -> np.ndarray:
+    """t / ln(u0/u) of tail_reach's tilts u e^t and -t / _REACH_TOP of
+    floor_reach's, 8 per octave of the distance to 0 and to 1; read-only,
+    as every caller shares it."""
+    grid = 1.0 / (1.0 + 2.0 ** np.arange(-40.0, 40.0, 0.125))
+    grid.flags.writeable = False
+    return grid
+
+
+@functools.cache
+def _tilts_down() -> np.ndarray:
+    """t of floor_reach's tilts u e^t, read-only."""
+    t = -_REACH_TOP * _reach_grid()
+    t.flags.writeable = False
+    return t
 
 
 @dataclass(frozen=True)
@@ -106,8 +120,9 @@ def _log_mgf(model: WeightModel, x: float, u: float, t: np.ndarray) -> np.ndarra
 
 
 def _tilts_up(model: WeightModel, u: float) -> np.ndarray:
-    """t of the tilts u e^t in (u, u0) on _REACH_GRID."""
-    return _REACH_GRID * (math.log(model.radius / u) if math.isfinite(model.radius) else _REACH_TOP)
+    """t of the tilts u e^t in (u, u0) on the reach grid."""
+    top = math.log(model.radius / u) if math.isfinite(model.radius) else _REACH_TOP
+    return _reach_grid() * top
 
 
 def tail_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int | float:
@@ -116,7 +131,7 @@ def tail_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int | 
         P(Z >= c) <= exp(x (H(v) - H(u))) (1 - exp(-x (H(v) - 1))) (u/v)^c,
 
     that is (E (v/u)^Z - P(Z = 0)) (u/v)^c, falls to e^log_tol at a tilt
-    v = u e^t of _REACH_GRID in (u, u0); c exceeds the mean x u H'(u)
+    v = u e^t of the reach grid in (u, u0); c exceeds the mean x u H'(u)
     unless P(Z >= 1) < e^log_tol.  Tilts whose bound is nan or inf are
     skipped; with none left the reach is math.inf, which ``build_aux`` and
     the node bound of ``log_moments_on_ray`` refuse.
@@ -132,8 +147,9 @@ def floor_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int:
 
         P(1 <= Z <= c) <= (E (v/u)^Z - P(Z = 0)) (u/v)^c,
 
-    stays at e^log_tol or below, t running over -_REACH_TOP _REACH_GRID."""
-    c = (_log_mgf(model, x, u, _TILTS_DOWN) - log_tol) / _TILTS_DOWN
+    stays at e^log_tol or below, t running over ``_tilts_down()``."""
+    t = _tilts_down()
+    c = (_log_mgf(model, x, u, t) - log_tol) / t
     c = c[np.isfinite(c)]
     return max(0, math.floor(c.max())) if c.size else 0
 
@@ -148,7 +164,7 @@ def _centre_tilt(model: WeightModel, x: float, u: float, centre: float) -> float
     band at large x reads only about 2.6 sigma either side of its centre,
     and the grid alone puts the centre of the unit law at x = 1e5 that far
     from the order it is after."""
-    t = np.concatenate((_TILTS_DOWN, _tilts_up(model, u)[::-1]))
+    t = np.concatenate((_tilts_down(), _tilts_up(model, u)[::-1]))
     phi = _log_mgf(model, x, u, t) - centre * t
     phi[~np.isfinite(phi)] = math.inf
     i = int(np.argmin(phi))

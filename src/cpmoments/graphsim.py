@@ -37,8 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .asymptotics import rate_function
 from .errors import DomainError
 from .weights import WeightDraw, WeightModel, from_spec, tilde_transform

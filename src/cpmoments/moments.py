@@ -44,14 +44,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from . import weights as _weights
+from ._numpy import np
 from .errors import DomainError
 from .weights import NumberLike, WeightModel, log_rational
 
 ORACLE_CAP = 25  # profile enumeration beyond this is pointless, cost is exponential
 MAX_LOG_WORK = 2 * 10**9  # k^2 summed over log recurrences to orders k
+MAX_EXACT_WORK = 3 * 10**6  # terms k (k + 1) / 2 of one exact recurrence to order k
 
 _UNIT = _weights.unit()
 _EXPONENTIAL = _weights.exponential()
@@ -131,12 +131,14 @@ def moment_sequence(
     The recurrence runs on integers.  With scale x (or x/n) = p/q and
     ``_moment_scale``'s l, D = q l, the scaled moments N_k = D^k M_k obey
     N_k = sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j, and each order
-    is reduced once, as Fraction(N_k, D^k).
+    is reduced once, as Fraction(N_k, D^k).  Refuses k_max (k_max + 1) / 2
+    above MAX_EXACT_WORK.
     """
     if k_max < 0:
         raise DomainError("order must be >= 0")
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
+    check_exact_work(k_max * (k_max + 1) // 2)
     xe = Fraction(x)
     scale = xe if n is None else xe / n
     p, q = scale.numerator, scale.denominator
@@ -237,6 +239,20 @@ def centered_moment_tilde(model: WeightModel, k: int, lam: NumberLike) -> Moment
     lame = Fraction(lam)
     value = moment_sequence(_weights.tilde_transform(model), k, lame)[k]
     return MomentValue.from_exact(k, lame, value, "centered_tilde")
+
+
+def check_exact_work(terms: int) -> None:
+    """Refuse an exact recurrence of more than MAX_EXACT_WORK terms,
+    k (k + 1) / 2 for a run to order k: its integers grow with k, so the
+    terms cost more as k grows, and ``bell --k 2000``'s 2001000 terms take
+    16-20 s (2-core x86-64).  Every exact moment, table, Bell number and
+    identity runs through ``moment_sequence``, which checks this before
+    it evaluates any weight moment."""
+    if terms > MAX_EXACT_WORK:
+        raise DomainError(
+            f"exact recurrence needs {terms} terms (k (k + 1) / 2 for a run to order k),"
+            f" more than {MAX_EXACT_WORK}"
+        )
 
 
 def check_log_work(terms: int) -> None:

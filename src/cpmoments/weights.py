@@ -41,13 +41,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, HorizonError
 
 NumberLike = Union[int, float, str, Fraction]
-WeightDraw = Callable[[np.random.Generator, int], np.ndarray]
-Complexish = Union[float, complex, np.ndarray]
+WeightDraw = Callable[["np.random.Generator", int], "np.ndarray"]
+Complexish = Union[float, complex, "np.ndarray"]
 
 
 def log_rational(v: Fraction) -> float:
@@ -213,7 +212,7 @@ def unit() -> WeightModel:
         name="unit",
         radius=math.inf,
         _moment_fn=lambda order: Fraction(1),
-        _egf_m1=np.expm1,
+        _egf_m1=lambda z: np.expm1(z),
         _egf_d1=math.exp,
         _egf_d2=math.exp,
         sample=lambda rng, size: np.ones(size),

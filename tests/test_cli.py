@@ -557,15 +557,70 @@ class TestExitCodes:
         assert result.exit_code == 3
 
 
+def run_fresh(code, *argv):
+    """stdout of ``code`` run in a fresh interpreter on this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    return result.stdout
+
+
+# runs cli.main on each argument list of argv[1] (JSON) with click's runner
+# and prints whether any of numpy's own modules were loaded before and after
+RUN_COMMANDS = """
+import json, sys
+from click.testing import CliRunner
+import cpmoments.cli as cli
+
+def numpy_loaded():
+    return any(name.startswith("numpy.") for name in sys.modules)
+
+before = numpy_loaded()
+for args in json.loads(sys.argv[1]):
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 0, (args, result.output)
+print(json.dumps({"before": before, "after": numpy_loaded(),
+                  "modules": sorted(name for name in sys.modules if name.startswith("cpmoments."))}))
+"""
+
+
 class TestImport:
     def test_import_leaves_numpy_fft_unloaded(self):
         # only the tilted law's bands use numpy.fft, so they load it on first
         # use: the exact tables and the graph draws never pay for it
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = "import sys, cpmoments.cli; print('numpy.fft' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert result.stdout == "False\n"
+        assert run_fresh(code) == "False\n"
+
+    def test_exact_commands_never_load_numpy(self, tmp_path):
+        moments_args = ["moments", "--weights", "gamma:2,1/2", "--k", "30", "--x", "7/2"]
+        commands = [
+            ["bell", "--k", "300"],
+            [*moments_args, "--out", str(tmp_path / "t.csv")],
+            [*moments_args, "--format", "json", "--out", str(tmp_path / "t.json")],
+            [*moments_args, "--finite-n", "1000", "--out", str(tmp_path / "f.csv")],
+            ["identities"],
+        ]
+        seen = json.loads(run_fresh(RUN_COMMANDS, json.dumps(commands)))
+        assert not seen["before"] and not seen["after"]
+        # the benchmark's tracer wraps every numeric submodule it finds in sys.modules
+        for name in ("weights", "moments", "asymptotics", "auxdist", "graphsim"):
+            assert f"cpmoments.{name}" in seen["modules"]
+
+    def test_lazy_numpy_graph_table_is_byte_identical(self, tmp_path):
+        n, kappa, spec, s, trials, seed, digest = GRAPHSIM_TABLE_DIGESTS[0]
+        out = tmp_path / "g.csv"
+        args = graphsim_args(n, kappa, spec, s, trials, seed, out)
+        seen = json.loads(run_fresh(RUN_COMMANDS, json.dumps([args])))
+        assert not seen["before"] and seen["after"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_numpy_imported_first_is_the_bound_module(self):
+        import numpy
+
+        from cpmoments import _numpy
+
+        assert _numpy.lazy_module("numpy") is numpy
+        assert _numpy.np is numpy and graphsim.np is numpy and moments.np is numpy
 
 
 def bad_input(case_id, args, code, message, *, header=False, weights_json=None):
@@ -719,6 +774,16 @@ class TestBadInputs:
                    "--out", "{out}"],
                   3, "cpm: error: log-space recurrence needs 10000000000000000 terms (k^2 summed"
                      " over its runs to order k), more than 2000000000",
+                  header=True),
+        bad_input("moments-exact-unbounded",
+                  ["moments", "--weights", "unit", "--k", "100000000", "--x", "1",
+                   "--out", "{out}"],
+                  3, "cpm: error: exact recurrence needs 5000000050000000 terms (k (k + 1) / 2"
+                     " for a run to order k), more than 3000000",
+                  header=True),
+        bad_input("bell-unbounded", ["bell", "--k", "100000000"],
+                  3, "cpm: error: exact recurrence needs 5000000050000000 terms (k (k + 1) / 2"
+                     " for a run to order k), more than 3000000",
                   header=True),
         bad_input("compare-fallback-unbounded",
                   ["compare", "--weights", "logfact", "--chi", "1e-4", "--k-max", "5000",

@@ -173,6 +173,21 @@ class TestIntegerEngine:
             assert moments._moment_scale(vs) == ell, model.name
             assert all((ell**j * v).denominator == 1 for j, v in enumerate(vs, start=1))
 
+    def test_work_bound_refuses_before_any_work(self, monkeypatch):
+        # unbounded, k_max = 1e8 would build 1e8 Fractions before its first term
+        def refuse(self, j):
+            raise AssertionError("weight moments evaluated")
+
+        monkeypatch.setattr(weights.WeightModel, "moment", refuse)
+        k_max = math.isqrt(2 * moments.MAX_EXACT_WORK)  # k_max (k_max + 1) / 2 just above
+        assert k_max * (k_max + 1) // 2 > moments.MAX_EXACT_WORK >= k_max * (k_max - 1) // 2
+        for k, n in ((k_max, None), (10**8, None), (10**8, 1000)):
+            with pytest.raises(DomainError, match=f"more than {moments.MAX_EXACT_WORK}$"):
+                moments.moment_sequence(MODELS["unit"], k, 1, n)
+        with pytest.raises(DomainError, match="more than"):
+            moments.bell_number(10**8)
+        moments.check_exact_work(moments.MAX_EXACT_WORK)
+
 
 class TestBell:
     def test_known_values(self):
