@@ -43,6 +43,7 @@ from .errors import DomainError, SaddleError, TruncatedModelError
 from .weights import WeightModel
 
 _UNIT = _weights.unit()
+_BERNOULLI = _weights.bernoulli_centered()
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,9 @@ def regime_b_prediction(model: WeightModel, k: int, x: float) -> float:
     k * ln(x V_1) when V_1 != 0; (k/2) * ln(x k V_2 / e) for centered
     weights.  A model produced by ``hat_transform`` has V_1 = 0 and V_2
     equal to the centered second moment, so the centered branch applies to
-    it unchanged.
+    it unchanged.  k must be on the model's lattice (``check_order``).
     """
-    if k <= 0:
-        raise DomainError("order must be positive")
+    model.check_order(k)
     v1 = float(model.moment(1))
     if v1 != 0.0:
         if x * v1 <= 0:
@@ -252,10 +252,10 @@ def gaussian_moment_prediction(k: int, x: float, v2: float = 1.0) -> float:
 
     Written with beta solving beta e^beta = k_half / x; the k-th power part
     agrees with the generic formula, the classical prefactor carries an
-    extra sqrt(x) relative to it (documented in tests).
+    extra sqrt(x) relative to it (documented in tests).  k and v2 are
+    checked by ``gaussian_centered(v2)`` and its ``check_order``.
     """
-    if k <= 0 or k % 2:
-        raise DomainError("normal weights have even-only moments")
+    _weights.gaussian_centered(v2).check_order(k)
     half = k // 2
     beta = solve_saddle(_UNIT, x / half).u
     log_a = math.expm1(beta) / (beta * math.exp(beta)) - 2.0
@@ -266,22 +266,23 @@ def gaussian_moment_prediction(k: int, x: float, v2: float = 1.0) -> float:
 
 
 def gamma_moment_prediction(k: int, x: float, m: float, theta: float) -> float:
-    """ln of the gamma-weight closed form for M_k(x)."""
-    if k <= 0:
-        raise DomainError("order must be positive")
-    u = solve_saddle(_weights.gamma(m, theta), x / k).u
+    """ln of the gamma-weight closed form for M_k(x); k, m and theta are
+    checked by ``gamma(m, theta)`` and its ``check_order``."""
+    model = _weights.gamma(m, theta)
+    model.check_order(k)
+    u = solve_saddle(model, x / k).u
     tu = 1.0 - theta * u
     exponent = math.log(k / (math.e * u)) + tu * (1.0 - tu**m) / (m * theta * u)
     return 0.5 * math.log(tu / (1.0 + m * theta * u)) + k * exponent
 
 
 def bernoulli_moment_prediction(k: int, x: float) -> float:
-    """ln of the symmetric +-1 closed form for M_k(x), k even."""
-    if k <= 0 or k % 2:
-        raise DomainError("symmetric Bernoulli weights have even-only moments")
+    """ln of the symmetric +-1 closed form for M_k(x), k positive and even
+    (``check_order`` of the +-1 model)."""
+    _BERNOULLI.check_order(k)
     half = k // 2
     chi_half = x / half
-    u = solve_saddle(_weights.bernoulli_centered(), x / k).u  # u sinh u = k / x
+    u = solve_saddle(_BERNOULLI, x / k).u  # u sinh u = k / x
     log_a = 2.0 * math.sinh(u / 2.0) ** 2 / (u * math.sinh(u)) - 1.0
     pref = 0.5 * (math.log(2.0) - math.log(2.0 + chi_half * u * u * math.cosh(u)))
     # ln 2 is the lattice-span factor of the even-support tilted law.
@@ -289,9 +290,9 @@ def bernoulli_moment_prediction(k: int, x: float) -> float:
 
 
 def exponential_sum_prediction(k: int, x: float) -> float:
-    """ln of the asymptotic value of S_k(x) = M_k(x)/k! for factorial moments V_j = j!."""
-    if k <= 0:
-        raise DomainError("order must be positive")
+    """ln of the asymptotic value of S_k(x) = M_k(x)/k! for factorial moments
+    V_j = j!, k positive (``check_order`` of the exponential model)."""
+    _weights.exponential().check_order(k)
     chi = x / k
     u = (2.0 + chi - math.sqrt(chi * (4.0 + chi))) / 2.0
     return (
@@ -312,9 +313,9 @@ def exponential_moment_prediction(k: int, x: float) -> float:
 
 
 def logfact_sum_prediction(k: int, x: float) -> float:
-    """ln of the asymptotic value of T_k(x) = M_k(x)/k! for weights V_j = (j-1)!."""
-    if k <= 0:
-        raise DomainError("order must be positive")
+    """ln of the asymptotic value of T_k(x) = M_k(x)/k! for weights
+    V_j = (j-1)!, k positive (``check_order`` of the factorial model)."""
+    _weights.log_factorial().check_order(k)
     return (
         0.5 * (math.log(x) - math.log(2.0 * math.pi * k) - math.log(x + k))
         + k * math.log1p(x / k)
@@ -356,10 +357,10 @@ def bernoulli_small_x_prediction(k: int, x: float) -> SmallIntensityPrediction:
 
     Evaluates k * ln( k / (e (ln k - ln x)) ).  The local limit argument
     behind this regime needs x not exponentially small in k; a
-    warning (not an error) is issued below that scale.
+    warning (not an error) is issued below that scale.  k must be positive
+    and even (``check_order`` of the +-1 model).
     """
-    if k <= 0 or k % 2:
-        raise DomainError("symmetric Bernoulli weights have even-only moments")
+    _BERNOULLI.check_order(k)
     if x <= 0:
         raise DomainError("intensity must be positive")
     if x >= k:

@@ -28,7 +28,9 @@ P(Z >= c) <= exp(x (H(v) - H(u))) (u/v)^c, v in (u, u0), with the mass at
 zero taken out: ``build_aux`` takes the reach of mass 1e-12 and
 ``ray_nodes`` that of e^-40.  ``floor_reach`` is the same bound from below,
 v < u; with ``tail_reach`` it sets the window of each band, outside which
-the band's tilted law keeps at most e^-50 on either side.
+the band's tilted law keeps at most e^-50 on either side.  Both, and each
+band's centre tilt, are read off one table of the bound's exponent over a
+fixed grid of tilts, ``_chernoff``.
 """
 
 from __future__ import annotations
@@ -60,20 +62,12 @@ _REACH_TOP = 64.0  # ln(u0/u) for tail_reach below an infinite radius
 
 @functools.cache
 def _reach_grid() -> np.ndarray:
-    """t / ln(u0/u) of tail_reach's tilts u e^t and -t / _REACH_TOP of
-    floor_reach's, 8 per octave of the distance to 0 and to 1; read-only,
-    as every caller shares it."""
+    """t / ln(u0/u) of the tilts u e^t above u and -t / _REACH_TOP of those
+    below, 8 per octave of the distance to 0 and to 1; read-only, as every
+    caller shares it."""
     grid = 1.0 / (1.0 + 2.0 ** np.arange(-40.0, 40.0, 0.125))
     grid.flags.writeable = False
     return grid
-
-
-@functools.cache
-def _tilts_down() -> np.ndarray:
-    """t of floor_reach's tilts u e^t, read-only."""
-    t = -_REACH_TOP * _reach_grid()
-    t.flags.writeable = False
-    return t
 
 
 @dataclass(frozen=True)
@@ -111,18 +105,33 @@ class AuxiliaryDistribution:
         return self.pmf(k) * math.sqrt(2.0 * math.pi) * self.sigma / self.model.span
 
 
-def _log_mgf(model: WeightModel, x: float, u: float, t: np.ndarray) -> np.ndarray:
-    """ln E(e^(tZ); Z >= 1) = x (H(v) - H(u)) + ln(1 - exp(-x (H(v) - 1))),
-    v = u e^t, elementwise; nan or inf where it cannot be evaluated."""
+def _chernoff(model: WeightModel, x: float, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Chernoff table of the law tilted at u: ascending t, first those of
+    the tilts u e^t below u (t down to -_REACH_TOP), then those in (u, u0)
+    (up to ln(u0/u), or _REACH_TOP below an infinite radius), and at each
+
+        ln E(e^(tZ); Z >= 1) = x (H(v) - H(u)) + ln(1 - exp(-x (H(v) - 1))),
+
+    v = u e^t; nan or inf where it cannot be evaluated.  Every bound on the
+    reach of Z and every band centre is read off this one table."""
+    grid = _reach_grid()
+    top = math.log(model.radius / u) if math.isfinite(model.radius) else _REACH_TOP
+    t = np.concatenate((-_REACH_TOP * grid, (grid * top)[::-1]))
     with np.errstate(all="ignore"):
         ev = model.egf_m1(u * np.exp(t))
-        return x * (ev - model.egf_m1(u)) + np.log(-np.expm1(-x * ev))
+        return t, x * (ev - model.egf_m1(u)) + np.log(-np.expm1(-x * ev))
 
 
-def _tilts_up(model: WeightModel, u: float) -> np.ndarray:
-    """t of the tilts u e^t in (u, u0) on the reach grid."""
-    top = math.log(model.radius / u) if math.isfinite(model.radius) else _REACH_TOP
-    return _reach_grid() * top
+def _reaches(model: WeightModel, x: float, u: float, log_tol: float) -> tuple[int, int | float]:
+    """(``floor_reach``, ``tail_reach``) from one Chernoff table: the orders
+    c = (ln E(e^(tZ); Z >= 1) - log_tol) / t, the largest over t < 0 and the
+    smallest over t > 0, skipping those that are nan or inf."""
+    t, log_mgf = _chernoff(model, x, u)
+    c = (log_mgf - log_tol) / t
+    down, up = c[t < 0.0], c[t > 0.0]
+    down, up = down[np.isfinite(down)], up[np.isfinite(up)]
+    floor = max(0, math.floor(down.max())) if down.size else 0
+    return floor, max(1, math.ceil(up.min())) if up.size else math.inf
 
 
 def tail_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int | float:
@@ -131,15 +140,12 @@ def tail_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int | 
         P(Z >= c) <= exp(x (H(v) - H(u))) (1 - exp(-x (H(v) - 1))) (u/v)^c,
 
     that is (E (v/u)^Z - P(Z = 0)) (u/v)^c, falls to e^log_tol at a tilt
-    v = u e^t of the reach grid in (u, u0); c exceeds the mean x u H'(u)
-    unless P(Z >= 1) < e^log_tol.  Tilts whose bound is nan or inf are
-    skipped; with none left the reach is math.inf, which ``build_aux`` and
-    the node bound of ``log_moments_on_ray`` refuse.
+    v = u e^t of ``_chernoff``'s table in (u, u0); c exceeds the mean
+    x u H'(u) unless P(Z >= 1) < e^log_tol.  Tilts whose bound is nan or
+    inf are skipped; with none left the reach is math.inf, which
+    ``build_aux`` and the node bound of ``log_moments_on_ray`` refuse.
     """
-    t = _tilts_up(model, u)
-    c = (_log_mgf(model, x, u, t) - log_tol) / t
-    c = c[np.isfinite(c)]
-    return max(1, math.ceil(c.min())) if c.size else math.inf
+    return _reaches(model, x, u, log_tol)[1]
 
 
 def floor_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int:
@@ -147,25 +153,23 @@ def floor_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int:
 
         P(1 <= Z <= c) <= (E (v/u)^Z - P(Z = 0)) (u/v)^c,
 
-    stays at e^log_tol or below, t running over ``_tilts_down()``."""
-    t = _tilts_down()
-    c = (_log_mgf(model, x, u, t) - log_tol) / t
-    c = c[np.isfinite(c)]
-    return max(0, math.floor(c.max())) if c.size else 0
+    stays at e^log_tol or below, over the tilts of ``_chernoff``'s table
+    below u."""
+    return _reaches(model, x, u, log_tol)[0]
 
 
 def _centre_tilt(model: WeightModel, x: float, u: float, centre: float) -> float:
-    """The tilt v = u e^t, t on the grids of ``floor_reach`` and ``tail_reach``,
-    that minimizes ln E(e^(tZ); Z >= 1) - centre t, the exponent of both
-    bounds at c = centre: there the mean of Z_v away from zero,
-    x v H'(v) / (1 - P(Z_v = 0)), sits at the centre, and P(Z_v = c) /
-    P(Z_v >= 1) is largest.  Where P(Z_v = 0) is negligible this is the
+    """The tilt v = u e^t, t in ``_chernoff``'s table, that minimizes
+    ln E(e^(tZ); Z >= 1) - centre t, the exponent of both bounds at
+    c = centre: there the mean of Z_v away from zero, x v H'(v) /
+    (1 - P(Z_v = 0)), sits at the centre, and P(Z_v = c) / P(Z_v >= 1) is
+    largest.  Where P(Z_v = 0) is negligible this is the
     saddle x v H'(v) = centre.  The grid tilt is refined by a parabola: a
     band at large x reads only about 2.6 sigma either side of its centre,
     and the grid alone puts the centre of the unit law at x = 1e5 that far
     from the order it is after."""
-    t = np.concatenate((_tilts_down(), _tilts_up(model, u)[::-1]))
-    phi = _log_mgf(model, x, u, t) - centre * t
+    t, log_mgf = _chernoff(model, x, u)
+    phi = log_mgf - centre * t
     phi[~np.isfinite(phi)] = math.inf
     i = int(np.argmin(phi))
     if 0 < i < t.size - 1 and phi[i - 1] < math.inf and phi[i + 1] < math.inf:
@@ -247,8 +251,8 @@ def _window(
     down until they fit; None where no target of 1 or more fits."""
     while True:
         alias = _ALIAS_LOG + math.log(-math.expm1(-x * float(model.egf_m1(v))))
-        width = tail_reach(model, x, v, alias)
-        start = min(floor_reach(model, x, v, alias), order)
+        floor, width = _reaches(model, x, v, alias)
+        start = min(floor, order)
         if width - start <= limit:
             return v, start, 1 << (max(width, order + 1) - start - 1).bit_length()
         target *= limit / (width - start)

@@ -273,11 +273,13 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
     if llt_chi is not None:
         if k_val is None:
             raise click.UsageError("--llt-chi requires --k")
+        if x_val is not None or u_val is not None:
+            raise click.UsageError("--llt-chi with --k sets x and u; drop --x and --u")
         model.check_order(k_val)
         sol = asym.solve_saddle(model, llt_chi)
         x_eff, u_eff = llt_chi * k_val, sol.u
     else:
-        if x_val is None or u_val is None:
+        if x_val is None or u_val is None or k_val is not None:
             raise click.UsageError("either give --x and --u, or --llt-chi with --k")
         x_eff, u_eff = x_val, u_val
     _echo_header("aux", {
@@ -314,7 +316,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
 def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
     """Monte Carlo deviation probabilities of the maximal weighted degree."""
     graphsim.weight_sampler(weights_spec)  # a bad spec fails before the header
-    config = graphsim.config_from_kappa(n, kappa, weights_spec, s_values, trials, seed)
+    config = graphsim.GraphSimConfig(n, kappa, weights_spec, s_values, trials, seed)
     _echo_header("graphsim", {
         "n": n, "kappa": kappa, "weights": weights_spec, "s": list(s_values),
         "trials": trials, "seed": seed, "out": out_path, "format": fmt,
@@ -332,7 +334,7 @@ def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
             "vacuous_flag": int(vac),
         }
         for s, p, ci, bound, vac in zip(
-            result.s_values, result.p_hat, result.ci_half_width, result.bound, result.vacuous
+            config.s_values, result.p_hat, result.ci_half_width, result.bound, result.vacuous
         )
     ]
     _write_table(out_path, ["n", "kappa", "s", "p_hat", "ci", "bound", "threshold", "vacuous_flag"], rows, fmt)

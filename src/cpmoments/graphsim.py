@@ -45,17 +45,20 @@ from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 
 @dataclass(frozen=True)
 class GraphSimConfig:
-    """One simulation setup; rho/n is the edge probability."""
+    """One simulation setup at intensity rho = kappa ln n; rho/n is the edge
+    probability.  kappa is the one intensity field: the graphs are drawn at
+    ``rho`` and the bound is computed at kappa, so the two cannot disagree.
+    ``s_values`` is kept as a tuple."""
 
     n: int
-    rho: float
+    kappa: float
     weight_name: str
     s_values: tuple[float, ...]
     trials: int
     seed: int
-    kappa: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "s_values", tuple(self.s_values))
         if self.n < 2:
             raise DomainError("need n >= 2 vertices")
         if not 0.0 <= self.rho / self.n <= 1.0:
@@ -65,34 +68,21 @@ class GraphSimConfig:
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 bits")
 
+    @property
+    def rho(self) -> float:
+        return self.kappa * math.log(self.n)
 
-def config_from_kappa(
-    n: int,
-    kappa: float,
-    weight_name: str,
-    s_values: tuple[float, ...],
-    trials: int,
-    seed: int,
-) -> GraphSimConfig:
-    """Convenience constructor with rho = kappa * ln n."""
-    return GraphSimConfig(
-        n=n,
-        rho=kappa * math.log(max(n, 1)),  # GraphSimConfig rejects n < 2
-        weight_name=weight_name,
-        s_values=tuple(s_values),
-        trials=trials,
-        seed=seed,
-        kappa=kappa,
-    )
+
+config_from_kappa = GraphSimConfig  # the constructor's name from when configs held rho
 
 
 @dataclass(frozen=True)
 class GraphTrialResult:
-    """Per-s deviation estimates from a shared set of D_max draws."""
+    """Per-s deviation estimates, in the order of ``config.s_values``, from a
+    shared set of D_max draws."""
 
     config: GraphSimConfig
     dmax_samples: np.ndarray
-    s_values: tuple[float, ...]
     p_hat: tuple[float, ...]
     ci_half_width: tuple[float, ...]
     bound: tuple[float, ...]
@@ -217,7 +207,12 @@ def moment_union_bound(
 
 
 def _union_bound(threshold: float, n: int, s_prime: float) -> tuple[float, bool]:
-    """``moment_union_bound`` from its threshold s*; a value past float range is vacuous."""
+    """``moment_union_bound`` from its threshold s*: (min(value, 1), value >= 1)
+    for value = (s*/s')^(2 ln n).  Vacuous, (1.0, True), where s' <= 0, as a
+    deviation at or below the mean bounds nothing, and where the value
+    passes float range."""
+    if s_prime <= 0:
+        return 1.0, True
     try:
         value = (threshold / s_prime) ** (2.0 * math.log(n))
     except OverflowError:
@@ -233,42 +228,33 @@ def deviation_experiment(config: GraphSimConfig) -> GraphTrialResult:
     """
     draw, model = weight_sampler(config.weight_name)
     v1 = float(model.moment(1))
-    kappa = config.kappa if config.kappa is not None else config.rho / math.log(config.n)
     # the one saddle solve of the run; a kappa or model out of its reach
     # refuses here, before any trial is drawn
-    threshold = critical_deviation_threshold(model, kappa)
-    edge_p = config.rho / config.n
-    dmax = np.empty(config.trials)
-    for t in range(config.trials):
+    threshold = critical_deviation_threshold(model, config.kappa)
+    n, rho, trials = config.n, config.rho, config.trials
+    edge_p = rho / n
+    dmax = np.empty(trials)
+    for t in range(trials):
         rng = trial_generator(config.seed, t)
-        dmax[t] = sample_degrees(config.n, edge_p, draw, rng).max()
+        dmax[t] = sample_degrees(n, edge_p, draw, rng).max()
 
-    deviations = np.abs(dmax / config.rho - v1)
+    deviations = np.abs(dmax / rho - v1)
 
-    trials = config.trials
-    p_hat, ci, bounds, vacuous = [], [], [], []
+    p_hat, ci, bounds = [], [], []
     for s in config.s_values:
         p = float(np.mean(deviations > s))
         p_hat.append(p)
         # continuity guard: at p in {0, 1} use half an observation
         p_tilde = min(max(p, 0.5 / trials), 1.0 - 0.5 / trials)
         ci.append(1.96 * math.sqrt(p_tilde * (1.0 - p_tilde) / trials))
-        s_prime = s - v1 / config.n
-        if s_prime <= 0:
-            bounds.append(1.0)
-            vacuous.append(True)
-        else:
-            b, vac = _union_bound(threshold, config.n, s_prime)
-            bounds.append(b)
-            vacuous.append(vac)
+        bounds.append(_union_bound(threshold, n, s - v1 / n))
 
     return GraphTrialResult(
         config=config,
         dmax_samples=dmax,
-        s_values=tuple(config.s_values),
         p_hat=tuple(p_hat),
         ci_half_width=tuple(ci),
-        bound=tuple(bounds),
-        vacuous=tuple(vacuous),
+        bound=tuple(b for b, _ in bounds),
+        vacuous=tuple(vac for _, vac in bounds),
         threshold_s=threshold,
     )

@@ -373,3 +373,55 @@ class TestBernoulliSmallIntensity:
     def test_warns_below_admissible_scale(self):
         with pytest.warns(UserWarning):
             asym.bernoulli_small_x_prediction(40, 1e-12)
+
+
+# closed form at order k -> whether its family lives on even orders; each
+# refuses the orders its family's model refuses, through its check_order
+CLOSED_FORM_ORDERS = {
+    "regime_b(bernoulli)": (lambda k: asym.regime_b_prediction(BERN, k, 100.0), True),
+    "regime_b(gaussian)": (lambda k: asym.regime_b_prediction(GAUSS, k, 100.0), True),
+    "regime_b(exponential)": (lambda k: asym.regime_b_prediction(EXP, k, 100.0), False),
+    "gaussian": (lambda k: asym.gaussian_moment_prediction(k, 10.0), True),
+    "gamma": (lambda k: asym.gamma_moment_prediction(k, 10.0, 2, 0.5), False),
+    "bernoulli": (lambda k: asym.bernoulli_moment_prediction(k, 10.0), True),
+    "bernoulli_small_x": (lambda k: asym.bernoulli_small_x_prediction(k, 5.0).log_value, True),
+    "exponential_sum": (lambda k: asym.exponential_sum_prediction(k, 10.0), False),
+    "logfact_sum": (lambda k: asym.logfact_sum_prediction(k, 10.0), False),
+}
+
+
+class TestClosedFormOrders:
+    @pytest.mark.parametrize("name", CLOSED_FORM_ORDERS)
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_order_refused(self, name, k):
+        form, _ = CLOSED_FORM_ORDERS[name]
+        with pytest.raises(DomainError, match="^order must be positive$"):
+            form(k)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_ORDERS)
+    def test_odd_order_refused_on_even_only_families(self, name):
+        form, even_only = CLOSED_FORM_ORDERS[name]
+        if even_only:
+            with pytest.raises(DomainError, match="lives on even orders; 11 is odd$"):
+                form(11)
+        else:
+            assert math.isfinite(form(11))
+        assert math.isfinite(form(12))
+
+    def test_gaussian_variance_checked_by_its_model(self):
+        for v2 in (0, -1.0):
+            with pytest.raises(DomainError, match="gaussian_centered needs v2 > 0"):
+                asym.gaussian_moment_prediction(10, 5.0, v2)
+
+    def test_gamma_parameters_checked_by_its_model(self):
+        with pytest.raises(DomainError, match="gamma needs m > 0 and theta > 0"):
+            asym.gamma_moment_prediction(10, 5.0, 2, 0)
+
+    def test_gaussian_special_case_dispatch(self):
+        for v2 in (1.0, 2.5):
+            assert asym.special_case_prediction("gaussian", 40, 30.0, v2=v2) == (
+                asym.gaussian_moment_prediction(40, 30.0, v2=v2)
+            )
+        assert asym.special_case_prediction("gaussian", 40, 30.0) == (
+            asym.gaussian_moment_prediction(40, 30.0)
+        )

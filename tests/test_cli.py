@@ -46,6 +46,16 @@ class TestHeader:
         with pytest.raises(ValueError):
             cli.validate_header([1, 2])
 
+    @pytest.mark.parametrize("key, value", [
+        ("tool", 1), ("version", None), ("command", ["moments"]), ("config", "{}"),
+    ])
+    def test_schema_rejects_a_key_of_the_wrong_type(self, key, value):
+        header = {"tool": "cpm", "version": "0.1.0", "command": "bell", "config": {}}
+        assert cli.validate_header(dict(header)) == header
+        header[key] = value
+        with pytest.raises(ValueError, match=f"^header key {key!r} must be "):
+            cli.validate_header(header)
+
 
 @pytest.fixture
 def int_str_limit_640():
@@ -87,6 +97,14 @@ class TestIdentities:
         checks = result.output.strip().splitlines()[1:]
         assert len(checks) == 4
         assert all(line.endswith("  PASS") for line in checks), result.output
+
+    def test_failing_identity_exits_3_with_a_fail_row(self, runner, monkeypatch):
+        monkeypatch.setattr(moments, "even_partition_number", lambda two_k: 0)
+        result = runner.invoke(cli.main, ["identities"])
+        assert result.exit_code == 3, result.output
+        checks = result.output.strip().splitlines()[1:]
+        assert checks[-1] == "even-order recurrence reproduces its reference values  FAIL"
+        assert all(line.endswith("  PASS") for line in checks[:-1])
 
     def test_one_exact_sequence_for_the_composition_grid(self, runner, monkeypatch):
         # one M_k(2^b) sequence for the 68 (k, p) pairs, then one per intensity
@@ -163,6 +181,17 @@ class TestMoments:
         ])
         assert result.exit_code == 0, result.output
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("k, x", [("400", "1e-300"), ("150", f"1/{7**4000}")],
+                             ids=["1e-300", "1/7^4000"])
+    def test_long_rational_refused_in_under_a_second(self, runner, tmp_path, k, x):
+        start = time.monotonic()
+        result = runner.invoke(cli.main, [
+            "moments", "--weights", "unit", "--k", k, "--x", x, "--out", str(tmp_path / "m.csv"),
+        ])
+        assert time.monotonic() - start < 1.0
+        assert result.exit_code == 3, result.output
+        assert result.stderr.endswith(f"bit products, more than {moments.MAX_EXACT_BITS}\n")
 
     def test_exact_table_round_trips(self, runner, tmp_path):
         out = tmp_path / "m.csv"
@@ -548,6 +577,25 @@ class TestExitCodes:
         ])
         assert result.exit_code == 4
 
+    def test_failed_write_leaves_no_temporary_file(self, runner, tmp_path, monkeypatch):
+        # the table goes to a .cpm-tmp- file that is renamed over --out
+        out = tmp_path / "t.csv"
+        out.write_text("old\n")
+        with pytest.raises(TypeError):
+            cli._atomic_write(str(out), None)  # the write itself fails
+
+        def broken(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", broken)  # the rename fails
+        result = runner.invoke(cli.main, [
+            "moments", "--weights", "unit", "--k", "2", "--x", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 4
+        assert result.stderr == "cpm: i/o error: [Errno 28] No space left on device\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
+        assert out.read_text() == "old\n"
+
     def test_truncated_model_rate_is_three(self, runner, tmp_path):
         path = tmp_path / "w.json"
         path.write_text('{"moments": [1, 1, 2]}')
@@ -613,6 +661,14 @@ class TestImport:
         seen = json.loads(run_fresh(RUN_COMMANDS, json.dumps([args])))
         assert not seen["before"] and seen["after"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_lazy_module_refuses_a_missing_module(self):
+        from cpmoments import _numpy
+
+        name = "cpmoments_no_such_module"
+        with pytest.raises(ModuleNotFoundError, match=f"No module named {name!r}"):
+            _numpy.lazy_module(name)
+        assert name not in sys.modules
 
     def test_numpy_imported_first_is_the_bound_module(self):
         import numpy
@@ -754,6 +810,14 @@ class TestBadInputs:
                   3, "cpm: error: need n >= 2 vertices"),
         bad_input("unsampleable-model", GRAPHSIM + ["--weights", "logfact"],
                   3, "cpm: error: weight model 'logfact' cannot be sampled"),
+        bad_input("aux-llt-with-x-and-u",
+                  ["aux", "--weights", "unit", "--x", "5", "--u", "0.5", "--llt-chi", "1",
+                   "--k", "10", "--out", "{out}"],
+                  2, "Error: --llt-chi with --k sets x and u; drop --x and --u"),
+        bad_input("aux-k-without-llt",
+                  ["aux", "--weights", "unit", "--x", "5", "--u", "0.5", "--k", "10",
+                   "--out", "{out}"],
+                  2, "Error: either give --x and --u, or --llt-chi with --k"),
         bad_input("aux-beyond-transform-points",
                   ["aux", "--weights", "unit", "--x", "1e6", "--u", "0.5", "--out", "{out}"],
                   3, "cpm: error: tilted law of model 'unit' at x = 1000000.0, u = 0.5 reaches"
@@ -780,6 +844,20 @@ class TestBadInputs:
                    "--out", "{out}"],
                   3, "cpm: error: exact recurrence needs 5000000050000000 terms (k (k + 1) / 2"
                      " for a run to order k), more than 3000000",
+                  header=True),
+        bad_input("moments-exact-tiny-x",
+                  ["moments", "--weights", "unit", "--k", "400", "--x", "1e-300",
+                   "--out", "{out}"],
+                  3, "cpm: error: exact recurrence to order 400 at a scale of 1 numerator and 997"
+                     " denominator bits needs about 1071995808000000 bit products, more than"
+                     " 20000000000000",
+                  header=True),
+        bad_input("moments-exact-long-denominator",
+                  ["moments", "--weights", "unit", "--k", "150", "--x", f"1/{7**4000}",
+                   "--out", "{out}"],
+                  3, "cpm: error: exact recurrence to order 150 at a scale of 1 numerator and"
+                     " 11230 denominator bits needs about 2662569324281250 bit products, more"
+                     " than 20000000000000",
                   header=True),
         bad_input("bell-unbounded", ["bell", "--k", "100000000"],
                   3, "cpm: error: exact recurrence needs 5000000050000000 terms (k (k + 1) / 2"

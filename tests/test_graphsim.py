@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -75,15 +76,20 @@ class TestSampling:
         deg = graphsim.sample_degrees(2000, 1e-25, draw, graphsim.trial_generator(0, 0))
         assert np.array_equal(deg, np.zeros(2000))
 
+    def test_edge_probability_above_one_refused(self):
+        draw, _ = graphsim.weight_sampler("unit")
+        with pytest.raises(DomainError, match="^edge probability must be <= 1$"):
+            graphsim.sample_degrees(10, 1.5, draw, graphsim.trial_generator(0, 0))
+
     def test_no_edges_at_zero_intensity(self):
         cfg = graphsim.GraphSimConfig(
-            n=50, rho=0.0, weight_name="unit", s_values=(0.5,), trials=3, seed=1
+            n=50, kappa=0.0, weight_name="unit", s_values=(0.5,), trials=3, seed=1
         )
         assert dmax(cfg) == 0.0
 
     def test_forced_single_edge(self):
         cfg = graphsim.GraphSimConfig(
-            n=2, rho=2.0, weight_name="unit", s_values=(0.5,), trials=1, seed=1
+            n=2, kappa=2.0 / math.log(2), weight_name="unit", s_values=(0.5,), trials=1, seed=1
         )
         assert dmax(cfg) == 1.0
 
@@ -252,6 +258,15 @@ class TestThresholdAndBound:
         with pytest.raises(DomainError):
             graphsim.moment_union_bound(weights.exponential(), 100, 2.0, 0.0)
 
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_rejects_fewer_than_two_vertices(self, n):
+        with pytest.raises(DomainError, match="^need n >= 2$"):
+            graphsim.moment_union_bound(weights.exponential(), n, 2.0, 1.0)
+
+    @pytest.mark.parametrize("s_prime", [0.0, -1e-9, -3.0])
+    def test_vacuous_at_or_below_the_mean(self, s_prime):
+        assert graphsim._union_bound(0.5, 100, s_prime) == (1.0, True)
+
 
 class TestDeviationExperiment:
     def test_p_hat_monotone_in_s(self):
@@ -278,7 +293,7 @@ class TestDeviationExperiment:
                 )
                 res = graphsim.deviation_experiment(cfg)
                 for s, p, ci, bound, vac in zip(
-                    res.s_values, res.p_hat, res.ci_half_width, res.bound, res.vacuous
+                    res.config.s_values, res.p_hat, res.ci_half_width, res.bound, res.vacuous
                 ):
                     if not vac:
                         assert p <= bound + ci, (n, kappa, s, p, bound, ci)
@@ -301,10 +316,19 @@ class TestDeviationExperiment:
         res = graphsim.deviation_experiment(cfg)
         assert res.vacuous[0] and res.bound[0] == 1.0
 
+    def test_config_derives_rho_from_kappa(self):
+        cfg = graphsim.GraphSimConfig(200, 2.5, "unit", [0.5, 1.0], 3, 7)
+        assert cfg.rho == 2.5 * math.log(200)
+        assert cfg.s_values == (0.5, 1.0)
+        assert graphsim.config_from_kappa is graphsim.GraphSimConfig
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "n", "kappa", "weight_name", "s_values", "trials", "seed"
+        ]
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            graphsim.GraphSimConfig(n=10, rho=20.0, weight_name="unit",
+            graphsim.GraphSimConfig(n=10, kappa=10.0, weight_name="unit",
                                     s_values=(1.0,), trials=1, seed=0)
         with pytest.raises(DomainError):
-            graphsim.GraphSimConfig(n=10, rho=1.0, weight_name="unit",
+            graphsim.GraphSimConfig(n=10, kappa=1.0, weight_name="unit",
                                     s_values=(1.0,), trials=0, seed=0)

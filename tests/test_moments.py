@@ -188,6 +188,26 @@ class TestIntegerEngine:
             moments.bell_number(10**8)
         moments.check_exact_work(moments.MAX_EXACT_WORK)
 
+    @pytest.mark.parametrize("k, x, n", [
+        (400, Fraction(1, 10**300), None),  # 1e-300: k = 400 did not finish in 300 s
+        (150, Fraction(1, 7**4000), None),  # a 3381-digit denominator
+        (1000, 10**300, None),
+        (400, Fraction(7, 2), 10**300),  # x/n has the long denominator
+    ])
+    def test_bit_work_bound_refuses_before_any_work(self, monkeypatch, k, x, n):
+        def refuse(self, j):
+            raise AssertionError("weight moments evaluated")
+
+        monkeypatch.setattr(weights.WeightModel, "moment", refuse)
+        with pytest.raises(DomainError, match=f"bit products, more than {moments.MAX_EXACT_BITS}$"):
+            moments.moment_sequence(MODELS["unit"], k, x, n)
+
+    def test_bit_work_bound_admits_bell_2000(self):
+        # bell --k 2000 runs (16-20 s); the bound is calibrated just above it
+        work = moments.exact_bit_work(2000, 1, 1)
+        assert work <= moments.MAX_EXACT_BITS < 1.2 * work
+        assert moments.exact_bit_work(0, 10**300, 7**4000) == 0
+
 
 class TestBell:
     def test_known_values(self):
@@ -403,6 +423,28 @@ class TestClosedFormIdentities:
     def test_exp_identity_is_the_partition_sum(self, k, x):
         lhs = math.factorial(k) * moments.exp_identity_sum(k, x)
         assert lhs == moments.moment_partition_oracle(MODELS["exponential"], k, x).value_exact
+
+
+class TestOrderRefusals:
+    def test_negative_order_profiles(self):
+        with pytest.raises(DomainError, match="^order must be >= 0$"):
+            next(moments.partition_profiles(-1))
+
+    def test_negative_order_log_sequence(self):
+        with pytest.raises(DomainError, match="^order must be >= 0$"):
+            moments.log_moment_sequence(MODELS["unit"], -1, 1.0)
+
+    @pytest.mark.parametrize("identity", [moments.exp_identity_sum,
+                                          moments.factorial_identity_rising])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_identities_need_a_positive_order(self, identity, k):
+        with pytest.raises(DomainError, match="^identity defined for k >= 1$"):
+            identity(k, 2)
+
+    @pytest.mark.parametrize("k, p", [(3, 0), (3, 4), (0, 0), (5, -1)])
+    def test_composition_parts_outside_one_to_k(self, k, p):
+        with pytest.raises(DomainError, match="^need 1 <= p <= k$"):
+            moments.composition_identity_lhs(k, p)
 
 
 class TestMomentValue:

@@ -147,6 +147,23 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             model.moment(-1)
 
+    @pytest.mark.parametrize("k", [0, -1, -2])
+    def test_check_order_refuses_non_positive_orders(self, k):
+        for model in builtin_models():
+            with pytest.raises(DomainError, match="^order must be positive$"):
+                model.check_order(k)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: weights.gaussian_centered(0), "gaussian_centered needs v2 > 0"),
+        (lambda: weights.gaussian_centered(Fraction(-1, 3)), "gaussian_centered needs v2 > 0"),
+        (lambda: weights.gamma(0, 1), "gamma needs m > 0 and theta > 0"),
+        (lambda: weights.gamma(2, 0), "gamma needs m > 0 and theta > 0"),
+        (lambda: weights.gamma(-1, Fraction(1, 2)), "gamma needs m > 0 and theta > 0"),
+    ])
+    def test_bad_parameters_refused(self, build, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            build()
+
     def test_radius_values(self):
         assert weights.unit().radius == math.inf
         assert weights.gamma(2, Fraction(1, 2)).radius == pytest.approx(2.0)
