@@ -465,22 +465,33 @@ def log_moments_on_ray(
     recurrence: all of them when the saddle is so close to a finite radius
     that N would pass _MAX_NODES, and single orders whose point mass is lost
     to rounding (at tiny chi the law of Z_k clusters away from k).  Their
-    k^2, summed, is held to ``moments.MAX_LOG_WORK`` before any runs.
+    k^2, summed, is held to ``moments.MAX_LOG_WORK`` before any runs, and
+    where all of them take it, before any per-order array is built.
     """
-    ks = np.asarray(orders, dtype=float)
-    if not ks.size:
-        return ks
-    if not math.isfinite(saddle.chi * orders[-1]):
+    if not orders:
+        return np.empty(0)
+    if orders[-1] > sys.float_info.max or not math.isfinite(saddle.chi * orders[-1]):
         raise DomainError(f"intensity chi k = {saddle.chi} * {orders[-1]} overflows")
     nodes = ray_nodes(model, saddle, orders[-1])
     if nodes > _MAX_NODES:
-        log_p = np.full(ks.size, math.nan)
+        check_log_work(_square_sum(orders))
+        log_p = np.full(len(orders), math.nan)
     else:
         log_p = log_point_masses(model, saddle, orders, nodes)
     lgf = np.array([math.lgamma(k + 1.0) for k in orders])
+    ks = np.asarray(orders, dtype=float)
     out = lgf + ks * (saddle.chi * saddle.excess - math.log(saddle.u)) + log_p
     fallback = np.flatnonzero(np.isnan(log_p)).tolist()
     check_log_work(sum(orders[i] ** 2 for i in fallback))
     for i in fallback:
         out[i] = log_moment(model, orders[i], saddle.chi * orders[i])
     return out
+
+
+def _square_sum(orders: Sequence[int]) -> int:
+    """The sum of k^2 over ``orders``; over a range, however long, in closed form."""
+    if not isinstance(orders, range):
+        return sum(k * k for k in orders)
+    a, d = orders.start, orders.step
+    n = (orders[-1] - a) // d + 1  # len() stops at sys.maxsize
+    return n * a * a + a * d * n * (n - 1) + d * d * ((n - 1) * n * (2 * n - 1) // 6)

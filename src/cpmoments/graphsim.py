@@ -42,13 +42,20 @@ from .asymptotics import rate_function
 from .errors import DomainError
 from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 
+# a graph's work is its vertices and expected edges: one trial's arrays take
+# 35-50 bytes for each, and a run 40-85 ns for each (2-core x86-64)
+MAX_TRIAL_WORK = 3 * 10**7  # work of one graph, about 1.5 GB of arrays
+TRIAL_COST = 1000  # a trial's fixed cost, its stream and calls (about 65 us), as work
+MAX_GRAPH_WORK = 10**9  # work and TRIAL_COST summed over the trials, about a minute
+
 
 @dataclass(frozen=True)
 class GraphSimConfig:
     """One simulation setup at intensity rho = kappa ln n; rho/n is the edge
     probability.  kappa is the one intensity field: the graphs are drawn at
     ``rho`` and the bound is computed at kappa, so the two cannot disagree.
-    ``s_values`` is kept as a tuple."""
+    ``s_values`` is kept as a tuple.  Refuses a graph above MAX_TRIAL_WORK
+    and a run above MAX_GRAPH_WORK."""
 
     n: int
     kappa: float
@@ -65,6 +72,13 @@ class GraphSimConfig:
             raise DomainError("edge probability rho/n must lie in [0, 1]")
         if self.trials < 1:
             raise DomainError("need at least one trial")
+        work = self.n + (self.n - 1) / 2 * self.rho  # vertices and expected edges
+        if work > MAX_TRIAL_WORK:
+            raise DomainError(f"one graph of {self.n} vertices and {work - self.n:.3g} expected"
+                              f" edges is more than {MAX_TRIAL_WORK} vertices and edges")
+        if self.trials > MAX_GRAPH_WORK / (work + TRIAL_COST):
+            raise DomainError(f"{self.trials} trials of {work:.3g} vertices and edges, plus"
+                              f" {TRIAL_COST} per trial, are more than {MAX_GRAPH_WORK} in all")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 bits")
 

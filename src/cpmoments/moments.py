@@ -51,7 +51,6 @@ from .weights import NumberLike, WeightModel, log_rational
 
 ORACLE_CAP = 25  # profile enumeration beyond this is pointless, cost is exponential
 MAX_LOG_WORK = 2 * 10**9  # k^2 summed over log recurrences to orders k
-MAX_EXACT_WORK = 3 * 10**6  # terms k (k + 1) / 2 of one exact recurrence to order k
 MAX_EXACT_BITS = 2 * 10**13  # bit products of one exact recurrence, by exact_bit_work
 
 _UNIT = _weights.unit()
@@ -132,26 +131,26 @@ def moment_sequence(
     The recurrence runs on integers.  With scale x (or x/n) = p/q and
     ``_moment_scale``'s l, D = q l, the scaled moments N_k = D^k M_k obey
     N_k = sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j, and each order
-    is reduced once, as Fraction(N_k, D^k).  Refuses k_max (k_max + 1) / 2
-    above MAX_EXACT_WORK, and then an ``exact_bit_work`` of p/q above
-    MAX_EXACT_BITS.
+    is reduced once, as Fraction(N_k, D^k).  Refuses an ``exact_bit_work``
+    above MAX_EXACT_BITS: at D = q before any V_j is evaluated, then as
+    each V_j is read at the least D it allows, as den(V_j) divides l^j.
     """
     if k_max < 0:
         raise DomainError("order must be >= 0")
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
-    check_exact_work(k_max * (k_max + 1) // 2)
     xe = Fraction(x)
     scale = xe if n is None else xe / n
     p, q = scale.numerator, scale.denominator
-    work = exact_bit_work(k_max, p, q)
-    if work > MAX_EXACT_BITS:
-        raise DomainError(
-            f"exact recurrence to order {k_max} at a scale of {p.bit_length()} numerator and"
-            f" {q.bit_length()} denominator bits needs about {work} bit products, more than"
-            f" {MAX_EXACT_BITS}"
-        )
-    vs = [model.moment(j) for j in range(1, k_max + 1)]
+    bp, bq = p.bit_length(), q.bit_length()
+    _check_bit_work(k_max, bp, bq)
+    vs, bl = [], 1  # bl: the fewest bits l can have
+    for j in range(1, k_max + 1):
+        vs.append(model.moment(j))
+        # l >= den(V_j)^(1/j), and q l has at least bq + bl - 1 bits
+        if (need := -((1 - vs[-1].denominator.bit_length()) // j)) > bl:
+            bl = need
+            _check_bit_work(k_max, bp, bq + bl - 1, f" (at least, by den(V_{j}))")
     ell = _moment_scale(vs)
     d = q * ell
     cs, step = [], p * ell  # step = p q^(j-1) l^j
@@ -250,31 +249,24 @@ def centered_moment_tilde(model: WeightModel, k: int, lam: NumberLike) -> Moment
     return MomentValue.from_exact(k, lame, value, "centered_tilde")
 
 
-def check_exact_work(terms: int) -> None:
-    """Refuse an exact recurrence of more than MAX_EXACT_WORK terms,
-    k (k + 1) / 2 for a run to order k: its integers grow with k, so the
-    terms cost more as k grows, and ``bell --k 2000``'s 2001000 terms take
-    16-20 s (2-core x86-64).  Every exact moment, table, Bell number and
-    identity runs through ``moment_sequence``, which checks this before
-    it evaluates any weight moment."""
-    if terms > MAX_EXACT_WORK:
-        raise DomainError(
-            f"exact recurrence needs {terms} terms (k (k + 1) / 2 for a run to order k),"
-            f" more than {MAX_EXACT_WORK}"
-        )
-
-
-def exact_bit_work(k_max: int, p: int, q: int) -> int:
-    """Estimated bit products of ``moment_sequence`` to order k at the scale
-    x (or x/n) = p/q, from k and the bit lengths b_p, b_q alone: N_m carries
-    about m (b_p + b_q + log2 m) bits and the j-th coefficient b_p +
-    j (b_q + 1), and their schoolbook products over all terms come to
-    k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  Terms alone do not
-    bound the time: x = 1e-300 took 9.6 s at k = 150, against 16.6 s for
-    ``bell --k 2000``, whose estimate MAX_EXACT_BITS sits just above; 20
-    runs took 0.45 to 1.9 ps per estimated product (2-core x86-64)."""
-    bp, bq = p.bit_length(), q.bit_length()
+def exact_bit_work(k_max: int, bp: int, bq: int) -> int:
+    """Estimated bit products of ``moment_sequence`` to order k, with b_p
+    bits in x's (or x/n's) numerator p and b_q in D = q l: N_m carries about
+    m (b_p + b_q + log2 m) bits and the j-th coefficient b_p + j (b_q + 1),
+    and their schoolbook products over all terms come to
+    k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  MAX_EXACT_BITS
+    sits just above ``bell --k 2000``'s 1.7e13 (16-20 s); 20 runs took 0.45
+    to 1.9 ps per estimated product (2-core x86-64)."""
     return k_max**3 * (bp + bq + k_max.bit_length()) * (4 * bp + k_max * (bq + 1)) // 24
+
+
+def _check_bit_work(k_max: int, bp: int, bq: int, source: str = "") -> None:
+    work = exact_bit_work(k_max, bp, bq)
+    if work > MAX_EXACT_BITS:
+        raise DomainError(
+            f"exact recurrence to order {k_max} at a scale of {bp} numerator and {bq} denominator"
+            f" bits{source} needs about {work} bit products, more than {MAX_EXACT_BITS}"
+        )
 
 
 def check_log_work(terms: int) -> None:

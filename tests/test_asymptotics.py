@@ -289,6 +289,11 @@ class TestRegimeB:
         with pytest.raises(DomainError):
             asym.regime_b_prediction(weights.custom_model([1, 0, 0]), 4, 10.0)
 
+    @pytest.mark.parametrize("model, x", [(EXP, -1.0), (UNIT, 0.0)], ids=["negative-x", "zero-x"])
+    def test_first_moment_branch_needs_positive_mean(self, model, x):
+        with pytest.raises(DomainError, match="^x V_1 must be positive"):
+            asym.regime_b_prediction(model, 4, x)
+
 
 class TestSpecialCaseAgreement:
     def test_closed_forms_match_generic_saddle(self):

@@ -445,3 +445,13 @@ class TestLogMomentsOnRay:
         assert auxdist.ray_nodes(LOGF, saddle, 5000) > auxdist._MAX_NODES
         with pytest.raises(DomainError, match="41679167500 terms"):
             auxdist.log_moments_on_ray(LOGF, saddle, range(1, 5001))
+
+    def test_all_fallback_work_is_refused_before_any_array(self):
+        # 1e13 orders: one float per order would be 80 TB
+        with pytest.raises(DomainError, match="333333333333383333333333335000000000000 terms"):
+            auxdist.log_moments_on_ray(UNIT, solve_saddle(UNIT, 1.0), range(1, 10**13 + 1))
+
+    @pytest.mark.parametrize("orders", [range(1, 5001), range(2, 301, 2), range(7, 8),
+                                        range(3, 100, 7)])
+    def test_square_sum_of_a_range_in_closed_form(self, orders):
+        assert auxdist._square_sum(orders) == sum(k * k for k in list(orders))

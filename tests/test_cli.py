@@ -106,6 +106,14 @@ class TestIdentities:
         assert checks[-1] == "even-order recurrence reproduces its reference values  FAIL"
         assert all(line.endswith("  PASS") for line in checks[:-1])
 
+    def test_closed_form_mismatch_exits_3_with_a_fail_row(self, runner, monkeypatch):
+        monkeypatch.setattr(moments, "exp_identity_sum", lambda k, x: Fraction(0))
+        result = runner.invoke(cli.main, ["identities"])
+        assert result.exit_code == 3, result.output
+        checks = result.output.strip().splitlines()[1:]
+        assert checks[1] == "k! S_k(x) = exponential-weight moment, k <= 12         FAIL"
+        assert all(line.endswith("  PASS") for line in checks[:1] + checks[2:])
+
     def test_one_exact_sequence_for_the_composition_grid(self, runner, monkeypatch):
         # one M_k(2^b) sequence for the 68 (k, p) pairs, then one per intensity
         # and model; the output is the one the per-pair calls wrote
@@ -808,6 +816,16 @@ class TestBadInputs:
                   ["graphsim", "--n", "0", "--kappa", "1", "--weights", "unit", "--s", "1.0",
                    "--trials", "2", "--out", "{out}"],
                   3, "cpm: error: need n >= 2 vertices"),
+        bad_input("graph-too-large",
+                  ["graphsim", "--n", "10000000000000", "--kappa", "1", "--weights", "unit",
+                   "--s", "1.0", "--trials", "2", "--out", "{out}"],
+                  3, "cpm: error: one graph of 10000000000000 vertices and 1.5e+14 expected edges"
+                     " is more than 30000000 vertices and edges"),
+        bad_input("graph-trials-too-many",
+                  ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0",
+                   "--trials", "10000000000000", "--out", "{out}"],
+                  3, "cpm: error: 10000000000000 trials of 146 vertices and edges, plus 1000 per"
+                     " trial, are more than 1000000000 in all"),
         bad_input("unsampleable-model", GRAPHSIM + ["--weights", "logfact"],
                   3, "cpm: error: weight model 'logfact' cannot be sampled"),
         bad_input("aux-llt-with-x-and-u",
@@ -842,8 +860,9 @@ class TestBadInputs:
         bad_input("moments-exact-unbounded",
                   ["moments", "--weights", "unit", "--k", "100000000", "--x", "1",
                    "--out", "{out}"],
-                  3, "cpm: error: exact recurrence needs 5000000050000000 terms (k (k + 1) / 2"
-                     " for a run to order k), more than 3000000",
+                  3, "cpm: error: exact recurrence to order 100000000 at a scale of 1 numerator"
+                     " and 1 denominator bits needs about 241666671500000000000000000000000 bit"
+                     " products, more than 20000000000000",
                   header=True),
         bad_input("moments-exact-tiny-x",
                   ["moments", "--weights", "unit", "--k", "400", "--x", "1e-300",
@@ -859,15 +878,37 @@ class TestBadInputs:
                      " 11230 denominator bits needs about 2662569324281250 bit products, more"
                      " than 20000000000000",
                   header=True),
+        bad_input("moments-exact-weight-denominator",
+                  ["moments", "--weights", "gaussian:1e-300", "--k", "2000", "--x", "1",
+                   "--out", "{out}"],
+                  3, "cpm: error: exact recurrence to order 2000 at a scale of 1 numerator and 498"
+                     " denominator bits (at least, by den(V_2)) needs about 169660680000000000 bit"
+                     " products, more than 20000000000000",
+                  header=True),
+        bad_input("moments-exact-gamma-denominator",
+                  ["moments", "--weights", "gamma:1/3,1e-300", "--k", "2000", "--x", "1",
+                   "--out", "{out}"],
+                  3, "cpm: error: exact recurrence to order 2000 at a scale of 1 numerator and 998"
+                     " denominator bits (at least, by den(V_1)) needs about 672661346666666666 bit"
+                     " products, more than 20000000000000",
+                  header=True),
         bad_input("bell-unbounded", ["bell", "--k", "100000000"],
-                  3, "cpm: error: exact recurrence needs 5000000050000000 terms (k (k + 1) / 2"
-                     " for a run to order k), more than 3000000",
+                  3, "cpm: error: exact recurrence to order 100000000 at a scale of 1 numerator"
+                     " and 1 denominator bits needs about 241666671500000000000000000000000 bit"
+                     " products, more than 20000000000000",
                   header=True),
         bad_input("compare-fallback-unbounded",
                   ["compare", "--weights", "logfact", "--chi", "1e-4", "--k-max", "5000",
                    "--out", "{out}"],
                   3, "cpm: error: log-space recurrence needs 41679167500 terms (k^2 summed over"
                      " its runs to order k), more than 2000000000",
+                  header=True),
+        bad_input("compare-huge-k-max",
+                  ["compare", "--weights", "unit", "--chi", "1", "--k-max", "10000000000000",
+                   "--out", "{out}"],
+                  3, "cpm: error: log-space recurrence needs"
+                     " 333333333333383333333333335000000000000 terms (k^2 summed over its runs to"
+                     " order k), more than 2000000000",
                   header=True),
         bad_input("compare-intensity-overflow",
                   ["compare", "--weights", "unit", "--chi", "1e308", "--k-max", "5",
@@ -913,3 +954,21 @@ class TestBadInputs:
         else:
             assert result.stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["moments", "--weights", "gaussian:1e-300", "--k", "2000", "--x", "1"],
+        ["moments", "--weights", "gamma:1/3,1e-300", "--k", "2000", "--x", "1"],
+        ["compare", "--weights", "unit", "--chi", "1", "--k-max", "10000000000000"],
+        ["compare", "--weights", "unit", "--chi", "1", "--k-max", "3000000"],
+        ["graphsim", "--n", "10000000000000", "--kappa", "1", "--weights", "unit", "--s", "1.0",
+         "--trials", "2"],
+        ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0",
+         "--trials", "10000000000000"],
+    ], ids=["gaussian-denominator", "gamma-denominator", "compare-k-max-1e13",
+            "compare-k-max-3e6", "graphsim-n-1e13", "graphsim-trials-1e13"])
+    def test_unbounded_runs_refused_in_under_a_second(self, runner, tmp_path, args):
+        start = time.monotonic()
+        result = runner.invoke(cli.main, [*args, "--out", str(tmp_path / "t.csv")])
+        assert time.monotonic() - start < 1.0
+        assert result.exit_code == 3, result.output
+        assert len(result.stderr.splitlines()) == 1

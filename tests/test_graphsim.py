@@ -325,6 +325,17 @@ class TestDeviationExperiment:
             "n", "kappa", "weight_name", "s_values", "trials", "seed"
         ]
 
+    def test_work_caps(self):
+        # criterion 10 and the README example (n = 2000, 10^4 trials, 3.3e8)
+        # and the benchmark's three shapes run
+        for n, trials in ((2000, 10_000), (20000, 10), (200, 3000)):
+            graphsim.GraphSimConfig(n, 4.0, "exponential", (1.0,), trials, 0)
+        with pytest.raises(DomainError, match="expected edges is more than 30000000"):
+            graphsim.GraphSimConfig(2 * 10**6, 4.0, "exponential", (1.0,), 1, 0)
+        # two vertices a trial: a million trials cost their fixed part, 65 s
+        with pytest.raises(DomainError, match="plus 1000 per trial, are more than 1000000000"):
+            graphsim.GraphSimConfig(2, 1.0, "exponential", (1.0,), 10**6, 0)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             graphsim.GraphSimConfig(n=10, kappa=10.0, weight_name="unit",

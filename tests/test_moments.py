@@ -179,14 +179,53 @@ class TestIntegerEngine:
             raise AssertionError("weight moments evaluated")
 
         monkeypatch.setattr(weights.WeightModel, "moment", refuse)
-        k_max = math.isqrt(2 * moments.MAX_EXACT_WORK)  # k_max (k_max + 1) / 2 just above
-        assert k_max * (k_max + 1) // 2 > moments.MAX_EXACT_WORK >= k_max * (k_max - 1) // 2
+        # the first order the bit bound refuses at x = 1: bell --k 2000 runs
+        k_max = 2001
+        while moments.exact_bit_work(k_max, 1, 1) <= moments.MAX_EXACT_BITS:
+            k_max += 1
+        assert k_max == 2048
         for k, n in ((k_max, None), (10**8, None), (10**8, 1000)):
-            with pytest.raises(DomainError, match=f"more than {moments.MAX_EXACT_WORK}$"):
+            with pytest.raises(DomainError, match=f"bit products, more than {moments.MAX_EXACT_BITS}$"):
                 moments.moment_sequence(MODELS["unit"], k, 1, n)
         with pytest.raises(DomainError, match="more than"):
             moments.bell_number(10**8)
-        moments.check_exact_work(moments.MAX_EXACT_WORK)
+
+    @pytest.mark.parametrize("spec, k, read, bits", [
+        ("gaussian:1e-300", 2000, 2, 498),  # den(V_2) = 10^300: l >= 10^150
+        ("gamma:1/3,1e-300", 2000, 1, 998),
+        ("gaussian:1e-300", 240, 2, 498),  # 3.5e13; 10.4 s unbounded
+    ])
+    def test_weight_denominators_refused_as_read(self, monkeypatch, spec, k, read, bits):
+        model, seen = weights.from_spec(spec), []
+        moment = weights.WeightModel.moment
+
+        def counted(self, j):
+            seen.append(j)
+            return moment(self, j)
+
+        def refuse(vs):
+            raise AssertionError("_moment_scale ran")
+
+        monkeypatch.setattr(weights.WeightModel, "moment", counted)
+        monkeypatch.setattr(moments, "_moment_scale", refuse)
+        with pytest.raises(DomainError, match=(
+                f"1 numerator and {bits} denominator bits \\(at least, by den\\(V_{read}\\)\\)"
+                f" needs about {moments.exact_bit_work(k, 1, bits)} bit products")):
+            moments.moment_sequence(model, k, 1)
+        assert seen == list(range(1, read + 1))
+
+    def test_weight_denominators_admit_order_200(self, monkeypatch):
+        # gaussian:1e-300 at k = 200 has estimate 1.7e13 and runs (5.9 s)
+        class Reached(Exception):
+            pass
+
+        def reached(vs):
+            raise Reached
+
+        monkeypatch.setattr(moments, "_moment_scale", reached)
+        assert moments.exact_bit_work(200, 1, 498) <= moments.MAX_EXACT_BITS
+        with pytest.raises(Reached):
+            moments.moment_sequence(weights.from_spec("gaussian:1e-300"), 200, 1)
 
     @pytest.mark.parametrize("k, x, n", [
         (400, Fraction(1, 10**300), None),  # 1e-300: k = 400 did not finish in 300 s
@@ -206,7 +245,7 @@ class TestIntegerEngine:
         # bell --k 2000 runs (16-20 s); the bound is calibrated just above it
         work = moments.exact_bit_work(2000, 1, 1)
         assert work <= moments.MAX_EXACT_BITS < 1.2 * work
-        assert moments.exact_bit_work(0, 10**300, 7**4000) == 0
+        assert moments.exact_bit_work(0, 997, 11230) == 0
 
 
 class TestBell:
