@@ -452,6 +452,14 @@ def log_point_masses(
     return out
 
 
+def ray_intensity(chi: float, k: int) -> float:
+    """x = chi k, the intensity at order k on the ray x/k = chi; refuses a k
+    or a product past float range."""
+    if k > sys.float_info.max or not math.isfinite(chi * k):
+        raise DomainError(f"intensity chi k = {chi} * {k} overflows")
+    return chi * k
+
+
 def log_moments_on_ray(
     model: WeightModel, saddle: SaddleSolution, orders: Sequence[int]
 ) -> np.ndarray:
@@ -470,8 +478,7 @@ def log_moments_on_ray(
     """
     if not orders:
         return np.empty(0)
-    if orders[-1] > sys.float_info.max or not math.isfinite(saddle.chi * orders[-1]):
-        raise DomainError(f"intensity chi k = {saddle.chi} * {orders[-1]} overflows")
+    ray_intensity(saddle.chi, orders[-1])
     nodes = ray_nodes(model, saddle, orders[-1])
     if nodes > _MAX_NODES:
         check_log_work(_square_sum(orders))

@@ -277,7 +277,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
             raise click.UsageError("--llt-chi with --k sets x and u; drop --x and --u")
         model.check_order(k_val)
         sol = asym.solve_saddle(model, llt_chi)
-        x_eff, u_eff = llt_chi * k_val, sol.u
+        x_eff, u_eff = auxdist.ray_intensity(llt_chi, k_val), sol.u
     else:
         if x_val is None or u_val is None or k_val is not None:
             raise click.UsageError("either give --x and --u, or --llt-chi with --k")

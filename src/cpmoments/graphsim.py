@@ -29,12 +29,25 @@ lookups into the sorted positions rather than one lookup per edge.  Every
 trial draws from its own counter-based Philox stream keyed by (seed, trial
 index), so results do not depend on trial execution order and are
 bit-reproducible for a given seed.
+
+Trials run on threads, one per usable CPU (``trial_workers``), since numpy
+releases the GIL in the draws and array passes.  Trial t writes D_max[t]
+from stream (seed, t), so the samples are the same bits for any number of
+threads.  A graph below MIN_THREAD_WORK vertices and expected edges runs
+on the calling thread alone, too short to gain from a second.  The graphs
+in flight hold at most MAX_TRIAL_WORK vertices and edges together, as one
+graph of the largest admitted size does, and each keeps two arrays of its
+edge count: the slot indices, overwritten by column indices, and the
+weights.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 from ._numpy import np
@@ -47,6 +60,10 @@ from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 MAX_TRIAL_WORK = 3 * 10**7  # work of one graph, about 1.5 GB of arrays
 TRIAL_COST = 1000  # a trial's fixed cost, its stream and calls (about 65 us), as work
 MAX_GRAPH_WORK = 10**9  # work and TRIAL_COST summed over the trials, about a minute
+# below this work a trial is too short to share: two threads ran graphs of
+# 2.3e3 at 0.53-0.68x of one thread, of 3.2e4 at 1.16-1.93x
+MIN_THREAD_WORK = 10**4
+EDGE_BLOCK = 2**16  # edges per block of a trial's row sums and column indices
 
 
 @dataclass(frozen=True)
@@ -68,11 +85,14 @@ class GraphSimConfig:
         object.__setattr__(self, "s_values", tuple(self.s_values))
         if self.n < 2:
             raise DomainError("need n >= 2 vertices")
+        if self.n > sys.float_info.max:  # rho / n is no float
+            raise DomainError(f"one graph of {self.n} vertices is more than {MAX_TRIAL_WORK}"
+                              " vertices and edges")
         if not 0.0 <= self.rho / self.n <= 1.0:
             raise DomainError("edge probability rho/n must lie in [0, 1]")
         if self.trials < 1:
             raise DomainError("need at least one trial")
-        work = self.n + (self.n - 1) / 2 * self.rho  # vertices and expected edges
+        work = self.trial_work
         if work > MAX_TRIAL_WORK:
             raise DomainError(f"one graph of {self.n} vertices and {work - self.n:.3g} expected"
                               f" edges is more than {MAX_TRIAL_WORK} vertices and edges")
@@ -85,6 +105,11 @@ class GraphSimConfig:
     @property
     def rho(self) -> float:
         return self.kappa * math.log(self.n)
+
+    @property
+    def trial_work(self) -> float:
+        """One graph's vertices and expected edges."""
+        return self.n + (self.n - 1) / 2 * self.rho
 
 
 config_from_kappa = GraphSimConfig  # the constructor's name from when configs held rho
@@ -129,14 +154,19 @@ def _geometric_gaps(
     numpy searches instead, and its gaps stay small.
     """
     if p >= 1.0 / 3.0:
-        return np.minimum(rng.geometric(p, size=size), cap)
+        gaps = rng.geometric(p, size=size)
+        return np.minimum(gaps, cap, out=gaps)
     gaps = rng.standard_exponential(size)
     gaps /= -math.log1p(-p)
     np.ceil(gaps, out=gaps)
     # cut before the cast: a gap past INT64_MAX has no int64 value, and
     # numpy's saturated INT64_MAX gaps make the gap sum wrap
     np.minimum(gaps, cap, out=gaps)
-    return gaps.astype(np.int64)
+    # cast in place: numpy assigns a 1-d array onto its own buffer element by
+    # element, without a second array of gaps
+    cast = gaps.view(np.int64)
+    cast[...] = gaps
+    return cast
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,6 +189,10 @@ def sample_degrees(
     cumulative geometric gaps (``_geometric_gaps``).  The sorted flat slot
     indices are split into rows by counting, for each row, the indices
     before its row start; slot (i, j) sits at row_start[i] + j - i - 1.
+    The slot indices and the weights are the only arrays of the graph's
+    size: row sums and column indices are taken over blocks of whole rows of
+    about EDGE_BLOCK edges, the columns overwriting the slots, so every sum
+    adds its weights in edge order whatever the blocks.
     """
     deg = np.zeros(n)
     npairs = n * (n - 1) // 2
@@ -179,6 +213,7 @@ def sample_degrees(
         total += int(gaps.sum())
         batch = max(16, int((npairs - total) * edge_p) + 16)
     pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    del chunks, gaps  # concatenated chunks are freed here, not at return
     pos[0] -= 1  # slot index = cumulative gap - 1
     np.cumsum(pos, out=pos)
     pos = pos[: np.searchsorted(pos, npairs)]
@@ -186,11 +221,24 @@ def sample_degrees(
         return deg
 
     idx, row_start, offset = _row_tables(n)
-    counts = np.diff(np.searchsorted(pos, row_start), append=pos.size)
-    i = np.repeat(idx, counts)
-    j = pos - np.repeat(offset, counts)
+    first = np.searchsorted(pos, row_start)  # each row's first edge
+    counts = np.diff(first, append=pos.size)
     w = draw(rng, pos.size)
-    return np.bincount(i, weights=w, minlength=n) + np.bincount(j, weights=w, minlength=n)
+    if pos.size <= EDGE_BLOCK:
+        rows = np.bincount(np.repeat(idx, counts), weights=w, minlength=n)
+        pos -= np.repeat(offset, counts)
+    else:
+        rows = np.empty(n)
+        cuts = np.searchsorted(first, range(EDGE_BLOCK, pos.size, EDGE_BLOCK)).tolist()
+        for r0, r1 in zip([0, *cuts], [*cuts, n]):
+            if r0 == r1:  # one row of more than EDGE_BLOCK edges
+                continue
+            block = slice(first[r0], first[r1] if r1 < n else pos.size)
+            rows[r0:r1] = np.bincount(np.repeat(idx[: r1 - r0], counts[r0:r1]),
+                                      weights=w[block], minlength=r1 - r0)
+            pos[block] -= np.repeat(offset[r0:r1], counts[r0:r1])
+    rows += np.bincount(pos, weights=w, minlength=n)  # columns
+    return rows
 
 
 def critical_deviation_threshold(model: WeightModel, kappa: float) -> float:
@@ -234,6 +282,61 @@ def _union_bound(threshold: float, n: int, s_prime: float) -> tuple[float, bool]
     return min(value, 1.0), value >= 1.0
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def trial_workers(work: float, trials: int) -> int:
+    """Threads for ``trials`` graphs of ``work`` vertices and expected edges
+    each: one per usable CPU and trial, with the graphs in flight held to
+    MAX_TRIAL_WORK, and one where a graph is below MIN_THREAD_WORK."""
+    if work < MIN_THREAD_WORK:
+        return 1
+    return max(1, min(_usable_cpus(), trials, int(MAX_TRIAL_WORK // work)))
+
+
+def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
+    """D_max of every trial of ``config``, drawn on ``trial_workers`` threads.
+
+    Trial t draws from its own stream and writes dmax[t], so the samples are
+    the same for any number of threads.  The calling thread is one of them;
+    the first exception of any stops the others after their current trial,
+    and is raised once all have ended.
+    """
+    n, trials = config.n, config.trials
+    edge_p = config.rho / n
+    dmax = np.empty(trials)
+    unclaimed, claim = iter(range(trials)), threading.Lock()
+    failed: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            while not failed:
+                with claim:
+                    t = next(unclaimed, None)
+                if t is None:
+                    return
+                rng = trial_generator(config.seed, t)
+                dmax[t] = sample_degrees(n, edge_p, draw, rng).max()
+        except BaseException as exc:  # raised by the calling thread once all have ended
+            failed.append(exc)
+
+    threads = [threading.Thread(target=run, daemon=True)
+               for _ in range(trial_workers(config.trial_work, trials) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        run()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return dmax
+
+
 def deviation_experiment(config: GraphSimConfig) -> GraphTrialResult:
     """Estimate P(|D_max/rho - V_1| > s) over the configured s grid.
 
@@ -246,12 +349,7 @@ def deviation_experiment(config: GraphSimConfig) -> GraphTrialResult:
     # refuses here, before any trial is drawn
     threshold = critical_deviation_threshold(model, config.kappa)
     n, rho, trials = config.n, config.rho, config.trials
-    edge_p = rho / n
-    dmax = np.empty(trials)
-    for t in range(trials):
-        rng = trial_generator(config.seed, t)
-        dmax[t] = sample_degrees(n, edge_p, draw, rng).max()
-
+    dmax = _dmax_samples(config, draw)
     deviations = np.abs(dmax / rho - v1)
 
     p_hat, ci, bounds = [], [], []

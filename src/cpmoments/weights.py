@@ -269,7 +269,7 @@ def bernoulli_centered() -> WeightModel:
         _egf_m1=lambda z: 2.0 * np.sinh(z / 2.0) ** 2,
         _egf_d1=math.sinh,
         _egf_d2=math.cosh,
-        sample=lambda rng, size: rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0,
+        sample=lambda rng, size: rng.integers(0, 2, size) * 2.0 - 1.0,
     )
 
 

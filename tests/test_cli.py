@@ -508,6 +508,20 @@ class TestGraphsim:
         assert result.exit_code == 0, result.output
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n, kappa, spec, trials, seed", [
+        *[(int(n), float(kappa), spec, int(trials), int(seed))
+          for n, kappa, spec, _, trials, seed, _ in GRAPHSIM_TABLE_DIGESTS],
+        (20000, 4.0, "gamma:2,1/2", 3, 15),
+    ])
+    def test_dmax_samples_same_for_every_worker_count(self, monkeypatch, n, kappa, spec,
+                                                      trials, seed):
+        config = graphsim.GraphSimConfig(n, kappa, spec, (1.0,), trials, seed)
+        samples = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: workers)
+            samples.append(graphsim.deviation_experiment(config).dmax_samples.tobytes())
+        assert samples[0] == samples[1] == samples[2]
+
     def test_tiny_edge_probability_ends(self, runner, tmp_path):
         out = tmp_path / "g.csv"
         result = runner.invoke(
@@ -821,6 +835,11 @@ class TestBadInputs:
                    "--s", "1.0", "--trials", "2", "--out", "{out}"],
                   3, "cpm: error: one graph of 10000000000000 vertices and 1.5e+14 expected edges"
                      " is more than 30000000 vertices and edges"),
+        bad_input("graph-past-float-range",
+                  ["graphsim", "--n", str(10**400), "--kappa", "1", "--weights", "unit",
+                   "--s", "1.0", "--trials", "2", "--out", "{out}"],
+                  3, f"cpm: error: one graph of {10**400} vertices is more than 30000000"
+                     " vertices and edges"),
         bad_input("graph-trials-too-many",
                   ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0",
                    "--trials", "10000000000000", "--out", "{out}"],
@@ -832,6 +851,10 @@ class TestBadInputs:
                   ["aux", "--weights", "unit", "--x", "5", "--u", "0.5", "--llt-chi", "1",
                    "--k", "10", "--out", "{out}"],
                   2, "Error: --llt-chi with --k sets x and u; drop --x and --u"),
+        bad_input("aux-llt-k-past-float-range",
+                  ["aux", "--weights", "unit", "--llt-chi", "1", "--k", str(10**400),
+                   "--out", "{out}"],
+                  3, f"cpm: error: intensity chi k = 1.0 * {10**400} overflows"),
         bad_input("aux-k-without-llt",
                   ["aux", "--weights", "unit", "--x", "5", "--u", "0.5", "--k", "10",
                    "--out", "{out}"],

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +72,43 @@ class TestSampling:
             got = graphsim.sample_degrees(n, edge_p, draw, ours)
             assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref))
             assert ours.random() == ref.random()
+
+    def test_gaps_cast_in_place_match_numpy_geometric(self):
+        size = 300_005
+        ours, numpys = graphsim.trial_generator(3, 2), graphsim.trial_generator(3, 2)
+        gaps = graphsim._geometric_gaps(ours, 0.01, size, 2**62)
+        assert np.array_equal(gaps, numpys.geometric(0.01, size=size))
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("block", [8, 1000])
+    @pytest.mark.parametrize("n, edge_p, name", [
+        (300, 0.5, "exponential"),
+        (2000, 4 * math.log(2000) / 2000, "gamma:2,1/2"),
+    ])
+    def test_degrees_in_blocks_bit_identical_to_reference(self, monkeypatch, block, n, edge_p,
+                                                          name):
+        # blocks of 8 edges are shorter than most rows here
+        monkeypatch.setattr(graphsim, "EDGE_BLOCK", block)
+        draw, _ = graphsim.weight_sampler(name)
+        for trial in range(3):
+            ours, ref = graphsim.trial_generator(8, trial), graphsim.trial_generator(8, trial)
+            got = graphsim.sample_degrees(n, edge_p, draw, ours)
+            assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref))
+
+    def test_one_graph_holds_two_arrays_of_its_size(self):
+        # slot indices and weights, 3.2 MB each for about 4e5 edges; the
+        # row tables are cached by the first draw
+        n = 20000
+        edge_p = 4 * math.log(n) / n
+        draw, _ = graphsim.weight_sampler("gamma:2,1/2")
+        graphsim.sample_degrees(n, edge_p, draw, graphsim.trial_generator(1, 0))
+        tracemalloc.start()
+        try:
+            graphsim.sample_degrees(n, edge_p, draw, graphsim.trial_generator(1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
 
     def test_tiny_edge_probability_gives_no_edges(self):
         # numpy's gaps saturate at INT64_MAX here, where their sum wraps
@@ -161,6 +201,60 @@ class TestReproducibility:
         a = graphsim.deviation_experiment(cfg1)
         b = graphsim.deviation_experiment(cfg2)
         assert not np.array_equal(a.dmax_samples, b.dmax_samples)
+
+    def test_worker_failure_reaches_caller(self, monkeypatch):
+        original = graphsim.sample_degrees
+
+        def fail_on_trial_5(n, edge_p, draw, rng):
+            if rng.bit_generator.state["state"]["key"][1] == 5:
+                raise RuntimeError("trial 5 failed")
+            return original(n, edge_p, draw, rng)
+
+        monkeypatch.setattr(graphsim, "sample_degrees", fail_on_trial_5)
+        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 3)
+        cfg = graphsim.config_from_kappa(200, 2.0, "exponential", (1.0,), 40, seed=31)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^trial 5 failed$"):
+            graphsim.deviation_experiment(cfg)
+        assert threading.active_count() == before
+
+    def test_each_trial_drawn_once_under_fast_switching(self, monkeypatch):
+        # more threads than cores, switching every microsecond: a trial
+        # claimed twice or never shows in the draws or in dmax_samples
+        cfg = graphsim.config_from_kappa(5, 1.5, "unit", (0.5,), 400, seed=11)
+        alone = graphsim.deviation_experiment(cfg).dmax_samples
+        drawn = []
+        original = graphsim.trial_generator
+
+        def recorded(seed, trial):
+            drawn.append(trial)
+            return original(seed, trial)
+
+        monkeypatch.setattr(graphsim, "trial_generator", recorded)
+        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = graphsim.deviation_experiment(cfg).dmax_samples
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn) == list(range(400))
+        assert np.array_equal(shared, alone)
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(graphsim, "_usable_cpus", lambda: 64)
+        half = graphsim.MAX_TRIAL_WORK / 2
+        assert graphsim.trial_workers(half, 100) == 2
+        assert graphsim.trial_workers(half + 1, 100) == 1
+        assert graphsim.trial_workers(graphsim.MAX_TRIAL_WORK, 100) == 1
+        assert graphsim.trial_workers(10**5, 100) == 64
+        assert graphsim.trial_workers(10**5, 3) == 3
+        assert graphsim.trial_workers(graphsim.MIN_THREAD_WORK - 1, 100) == 1
+        # the benchmark's n = 200 graphs run on one thread, its n = 2000 ones on more
+        small = graphsim.GraphSimConfig(200, 4.0, "bernoulli", (1.0,), 3000, 0)
+        large = graphsim.GraphSimConfig(2000, 4.0, "exponential", (1.0,), 200, 0)
+        assert graphsim.trial_workers(small.trial_work, small.trials) == 1
+        assert graphsim.trial_workers(large.trial_work, large.trials) == 64
 
     def test_trial_streams_are_order_independent(self):
         cfg = graphsim.config_from_kappa(100, 2.0, "normal:1", (0.5,), 8, seed=5)

@@ -164,6 +164,15 @@ class TestBuiltins:
         with pytest.raises(DomainError, match=f"^{message}$"):
             build()
 
+    def test_bernoulli_sampler_values_on_a_seeded_stream(self):
+        # the sampler scales the integer draws without a cast copy first
+        ours, ref = (np.random.Generator(np.random.Philox(key=7)) for _ in range(2))
+        got = weights.bernoulli_centered().sample(ours, 10_000)
+        want = ref.integers(0, 2, 10_000).astype(np.float64) * 2.0 - 1.0
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert ours.random() == ref.random()
+
     def test_radius_values(self):
         assert weights.unit().radius == math.inf
         assert weights.gamma(2, Fraction(1, 2)).radius == pytest.approx(2.0)
