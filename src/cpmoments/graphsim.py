@@ -60,8 +60,9 @@ from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 MAX_TRIAL_WORK = 3 * 10**7  # work of one graph, about 1.5 GB of arrays
 TRIAL_COST = 1000  # a trial's fixed cost, its stream and calls (about 65 us), as work
 MAX_GRAPH_WORK = 10**9  # work and TRIAL_COST summed over the trials, about a minute
-# below this work a trial is too short to share: two threads ran graphs of
-# 2.3e3 at 0.53-0.68x of one thread, of 3.2e4 at 1.16-1.93x
+# below this work a trial is too short to share: against one thread, two
+# ran graphs of 2.3e3 at 0.68-1.31x (median 0.73x), of 6.7e3 at 0.91-1.52x
+# and of 3.2e4 at 1.29-1.93x (2-core x86-64, 5 runs each)
 MIN_THREAD_WORK = 10**4
 EDGE_BLOCK = 2**16  # edges per block of a trial's row sums and column indices
 
@@ -171,10 +172,12 @@ def _geometric_gaps(
 
 @functools.lru_cache(maxsize=8)
 def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (row i, flat index of slot (i, i + 1), that index - i - 1) for i < n."""
-    idx = np.arange(n, dtype=np.int64)
+    """Read-only (row i, flat index of slot (i, i + 1), that index - i - 1)
+    for i < n; the flat indices go on to i = n, where n(n - 1)/2 ends the
+    triangle."""
+    idx = np.arange(n + 1, dtype=np.int64)
     row_start = idx * n - idx * (idx + 1) // 2
-    tables = (idx, row_start, row_start - idx - 1)
+    tables = (idx[:n], row_start, (row_start - idx - 1)[:n])
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -194,10 +197,9 @@ def sample_degrees(
     about EDGE_BLOCK edges, the columns overwriting the slots, so every sum
     adds its weights in edge order whatever the blocks.
     """
-    deg = np.zeros(n)
     npairs = n * (n - 1) // 2
     if npairs == 0 or edge_p <= 0.0:
-        return deg
+        return np.zeros(n)
     if edge_p > 1.0:
         raise DomainError("edge probability must be <= 1")
 
@@ -216,13 +218,13 @@ def sample_degrees(
     del chunks, gaps  # concatenated chunks are freed here, not at return
     pos[0] -= 1  # slot index = cumulative gap - 1
     np.cumsum(pos, out=pos)
-    pos = pos[: np.searchsorted(pos, npairs)]
-    if pos.size == 0:
-        return deg
-
     idx, row_start, offset = _row_tables(n)
-    first = np.searchsorted(pos, row_start)  # each row's first edge
-    counts = np.diff(first, append=pos.size)
+    first = np.searchsorted(pos, row_start)  # each row's first edge, then the end
+    pos = pos[: first[n]]
+    if pos.size == 0:
+        return np.zeros(n)
+
+    counts = first[1:] - first[:-1]
     w = draw(rng, pos.size)
     if pos.size <= EDGE_BLOCK:
         rows = np.bincount(np.repeat(idx, counts), weights=w, minlength=n)
@@ -233,7 +235,7 @@ def sample_degrees(
         for r0, r1 in zip([0, *cuts], [*cuts, n]):
             if r0 == r1:  # one row of more than EDGE_BLOCK edges
                 continue
-            block = slice(first[r0], first[r1] if r1 < n else pos.size)
+            block = slice(first[r0], first[r1])
             rows[r0:r1] = np.bincount(np.repeat(idx[: r1 - r0], counts[r0:r1]),
                                       weights=w[block], minlength=r1 - r0)
             pos[block] -= np.repeat(offset[r0:r1], counts[r0:r1])
