@@ -401,8 +401,8 @@ def local_limit_check(model: WeightModel, chi: float, k: int) -> float:
     to 1 as k grows at fixed chi.
     """
     model.check_order(k)
-    sol = solve_saddle(model, chi)
-    return build_aux(model, chi * k, sol.u).local_limit_ratio(k)
+    x = ray_intensity(chi, k)
+    return build_aux(model, x, solve_saddle(model, chi).u).local_limit_ratio(k)
 
 
 def ray_nodes(model: WeightModel, saddle: SaddleSolution, k_max: int) -> int | float:

@@ -100,22 +100,48 @@ def partition_profiles(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, k)
 
 
-def _moment_scale(vs: list[Fraction]) -> int:
-    """An integer l with l^j V_j integral for every V_j = vs[j - 1].
+def _root_or_self(f: int, j: int) -> int:
+    """r = the j-th root of f when f is a perfect j-th power, else r = f:
+    either way f divides r^j.
 
-    Grown greedily along j: whenever den(V_j) does not divide l^j, l takes
-    the missing factor den(V_j) / gcd(den(V_j), l^j).  The lcm of the
-    denominators would also do, but for V_j = (2j-1)!!/2^j it is 2^j, not 2,
-    and the recurrence's integers would grow by k^2 bits.
+    The root candidate is floor(f^(1/j)) by Newton's method on r^j = f,
+    seeded by the float root.  From any r >= 1 one step lands at or above
+    it, since the mean of j - 1 copies of r and f/r^(j-1) is at least their
+    geometric mean f^(1/j), and from there the steps fall to it.
     """
-    ell, power = 1, 1
-    for j, v in enumerate(vs, start=1):
+    shift = max(f.bit_length() // j - 60, 0)
+    r = int(2 ** (math.log2(f) / j - shift)) << shift
+    r = ((j - 1) * r + f // r ** (j - 1)) // j
+    while (s := ((j - 1) * r + f // r ** (j - 1)) // j) < r:
+        r = s
+    return r if r**j == f else f
+
+
+def _weight_moments(model: WeightModel, k_max: int, bp: int, q: int) -> tuple[list[Fraction], int]:
+    """V_1 .. V_kmax and the scale l of ``moment_sequence``: l^j V_j is an
+    integer for every j, and the recurrence runs at D = q l.
+
+    l starts at 1 and grows as each V_j is read.  If den(V_j) does not
+    divide l^j, the missing factor is f = den(V_j) / gcd(den(V_j), l^j),
+    and l grows by a factor r with f dividing r^j: the j-th root of f when
+    f is a perfect j-th power, f otherwise.  So gaussian:1e-300,
+    den(V_2) = 10^300, runs at l = 10^150, and V_j = 1/p^j at l = p.  The
+    lcm of the denominators would also clear them, but for V_j =
+    (2j-1)!!/2^j it is 2^j, not 2, and the recurrence's integers would grow
+    by k^2 bits.  ``exact_bit_work`` is held to MAX_EXACT_BITS at D = q
+    before any V_j is evaluated and again at D = q l each time l grows, so
+    the last check is at the D that runs.
+    """
+    _check_bit_work(k_max, bp, q.bit_length())
+    vs, ell, power = [], 1, 1  # power = l^j
+    for j in range(1, k_max + 1):
+        vs.append(v := model.moment(j))
         power *= ell
-        g = math.gcd(v.denominator, power)
-        if g != v.denominator:
-            ell *= v.denominator // g
+        if (f := v.denominator // math.gcd(v.denominator, power)) > 1:
+            ell *= _root_or_self(f, j)
             power = ell**j
-    return ell
+            _check_bit_work(k_max, bp, (q * ell).bit_length())
+    return vs, ell
 
 
 def moment_sequence(
@@ -129,29 +155,18 @@ def moment_sequence(
     ``None`` is its n -> infinity limit.
 
     The recurrence runs on integers.  With scale x (or x/n) = p/q and
-    ``_moment_scale``'s l, D = q l, the scaled moments N_k = D^k M_k obey
+    ``_weight_moments``'s l, D = q l, the scaled moments N_k = D^k M_k obey
     N_k = sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j, and each order
     is reduced once, as Fraction(N_k, D^k).  Refuses an ``exact_bit_work``
-    above MAX_EXACT_BITS: at D = q before any V_j is evaluated, then as
-    each V_j is read at the least D it allows, as den(V_j) divides l^j.
+    above MAX_EXACT_BITS: at D = q before any V_j is evaluated, then at the
+    new D each time reading a V_j grows l.
     """
     if k_max < 0:
         raise DomainError("order must be >= 0")
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
-    xe = Fraction(x)
-    scale = xe if n is None else xe / n
-    p, q = scale.numerator, scale.denominator
-    bp, bq = p.bit_length(), q.bit_length()
-    _check_bit_work(k_max, bp, bq)
-    vs, bl = [], 1  # bl: the fewest bits l can have
-    for j in range(1, k_max + 1):
-        vs.append(model.moment(j))
-        # l >= den(V_j)^(1/j), and q l has at least bq + bl - 1 bits
-        if (need := -((1 - vs[-1].denominator.bit_length()) // j)) > bl:
-            bl = need
-            _check_bit_work(k_max, bp, bq + bl - 1, f" (at least, by den(V_{j}))")
-    ell = _moment_scale(vs)
+    p, q = (Fraction(x) / (n or 1)).as_integer_ratio()
+    vs, ell = _weight_moments(model, k_max, p.bit_length(), q)
     d = q * ell
     cs, step = [], p * ell  # step = p q^(j-1) l^j
     for v in vs:
@@ -251,21 +266,24 @@ def centered_moment_tilde(model: WeightModel, k: int, lam: NumberLike) -> Moment
 
 def exact_bit_work(k_max: int, bp: int, bq: int) -> int:
     """Estimated bit products of ``moment_sequence`` to order k, with b_p
-    bits in x's (or x/n's) numerator p and b_q in D = q l: N_m carries about
-    m (b_p + b_q + log2 m) bits and the j-th coefficient b_p + j (b_q + 1),
-    and their schoolbook products over all terms come to
-    k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  MAX_EXACT_BITS
-    sits just above ``bell --k 2000``'s 1.7e13 (16-20 s); 20 runs took 0.45
-    to 1.9 ps per estimated product (2-core x86-64)."""
+    bits in x's (or x/n's) numerator p and b_q in D = q l, l the scale
+    ``_weight_moments`` has grown to: N_m carries about m (b_p + b_q +
+    log2 m) bits and the j-th coefficient b_p + j (b_q + 1), and their
+    schoolbook products over all terms come to
+    k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  It counts every
+    coefficient at j (b_q + 1) bits, even where l^j cancels den(V_j), so it
+    overstates weights with long denominators.  MAX_EXACT_BITS sits just
+    above ``bell --k 2000``'s 1.7e13 (16-20 s); 20 runs took 0.45 to 1.9 ps
+    per estimated product (2-core x86-64)."""
     return k_max**3 * (bp + bq + k_max.bit_length()) * (4 * bp + k_max * (bq + 1)) // 24
 
 
-def _check_bit_work(k_max: int, bp: int, bq: int, source: str = "") -> None:
+def _check_bit_work(k_max: int, bp: int, bq: int) -> None:
     work = exact_bit_work(k_max, bp, bq)
     if work > MAX_EXACT_BITS:
         raise DomainError(
             f"exact recurrence to order {k_max} at a scale of {bp} numerator and {bq} denominator"
-            f" bits{source} needs about {work} bit products, more than {MAX_EXACT_BITS}"
+            f" bits needs about {work} bit products, more than {MAX_EXACT_BITS}"
         )
 
 

@@ -37,6 +37,24 @@ def brute_force_moment(model, k, x):
     return total
 
 
+def first_primes(count):
+    """The first ``count`` primes, by trial division."""
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def prime_power_moments(count):
+    """[1, V_1, .., V_count] with V_j = 1/p_j^j, p_j the j-th prime: a custom
+    weight list whose least scale l, with every l^j V_j integral, is
+    p_1 .. p_count, where the greedy l that takes each whole missing
+    factor is p_1^1 .. p_count^count."""
+    return [Fraction(1), *(Fraction(1, p**j) for j, p in enumerate(first_primes(count), start=1))]
+
+
 def brute_force_finite_n(model, k, n, lam):
     """Pre-limit moment E (sum_j a_j W_j)^k by expanding over index tuples."""
     from itertools import product

@@ -330,6 +330,11 @@ class TestLocalLimit:
             gaps.append(abs(r - 1.0))
         assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_order_past_float_range_refused(self):
+        # x = chi k comes from ray_intensity, as for aux --llt-chi
+        with pytest.raises(DomainError, match="overflows$"):
+            auxdist.local_limit_check(UNIT, 1.0, 10**400)
+
     def test_odd_order_rejected_for_parity_models(self):
         # every entry point of the asymptotics applies the model's one lattice rule
         aux = auxdist.build_aux(BERN, 41.0, solve_saddle(BERN, 1.0).u)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import prime_power_moments
 from cpmoments import asymptotics as asym
 from cpmoments import cli, graphsim, moments, weights
 
@@ -710,6 +711,8 @@ def bad_input(case_id, args, code, message, *, header=False, weights_json=None):
 GRAPHSIM = ["graphsim", "--n", "50", "--kappa", "1", "--s", "1.0", "--trials", "2",
             "--out", "{out}"]
 MOMENTS = ["moments", "--k", "3", "--x", "1", "--out", "{out}"]
+# V_j = 1/p_j^j to order 300, p_j the j-th prime: the exact scale l = p_1 .. p_j
+PRIME_POWER_JSON = json.dumps({"moments": [str(v) for v in prime_power_moments(300)]})
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 # gamma:2,1e-300 at chi = 1: u^2 overflows while H''(u) underflows to 0
 NOT_FINITE = (
@@ -904,17 +907,24 @@ class TestBadInputs:
         bad_input("moments-exact-weight-denominator",
                   ["moments", "--weights", "gaussian:1e-300", "--k", "2000", "--x", "1",
                    "--out", "{out}"],
-                  3, "cpm: error: exact recurrence to order 2000 at a scale of 1 numerator and 498"
-                     " denominator bits (at least, by den(V_2)) needs about 169660680000000000 bit"
-                     " products, more than 20000000000000",
+                  3, "cpm: error: exact recurrence to order 2000 at a scale of 1 numerator and 499"
+                     " denominator bits needs about 170334014666666666 bit products, more than"
+                     " 20000000000000",
                   header=True),
         bad_input("moments-exact-gamma-denominator",
                   ["moments", "--weights", "gamma:1/3,1e-300", "--k", "2000", "--x", "1",
                    "--out", "{out}"],
-                  3, "cpm: error: exact recurrence to order 2000 at a scale of 1 numerator and 998"
-                     " denominator bits (at least, by den(V_1)) needs about 672661346666666666 bit"
-                     " products, more than 20000000000000",
+                  3, "cpm: error: exact recurrence to order 2000 at a scale of 1 numerator and 999"
+                     " denominator bits needs about 674001348000000000 bit products, more than"
+                     " 20000000000000",
                   header=True),
+        bad_input("moments-exact-prime-power-denominators",
+                  ["moments", "--weights", "custom:{w}", "--k", "300", "--x", "1",
+                   "--out", "{out}"],
+                  3, "cpm: error: exact recurrence to order 300 at a scale of 1 numerator and 242"
+                     " denominator bits needs about 20668284000000 bit products, more than"
+                     " 20000000000000",
+                  header=True, weights_json=PRIME_POWER_JSON),
         bad_input("bell-unbounded", ["bell", "--k", "100000000"],
                   3, "cpm: error: exact recurrence to order 100000000 at a scale of 1 numerator"
                      " and 1 denominator bits needs about 241666671500000000000000000000000 bit"
@@ -981,17 +991,21 @@ class TestBadInputs:
     @pytest.mark.parametrize("args", [
         ["moments", "--weights", "gaussian:1e-300", "--k", "2000", "--x", "1"],
         ["moments", "--weights", "gamma:1/3,1e-300", "--k", "2000", "--x", "1"],
+        ["moments", "--weights", "custom:{w}", "--k", "300", "--x", "1"],
         ["compare", "--weights", "unit", "--chi", "1", "--k-max", "10000000000000"],
         ["compare", "--weights", "unit", "--chi", "1", "--k-max", "3000000"],
         ["graphsim", "--n", "10000000000000", "--kappa", "1", "--weights", "unit", "--s", "1.0",
          "--trials", "2"],
         ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0",
          "--trials", "10000000000000"],
-    ], ids=["gaussian-denominator", "gamma-denominator", "compare-k-max-1e13",
-            "compare-k-max-3e6", "graphsim-n-1e13", "graphsim-trials-1e13"])
+    ], ids=["gaussian-denominator", "gamma-denominator", "prime-power-denominators",
+            "compare-k-max-1e13", "compare-k-max-3e6", "graphsim-n-1e13", "graphsim-trials-1e13"])
     def test_unbounded_runs_refused_in_under_a_second(self, runner, tmp_path, args):
+        spec_file = tmp_path / "w.json"
+        spec_file.write_text(PRIME_POWER_JSON)
         start = time.monotonic()
-        result = runner.invoke(cli.main, [*args, "--out", str(tmp_path / "t.csv")])
+        result = runner.invoke(cli.main, [*(a.format(w=spec_file) for a in args),
+                                          "--out", str(tmp_path / "t.csv")])
         assert time.monotonic() - start < 1.0
         assert result.exit_code == 3, result.output
         assert len(result.stderr.splitlines()) == 1

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_force_finite_n, brute_force_moment, set_partitions
+from conftest import (
+    brute_force_finite_n, brute_force_moment, first_primes, prime_power_moments, set_partitions,
+)
 from cpmoments import moments, weights
 from cpmoments.errors import DomainError
 
@@ -122,11 +125,16 @@ MODEL_ZOO = {
     "gamma(1/2,1)": weights.gamma(Fraction(1, 2), 1),
     "gamma(2/3,5/7)": weights.gamma(Fraction(2, 3), Fraction(5, 7)),
     "gaussian(1/3)": weights.gaussian_centered(Fraction(1, 3)),
+    "gaussian(1/4)": weights.gaussian_centered(Fraction(1, 4)),
+    "gaussian(1/100)": weights.gaussian_centered(Fraction(1, 100)),
     **{f"hat({name})": weights.hat_transform(MODELS[name])
        for name in ("unit", "exponential", "gamma", "logfact")},
     **{f"tilde({name})": weights.tilde_transform(MODELS[name])
        for name in ("unit", "exponential", "gamma", "logfact")},
 }
+# custom models stop at their last moment, so this one stays out of MODEL_ZOO,
+# which the random-order test samples to k = 60
+PRIME_POWERS = weights.custom_model(prime_power_moments(16))
 INTENSITIES = (0, Fraction(1, 3), Fraction(7, 2), 10**300, Fraction(0.7373))
 POPULATIONS = (None, 1, 2, 1000)
 CUSTOM_MOMENTS = st.lists(
@@ -137,9 +145,9 @@ CUSTOM_MOMENTS = st.lists(
 class TestIntegerEngine:
     """``moment_sequence`` equals the Fraction recurrence term by term."""
 
-    @pytest.mark.parametrize("name", MODEL_ZOO)
+    @pytest.mark.parametrize("name", [*MODEL_ZOO, "custom(1/p_j^j)"])
     def test_matches_fraction_recurrence(self, name):
-        model = MODEL_ZOO[name]
+        model = MODEL_ZOO.get(name, PRIME_POWERS)
         for x in INTENSITIES:
             for n in POPULATIONS:
                 got = moments.moment_sequence(model, 16, x, n)
@@ -164,13 +172,18 @@ class TestIntegerEngine:
         assert got == fraction_moment_sequence(model, k_max, x, n)
 
     def test_scale_stays_small_for_geometric_denominators(self):
-        # V_j = (2j-1)!!/2^j needs l = 2, where the lcm of the denominators is 2^j
+        # V_j = (2j-1)!!/2^j needs l = 2, where the lcm of the denominators is 2^j;
+        # den(V_2) = 10^300 needs l = 10^150, and V_j = 1/p_j^j needs l = p_1 .. p_j
         for model, ell in ((MODELS["unit"], 1), (MODELS["exponential"], 1), (MODELS["logfact"], 1),
                            (MODELS["bernoulli"], 1), (MODELS["gaussian"], 1), (MODELS["gamma"], 2),
                            (MODEL_ZOO["gamma(1/2,1)"], 2), (MODEL_ZOO["gaussian(1/3)"], 3),
-                           (MODEL_ZOO["gamma(2/3,5/7)"], 21)):
-            vs = [model.moment(j) for j in range(1, 61)]
-            assert moments._moment_scale(vs) == ell, model.name
+                           (MODEL_ZOO["gamma(2/3,5/7)"], 21), (MODEL_ZOO["gaussian(1/4)"], 2),
+                           (MODEL_ZOO["gaussian(1/100)"], 10),
+                           (weights.from_spec("gaussian:1e-300"), 10**150),
+                           (weights.custom_model(prime_power_moments(60)),
+                            math.prod(first_primes(60)))):
+            vs, got = moments._weight_moments(model, 60, 1, 1)
+            assert got == ell, model.name
             assert all((ell**j * v).denominator == 1 for j, v in enumerate(vs, start=1))
 
     def test_work_bound_refuses_before_any_work(self, monkeypatch):
@@ -190,42 +203,44 @@ class TestIntegerEngine:
         with pytest.raises(DomainError, match="more than"):
             moments.bell_number(10**8)
 
-    @pytest.mark.parametrize("spec, k, read, bits", [
-        ("gaussian:1e-300", 2000, 2, 498),  # den(V_2) = 10^300: l >= 10^150
-        ("gamma:1/3,1e-300", 2000, 1, 998),
-        ("gaussian:1e-300", 240, 2, 498),  # 3.5e13; 10.4 s unbounded
-    ])
-    def test_weight_denominators_refused_as_read(self, monkeypatch, spec, k, read, bits):
-        model, seen = weights.from_spec(spec), []
+    @pytest.mark.parametrize("model, k, read, bits", [
+        (weights.from_spec("gaussian:1e-300"), 2000, 2, 499),  # den(V_2) = 10^300: l = 10^150
+        (weights.from_spec("gamma:1/3,1e-300"), 2000, 1, 999),  # l = den(V_1) = 3 10^300
+        (weights.from_spec("gaussian:1e-300"), 240, 2, 499),  # 3.5e13; 10.4 s unbounded at 10^300
+        # refused at l = p_1 .. p_42; the greedy l = p_1^1 .. p_j^j read all 300 V_j and ran on
+        (weights.custom_model(prime_power_moments(300)), 300, 42, 242),
+    ], ids=["gaussian:1e-300-2000-2-499", "gamma:1/3,1e-300-2000-1-999",
+            "gaussian:1e-300-240-2-499", "prime-powers-300-42-242"])
+    def test_weight_denominators_refused_as_read(self, monkeypatch, model, k, read, bits):
+        seen = []
         moment = weights.WeightModel.moment
 
         def counted(self, j):
             seen.append(j)
             return moment(self, j)
 
-        def refuse(vs):
-            raise AssertionError("_moment_scale ran")
+        def refuse(*args):
+            raise AssertionError("a recurrence term ran")
 
         monkeypatch.setattr(weights.WeightModel, "moment", counted)
-        monkeypatch.setattr(moments, "_moment_scale", refuse)
+        monkeypatch.setattr(moments, "operator", SimpleNamespace(mul=refuse, add=refuse))
         with pytest.raises(DomainError, match=(
-                f"1 numerator and {bits} denominator bits \\(at least, by den\\(V_{read}\\)\\)"
+                f"1 numerator and {bits} denominator bits"
                 f" needs about {moments.exact_bit_work(k, 1, bits)} bit products")):
             moments.moment_sequence(model, k, 1)
         assert seen == list(range(1, read + 1))
 
-    def test_weight_denominators_admit_order_200(self, monkeypatch):
-        # gaussian:1e-300 at k = 200 has estimate 1.7e13 and runs (5.9 s)
-        class Reached(Exception):
-            pass
-
-        def reached(vs):
-            raise Reached
-
-        monkeypatch.setattr(moments, "_moment_scale", reached)
-        assert moments.exact_bit_work(200, 1, 498) <= moments.MAX_EXACT_BITS
-        with pytest.raises(Reached):
-            moments.moment_sequence(weights.from_spec("gaussian:1e-300"), 200, 1)
+    def test_weight_denominators_admit_order_200(self):
+        # gaussian:1e-300 at k = 200 runs at l = 10^150 (estimate 1.7e13, 0.07 s);
+        # at l = 10^300 it took 5 s.  Its moments are 10^-300m those of gaussian:1
+        assert moments.exact_bit_work(200, 1, 499) <= moments.MAX_EXACT_BITS
+        got = moments.moment_sequence(weights.from_spec("gaussian:1e-300"), 200, 1)
+        unit_variance = moments.moment_sequence(MODELS["gaussian"], 200, 1)
+        assert got[1::2] == [0] * 100
+        assert all(got[2 * m] == unit_variance[2 * m] / 10 ** (300 * m) for m in range(101))
+        # V_j = 1/p_j^j to k = 60: 0.1 s at l = p_1 .. p_60, 38 s at p_1^1 .. p_60^60
+        got = moments.moment_sequence(weights.custom_model(prime_power_moments(60)), 60, 1)
+        assert got[2] == Fraction(1, 4) + Fraction(1, 9)
 
     @pytest.mark.parametrize("k, x, n", [
         (400, Fraction(1, 10**300), None),  # 1e-300: k = 400 did not finish in 300 s
