@@ -19,9 +19,9 @@ the bracket stops at u0 (1 - 1e-12), so small chi is out of reach there
 (below about 1e-24 for exponential weights, 1e-12 for factorial ones).
 H(u) - 1 comes from the model's closed form (``WeightModel.egf_m1``): at
 large chi it is O(1/chi), and forming it from H(u) would leave chi eps of
-error in it.  When x/k -> infinity the moments
-universalize: M_k ~ (x V_1)^k when V_1 > 0 and M_k ~ (x k V_2 / e)^{k/2}
-when V_1 = 0.
+error in it.  As chi -> infinity Psi(chi) tends to ln V_1 when V_1 > 0 and
+to (1/2) ln(V_2 / (e chi)) when V_1 = 0, the large-intensity limits
+M_k ~ (x V_1)^k and M_k ~ (x k V_2 / e)^{k/2}; the gap is O(1/chi).
 
 The per-family closed forms (normal, gamma, symmetric Bernoulli,
 exponential and factorial weight sequences) are implemented in their
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,9 +107,9 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     when a step is below rounding or no longer shrinks |g - 1/chi| (any
     rise of g, until g passes 1/chi).
 
-    Deterministic.  Raises SaddleError, naming the smallest chi reached,
-    when 1/chi exceeds u H'(u) at the cap: for a truncated model with
-    bounded u H'(u), and for small chi at any finite radius (about 1e-24
+    Deterministic.  Raises DomainError where 1/chi overflows, and
+    SaddleError, naming the smallest chi reached, when 1/chi exceeds
+    u H'(u) at the cap: for small chi at any finite radius (about 1e-24
     for exponential weights, 1e-12 for factorial ones).  Also raises it at
     a point left of the root where u H''(u) overflows, as it then does at
     the root; after 100 evaluations left of the root; and, naming the
@@ -120,6 +119,8 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     if not (math.isfinite(chi) and chi > 0):
         raise DomainError(f"chi must be positive and finite, got {chi}")
     target = 1.0 / chi
+    if target == math.inf:
+        raise DomainError(f"chi = {chi} out of reach: 1/chi overflows")
     trace: list[tuple[float, float]] = []
     u0 = model.radius
     cap = u0 * (1.0 - 1e-12) if math.isfinite(u0) else sys.float_info.max
@@ -223,26 +224,6 @@ def refined_prediction(model: WeightModel, k: int, chi: float) -> float:
     return rate_function(model, chi).log_refined(k)
 
 
-def regime_b_prediction(model: WeightModel, k: int, x: float) -> float:
-    """ln of the universal large-intensity value of M_k(x) (regime x/k -> inf).
-
-    k * ln(x V_1) when V_1 != 0; (k/2) * ln(x k V_2 / e) for centered
-    weights.  A model produced by ``hat_transform`` has V_1 = 0 and V_2
-    equal to the centered second moment, so the centered branch applies to
-    it unchanged.  k must be on the model's lattice (``check_order``).
-    """
-    model.check_order(k)
-    v1 = float(model.moment(1))
-    if v1 != 0.0:
-        if x * v1 <= 0:
-            raise DomainError("x V_1 must be positive for the first-moment branch")
-        return k * math.log(x * v1)
-    v2 = float(model.moment(2))
-    if v2 == 0.0:
-        raise DomainError("V_1 = V_2 = 0 admits no growth prediction")
-    return 0.5 * k * math.log(x * k * v2 / math.e)
-
-
 def _stirling_log_factorial(k: int) -> float:
     return 0.5 * math.log(2.0 * math.pi * k) + k * (math.log(k) - 1.0)
 
@@ -341,36 +322,3 @@ def special_case_prediction(case: str, k: int, x: float, **params: float) -> flo
     if case == "logfact":
         return logfact_moment_prediction(k, x)
     raise DomainError(f"unknown special case {case!r}")
-
-
-@dataclass(frozen=True)
-class SmallIntensityPrediction:
-    """Bernoulli-weight prediction in the regime x << k, with the two-term
-    expansion of the tilt for diagnostics."""
-
-    log_value: float
-    tilt_expansion: float
-
-
-def bernoulli_small_x_prediction(k: int, x: float) -> SmallIntensityPrediction:
-    """ln M_k(x) for symmetric +-1 weights when x is far below the order k.
-
-    Evaluates k * ln( k / (e (ln k - ln x)) ).  The local limit argument
-    behind this regime needs x not exponentially small in k; a
-    warning (not an error) is issued below that scale.  k must be positive
-    and even (``check_order`` of the +-1 model).
-    """
-    _BERNOULLI.check_order(k)
-    if x <= 0:
-        raise DomainError("intensity must be positive")
-    if x >= k:
-        raise DomainError("wrong regime: this prediction needs x < k")
-    if x <= k * math.exp(-(k ** (1.0 / 16.0))):
-        warnings.warn(
-            "intensity below the admissible scale k*exp(-k^(1/16)); prediction unreliable",
-            stacklevel=2,
-        )
-    ratio = math.log(k) - math.log(x)
-    log_value = k * (math.log(k) - 1.0 - math.log(ratio))
-    tilt = math.log(k / x) - math.log(math.log(k / x))
-    return SmallIntensityPrediction(log_value=log_value, tilt_expansion=tilt)

@@ -19,7 +19,6 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 import click
 
@@ -133,14 +132,6 @@ def _write_table(path: str, fieldnames: list[str], rows: list[dict], fmt: str) -
     writer.writeheader()
     writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
-
-
-def read_table(path: str) -> list[dict]:
-    """Parse a table previously written by this tool (CSV or JSON)."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("["):
-        return json.loads(text)
-    return list(csv.DictReader(io.StringIO(text)))
 
 
 def format_exact(value: Fraction) -> str:

@@ -314,14 +314,17 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
     failed: list[BaseException] = []
 
     def run() -> None:
+        # numpy's error state is per thread; at a subnormal edge_p a gap
+        # E / -ln(1 - p) overflows to inf, which the cut to cap then handles
         try:
-            while not failed:
-                with claim:
-                    t = next(unclaimed, None)
-                if t is None:
-                    return
-                rng = trial_generator(config.seed, t)
-                dmax[t] = sample_degrees(n, edge_p, draw, rng).max()
+            with np.errstate(over="ignore"):
+                while not failed:
+                    with claim:
+                        t = next(unclaimed, None)
+                    if t is None:
+                        return
+                    rng = trial_generator(config.seed, t)
+                    dmax[t] = sample_degrees(n, edge_p, draw, rng).max()
         except BaseException as exc:  # raised by the calling thread once all have ended
             failed.append(exc)
 

@@ -27,13 +27,15 @@ The same recurrence gives two more moment families.  The finite-population
 pre-limit moment has EGF (1 + x (H(u) - 1)/n)^n; J.C.P. Miller's power
 recurrence F'f = n f'F for F = f^n turns each coefficient C(k-1, j-1) into
 C(k-1, j-1) - C(k-1, j)/n and scales x by 1/n.  The centered moment of
-Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1.
+Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1:
+``moment_sequence(tilde_transform(model), k, x)``.
 
-Also here: Bell numbers and polynomials, the even-block set-partition
-counts, and the closed-form polynomial identities used as oracles for
-exponential and factorial weight sequences; the composition identity is
-a partial Bell polynomial, read off one exact sequence of exponential-weight
-moments.
+Also here: Bell numbers, the unit-weight moments at x = 1 (the Bell
+polynomial B_k(x) is ``moment_sequence(unit(), k, x)``), the even-block
+set-partition counts, and the closed-form polynomial identities used as
+oracles for exponential and factorial weight sequences; the composition
+identity is a partial Bell polynomial, read off one exact sequence of
+exponential-weight moments.
 """
 
 from __future__ import annotations
@@ -210,11 +212,6 @@ def moment_partition_oracle(model: WeightModel, k: int, x: NumberLike) -> Moment
     return MomentValue.from_exact(k, xe, total, "partition_oracle")
 
 
-def bell_polynomial(k: int, x: NumberLike = 1) -> MomentValue:
-    """One-variable Bell polynomial B_k(x): unit-weight moments."""
-    return moment_recurrence(_UNIT, k, x)
-
-
 def bell_number(k: int) -> int:
     """Number of set partitions of a k-set, B_k(1)."""
     return moment_sequence(_UNIT, k, 1)[k].numerator
@@ -251,17 +248,6 @@ def finite_n_moment(model: WeightModel, k: int, n: int, lam: NumberLike) -> Mome
     """
     lame = Fraction(lam)
     return MomentValue.from_exact(k, lame, moment_sequence(model, k, lame, n)[k], "finite_n")
-
-
-def centered_moment_tilde(model: WeightModel, k: int, lam: NumberLike) -> MomentValue:
-    """k-th moment of the centered variable Y - lam*V_1.
-
-    The moment of the mean-shift model ``tilde_transform(model)``, exact for
-    every intensity: a float lam is the binary rational it stands for.
-    """
-    lame = Fraction(lam)
-    value = moment_sequence(_weights.tilde_transform(model), k, lame)[k]
-    return MomentValue.from_exact(k, lame, value, "centered_tilde")
 
 
 def exact_bit_work(k_max: int, bp: int, bq: int) -> int:

@@ -15,15 +15,12 @@ with exact arithmetic, while the generating functions use closed forms
 rather than partial series sums, which keeps them accurate near a finite
 radius u0.  Only this module turns H into H - 1 or back.
 
-Two transforms recur throughout the package:
-
-* ``hat_transform``   central-moment model with EGF exp(-u V_1) H(u); its
-  moments are the moments of the centered weight W - E W, and its H - 1 is
-  expm1(-u V_1) + exp(-u V_1) (H(u) - 1).
-* ``tilde_transform`` mean-shift pseudo-model with EGF H(u) - u V_1; its
-  "moment" sequence is V with V_1 zeroed.  That sequence generates the
-  moments of the mean-centered compound Poisson variable but is not the
-  moment sequence of any weight distribution.
+One transform recurs throughout the package: ``tilde_transform``, the
+mean-shift pseudo-model with EGF H(u) - u V_1, whose "moment" sequence is
+V with V_1 zeroed.  That sequence generates the moments of the
+mean-centered compound Poisson variable (the centered moments, and the
+rate of graphsim's degree threshold) but is not the moment sequence of any
+weight distribution.
 
 Pseudo-models are the models without a sampler: only the built-in weight
 laws carry one, so a transformed, factorial or custom model is never sampled.
@@ -37,7 +34,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
@@ -298,12 +294,12 @@ def log_factorial() -> WeightModel:
     )
 
 
-def custom_model(moments: Sequence[NumberLike], radius: float = math.inf) -> WeightModel:
+def custom_model(moments: Sequence[NumberLike]) -> WeightModel:
     """Model from a finite moment prefix [1, V_1, ..., V_L].
 
-    The EGF is the truncated series; the model is flagged ``truncated`` so
-    that operations needing the full tail refuse it instead of silently
-    truncating.
+    The EGF is the truncated series, a polynomial, so the radius is
+    infinite; the model is flagged ``truncated`` so that operations needing
+    the full tail refuse it instead of silently truncating.
     """
     vals = [Fraction(v) for v in moments]
     if not vals or vals[0] != 1:
@@ -322,44 +318,12 @@ def custom_model(moments: Sequence[NumberLike], radius: float = math.inf) -> Wei
 
     return WeightModel(
         name=f"custom[{horizon}]",
-        radius=radius,
+        radius=math.inf,
         horizon=horizon,
         _moment_fn=lambda order: vals[order],
         _egf_m1=lambda z: series(z, 0, start=1),
         _egf_d1=lambda u: series(u, 1),
         _egf_d2=lambda u: series(u, 2),
-    )
-
-
-def hat_transform(model: WeightModel) -> WeightModel:
-    """Central-moment model: EGF exp(-u V_1) H(u), moments of W - E W.
-
-    Its H - 1 is expm1(-u V_1) + exp(-u V_1) (H(u) - 1), free of cancellation
-    wherever the model's own H - 1 is.  Identity when V_1 = 0 already.
-    """
-    v1 = model.moment(1)
-    if v1 == 0:
-        return model
-    fv1 = float(v1)
-
-    @lru_cache(maxsize=None)
-    def mom(order: int) -> Fraction:
-        return Fraction(
-            sum(
-                math.comb(order, j) * model.moment(j) * (-v1) ** (order - j)
-                for j in range(order + 1)
-            )
-        )
-
-    return WeightModel(
-        name=f"hat({model.name})",
-        radius=model.radius,
-        horizon=model.horizon,
-        _moment_fn=mom,
-        _egf_m1=lambda z: np.expm1(-fv1 * z) + np.exp(-fv1 * z) * model.egf_m1(z),
-        _egf_d1=lambda u: math.exp(-fv1 * u) * (model.egf_d1(u) - fv1 * model.egf(u)),
-        _egf_d2=lambda u: math.exp(-fv1 * u)
-        * (model.egf_d2(u) - 2.0 * fv1 * model.egf_d1(u) + fv1 * fv1 * model.egf(u)),
     )
 
 

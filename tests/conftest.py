@@ -1,5 +1,9 @@
+import csv
+import io
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -53,6 +57,14 @@ def prime_power_moments(count):
     p_1 .. p_count, where the greedy l that takes each whole missing
     factor is p_1^1 .. p_count^count."""
     return [Fraction(1), *(Fraction(1, p**j) for j, p in enumerate(first_primes(count), start=1))]
+
+
+def read_table(path):
+    """Rows of a table written by ``cpm`` (CSV or JSON)."""
+    text = Path(path).read_text()
+    if text.lstrip().startswith("["):
+        return json.loads(text)
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def brute_force_finite_n(model, k, n, lam):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -143,11 +144,12 @@ class TestSolveSaddle:
             with pytest.raises(DomainError):
                 asym.solve_saddle(UNIT, chi)
 
-    def test_unreachable_target_for_truncated_model(self):
-        # finite declared radius makes u H'(u) bounded
-        model = weights.custom_model([1, 1, 1], radius=1.0)
-        with pytest.raises(SaddleError):
-            asym.solve_saddle(model, 0.01)
+    def test_rejects_chi_whose_inverse_overflows(self):
+        # 1/chi = inf would pass the stop test inf <= inf at the first point
+        for chi in (1e-320, 5e-324, 0.99 / sys.float_info.max):
+            with pytest.raises(DomainError, match="out of reach: 1/chi overflows$"):
+                asym.solve_saddle(UNIT, chi)
+        assert asym.solve_saddle(UNIT, 1.01 / sys.float_info.max).residual < math.inf
 
 
 class TestRateFunction:
@@ -247,52 +249,24 @@ class TestRefinedPrediction:
                 assert rv.log_refined(k) == asym.refined_prediction(model, k, chi)
 
 
-class TestRegimeB:
-    def test_exponential_large_intensity(self):
-        k = 20
-        for x in (1e2 * k, 1e3 * k, 1e4 * k):
-            exact = moments.log_moment(EXP, k, x)
-            pred = asym.regime_b_prediction(EXP, k, x)
-            gap = (exact - pred) / k
-            assert abs(math.expm1(gap)) < 0.01
+class TestLargeIntensityLimit:
+    """As chi -> inf, Psi(chi) tends to ln V_1 when V_1 > 0 (M_k ~ (x V_1)^k)
+    and to (1/2) ln(V_2 / (e chi)) when V_1 = 0 (M_k ~ (x k V_2 / e)^(k/2)),
+    with a gap of c / chi."""
 
-    def test_gap_shrinks_with_intensity(self):
-        k = 20
-        gaps = []
-        for x in (1e2 * k, 1e3 * k, 1e4 * k):
-            exact = moments.log_moment(EXP, k, x)
-            gaps.append(abs(exact - asym.regime_b_prediction(EXP, k, x)) / k)
-        assert gaps[0] > gaps[1] > gaps[2]
-
-    def test_centered_formula_matches_paired_shape(self):
-        # (k/2) ln(x k V_2 / e) coincides with the per-pair product form
-        for order, x in ((10, 500.0), (40, 4000.0)):
-            pred = asym.regime_b_prediction(GAUSS, order, x)
-            half = order // 2
-            pair_form = half * math.log(order * x * 1.0 / math.e)
-            assert pred == pytest.approx(pair_form, rel=1e-12)
-
-    def test_hat_model_uses_centered_second_moment(self):
-        hat = weights.hat_transform(EXP)
-        assert hat.moment(1) == 0 and hat.moment(2) == 1
-        pred = asym.regime_b_prediction(hat, 12, 900.0)
-        assert pred == pytest.approx(0.5 * 12 * math.log(900.0 * 12 / math.e), rel=1e-12)
-
-    def test_centered_branch_tracks_exact_moments(self):
-        k = 20
-        for x in (2e3 * k, 2e4 * k):
-            exact = moments.log_moment(BERN, k, x)
-            pred = asym.regime_b_prediction(BERN, k, x)
-            assert abs(math.expm1((exact - pred) / k)) < 0.02
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(DomainError):
-            asym.regime_b_prediction(weights.custom_model([1, 0, 0]), 4, 10.0)
-
-    @pytest.mark.parametrize("model, x", [(EXP, -1.0), (UNIT, 0.0)], ids=["negative-x", "zero-x"])
-    def test_first_moment_branch_needs_positive_mean(self, model, x):
-        with pytest.raises(DomainError, match="^x V_1 must be positive"):
-            asym.regime_b_prediction(model, 4, x)
+    @pytest.mark.parametrize("model", ALL, ids=lambda m: m.name)
+    def test_gap_falls_as_one_over_chi(self, model):
+        v1, v2, v4 = (float(model.moment(j)) for j in (1, 2, 4))
+        scaled = []
+        for chi in (1e2, 1e4, 1e6):
+            psi = asym.rate_function(model, chi).psi
+            limit = math.log(v1) if v1 > 0 else 0.5 * math.log(v2 / (math.e * chi))
+            scaled.append(chi * (psi - limit))
+        assert all(abs(c / scaled[0] - 1.0) < 0.01 for c in scaled), scaled
+        # the expansion in u at the small tilt: c = V_2 / (2 V_1^2) when
+        # V_1 > 0, else V_4 / (24 V_2^2)
+        c = v2 / (2.0 * v1 * v1) if v1 > 0 else v4 / (24.0 * v2 * v2)
+        assert scaled[-1] == pytest.approx(c, rel=1e-5)
 
 
 class TestSpecialCaseAgreement:
@@ -343,53 +317,12 @@ class TestSpecialCaseAgreement:
             asym.special_case_prediction("uniform", 10, 10.0)
 
 
-class TestBernoulliSmallIntensity:
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_leading_shape_at_unit_intensity(self):
-        # (1/k) ln M_k(1) - ln( k / (e ln k) ) shrinks as the order grows
-        gaps = []
-        for order in (40, 80, 160):
-            exact = moments.log_moment(BERN, order, 1.0)
-            pred = asym.bernoulli_small_x_prediction(order, 1.0).log_value
-            gaps.append(abs(exact - pred) / order)
-        assert gaps[0] > gaps[1] > gaps[2]
-
-    def test_consistent_with_full_saddle_at_moderate_ratio(self):
-        order = 1000
-        x = order / 4.0
-        exact_style = asym.refined_prediction(BERN, order, x / order)
-        small = asym.bernoulli_small_x_prediction(order, x).log_value
-        # leading order only; the log-ratio formula is rough at this ratio
-        assert abs(exact_style - small) / abs(exact_style) < 0.10
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_tilt_expansion_tracks_solver(self):
-        order, x = 4000, 1.0
-        sol = asym.solve_saddle(BERN, x / order)
-        approx_u = asym.bernoulli_small_x_prediction(order, x).tilt_expansion
-        assert abs(sol.u - approx_u) / sol.u < 0.25
-
-    def test_wrong_regime_rejected(self):
-        with pytest.raises(DomainError):
-            asym.bernoulli_small_x_prediction(10, 20.0)
-        with pytest.raises(DomainError):
-            asym.bernoulli_small_x_prediction(10, 0.0)
-
-    def test_warns_below_admissible_scale(self):
-        with pytest.warns(UserWarning):
-            asym.bernoulli_small_x_prediction(40, 1e-12)
-
-
 # closed form at order k -> whether its family lives on even orders; each
 # refuses the orders its family's model refuses, through its check_order
 CLOSED_FORM_ORDERS = {
-    "regime_b(bernoulli)": (lambda k: asym.regime_b_prediction(BERN, k, 100.0), True),
-    "regime_b(gaussian)": (lambda k: asym.regime_b_prediction(GAUSS, k, 100.0), True),
-    "regime_b(exponential)": (lambda k: asym.regime_b_prediction(EXP, k, 100.0), False),
     "gaussian": (lambda k: asym.gaussian_moment_prediction(k, 10.0), True),
     "gamma": (lambda k: asym.gamma_moment_prediction(k, 10.0, 2, 0.5), False),
     "bernoulli": (lambda k: asym.bernoulli_moment_prediction(k, 10.0), True),
-    "bernoulli_small_x": (lambda k: asym.bernoulli_small_x_prediction(k, 5.0).log_value, True),
     "exponential_sum": (lambda k: asym.exponential_sum_prediction(k, 10.0), False),
     "logfact_sum": (lambda k: asym.logfact_sum_prediction(k, 10.0), False),
 }

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import prime_power_moments
+from conftest import prime_power_moments, read_table
 from cpmoments import asymptotics as asym
 from cpmoments import cli, graphsim, moments, weights
 
@@ -209,7 +209,7 @@ class TestMoments:
             "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        rows = cli.read_table(str(out))
+        rows = read_table(str(out))
         assert [row["k"] for row in rows] == [str(k) for k in range(7)]
         assert rows[0]["value"] == "1"
         expected = moments.moment_recurrence(weights.exponential(), 6, Fraction(7, 2))
@@ -222,7 +222,7 @@ class TestMoments:
             "moments", "--weights", "exponential", "--k", "12", "--x", "1/3",
             "--out", str(out),
         ])
-        rows = cli.read_table(str(out))
+        rows = read_table(str(out))
         digits = rows[12]["value"].replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 28
 
@@ -233,7 +233,7 @@ class TestMoments:
             "--out", str(out),
         ])
         assert result.exit_code == 0
-        rows = cli.read_table(str(out))
+        rows = read_table(str(out))
         assert rows[10]["value"] == ""
         assert float(rows[10]["log_value"]) == pytest.approx(math.log(115975), rel=1e-12)
 
@@ -246,7 +246,7 @@ class TestMoments:
             "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        rows = cli.read_table(str(out))
+        rows = read_table(str(out))
         assert [(row["value"], row["log_value"]) for row in rows] == [
             ("1", "0"), ("-2", ""), ("5", cli.format_log(math.log(5)))]
 
@@ -257,7 +257,7 @@ class TestMoments:
             "--finite-n", "1000", "--out", str(out),
         ])
         assert result.exit_code == 0
-        rows = cli.read_table(str(out))
+        rows = read_table(str(out))
         assert rows[3]["method"] == "finite_n"
         assert float(rows[3]["value"]) == pytest.approx(5.0, rel=0.01)
 
@@ -268,7 +268,7 @@ class TestMoments:
             "--out", str(out), "--format", "json",
         ])
         assert result.exit_code == 0
-        rows = cli.read_table(str(out))
+        rows = read_table(str(out))
         assert rows[3]["value_ratio"] == "1099/8"
         assert rows[3]["value"] == "137.375"
 
@@ -281,7 +281,7 @@ class TestMoments:
         ])
         assert result.exit_code == 0, result.output
         expected = moments.moment_sequence(weights.unit(), 20, Fraction(10**300))
-        for row, value in zip(cli.read_table(str(out)), expected, strict=True):
+        for row, value in zip(read_table(str(out)), expected, strict=True):
             numerator, _, denominator = row["value_ratio"].partition("/")
             parsed = Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
             assert parsed == value, row["k"]
@@ -305,7 +305,7 @@ class TestCompare:
             "--out", str(out),
         ])
         assert result.exit_code == 0
-        rows = {int(r["k"]): r for r in cli.read_table(str(out))}
+        rows = {int(r["k"]): r for r in read_table(str(out))}
         gaps = [float(rows[k]["rate_gap"]) for k in (25, 50, 100, 200)]
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
 
@@ -315,7 +315,7 @@ class TestCompare:
             "compare", "--weights", "bernoulli", "--chi", "1", "--k-max", "20",
             "--out", str(out),
         ])
-        ks = [int(r["k"]) for r in cli.read_table(str(out))]
+        ks = [int(r["k"]) for r in read_table(str(out))]
         assert ks == list(range(2, 21, 2))
 
     def test_no_log_recurrence_per_row(self, runner, tmp_path, monkeypatch):
@@ -335,7 +335,7 @@ class TestCompare:
         ])
         assert result.exit_code == 0, result.output
         assert header_of(result.output)["config"]["method"] == "saddle_dft"
-        assert len(cli.read_table(str(out))) == 200
+        assert len(read_table(str(out))) == 200
         assert calls == []
 
     def test_one_saddle_per_table(self, runner, tmp_path, monkeypatch):
@@ -357,7 +357,7 @@ class TestCompare:
         assert len(calls) == 1
         monkeypatch.undo()
         model = weights.exponential()
-        for row in cli.read_table(str(out)):
+        for row in read_table(str(out)):
             expected = asym.refined_prediction(model, int(row["k"]), 1.5)
             assert row["log_predicted"] == cli.format_log(expected)
 
@@ -372,7 +372,7 @@ class TestCompare:
             "compare", "--weights", "unit", "--chi", str(chi), "--k-max", "200", "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        for row in cli.read_table(str(out)):
+        for row in read_table(str(out)):
             k = int(row["k"])
             assert abs(float(row["rate_gap"]) - 1.0 / (2.0 * chi * k)) <= 1e-13, k
 
@@ -392,7 +392,7 @@ class TestAux:
             "aux", "--weights", "unit", "--x", "1", "--u", "0.5", "--out", str(out),
         ])
         assert result.exit_code == 0
-        rows = cli.read_table(str(out))
+        rows = read_table(str(out))
         total = sum(float(r["p_j"]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-10)
         summary = json.loads(result.output.strip().splitlines()[-1])
@@ -437,7 +437,7 @@ class TestAux:
         assert time.perf_counter() - start < 2.0
         assert result.exit_code == 0, result.output
         summary = json.loads(result.output.strip().splitlines()[-1])
-        assert abs(sum(float(r["p_j"]) for r in cli.read_table(str(out))) - 1.0) <= 1e-9
+        assert abs(sum(float(r["p_j"]) for r in read_table(str(out))) - 1.0) <= 1e-9
         if cap is not None:  # k = 10 is too low an order for the local limit
             assert summary["support_cap"] == cap
         else:
@@ -454,7 +454,7 @@ class TestAux:
         ])
         assert time.perf_counter() - start < 2.0
         assert result.exit_code == 0, result.output
-        rows = cli.read_table(str(out))
+        rows = read_table(str(out))
         ps = [float(r["p_j"]) for r in rows]
         assert abs(math.fsum(ps) - 1.0) <= 1e-10
         mean = math.fsum(int(r["j"]) * p for r, p in zip(rows, ps))
@@ -468,7 +468,7 @@ class TestAux:
             "aux", "--weights", "logfact", "--llt-chi", "0.001", "--k", "10", "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        ps = [float(r["p_j"]) for r in cli.read_table(str(out))]
+        ps = [float(r["p_j"]) for r in read_table(str(out))]
         assert len(ps) > 20000
         assert abs(math.fsum(ps) - 1.0) <= 1e-10
 
@@ -528,7 +528,7 @@ class TestGraphsim:
         result = runner.invoke(
             cli.main, graphsim_args("2000", "1e-20", "exponential", "1", "1", "0", out))
         assert result.exit_code == 0, result.output
-        assert float(cli.read_table(str(out))[0]["p_hat"]) == 0.0
+        assert float(read_table(str(out))[0]["p_hat"]) == 0.0
 
     def test_overflowing_union_bound_is_vacuous(self, runner, tmp_path):
         # (s*/s')^(2 ln n) with s* about 7e149 is past float range
@@ -537,7 +537,7 @@ class TestGraphsim:
             cli.main, graphsim_args("2000", "4", "gaussian:1e300", "1", "20", "0", out))
         assert result.exit_code == 0, result.output
         assert result.stderr == ""
-        row = cli.read_table(str(out))[0]
+        row = read_table(str(out))[0]
         assert float(row["bound"]) == 1.0 and int(row["vacuous_flag"]) == 1
 
     @pytest.mark.parametrize("kappa, spec, message", [
@@ -545,6 +545,7 @@ class TestGraphsim:
         ("4", "gamma:1e-300,1", "cpm: error: chi = 2.0 out of reach: the smallest chi model"
                                 " 'tilde(gamma(1e-300,1))' reaches is"
                                 " 1/(u H'(u)) = 9.999778782818783e+287 at u = 0.999999999999"),
+        ("1e-320", "unit", "cpm: error: chi = 5e-321 out of reach: 1/chi overflows"),
     ])
     def test_refusal_comes_before_any_trial(self, runner, tmp_path, monkeypatch, kappa, spec,
                                             message):
@@ -567,7 +568,7 @@ class TestGraphsim:
         assert runner.invoke(cli.main, args + ["--out", str(out1)]).exit_code == 0
         assert runner.invoke(cli.main, args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
-        rows = cli.read_table(str(out1))
+        rows = read_table(str(out1))
         assert list(rows[0]) == ["n", "kappa", "s", "p_hat", "ci", "bound",
                                  "threshold", "vacuous_flag"]
 
@@ -803,6 +804,12 @@ class TestBadInputs:
                   3, "cpm: error: chi = 1e-13 out of reach: the smallest chi model 'logfact'"
                      " reaches is 1/(u H'(u)) = 9.999778782808785e-13 at u = 0.999999999999",
                   header=True),
+        bad_input("rate-inverse-chi-overflows", ["rate", "--weights", "unit", "--chi", "1e-320"],
+                  3, "cpm: error: chi = 1e-320 out of reach: 1/chi overflows", header=True),
+        bad_input("compare-inverse-chi-overflows",
+                  ["compare", "--weights", "unit", "--chi", "1e-320", "--k-max", "5",
+                   "--out", "{out}"],
+                  3, "cpm: error: chi = 1e-320 out of reach: 1/chi overflows", header=True),
         bad_input("llt-negative-moment",
                   ["aux", "--weights", "custom:{w}", "--llt-chi", "1", "--k", "10",
                    "--out", "{out}"],

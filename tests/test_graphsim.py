@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,18 @@ class TestSampling:
         draw, _ = graphsim.weight_sampler("exponential")
         deg = graphsim.sample_degrees(2000, 1e-25, draw, graphsim.trial_generator(0, 0))
         assert np.array_equal(deg, np.zeros(2000))
+
+    def test_subnormal_edge_probability_warns_nothing(self, monkeypatch):
+        # p = rho/n is about 6.9e-310, so most gaps E / -ln(1 - p) overflow to
+        # inf before the cut to cap; each of the two threads ignores that
+        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 2)
+        cfg = graphsim.GraphSimConfig(1000, 1e-307, "unit", (1.0,), 4, 0)
+        assert 0.0 < cfg.rho / cfg.n < sys.float_info.min
+        draw, _ = graphsim.weight_sampler("unit")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = graphsim._dmax_samples(cfg, draw)
+        assert np.array_equal(samples, np.zeros(4))
 
     def test_edge_probability_above_one_refused(self):
         draw, _ = graphsim.weight_sampler("unit")

@@ -127,8 +127,6 @@ MODEL_ZOO = {
     "gaussian(1/3)": weights.gaussian_centered(Fraction(1, 3)),
     "gaussian(1/4)": weights.gaussian_centered(Fraction(1, 4)),
     "gaussian(1/100)": weights.gaussian_centered(Fraction(1, 100)),
-    **{f"hat({name})": weights.hat_transform(MODELS[name])
-       for name in ("unit", "exponential", "gamma", "logfact")},
     **{f"tilde({name})": weights.tilde_transform(MODELS[name])
        for name in ("unit", "exponential", "gamma", "logfact")},
 }
@@ -155,11 +153,11 @@ class TestIntegerEngine:
                 assert all(type(v) is Fraction for v in got)
 
     @given(CUSTOM_MOMENTS, st.sampled_from(INTENSITIES), st.sampled_from(POPULATIONS),
-           st.integers(0, 14), st.sampled_from([None, "hat", "tilde"]))
-    def test_custom_models_match_fraction_recurrence(self, tail, x, n, k_max, transform):
+           st.integers(0, 14), st.booleans())
+    def test_custom_models_match_fraction_recurrence(self, tail, x, n, k_max, tilde):
         model = weights.custom_model([1, *tail])
-        if transform is not None:
-            model = getattr(weights, f"{transform}_transform")(model)
+        if tilde:
+            model = weights.tilde_transform(model)
         k_max = min(k_max, len(tail))
         got = moments.moment_sequence(model, k_max, x, n)
         assert got == fraction_moment_sequence(model, k_max, x, n)
@@ -273,12 +271,12 @@ class TestBell:
         assert moments.bell_number(10) == 115975
 
     def test_polynomial_values(self):
-        # B_3(x) = x^3 + 3x^2 + x
+        # B_3(x) = x^3 + 3x^2 + x, the unit-weight moments
         for x in (1, 2, Fraction(5, 3)):
             expected = Fraction(x) ** 3 + 3 * Fraction(x) ** 2 + Fraction(x)
-            assert moments.bell_polynomial(3, x).value_exact == expected
-        assert moments.bell_polynomial(3, 2).value_exact == 22
-        assert moments.bell_polynomial(0, 5).value_exact == 1
+            assert moments.moment_sequence(weights.unit(), 3, x)[3] == expected
+        assert moments.moment_sequence(weights.unit(), 3, 2)[3] == 22
+        assert moments.moment_sequence(weights.unit(), 0, 5)[0] == 1
 
 
 class TestEvenPartitionNumbers:
@@ -356,34 +354,35 @@ class TestFiniteN:
 
 
 class TestCenteredMoments:
+    """The moments of Y - x V_1 are those of the mean-shift model
+    ``tilde_transform(model)``."""
+
+    @staticmethod
+    def centered(model, k_max, x):
+        return moments.moment_sequence(weights.tilde_transform(model), k_max, x)
+
     def test_low_orders(self):
         for model in MODELS.values():
-            assert moments.centered_moment_tilde(model, 0, 2).value_exact == 1
-            assert moments.centered_moment_tilde(model, 1, 2).value_exact == 0
-            got = moments.centered_moment_tilde(model, 2, Fraction(5, 2)).value_exact
+            assert self.centered(model, 1, 2) == [1, 0]
+            got = self.centered(model, 2, Fraction(5, 2))[2]
             assert got == Fraction(5, 2) * model.moment(2)
 
     def test_third_cumulant_identity(self):
-        got = moments.centered_moment_tilde(MODELS["unit"], 3, 1).value_exact
-        assert got == 1  # lam * V_3 at lam = V_3 = 1
+        assert self.centered(MODELS["unit"], 3, 1)[3] == 1  # lam * V_3 at lam = V_3 = 1
 
-    def test_matches_shifted_weight_sequence(self):
-        # centering the variable equals running the recurrence with V_1 zeroed
-        for name in ("exponential", "gamma", "logfact"):
-            model = MODELS[name]
-            tilde = weights.tilde_transform(model)
-            for k in range(9):
-                a = moments.centered_moment_tilde(model, k, Fraction(7, 3)).value_exact
-                b = moments.moment_recurrence(tilde, k, Fraction(7, 3)).value_exact
-                assert a == b, (name, k)
-
-    def test_float_path_guard_recomputes_exactly(self):
-        # a float intensity is the binary rational it stands for; these
-        # inputs cancel heavily in a float binomial expansion
-        for name, k in (("unit", 12), ("exponential", 9)):
-            got = moments.centered_moment_tilde(MODELS[name], k, 100.0)
-            exact = moments.centered_moment_tilde(MODELS[name], k, Fraction(100))
-            assert got.value_exact == exact.value_exact, name
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(7, 2), 100.0], ids=str)
+    def test_binomial_expansion_of_raw_moments(self, name, x):
+        # E(Y - x V_1)^k = sum_i C(k, i) M_i(x) (-x V_1)^(k-i), exactly; a
+        # float x is the binary rational it stands for, and at x = 100.0 the
+        # expansion cancels heavily
+        model = MODELS[name]
+        raw = moments.moment_sequence(model, 16, x)
+        shift = -Fraction(x) * model.moment(1)
+        got = self.centered(model, 16, x)
+        for k in range(17):
+            want = sum(math.comb(k, i) * raw[i] * shift ** (k - i) for i in range(k + 1))
+            assert got[k] == want, k
 
 
 class TestLogMoments:
@@ -430,11 +429,9 @@ class TestLogMoments:
         moments.check_log_work(moments.MAX_LOG_WORK)
 
     def test_rejects_negative_weight_moments(self):
-        hat = weights.hat_transform(weights.custom_model([1, 2, 3, 4, 5, 6]))
-        # central moments of this prefix go negative at order 3
-        assert any(hat.moment(j) < 0 for j in range(3, 6))
-        with pytest.raises(DomainError):
-            moments.log_moment_sequence(hat, 5, 1.0)
+        model = weights.custom_model([1, 2, 3, -4, 5, 6])
+        with pytest.raises(DomainError, match="negative weight moment V_3 = -4"):
+            moments.log_moment_sequence(model, 5, 1.0)
 
 
 class TestClosedFormIdentities:

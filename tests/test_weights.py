@@ -201,39 +201,6 @@ class TestCustom:
             weights.custom_model([2, 1])
 
 
-class TestHatTransform:
-    def test_exponential_central_moments(self):
-        hat = weights.hat_transform(weights.exponential())
-        # independent binomial expansion of E (W - 1)^l for Exp(1)
-        for order in range(9):
-            expected = sum(
-                math.comb(order, j) * Fraction(math.factorial(j)) * (-1) ** (order - j)
-                for j in range(order + 1)
-            )
-            assert hat.moment(order) == expected
-        assert hat.moment(1) == 0
-        assert hat.moment(2) == 1
-
-    def test_hat_egf_shape(self):
-        hat = weights.hat_transform(weights.exponential())
-        for u in (0.1, 0.5, 0.9):
-            assert hat.egf(u) == pytest.approx(math.exp(-u) / (1 - u))
-
-    def test_identity_for_centered_models(self):
-        bern = weights.bernoulli_centered()
-        assert weights.hat_transform(bern) is bern
-
-    def test_gamma11_matches_exponential(self):
-        h1 = weights.hat_transform(weights.gamma(1, 1))
-        h2 = weights.hat_transform(weights.exponential())
-        for u in [0.1 * i for i in range(1, 10)]:
-            assert h1.egf(u) == pytest.approx(h2.egf(u), rel=1e-12)
-
-    def test_first_moment_vanishes_everywhere(self):
-        for model in builtin_models():
-            assert weights.hat_transform(model).moment(1) == 0
-
-
 class TestTildeTransform:
     def test_unit_shape(self):
         tilde = weights.tilde_transform(weights.unit())
@@ -314,17 +281,12 @@ class TestComplexEgf:
 
 
 
-# custom, hat and tilde models beside the complex H - 1 their definitions give
+# custom and tilde models beside the complex H - 1 their definitions give
 COMPOSED = [
     (weights.custom_model([1, 1, 2, 6]), lambda z: z + z**2 + z**3),
-    (weights.custom_model([1, "1/2", 0, 3], radius=2.0), lambda z: z / 2 + z**3 / 2),
-    (weights.hat_transform(weights.exponential()), lambda z: np.exp(-z) / (1 - z) - 1),
-    (weights.hat_transform(weights.gamma(2, Fraction(1, 2))),
-     lambda z: np.exp(-z) * (1 - z / 2) ** -2 - 1),
+    (weights.custom_model([1, "1/2", 0, 3]), lambda z: z / 2 + z**3 / 2),
     (weights.tilde_transform(weights.exponential()), lambda z: 1 / (1 - z) - 1 - z),
     (weights.tilde_transform(weights.unit()), lambda z: np.exp(z) - 1 - z),
-    (weights.hat_transform(weights.custom_model([1, 1, 2])),
-     lambda z: np.exp(-z) * (1 + z + z**2) - 1),
     (weights.tilde_transform(weights.custom_model([1, 1, 2])), lambda z: z**2),
 ]
 
