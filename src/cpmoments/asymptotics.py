@@ -288,9 +288,11 @@ def exponential_moment_prediction(k: int, x: float) -> float:
 
     Uses the same Stirling replacement of k! under which the closed form was
     derived, so the comparison with the generic formula is algebraically
-    tight.
+    tight.  The sum is taken first so that its ``check_order`` refuses
+    k <= 0 before Stirling's ln k.
     """
-    return _stirling_log_factorial(k) + exponential_sum_prediction(k, x)
+    log_sum = exponential_sum_prediction(k, x)
+    return _stirling_log_factorial(k) + log_sum
 
 
 def logfact_sum_prediction(k: int, x: float) -> float:
@@ -305,8 +307,10 @@ def logfact_sum_prediction(k: int, x: float) -> float:
 
 
 def logfact_moment_prediction(k: int, x: float) -> float:
-    """ln of the factorial-weight closed form for M_k(x) = k! T_k(x) (Stirling k!)."""
-    return _stirling_log_factorial(k) + logfact_sum_prediction(k, x)
+    """ln of the factorial-weight closed form for M_k(x) = k! T_k(x) (Stirling
+    k!); the sum is taken first, as in ``exponential_moment_prediction``."""
+    log_sum = logfact_sum_prediction(k, x)
+    return _stirling_log_factorial(k) + log_sum
 
 
 def special_case_prediction(case: str, k: int, x: float, **params: float) -> float:

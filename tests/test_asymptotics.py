@@ -242,6 +242,24 @@ class TestRefinedPrediction:
         with pytest.raises(DomainError):
             asym.refined_prediction(BERN, 101, 1.0)
 
+    def test_tracks_exact_moments_at_large_intensity(self):
+        # V_1 > 0 and V_1 = 0 limits of the saddle, at chi = 1e2 .. 1e4
+        k = 20
+        for model in (EXP, BERN):
+            for x in (1e2 * k, 1e3 * k, 1e4 * k):
+                exact = moments.log_moment(model, k, x)
+                pred = asym.refined_prediction(model, k, x / k)
+                assert abs(math.expm1(exact - pred)) < 0.01, (model.name, x)
+
+    def test_bernoulli_error_falls_with_order_at_unit_intensity(self):
+        # x = 1 fixed, so chi = 1/k -> 0: the small-intensity end of the saddle
+        errors = []
+        for k in (40, 80, 160, 320):
+            exact = moments.log_moment(BERN, k, 1.0)
+            errors.append(abs(exact - asym.refined_prediction(BERN, k, 1.0 / k)))
+        assert errors[0] < 0.01
+        assert all(a > b for a, b in zip(errors, errors[1:])), errors
+
     def test_rate_value_carries_the_prediction(self):
         for model, chi in ((EXP, 1.5), (BERN, 0.7), (GAMMA, 1e6)):
             rv = asym.rate_function(model, chi)
@@ -325,6 +343,8 @@ CLOSED_FORM_ORDERS = {
     "bernoulli": (lambda k: asym.bernoulli_moment_prediction(k, 10.0), True),
     "exponential_sum": (lambda k: asym.exponential_sum_prediction(k, 10.0), False),
     "logfact_sum": (lambda k: asym.logfact_sum_prediction(k, 10.0), False),
+    "exponential": (lambda k: asym.exponential_moment_prediction(k, 10.0), False),
+    "logfact": (lambda k: asym.logfact_moment_prediction(k, 10.0), False),
 }
 
 

@@ -120,6 +120,17 @@ class TestRecurrenceAgainstOracles:
             moments.moment_partition_oracle(MODELS["unit"], 26, 1)
 
 
+def central_model(model, horizon=60):
+    """Custom model of the central moments E(W - V_1)^l, l <= horizon: V_1 = 0
+    and, unlike ``tilde_transform``, every higher moment is shifted too."""
+    v1 = model.moment(1)
+    return weights.custom_model([
+        sum(math.comb(order, j) * model.moment(j) * (-v1) ** (order - j)
+            for j in range(order + 1))
+        for order in range(horizon + 1)
+    ])
+
+
 MODEL_ZOO = {
     **MODELS,
     "gamma(1/2,1)": weights.gamma(Fraction(1, 2), 1),
@@ -128,6 +139,9 @@ MODEL_ZOO = {
     "gaussian(1/4)": weights.gaussian_centered(Fraction(1, 4)),
     "gaussian(1/100)": weights.gaussian_centered(Fraction(1, 100)),
     **{f"tilde({name})": weights.tilde_transform(MODELS[name])
+       for name in ("unit", "exponential", "gamma", "logfact")},
+    # the random-order test samples to k = 60, the horizon of these
+    **{f"central({name})": central_model(MODELS[name])
        for name in ("unit", "exponential", "gamma", "logfact")},
 }
 # custom models stop at their last moment, so this one stays out of MODEL_ZOO,

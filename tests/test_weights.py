@@ -288,6 +288,11 @@ COMPOSED = [
     (weights.tilde_transform(weights.exponential()), lambda z: 1 / (1 - z) - 1 - z),
     (weights.tilde_transform(weights.unit()), lambda z: np.exp(z) - 1 - z),
     (weights.tilde_transform(weights.custom_model([1, 1, 2])), lambda z: z**2),
+    (weights.tilde_transform(weights.custom_model([1, "1/2", 0, 3])), lambda z: z**3 / 2),
+    (weights.tilde_transform(weights.gamma(2, Fraction(1, 2))),
+     lambda z: (1 - z / 2) ** -2 - 1 - z),
+    (weights.tilde_transform(weights.gamma(Fraction(1, 2), 1)),
+     lambda z: (1 - z) ** -0.5 - 1 - z / 2),
 ]
 
 
