@@ -134,12 +134,32 @@ def _write_table(path: str, fieldnames: list[str], rows: list[dict], fmt: str) -
     _atomic_write(path, buf.getvalue())
 
 
+_DIGITS_30 = decimal.Context(prec=30)
+
+
 def format_exact(value: Fraction) -> str:
-    """Ratio rendered as a 30-significant-digit decimal string."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 30
-        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-    return str(d)
+    """Ratio rendered as a 30-significant-digit decimal string.
+
+    The string of Decimal(n) / Decimal(d) at precision 30, without turning
+    n and d into Decimals: one integer division gives the quotient to 31 or
+    more digits, as Decimal's own division does, and Decimal rounds only
+    that.  An inexact quotient is marked by its last digit (never 0 or 5),
+    and an exact one sheds trailing zeros down to exponent 0."""
+    n, d = value.numerator, value.denominator
+    if not n:
+        return "0"
+    # |n|/d > 2^(bits(n) - 1 - bits(d)), so 10^shift |n|/d >= 10^31
+    shift = 32 + math.ceil((d.bit_length() - abs(n).bit_length() + 1) * math.log10(2))
+    if shift >= 0:
+        coeff, rest = divmod(abs(n) * 10**shift, d)
+    else:
+        coeff, rest = divmod(abs(n), d * 10**-shift)
+    if rest:
+        coeff += coeff % 5 == 0
+    else:
+        while shift > 0 and coeff % 10 == 0:
+            coeff, shift = coeff // 10, shift - 1
+    return str(decimal.Decimal(-coeff if n < 0 else coeff).scaleb(-shift, _DIGITS_30))
 
 
 def format_ratio(value: Fraction | int) -> str:
@@ -195,7 +215,7 @@ def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
                 row["value_ratio"] = format_ratio(value)
             rows.append(row)
     else:
-        seq = mom.log_moment_sequence(model, k_max, float(x))
+        seq = mom.log_moment_sequence(model, k_max, x)
         rows = [
             {"k": k, "x": str(x), "method": "recurrence", "value": "",
              "log_value": format_log(float(seq[k]))}

@@ -78,7 +78,8 @@ class WeightModel:
     ``parity_even_only`` marks weights whose odd moments all vanish;
     ``horizon`` is the last known moment order of a custom model that only
     knows a finite prefix of the series.  ``sample(rng, size)`` draws i.i.d.
-    weights; only built-in weight laws have one.  ``_egf_m1`` is the one
+    weights; only built-in weight laws have one, and only they carry
+    ``_log_moment_fn``, ln V_order in closed form.  ``_egf_m1`` is the one
     value closure, H - 1, for real or complex scalars and numpy arrays; H
     itself is ``egf``.
     """
@@ -92,6 +93,7 @@ class WeightModel:
     parity_even_only: bool = False
     horizon: int | None = None
     sample: WeightDraw | None = None
+    _log_moment_fn: Callable[[int], float] | None = None
 
     @property
     def truncated(self) -> bool:
@@ -123,9 +125,12 @@ class WeightModel:
     def log_weight_moment(self, order: int) -> float:
         """ln V_order; -inf when the moment vanishes.
 
-        Raises for negative moments: the log-space pipeline requires a
-        nonnegative weight sequence.
+        A built-in law evaluates its closed form in floats; other models take
+        the log of the exact moment.  Raises for negative moments: the
+        log-space pipeline requires a nonnegative weight sequence.
         """
+        if self._log_moment_fn is not None and order >= 0:
+            return self._log_moment_fn(order)
         v = self.moment(order)
         if v < 0:
             raise DomainError(
@@ -196,6 +201,26 @@ def _running_product(step: Callable[[int], Fraction]) -> Callable[[int], Fractio
     return product
 
 
+def _log_rising(m: Fraction) -> Callable[[int], float]:
+    """j -> ln m(m+1)...(m+j-1), the rising factorial of an exact m > 0, in
+    floats.  Below m = 16 it is ln m + lgamma(m + j) - lgamma(m + 1), with
+    ln m from the exact m, which may lie below float range.  From 16 up,
+    lgamma(m + j) - lgamma(m) would cancel about m ln m, so Stirling's series
+    gives the difference: j ln m + (m + j - 1/2) log1p(j/m) - j + R(m + j) -
+    R(m), with R cut after its z^-7 term (the next is below 1.2e-14 at 16)."""
+    fm, lm = float(m), log_rational(m)
+    if fm < 16.0:
+        base = math.lgamma(fm + 1.0)
+        return lambda j: lm + math.lgamma(fm + j) - base if j else 0.0
+
+    def tail(z: float) -> float:
+        w = 1.0 / (z * z)
+        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w / 1680))) / z
+
+    log_m = math.log(fm)
+    return lambda j: j * log_m + (fm + j - 0.5) * math.log1p(j / fm) - j + tail(fm + j) - tail(fm)
+
+
 def _param_name(value: Fraction) -> str:
     """The exact ratio, or past 20 characters its float unless that is 0."""
     text, near = str(value), float(value)
@@ -208,6 +233,7 @@ def unit() -> WeightModel:
         name="unit",
         radius=math.inf,
         _moment_fn=lambda order: Fraction(1),
+        _log_moment_fn=lambda order: 0.0,
         _egf_m1=lambda z: np.expm1(z),
         _egf_d1=math.exp,
         _egf_d2=math.exp,
@@ -222,6 +248,7 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         raise DomainError("gaussian_centered needs v2 > 0")
     fv2 = float(v2f)
     even = _running_product(lambda k: v2f * (2 * k - 1))  # k -> V_{2k}
+    log_half_v2 = log_rational(v2f / 2)
 
     def h(u: float) -> float:
         return math.exp(fv2 * u * u / 2.0)
@@ -231,6 +258,9 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         radius=math.inf,
         parity_even_only=True,
         _moment_fn=lambda order: Fraction(0) if order % 2 else even(order // 2),
+        # V_2k = v2^k (2k)! / (2^k k!)
+        _log_moment_fn=lambda order: -math.inf if order % 2 else (
+            order // 2 * log_half_v2 + math.lgamma(order + 1.0) - math.lgamma(order // 2 + 1.0)),
         _egf_m1=lambda z: np.expm1(fv2 * z * z / 2.0),
         _egf_d1=lambda u: fv2 * u * h(u),
         _egf_d2=lambda u: (fv2 + (fv2 * u) ** 2) * h(u),
@@ -244,10 +274,12 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
     if mf <= 0 or tf <= 0:
         raise DomainError("gamma needs m > 0 and theta > 0")
     fm, ft = float(mf), float(tf)
+    log_theta, log_rising = log_rational(tf), _log_rising(mf)
     return WeightModel(
         name=f"gamma({_param_name(mf)},{_param_name(tf)})",
         radius=float(1 / tf),
         _moment_fn=_running_product(lambda l: tf * (mf + l - 1)),
+        _log_moment_fn=lambda order: order * log_theta + log_rising(order),
         _egf_m1=lambda z: np.expm1(-fm * _log1p(-ft * z)),
         _egf_d1=lambda u: fm * ft * (1.0 - ft * u) ** (-fm - 1.0),
         _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * (1.0 - ft * u) ** (-fm - 2.0),
@@ -262,6 +294,7 @@ def bernoulli_centered() -> WeightModel:
         radius=math.inf,
         parity_even_only=True,
         _moment_fn=lambda order: Fraction(1 - order % 2),
+        _log_moment_fn=lambda order: -math.inf if order % 2 else 0.0,
         _egf_m1=lambda z: 2.0 * np.sinh(z / 2.0) ** 2,
         _egf_d1=math.sinh,
         _egf_d2=math.cosh,
@@ -275,6 +308,7 @@ def exponential() -> WeightModel:
         name="exponential",
         radius=1.0,
         _moment_fn=_running_product(lambda l: l),
+        _log_moment_fn=lambda order: math.lgamma(order + 1.0),
         _egf_m1=lambda z: z / (1.0 - z),
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
@@ -288,6 +322,7 @@ def log_factorial() -> WeightModel:
         name="logfact",
         radius=1.0,
         _moment_fn=_running_product(lambda l: max(l - 1, 1)),
+        _log_moment_fn=lambda order: math.lgamma(max(order, 1)),
         _egf_m1=lambda z: -_log1p(-z),
         _egf_d1=lambda u: 1.0 / (1.0 - u),
         _egf_d2=lambda u: (1.0 - u) ** -2.0,

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import math
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import prime_power_moments, read_table
 from cpmoments import asymptotics as asym
@@ -237,6 +240,19 @@ class TestMoments:
         assert rows[10]["value"] == ""
         assert float(rows[10]["log_value"]) == pytest.approx(math.log(115975), rel=1e-12)
 
+    @pytest.mark.parametrize("x", ["1e400", "1e-400"])
+    def test_log_mode_past_float_range(self, runner, tmp_path, x):
+        # ln x comes from the exact x: float(x) overflowed at 1e400 and was 0
+        # at 1e-400
+        out = tmp_path / "m.csv"
+        result = runner.invoke(cli.main, [
+            "moments", "--weights", "unit", "--k", "5", "--x", x, "--log", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        want = moments.moment_sequence(weights.unit(), 5, weights.parse_rational(x))
+        for row, value in zip(read_table(str(out)), want, strict=True):
+            assert float(row["log_value"]) == pytest.approx(weights.log_rational(value), rel=1e-13)
+
     def test_negative_moment_has_no_log_value(self, runner, tmp_path):
         # custom weights V_1 = -2: M_1(1) = -2 has no logarithm, M_2(1) = 1 + 4
         out, spec = tmp_path / "m.csv", tmp_path / "w.json"
@@ -285,6 +301,52 @@ class TestMoments:
             numerator, _, denominator = row["value_ratio"].partition("/")
             parsed = Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
             assert parsed == value, row["k"]
+
+
+def decimal_quotient(value):
+    """The 30-digit Decimal division ``cli.format_exact`` replaces: its oracle."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+LONG_INTEGERS = st.integers(-(10**80), 10**80) | st.integers(0, 400).map(lambda e: 7 * 10**e)
+
+
+class TestFormatExact:
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(7, 2), "3.5"), (Fraction(1, 8), "0.125"), (Fraction(0), "0"),
+        (Fraction(-7, 2), "-3.5"), (Fraction(10**40), "1.00000000000000000000000000000E+40"),
+        (Fraction(123), "123"), (Fraction(-1, 3), "-0.333333333333333333333333333333"),
+        (Fraction(1, 10**400), "1E-400"), (Fraction(2, 3**1000), None),
+        (Fraction(10**29 * 3 + 5, 10), None), (Fraction(5 * 10**35), None),
+        # a 31st digit of exactly 5: halfway rounds to even, past it rounds up
+        (Fraction(4 * 10**29 + 1, 2), "200000000000000000000000000000"),
+        (Fraction(4 * 10**29 + 1, 2) + Fraction(1, 10**60), "200000000000000000000000000001"),
+        (Fraction(4 * 10**29 + 1, 2) - Fraction(1, 10**60), "200000000000000000000000000000"),
+    ])
+    def test_cases(self, value, text):
+        assert cli.format_exact(value) == decimal_quotient(value)
+        assert text is None or cli.format_exact(value) == text
+
+    @given(LONG_INTEGERS, st.integers(1, 10**80) | st.integers(0, 300).map(lambda e: 2**e * 5**e))
+    def test_matches_decimal_division(self, numerator, denominator):
+        value = Fraction(numerator, denominator)
+        assert cli.format_exact(value) == decimal_quotient(value)
+
+    def test_decimal_gets_only_the_rounded_quotient(self, monkeypatch):
+        # gaussian:1e-300 to k = 200 has denominators of up to 30000 digits,
+        # whose conversion to Decimal took 0.64 s against 0.055 s in the engine
+        seq = moments.moment_sequence(weights.gaussian_centered(Fraction(1, 10**300)), 200, 1)
+        rows = seq[::10] + seq[-1:]
+        want = [decimal_quotient(value) for value in rows]
+
+        def short(value):
+            assert abs(value) < 10**40
+            return Decimal(value)
+
+        monkeypatch.setattr(decimal, "Decimal", short)
+        assert [cli.format_exact(value) for value in rows] == want
 
 
 class TestRate:
@@ -728,6 +790,10 @@ class TestBadInputs:
                   ["moments", "--weights", "unit", "--k", "5", "--x", "1", "--finite-n", "10",
                    "--log", "--out", "{out}"],
                   2, "Error: --finite-n needs the exact path; drop --log"),
+        bad_input("log-x-zero",
+                  ["moments", "--weights", "unit", "--k", "5", "--x", "0", "--log",
+                   "--out", "{out}"],
+                  3, "cpm: error: log-space moments need x > 0", header=True),
         bad_input("negative-order",
                   ["moments", "--weights", "unit", "--k", "-1", "--x", "1", "--out", "{out}"],
                   3, "cpm: error: order must be >= 0", header=True),

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -399,7 +400,100 @@ class TestCenteredMoments:
             assert got[k] == want, k
 
 
+def per_order_log_moments(model, k_max, x):
+    """ln M_0(x) .. ln M_kmax(x) by the recurrence in log-sum-exp form, one
+    order at a time: the reference of ``moments.log_moment_sequence``.
+
+    Divided by (k-1)!, the recurrence is a plain convolution, M_k/(k-1)! =
+    sum_j a_j b_{k-j}, of a_j = x V_j/(j-1)! with b_i = M_i/i!; each order
+    is one add of the logs into a buffer, its max, an in-place shift and
+    exp, and a sum."""
+    x = float(x)
+    lgf = np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
+    lgv = np.array([weights.log_rational(model.moment(j)) for j in range(1, k_max + 1)])
+    a = math.log(x) + lgv - lgf[:-1]  # ln a_j, j = 1 .. k_max; b holds ln b_i
+    b = np.empty(k_max + 1)
+    b[0] = 0.0
+    buf = np.empty(k_max)
+    for k in range(1, k_max + 1):
+        terms = np.add(a[:k], b[k - 1 :: -1], out=buf[:k])
+        peak = terms.max()
+        if peak == -math.inf:
+            b[k] = -math.inf
+            continue
+        terms -= peak
+        np.exp(terms, out=terms)
+        b[k] = peak + math.log(terms.sum()) + lgf[k - 1] - lgf[k]
+    return b + lgf
+
+
+def assert_logs_agree(got, want, rel):
+    """The same -inf orders, and elsewhere |got - want| <= rel (|want| +
+    ln k! + 1): ln M_k is ln(M_k/k!) + ln k!, and each carries rounding of
+    its own size, so a log near 0 between two large ones is held to their
+    scale, and one near 0 at a low order to 1."""
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    scale = np.abs(want) + np.array([math.lgamma(k + 1.0) for k in range(len(want))]) + 1.0
+    live = np.isfinite(want)
+    assert np.all(np.abs(got[live] - want[live]) <= rel * scale[live])
+
+
 class TestLogMoments:
+    @pytest.mark.parametrize("k_max", [200, 2000])
+    @pytest.mark.parametrize("x", ["1e-300", "1e-6", "1", "7/2", "1e6", "1e300"])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_matches_per_order_loop(self, name, x, k_max, monkeypatch):
+        # past the first orders, every order is a tilted dot product
+        model, guarded = MODELS[name], []
+        log_order = moments._log_order
+        monkeypatch.setattr(moments, "_log_order", lambda la, c, k: (
+            guarded.append(k), log_order(la, c, k))[1])
+        got = moments.log_moment_sequence(model, k_max, Fraction(x))
+        assert_logs_agree(got, per_order_log_moments(model, k_max, Fraction(x)), 1e-13)
+        # the tilt needs two orders with b > 0 two or more steps apart
+        assert guarded == list(range(model.span, 2 * model.span + 2, model.span))
+
+    @pytest.mark.parametrize("model, x", [
+        (weights.custom_model([1, 0, 0, 1, 0, 0, 2, 0, 0, 5] + [0] * 100), Fraction(1, 10**300)),
+        (weights.tilde_transform(weights.unit()), Fraction(10**300)),
+    ], ids=["lattice-of-3-at-1e-300", "tilde-unit-at-1e300"])
+    def test_guard_orders_match_per_order_loop(self, model, x, monkeypatch):
+        # a lattice the span does not know, where one jump and two differ by
+        # 1e-300, and odd orders 1e-150 below the even ones: no tilt spans
+        # the entries, or a sum leaves the range with no drift, and those
+        # orders take the log-sum-exp pass.  Neither reads a tilt per order:
+        # a failed one is tried again 1/8 of the order later, and after a
+        # sum out of range with no drift the tilt stays
+        guarded, tilts = [], []
+        log_order, retilt = moments._log_order, moments._retilt
+        monkeypatch.setattr(moments, "_log_order", lambda la, c, k: (
+            guarded.append(k), log_order(la, c, k))[1])
+        monkeypatch.setattr(moments, "_retilt", lambda *args: (
+            tilts.append(args[2]), retilt(*args))[1])
+        k_max = min(model.horizon or 400, 400)
+        got = moments.log_moment_sequence(model, k_max, x)
+        assert_logs_agree(got, per_order_log_moments(model, k_max, x), 1e-13)
+        assert len(guarded) > k_max // 4
+        assert len(tilts) <= 40
+
+    @pytest.mark.parametrize("piece", [1, 7, 64])
+    @pytest.mark.parametrize("name", ["unit", "bernoulli"])
+    def test_long_dots_in_pieces(self, name, piece, monkeypatch):
+        # orders past _DOT_PIECE sum their dot piece by piece
+        monkeypatch.setattr(moments, "_DOT_PIECE", piece)
+        got = moments.log_moment_sequence(MODELS[name], 200, Fraction(7, 2))
+        assert_logs_agree(got, per_order_log_moments(MODELS[name], 200, Fraction(7, 2)), 1e-13)
+
+    @pytest.mark.parametrize("x", ["1e400", "1e300", "1e-300", "1e-400"])
+    @pytest.mark.parametrize("name", ["unit", "exponential", "bernoulli", "gamma"])
+    def test_intensity_past_float_range(self, name, x):
+        # ln x comes from the exact x, so 1e400 and 1e-400 need no float
+        model = MODELS[name]
+        got = moments.log_moment_sequence(model, 20, weights.parse_rational(x))
+        want = [weights.log_rational(m) for m in
+                moments.moment_sequence(model, 20, weights.parse_rational(x))]
+        assert_logs_agree(got, np.array(want), 1e-13)
+
     def test_matches_exact_up_to_30(self):
         for model in MODELS.values():
             seq = moments.log_moment_sequence(model, 30, 2.0)

@@ -41,6 +41,43 @@ SYMBOLIC_EGF = {
 }
 
 
+# (spec, last order): gamma's parameters with ~1000-bit parts stop at 300,
+# because their exact moments grow by about 1000 bits an order (orders up to
+# 2000 of gamma(1e-400, 1) take 30 s)
+CLOSED_FORM_CASES = [
+    *((spec, 2000) for spec in ("unit", "gaussian:1", "gaussian:3/4", "gaussian:1e-300",
+                                "bernoulli", "exponential", "logfact", "gamma:2,1/2",
+                                "gamma:1e-3,1/2", "gamma:1e8,1/2", "gamma:15.999,1",
+                                "gamma:16,1/3")),
+    *((f"gamma:{m},{theta}", 300) for m in ("1e-400", "1e-3", "1e8", "1e300")
+      for theta in ("1e-300", "1/2") if (m, theta) not in (("1e-3", "1/2"), ("1e8", "1/2"))),
+]
+
+
+class TestLogWeightMoments:
+    @pytest.mark.parametrize("spec, last", CLOSED_FORM_CASES,
+                             ids=[spec for spec, _ in CLOSED_FORM_CASES])
+    def test_closed_form_matches_exact_log(self, spec, last):
+        # held to 1e-13 of the logs the exact path subtracts, ln num and ln den
+        # (at least 1): gamma(1e300, 1e-300) has V_j within 1e-290 of 1, and
+        # both paths lose digits to its j ln m - j ln(1/theta)
+        model = weights.from_spec(spec)
+        for j in range(last + 1):
+            v = model.moment(j)
+            if v == 0:
+                assert model.log_weight_moment(j) == -math.inf, j
+                continue
+            scale = max(1.0, abs(math.log(v.numerator)) + abs(math.log(v.denominator)))
+            assert abs(model.log_weight_moment(j) - weights.log_rational(v)) <= 1e-13 * scale, j
+
+    def test_pseudo_models_take_the_exact_log(self):
+        # no closed form for tilde and custom models: the log of the exact moment
+        for model in (weights.tilde_transform(weights.gamma(2, Fraction(1, 2))),
+                      weights.custom_model([1, Fraction(1, 3), 0, 7])):
+            for j in range(4):
+                assert model.log_weight_moment(j) == weights.log_rational(model.moment(j))
+
+
 class TestBuiltins:
     def test_normalization(self):
         for model in builtin_models():
