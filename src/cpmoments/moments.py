@@ -275,7 +275,7 @@ def _check_bit_work(k_max: int, bp: int, bq: int) -> None:
 
 def check_log_work(terms: int) -> None:
     """Refuse log recurrences whose k^2, summed over the orders k they run
-    to, exceeds MAX_LOG_WORK: about 0.75 s for one run to k = 44721, 5.5 s
+    to, exceeds MAX_LOG_WORK: about 0.4 s for one run to k = 44721, 5.5 s
     for ``compare``'s per-order runs to k = 1816 (2-core Xeon).  Every log
     recurrence, ``moments --log``'s and ``compare``'s fallback, is bounded
     by this one check; ``auxdist.build_aux`` runs none, and its transforms
@@ -291,9 +291,6 @@ _LOG_SPAN = 460.0  # ln of the largest A_j times the largest C_i one tilt may ho
 _LOG_DROP = -115.0  # an entry is flushed where its terms all stay below e^-115
 _SUM_LOW, _SUM_HIGH = 1e-20, 1e20  # the range each tilted order's sum must fall in
 _LOG_SUM_HIGH = math.log(_SUM_HIGH)
-# OpenBLAS spreads a dot of more than 10000 terms over threads, which stall
-# for up to a second when a core is busy; shorter pieces stay on one thread
-_DOT_PIECE = 8192
 
 
 def log_moment_sequence(model: WeightModel, k_max: int, x: NumberLike) -> np.ndarray:
@@ -311,26 +308,25 @@ def log_moment_sequence(model: WeightModel, k_max: int, x: NumberLike) -> np.nda
     pass float range at tiny x.
 
     The tilt is read again once the orders reach twice the one it was read
-    at, or when an order's sum leaves [1e-20, 1e20] as the orders drift
-    from it: after an order whose C_k was outside [1e-10, 1e10].  An order
-    takes one log-sum-exp pass over its terms instead when no tilt can be
-    read yet (the first orders), when the largest A_j or C_i, or their
-    product, would pass e^460, or when its sum leaves the range with no
-    drift or right after a new tilt (an order off a lattice the span does
-    not know, or parities 1e-150 apart); the tilt stays for the next order
-    if this order's C_k is below 1e20 under it.  After a tilt that cannot
-    be used, the next is tried 1/8 of the order later, so an order costs at
-    most about what the per-order log-sum-exp loop cost.  An entry is
-    flushed to zero where, times the largest entry the other side can hold
-    (a new C_k is below 1e20), it stays below e^-115: the terms dropped are
-    negligible against any sum accepted, and no product of the entries kept
-    is subnormal.  Orders off the model's lattice are -inf.
+    at, or when an order's sum leaves [1e-20, 1e20].  An order takes one
+    log-sum-exp pass over its terms instead when no tilt can be read yet
+    (the first orders), when the largest A_j or C_i, or their product,
+    would pass e^460, or when its sum leaves the range under a new tilt (an
+    order off a lattice the span does not know, or parities 1e-150 apart).
+    Such an order drops the tilt, and the orders up to 1/8 past it take
+    that pass too before a tilt is read again, so that an input no tilt
+    carries costs about one log-sum-exp pass per order, not a tilt each.
+    An entry is flushed to zero where, times the largest entry the other
+    side can hold (a new C_k is below 1e20), it stays below e^-115: the
+    terms dropped are negligible against any sum accepted, and no product
+    of the entries kept is subnormal.  Orders off the model's lattice are
+    -inf.
 
     ln x is taken from the exact x, so x may lie outside float range.
     Requires x > 0 and a nonnegative weight sequence (all partial sums are
     then positive and representable in log space).  Refuses k_max^2 above
     MAX_LOG_WORK before any weight moment is read.  To k = 1000 it takes
-    about 3 ms, to k = 44721, the most that bound allows, about 0.75 s
+    about 3 ms, to k = 44721, the most that bound allows, about 0.4 s
     (2-core Xeon).
     """
     x = Fraction(x)
@@ -348,56 +344,43 @@ def log_moment_sequence(model: WeightModel, k_max: int, x: NumberLike) -> np.nda
     tilted_a = np.zeros(k_max + 1)
     tilted_c = np.zeros(k_max + 1)  # C_i at k_max - i, so that each dot reads both ascending
     log_a = la.tolist()
-    end, log_rho, level, floor = 0, 0.0, 0.0, 0.0  # orders below end run at this tilt
-    last = 0.0  # ln C_i of the last order summed at this tilt
-    retry = 0  # after a failed tilt, the order at which one is read again
+    end, log_rho, level = 0, 0.0, 0.0  # orders below end run at this tilt
+    retry = 0  # after a guarded order, the order at which a tilt is read again
 
     def tilted_sum(k: int) -> float:
         # an exponent past ln _SUM_HIGH puts the sum out of range either way
         head = math.exp(min(log_a[k] + k * log_rho - level, 50.0))
-        shift = k_max - k  # A_j pairs with C_(k-j), stored at shift + j
-        if k <= _DOT_PIECE:
-            return head + tilted_a[1:k].dot(tilted_c[shift + 1 : k_max])
-        for j in range(1, k, _DOT_PIECE):
-            stop = min(j + _DOT_PIECE, k)
-            head += tilted_a[j:stop].dot(tilted_c[shift + j : shift + stop])
-        return head
+        # A_j pairs with C_(k-j), stored at k_max - k + j
+        return head + tilted_a[1:k].dot(tilted_c[k_max - k + 1 : k_max])
 
     for k in range(model.span, k_max + 1, model.span):
         total = tilted_sum(k) if k < end else math.nan
-        # a sum out of range after one near C = 1 is the order's own, not drift
-        if not _SUM_LOW <= total <= _SUM_HIGH and k >= retry and (
-                k >= end or abs(last) > _LOG_SUM_HIGH / 2):
-            end, log_rho, level, floor = _retilt(la, c, k, tilted_a, tilted_c)
-            total, last = (tilted_sum(k) if end else math.nan), 0.0
-            retry = k if end else k + k // 8
+        if not _SUM_LOW <= total <= _SUM_HIGH and k >= retry:
+            end, log_rho, level = _retilt(la, c, k, tilted_a, tilted_c)
+            total = tilted_sum(k) if end else math.nan
         if _SUM_LOW <= total <= _SUM_HIGH:
             tilted_c[k_max - k] = total / k
-            last = math.log(total / k)
-            c[k] = last + level - k * log_rho
-            continue
-        c[k] = _log_order(la, c, k)
-        entry = c[k] + k * log_rho - level  # ln C_k at the tilt, which stays if C_k fits
-        if end and entry <= _LOG_SUM_HIGH:
-            tilted_c[k_max - k] = math.exp(entry) if entry >= floor else 0.0
+            c[k] = math.log(total / k) + level - k * log_rho
         else:
+            c[k] = _log_order(la, c, k)
             end = 0
+            if k >= retry:  # a tilt was read for this order: the next comes 1/8 later
+                retry = k + k // 8
     return c + lgf
 
 
 def _retilt(
     la: np.ndarray, c: np.ndarray, k: int, tilted_a: np.ndarray, tilted_c: np.ndarray
-) -> tuple[int, float, float, float]:
-    """(end, ln rho, L, floor): a tilt read below order k, with A_j for j <
-    end = min(2k, k_max + 1) and C_i for 0 < i < k written to ``tilted_a``
-    and ``tilted_c``, C_i below e^floor flushed; end = 0 where no tilt can
-    be read or the largest entries, or their product, would pass
-    e^_LOG_SPAN."""
+) -> tuple[int, float, float]:
+    """(end, ln rho, L): a tilt read below order k, with A_j for j < end =
+    min(2k, k_max + 1) and C_i for 0 < i < k written to ``tilted_a`` and
+    ``tilted_c``; end = 0 where no tilt can be read or the largest entries,
+    or their product, would pass e^_LOG_SPAN."""
     positive = np.flatnonzero(c[1:k] > -math.inf) + 1
     q = int(positive[-1]) if positive.size else 0
     before = positive[positive <= q - 2]
     if not before.size:
-        return 0, 0.0, 0.0, 0.0
+        return 0, 0.0, 0.0
     p = int(before[-1])
     log_rho = float(c[p] - c[q]) / (q - p)
     level = float(c[q]) + q * log_rho
@@ -406,12 +389,12 @@ def _retilt(
     ec = c[k - 1 : 0 : -1] + np.arange(k - 1, 0, -1) * log_rho - level
     top_a, top_c = ea.max(), max(ec.max(), _LOG_SUM_HIGH)  # C_k < _SUM_HIGH to come
     if max(top_a, top_c, top_a + top_c) > _LOG_SPAN:
-        return 0, 0.0, 0.0, 0.0
+        return 0, 0.0, 0.0
     ea[ea < _LOG_DROP - top_c] = -math.inf
     ec[ec < _LOG_DROP - top_a] = -math.inf
     np.exp(ea, out=tilted_a[1:end])
     np.exp(ec, out=tilted_c[la.size - k : la.size - 1])
-    return end, log_rho, level, float(_LOG_DROP - top_a)
+    return end, log_rho, level
 
 
 def _log_order(la: np.ndarray, c: np.ndarray, k: int) -> float:
