@@ -45,7 +45,7 @@ from typing import Sequence
 from ._numpy import np
 from .asymptotics import SaddleSolution, _or_inf, solve_saddle
 from .errors import DomainError
-from .moments import check_log_work, log_moment, moment_sequence
+from .moments import check_log_work, log_moments_by_recurrence, moment_sequence
 from .weights import WeightModel, log_rational
 
 _MAX_NODES = 2**18  # reach of build_aux, and transform points of log_moments_on_ray
@@ -489,9 +489,7 @@ def log_moments_on_ray(
     ks = np.asarray(orders, dtype=float)
     out = lgf + ks * (saddle.chi * saddle.excess - math.log(saddle.u)) + log_p
     fallback = np.flatnonzero(np.isnan(log_p)).tolist()
-    check_log_work(sum(orders[i] ** 2 for i in fallback))
-    for i in fallback:
-        out[i] = log_moment(model, orders[i], saddle.chi * orders[i])
+    out[fallback] = log_moments_by_recurrence(model, saddle.chi, [orders[i] for i in fallback])
     return out
 
 

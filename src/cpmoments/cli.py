@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -128,9 +129,11 @@ def _write_table(path: str, fieldnames: list[str], rows: list[dict], fmt: str) -
         _atomic_write(path, json.dumps(rows, indent=2) + "\n")
         return
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    # every caller gives every row every field, and at least two fields, so
+    # itemgetter yields whole tuples and DictWriter's fill-in is never needed
+    writer.writerows(map(operator.itemgetter(*fieldnames), rows))
     _atomic_write(path, buf.getvalue())
 
 

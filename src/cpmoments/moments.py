@@ -30,8 +30,9 @@ C(k-1, j-1) - C(k-1, j)/n and scales x by 1/n.  The centered moment of
 Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1:
 ``moment_sequence(tilde_transform(model), k, x)``.
 
-Also here: Bell numbers, the unit-weight moments at x = 1 (the Bell
-polynomial B_k(x) is ``moment_sequence(unit(), k, x)``), the even-block
+Also here: Bell numbers B_k = B_k(1) by Aitken's array, in O(k^2)
+additions where the recurrence on unit weights at x = 1 multiplies (the
+Bell polynomial B_k(x) is ``moment_sequence(unit(), k, x)``), the even-block
 set-partition counts, and the closed-form polynomial identities used as
 oracles for exponential and factorial weight sequences; the composition
 identity is a partial Bell polynomial, read off one exact sequence of
@@ -44,7 +45,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from . import weights as _weights
 from ._numpy import np
@@ -53,9 +55,9 @@ from .weights import NumberLike, WeightModel, log_rational
 
 ORACLE_CAP = 25  # profile enumeration beyond this is pointless, cost is exponential
 MAX_LOG_WORK = 2 * 10**9  # k^2 summed over log recurrences to orders k
-MAX_EXACT_BITS = 2 * 10**13  # bit products of one exact recurrence, by exact_bit_work
+MAX_EXACT_BITS = 2 * 10**13  # bit products of one exact recurrence, by exact_bit_work;
+# just above moments --weights unit --k 2000 --x 1 (1.7e13, 13-20 s)
 
-_UNIT = _weights.unit()
 _EXPONENTIAL = _weights.exponential()
 
 
@@ -213,8 +215,20 @@ def moment_partition_oracle(model: WeightModel, k: int, x: NumberLike) -> Moment
 
 
 def bell_number(k: int) -> int:
-    """Number of set partitions of a k-set, B_k(1)."""
-    return moment_sequence(_UNIT, k, 1)[k].numerator
+    """Number of set partitions of a k-set, B_k(1), by Aitken's array: each
+    row opens with the last entry of the row above, every next entry adds
+    the entry above its predecessor, and B_k opens row k.  That is O(k^2)
+    additions, about k^3 log k bit work where ``moment_sequence`` on unit
+    weights multiplies.  Admitted by the recurrence's own bound,
+    ``exact_bit_work(k, 1, 1)``, which overstates this work about k-fold:
+    k = 2047 takes about 1 s."""
+    if k < 0:
+        raise DomainError("order must be >= 0")
+    _check_bit_work(k, 1, 1)
+    row = [1]
+    for _ in range(k):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[0]
 
 
 def even_partition_number(two_k: int) -> int:
@@ -259,8 +273,9 @@ def exact_bit_work(k_max: int, bp: int, bq: int) -> int:
     k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  It counts every
     coefficient at j (b_q + 1) bits, even where l^j cancels den(V_j), so it
     overstates weights with long denominators.  MAX_EXACT_BITS sits just
-    above ``bell --k 2000``'s 1.7e13 (16-20 s); 20 runs took 0.45 to 1.9 ps
-    per estimated product (2-core x86-64)."""
+    above the 1.7e13 of ``moments --weights unit --k 2000 --x 1`` (13-20 s);
+    20 runs of that recurrence took 0.45 to 1.9 ps per estimated product
+    (2-core x86-64)."""
     return k_max**3 * (bp + bq + k_max.bit_length()) * (4 * bp + k_max * (bq + 1)) // 24
 
 
@@ -335,10 +350,22 @@ def log_moment_sequence(model: WeightModel, k_max: int, x: NumberLike) -> np.nda
     if k_max < 0:
         raise DomainError("order must be >= 0")
     check_log_work(k_max * k_max)
+    return _log_recurrence(model.span, log_rational(x), *_log_tables(model, k_max))
+
+
+def _log_tables(model: WeightModel, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """ln j! for j = 0..k_max and ln V_j for j = 1..k_max: the tables of
+    ``_log_recurrence``, whose prefixes serve every lower order."""
     lgf = np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
+    return lgf, np.array([model.log_weight_moment(j) for j in range(1, k_max + 1)])
+
+
+def _log_recurrence(span: int, log_x: float, lgf: np.ndarray, log_v: np.ndarray) -> np.ndarray:
+    """The body of ``log_moment_sequence`` to order k_max = lgf.size - 1, on
+    the lattice of step ``span``, from ``_log_tables`` (or their prefixes)."""
+    k_max = lgf.size - 1
     la = np.full(k_max + 1, -math.inf)  # ln a_j
-    la[1:] = log_rational(x) + np.array(
-        [model.log_weight_moment(j) for j in range(1, k_max + 1)]) - lgf[:-1]
+    la[1:] = log_x + log_v - lgf[:-1]
     c = np.full(k_max + 1, -math.inf)  # c_i = ln b_i
     c[0] = 0.0
     tilted_a = np.zeros(k_max + 1)
@@ -353,7 +380,7 @@ def log_moment_sequence(model: WeightModel, k_max: int, x: NumberLike) -> np.nda
         # A_j pairs with C_(k-j), stored at k_max - k + j
         return head + tilted_a[1:k].dot(tilted_c[k_max - k + 1 : k_max])
 
-    for k in range(model.span, k_max + 1, model.span):
+    for k in range(span, k_max + 1, span):
         total = tilted_sum(k) if k < end else math.nan
         if not _SUM_LOW <= total <= _SUM_HIGH and k >= retry:
             end, log_rho, level = _retilt(la, c, k, tilted_a, tilted_c)
@@ -408,36 +435,54 @@ def _log_order(la: np.ndarray, c: np.ndarray, k: int) -> float:
 
 def log_moment(model: WeightModel, k: int, x: float) -> float:
     """ln M_k(x) without overflow, by the O(k^2) log recurrence (about 12 ms
-    at k = 2000, 2-core Xeon); the oracle of ``auxdist.log_moments_on_ray``
-    and its route for orders the transform cannot resolve."""
+    at k = 2000, 2-core Xeon); the oracle of ``auxdist.log_moments_on_ray``."""
     return float(log_moment_sequence(model, k, x)[k])
+
+
+def log_moments_by_recurrence(model: WeightModel, chi: float, orders: Sequence[int]) -> list[float]:
+    """ln M_k(chi k) for each of the ascending positive ``orders``, one log
+    recurrence per order, each equal bit for bit to ``log_moment(model, k,
+    chi * k)``: the route of ``auxdist.log_moments_on_ray`` for orders its
+    transform cannot resolve.  The ln j! and ln V_j tables are built once,
+    to the largest order, and each run reads a prefix.  Refuses k^2 summed
+    over ``orders`` above MAX_LOG_WORK before any table is built."""
+    if not chi > 0:
+        raise DomainError(f"chi must be positive, got {chi}")
+    check_log_work(sum(k * k for k in orders))
+    if not orders:
+        return []
+    lgf, log_v = _log_tables(model, orders[-1])
+    return [float(_log_recurrence(model.span, log_rational(Fraction(chi * k)),
+                                  lgf[: k + 1], log_v[:k])[k]) for k in orders]
 
 
 def exp_identity_sum(k: int, x: NumberLike) -> Fraction:
     """S_k(x) = sum_{p=1..k} x^p / p! * C(k-1, p-1).
 
     Closed form for the exponential-weight moments: M_k(x) = k! S_k(x).
+    With x = a/b, k! S_k(x) = sum_p a^p b^(k-p) (k!/p!) C(k-1, p-1) / b^k,
+    summed in integers and reduced once.
     """
     if k < 1:
         raise DomainError("identity defined for k >= 1")
-    xe = Fraction(x)
-    return sum(
-        (xe**p / math.factorial(p)) * math.comb(k - 1, p - 1) for p in range(1, k + 1)
-    )
+    a, b = Fraction(x).as_integer_ratio()
+    total, ratio = 0, 1  # ratio = k!/p!
+    for p in range(k, 0, -1):
+        total += a**p * b ** (k - p) * ratio * math.comb(k - 1, p - 1)
+        ratio *= p
+    return Fraction(total, b**k * ratio)
 
 
 def factorial_identity_rising(k: int, x: NumberLike) -> Fraction:
     """T_k(x) = x (x+1) ... (x+k-1) / k!.
 
     Closed form for the factorial-weight moments: M_k(x) = k! T_k(x).
+    With x = a/b, T_k(x) = prod_{i<k} (a + i b) / (b^k k!), reduced once.
     """
     if k < 1:
         raise DomainError("identity defined for k >= 1")
-    xe = Fraction(x)
-    out = Fraction(1)
-    for i in range(k):
-        out *= xe + i
-    return out / math.factorial(k)
+    a, b = Fraction(x).as_integer_ratio()
+    return Fraction(math.prod(range(a, a + k * b, b)), b**k * math.factorial(k))
 
 
 def composition_counts(k_max: int) -> list[list[int]]:

@@ -445,7 +445,8 @@ class TestLogMomentsOnRay:
         def refuse(*args):
             raise AssertionError("log recurrence ran")
 
-        monkeypatch.setattr(auxdist, "log_moment", refuse)
+        monkeypatch.setattr(moments, "_log_tables", refuse)
+        monkeypatch.setattr(moments, "_log_recurrence", refuse)
         saddle = solve_saddle(LOGF, 1e-4)
         assert auxdist.ray_nodes(LOGF, saddle, 5000) > auxdist._MAX_NODES
         with pytest.raises(DomainError, match="41679167500 terms"):

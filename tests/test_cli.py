@@ -1,5 +1,7 @@
+import csv
 import decimal
 import hashlib
+import io
 import json
 import math
 import os
@@ -689,6 +691,32 @@ class TestExitCodes:
             "rate", "--weights", f"custom:{path}", "--chi", "1",
         ])
         assert result.exit_code == 3
+
+
+class TestCsvTables:
+    @pytest.mark.parametrize("args", [
+        ["moments", "--weights", "gamma:2,1/2", "--k", "30", "--x", "7/2"],
+        ["moments", "--weights", "gaussian", "--k", "30", "--x", "1e300", "--log"],
+        ["compare", "--weights", "bernoulli", "--chi", "0.5", "--k-max", "40"],
+        ["aux", "--weights", "unit", "--x", "5", "--u", "0.5"],
+        ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0,2.0",
+         "--trials", "5"],
+    ], ids=["moments", "moments-log", "compare", "aux", "graphsim"])
+    def test_the_bytes_csv_dictwriter_writes(self, runner, tmp_path, args):
+        # the writer reads each row by the field names: every command gives
+        # every row every field, so DictWriter's fill-in value never served
+        out = tmp_path / "t.csv"
+        result = runner.invoke(cli.main, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        text = out.read_text()
+        reader = csv.DictReader(io.StringIO(text))
+        rows = list(reader)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=reader.fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert len(rows) > 1
+        assert buf.getvalue() == text
 
 
 def run_fresh(code, *argv):

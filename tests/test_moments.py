@@ -270,7 +270,8 @@ class TestIntegerEngine:
             moments.moment_sequence(MODELS["unit"], k, x, n)
 
     def test_bit_work_bound_admits_bell_2000(self):
-        # bell --k 2000 runs (16-20 s); the bound is calibrated just above it
+        # moments --weights unit --k 2000 --x 1 runs (13-20 s); the bound is
+        # calibrated just above it
         work = moments.exact_bit_work(2000, 1, 1)
         assert work <= moments.MAX_EXACT_BITS < 1.2 * work
         assert moments.exact_bit_work(0, 997, 11230) == 0
@@ -284,6 +285,23 @@ class TestBell:
         assert moments.bell_number(4) == 15
         assert moments.bell_number(5) == 52
         assert moments.bell_number(10) == 115975
+
+    def test_aitken_array_is_the_unit_weight_engine(self):
+        # two algorithms: Aitken's additions against the convolution recurrence
+        engine = moments.moment_sequence(weights.unit(), 300, 1)
+        assert [moments.bell_number(k) for k in range(301)] == engine
+
+    def test_refused_by_the_engine_bound_before_any_row(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row of the array was built")
+
+        monkeypatch.setattr(moments, "accumulate", refuse)
+        with pytest.raises(DomainError, match=(
+                "^exact recurrence to order 2048 at a scale of 1 numerator and 1 denominator"
+                " bits needs about 20544260232533 bit products, more than 20000000000000$")):
+            moments.bell_number(2048)
+        with pytest.raises(AssertionError, match="row"):  # the last order admitted
+            moments.bell_number(2047)
 
     def test_polynomial_values(self):
         # B_3(x) = x^3 + 3x^2 + x, the unit-weight moments
@@ -536,6 +554,27 @@ class TestLogMoments:
                 moments.log_moment_sequence(MODELS["unit"], k, 1.0)
         moments.check_log_work(moments.MAX_LOG_WORK)
 
+    @pytest.mark.parametrize("name", list(MODELS))
+    @pytest.mark.parametrize("chi", [1e-4, 0.5, 30.0])
+    def test_runs_on_a_ray_equal_log_moment(self, name, chi):
+        # the shared tables' prefixes change no bit of any order
+        model = MODELS[name]
+        orders = list(range(model.span, 121, model.span))
+        assert (moments.log_moments_by_recurrence(model, chi, orders)
+                == [moments.log_moment(model, k, chi * k) for k in orders])
+
+    def test_runs_on_a_ray_refused_before_any_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("log tables built")
+
+        monkeypatch.setattr(moments, "_log_tables", refuse)
+        # each order alone is admitted, their sum of k^2 is not
+        with pytest.raises(DomainError, match="^log-space recurrence needs 2000057841 terms"):
+            moments.log_moments_by_recurrence(MODELS["unit"], 1.0, [300, 44721])
+        with pytest.raises(DomainError, match="^chi must be positive, got 0.0$"):
+            moments.log_moments_by_recurrence(MODELS["unit"], 0.0, [1])
+        assert moments.log_moments_by_recurrence(MODELS["unit"], 1.0, []) == []
+
     def test_rejects_negative_weight_moments(self):
         model = weights.custom_model([1, 2, 3, -4, 5, 6])
         with pytest.raises(DomainError, match="negative weight moment V_3 = -4"):
@@ -552,6 +591,25 @@ class TestClosedFormIdentities:
         assert moments.factorial_identity_rising(1, 5) == 5
         assert moments.factorial_identity_rising(2, 3) == 6
         assert moments.factorial_identity_rising(4, 1) == 1
+
+    @pytest.mark.parametrize("x", [0, 1, 3, Fraction(7, 2), Fraction(-5, 3),
+                                   Fraction(1, 10**30), 0.1])
+    def test_integer_closed_forms_equal_the_fraction_loops(self, x):
+        # the Fraction loops the integer sums replaced, kept as the reference
+        def exp_sum(k, x):
+            xe = Fraction(x)
+            return sum((xe**p / math.factorial(p)) * math.comb(k - 1, p - 1)
+                       for p in range(1, k + 1))
+
+        def rising(k, x):
+            out = Fraction(1)
+            for i in range(k):
+                out *= Fraction(x) + i
+            return out / math.factorial(k)
+
+        for k in range(1, 41):
+            assert moments.exp_identity_sum(k, x) == exp_sum(k, x), k
+            assert moments.factorial_identity_rising(k, x) == rising(k, x), k
 
     def test_identities_equal_moments(self):
         for k in range(1, 13):
@@ -588,6 +646,10 @@ class TestOrderRefusals:
     def test_negative_order_profiles(self):
         with pytest.raises(DomainError, match="^order must be >= 0$"):
             next(moments.partition_profiles(-1))
+
+    def test_negative_order_bell(self):
+        with pytest.raises(DomainError, match="^order must be >= 0$"):
+            moments.bell_number(-1)
 
     def test_negative_order_log_sequence(self):
         with pytest.raises(DomainError, match="^order must be >= 0$"):
