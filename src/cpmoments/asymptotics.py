@@ -161,9 +161,10 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
                 f"chi = {chi} out of reach: the smallest chi model {model.name!r} reaches"
                 f" is 1/(u H'(u)) = {1.0 / bg} at u = {bu}"
             )
-        # chi g overflows only far right of the root, where F's digits do not matter
+        # chi g overflows only far right of the root and underflows only far
+        # left of it, where F's digits do not matter
         scaled = chi * bg
-        f = math.log(scaled) if scaled < math.inf else math.log(bg) + math.log(chi)
+        f = math.log(scaled) if 0.0 < scaled < math.inf else math.log(bg) + math.log(chi)
         u = min(bu * _or_inf(math.exp, -f / (1.0 + bu * bd2 / bd1)), cap)
         if u >= hi:  # F's chord to hi, or the midpoint in t where g overflowed there
             if hi_f < math.inf:

@@ -45,7 +45,7 @@ from typing import Sequence
 from ._numpy import np
 from .asymptotics import SaddleSolution, _or_inf, solve_saddle
 from .errors import DomainError
-from .moments import check_log_work, log_moments_by_recurrence, moment_sequence
+from .moments import log_moments_by_recurrence, moment_sequence
 from .weights import WeightModel, log_rational
 
 _MAX_NODES = 2**18  # reach of build_aux, and transform points of log_moments_on_ray
@@ -472,19 +472,18 @@ def log_moments_on_ray(
     of its own law.  Orders the transform cannot resolve take the log
     recurrence: all of them when the saddle is so close to a finite radius
     that N would pass _MAX_NODES, and single orders whose point mass is lost
-    to rounding (at tiny chi the law of Z_k clusters away from k).  Their
-    k^2, summed, is held to ``moments.MAX_LOG_WORK`` before any runs, and
-    where all of them take it, before any per-order array is built.
+    to rounding (at tiny chi the law of Z_k clusters away from k).  Where
+    all of them take it, the recurrence is the one call.  Its work rule
+    lives in ``moments.log_moments_by_recurrence``, which holds their k^2,
+    summed, to ``moments.MAX_LOG_WORK`` before any run or per-order array.
     """
     if not orders:
         return np.empty(0)
     ray_intensity(saddle.chi, orders[-1])
     nodes = ray_nodes(model, saddle, orders[-1])
     if nodes > _MAX_NODES:
-        check_log_work(_square_sum(orders))
-        log_p = np.full(len(orders), math.nan)
-    else:
-        log_p = log_point_masses(model, saddle, orders, nodes)
+        return np.array(log_moments_by_recurrence(model, saddle.chi, orders))
+    log_p = log_point_masses(model, saddle, orders, nodes)
     lgf = np.array([math.lgamma(k + 1.0) for k in orders])
     ks = np.asarray(orders, dtype=float)
     out = lgf + ks * (saddle.chi * saddle.excess - math.log(saddle.u)) + log_p
@@ -492,11 +491,3 @@ def log_moments_on_ray(
     out[fallback] = log_moments_by_recurrence(model, saddle.chi, [orders[i] for i in fallback])
     return out
 
-
-def _square_sum(orders: Sequence[int]) -> int:
-    """The sum of k^2 over ``orders``; over a range, however long, in closed form."""
-    if not isinstance(orders, range):
-        return sum(k * k for k in orders)
-    a, d = orders.start, orders.step
-    n = (orders[-1] - a) // d + 1  # len() stops at sys.maxsize
-    return n * a * a + a * d * n * (n - 1) + d * d * ((n - 1) * n * (2 * n - 1) // 6)

@@ -131,10 +131,13 @@ class GraphTrialResult:
 
 
 def weight_sampler(name: str) -> tuple[WeightDraw, WeightModel]:
-    """(draw function, model) for a ``weights.from_spec`` spec whose model has a sampler."""
+    """(draw function, model) for a ``weights.from_spec`` spec whose model has
+    a sampler and a mean V_1 in float range."""
     model = from_spec(name)
     if model.sample is None:
         raise DomainError(f"weight model {name!r} cannot be sampled")
+    if model.moment(1) > sys.float_info.max:
+        raise DomainError(f"weight model {name!r} has a mean V_1 past float range")
     return model.sample, model
 
 

@@ -293,13 +293,24 @@ def check_log_work(terms: int) -> None:
     to, exceeds MAX_LOG_WORK: about 0.4 s for one run to k = 44721, 5.5 s
     for ``compare``'s per-order runs to k = 1816 (2-core Xeon).  Every log
     recurrence, ``moments --log``'s and ``compare``'s fallback, is bounded
-    by this one check; ``auxdist.build_aux`` runs none, and its transforms
+    by this one check, and this module alone measures the work it admits:
+    ``log_moment_sequence`` for one run, ``log_moments_by_recurrence`` for
+    per-order runs.  ``auxdist.build_aux`` runs none, and its transforms
     are bounded by ``auxdist._MAX_NODES`` instead."""
     if terms > MAX_LOG_WORK:
         raise DomainError(
             f"log-space recurrence needs {terms} terms (k^2 summed over its runs to order k),"
             f" more than {MAX_LOG_WORK}"
         )
+
+
+def _square_sum(orders: Sequence[int]) -> int:
+    """The sum of k^2 over ``orders``; over a range, however long, in closed form."""
+    if not isinstance(orders, range):
+        return sum(k * k for k in orders)
+    a, d = orders.start, orders.step
+    n = (orders[-1] - a) // d + 1  # len() stops at sys.maxsize
+    return n * a * a + a * d * n * (n - 1) + d * d * ((n - 1) * n * (2 * n - 1) // 6)
 
 
 _LOG_SPAN = 460.0  # ln of the largest A_j times the largest C_i one tilt may hold
@@ -445,12 +456,13 @@ def log_moments_by_recurrence(model: WeightModel, chi: float, orders: Sequence[i
     chi * k)``: the route of ``auxdist.log_moments_on_ray`` for orders its
     transform cannot resolve.  The ln j! and ln V_j tables are built once,
     to the largest order, and each run reads a prefix.  Refuses k^2 summed
-    over ``orders`` above MAX_LOG_WORK before any table is built."""
+    over ``orders`` above MAX_LOG_WORK before any table is built; over a
+    range, that sum takes constant time however many orders it holds."""
     if not chi > 0:
         raise DomainError(f"chi must be positive, got {chi}")
-    check_log_work(sum(k * k for k in orders))
     if not orders:
         return []
+    check_log_work(_square_sum(orders))
     lgf, log_v = _log_tables(model, orders[-1])
     return [float(_log_recurrence(model.span, log_rational(Fraction(chi * k)),
                                   lgf[: k + 1], log_v[:k])[k]) for k in orders]

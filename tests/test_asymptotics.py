@@ -8,7 +8,7 @@ import pytest
 
 from cpmoments import asymptotics as asym
 from cpmoments import moments, weights
-from cpmoments.errors import DomainError, SaddleError, TruncatedModelError
+from cpmoments.errors import CpmError, DomainError, SaddleError, TruncatedModelError
 
 UNIT = weights.unit()
 GAUSS = weights.gaussian_centered(1)
@@ -187,6 +187,46 @@ class TestRateFunction:
         # at large chi, H(u) - 1 ~ 1/chi; formed as H(u) - 1.0 it would carry
         # chi eps of error into psi (-8e-4 for unit weights at 1e14, not 5e-15)
         assert abs(asym.rate_function(model, chi).psi - exact_psi(model, chi)) <= 2e-15
+
+    def test_every_chi_returns_or_refuses(self):
+        # 31 models at 211 values of chi: no input may escape as a traceback, such
+        # as log(chi u H'(u)) where that product underflows to 0
+        specs = ["unit", "bernoulli", "exponential", "logfact"]
+        specs += [f"gaussian:{v}" for v in ("1e-300", "1", "1e300")]
+        specs += [f"gamma:{m},{t}" for m in ("1e-300", "1", "1e300")
+                  for t in ("1e-300", "1", "1e300")]
+        models = []
+        for spec in specs:
+            model = weights.from_spec(spec)
+            models.append(model)
+            if model.moment(1) <= sys.float_info.max:
+                models.append(weights.tilde_transform(model))
+        calls = 0
+        for model in models:
+            for q in range(-323, 309, 3):
+                calls += 1
+                try:
+                    asym.rate_function(model, float(f"1e{q}"))
+                except CpmError:
+                    pass
+        assert calls == 6541
+
+    def test_gaussian_variance_scales_the_tilt(self):
+        # H_v(u) = H_1(sqrt(v) u): the saddle moves to u / sqrt(v), psi by
+        # ln(1 / sqrt(v)), and the prefactor not at all
+        small = weights.gaussian_centered(Fraction(1, 10**300))
+        solved = 0
+        for q in range(-306, -25):
+            chi = float(f"1e{q}")
+            try:
+                ref = asym.rate_function(GAUSS, chi)
+            except SaddleError:
+                continue
+            got = asym.rate_function(small, chi)
+            solved += 1
+            assert got.psi == pytest.approx(ref.psi + 0.5 * math.log(1e-300), rel=1e-12, abs=0)
+            assert got.prefactor == pytest.approx(ref.prefactor, rel=1e-12, abs=0)
+        assert solved > 200
 
     def test_rejects_truncated_models(self):
         with pytest.raises(TruncatedModelError):

@@ -457,7 +457,17 @@ class TestLogMomentsOnRay:
         with pytest.raises(DomainError, match="333333333333383333333333335000000000000 terms"):
             auxdist.log_moments_on_ray(UNIT, solve_saddle(UNIT, 1.0), range(1, 10**13 + 1))
 
-    @pytest.mark.parametrize("orders", [range(1, 5001), range(2, 301, 2), range(7, 8),
-                                        range(3, 100, 7)])
-    def test_square_sum_of_a_range_in_closed_form(self, orders):
-        assert auxdist._square_sum(orders) == sum(k * k for k in list(orders))
+    def test_all_fallback_builds_the_tables_once(self, monkeypatch):
+        # one recurrence call for every order: ln j! and ln V_j to k_max once
+        built, log_tables = [], moments._log_tables
+
+        def counted(model, k_max):
+            built.append(k_max)
+            return log_tables(model, k_max)
+
+        monkeypatch.setattr(moments, "_log_tables", counted)
+        saddle, orders = solve_saddle(LOGF, 1e-4), range(1, 31)
+        assert auxdist.ray_nodes(LOGF, saddle, orders[-1]) > auxdist._MAX_NODES
+        got = auxdist.log_moments_on_ray(LOGF, saddle, orders)
+        assert built == [30]
+        assert got.tolist() == [moments.log_moment(LOGF, k, 1e-4 * k) for k in orders]

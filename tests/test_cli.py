@@ -898,6 +898,12 @@ class TestBadInputs:
                   3, "cpm: error: chi = 1e-13 out of reach: the smallest chi model 'logfact'"
                      " reaches is 1/(u H'(u)) = 9.999778782808785e-13 at u = 0.999999999999",
                   header=True),
+        bad_input("rate-product-underflows",
+                  ["rate", "--weights", "gamma:1,1e-300", "--chi", "1e-300"],
+                  3, "cpm: error: chi = 1e-300 out of reach: the smallest chi model"
+                     " 'gamma(1,1e-300)' reaches is 1/(u H'(u)) = 9.999557570501274e-25 at"
+                     " u = 9.99999999999e+299",
+                  header=True),
         bad_input("rate-inverse-chi-overflows", ["rate", "--weights", "unit", "--chi", "1e-320"],
                   3, "cpm: error: chi = 1e-320 out of reach: 1/chi overflows", header=True),
         bad_input("compare-inverse-chi-overflows",
@@ -951,6 +957,11 @@ class TestBadInputs:
                      " trial, are more than 1000000000 in all"),
         bad_input("unsampleable-model", GRAPHSIM + ["--weights", "logfact"],
                   3, "cpm: error: weight model 'logfact' cannot be sampled"),
+        bad_input("sampler-mean-past-float-range",
+                  ["graphsim", "--n", "200", "--kappa", "1", "--weights", "gamma:1e300,1e10",
+                   "--s", "0.5", "--trials", "2", "--out", "{out}"],
+                  3, "cpm: error: weight model 'gamma:1e300,1e10' has a mean V_1 past float"
+                     " range"),
         bad_input("aux-llt-with-x-and-u",
                   ["aux", "--weights", "unit", "--x", "5", "--u", "0.5", "--llt-chi", "1",
                    "--k", "10", "--out", "{out}"],

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -574,6 +575,19 @@ class TestLogMoments:
         with pytest.raises(DomainError, match="^chi must be positive, got 0.0$"):
             moments.log_moments_by_recurrence(MODELS["unit"], 0.0, [1])
         assert moments.log_moments_by_recurrence(MODELS["unit"], 1.0, []) == []
+
+    def test_runs_on_a_long_range_refused_at_once(self):
+        # 10^13 orders: summed one by one, their k^2 alone would take hours
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="^log-space recurrence needs"
+                                              " 333333333333383333333333335000000000000 terms"):
+            moments.log_moments_by_recurrence(MODELS["unit"], 1.0, range(1, 10**13 + 1))
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("orders", [range(1, 5001), range(2, 301, 2), range(7, 8),
+                                        range(3, 100, 7)])
+    def test_square_sum_of_a_range_in_closed_form(self, orders):
+        assert moments._square_sum(orders) == sum(k * k for k in list(orders))
 
     def test_rejects_negative_weight_moments(self):
         model = weights.custom_model([1, 2, 3, -4, 5, 6])
