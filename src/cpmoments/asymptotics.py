@@ -113,7 +113,9 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     for exponential weights, 1e-12 for factorial ones).  Also raises it at
     a point left of the root where u H''(u) overflows, as it then does at
     the root; after 100 evaluations left of the root; and, naming the
-    model, at a point with u H'(u) <= 0, which negative moments can produce.
+    model, at a point where u H'(u) is not positive: nan where H'(u)
+    overflows (down to u = 0, where 0 * inf is nan), 0 where it underflows
+    or every weight moment is 0, and negative only where a moment is.
     """
     chi = float(chi)
     if not (math.isfinite(chi) and chi > 0):
@@ -140,11 +142,12 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
                     f" u = {u}, where u H'(u) = {gu} is still below 1/chi"
                 )
             hi, hi_f = u, math.log(gu) + math.log(chi)
-        elif not (gu > 0.0 and d1 > 0.0):
-            raise SaddleError(
-                f"model {model.name!r} has u H'(u) = {gu} at u = {u}; the saddle needs it"
-                " positive, as nonnegative weight moments make it"
-            )
+        elif not gu > 0.0:
+            raise SaddleError(f"model {model.name!r} has u H'(u) = {gu} at u = {u}; " + (
+                "the saddle needs it positive, as nonnegative weight moments make it" if gu < 0.0
+                else "H'(u) overflows" if math.isnan(gu)
+                else "it underflows, or every weight moment vanishes"
+            ))
         elif best is None or res < best[4] or (gu > best[1] and not above):
             above = above or gu >= target
             best = (u, gu, d1, d2, res)

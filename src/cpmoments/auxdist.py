@@ -23,14 +23,15 @@ coefficient of the pgf exp(chi k (H(us) - H(u))) on the circle |s| = u.
 That costs O(k_max N) for the whole table, N from ``ray_nodes``, where a
 fresh log recurrence per order costs O(k_max^3).
 
-``tail_reach`` alone decides how far Z reaches, by the Chernoff bound
-P(Z >= c) <= exp(x (H(v) - H(u))) (u/v)^c, v in (u, u0), with the mass at
-zero taken out: ``build_aux`` takes the reach of mass 1e-12 and
-``ray_nodes`` that of e^-40.  ``floor_reach`` is the same bound from below,
-v < u; with ``tail_reach`` it sets the window of each band, outside which
-the band's tilted law keeps at most e^-50 on either side.  Both, and each
-band's centre tilt, are read off one table of the bound's exponent over a
-fixed grid of tilts, ``_chernoff``.
+The Chernoff bound P(Z >= c) <= exp(x (H(v) - H(u))) (u/v)^c, v in (u, u0),
+with the mass at zero taken out, decides how far Z reaches: ``build_aux``
+takes the reach of mass 1e-12 and ``ray_nodes`` (through ``tail_reach``)
+that of e^-40.  The same bound from below, v < u, sets with the reach the
+window of each band, outside which the band's tilted law keeps at most
+e^-50 on either side.  Both are read off a table of the bound's exponent
+over a fixed grid of tilts, ``_chernoff``.  ``build_aux`` builds the table
+at u once per law and reads the reach and every band's centre tilt off it;
+each band's tilt v gets a table of its own, for that band's window.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _chernoff(model: WeightModel, x: float, u: float) -> tuple[np.ndarray, np.nd
         ln E(e^(tZ); Z >= 1) = x (H(v) - H(u)) + ln(1 - exp(-x (H(v) - 1))),
 
     v = u e^t; nan or inf where it cannot be evaluated.  Every bound on the
-    reach of Z and every band centre is read off this one table."""
+    reach of Z_u and every band centre of its law is read off this table."""
     grid = _reach_grid()
     top = math.log(model.radius / u) if math.isfinite(model.radius) else _REACH_TOP
     t = np.concatenate((-_REACH_TOP * grid, (grid * top)[::-1]))
@@ -122,11 +123,17 @@ def _chernoff(model: WeightModel, x: float, u: float) -> tuple[np.ndarray, np.nd
         return t, x * (ev - model.egf_m1(u)) + np.log(-np.expm1(-x * ev))
 
 
-def _reaches(model: WeightModel, x: float, u: float, log_tol: float) -> tuple[int, int | float]:
-    """(``floor_reach``, ``tail_reach``) from one Chernoff table: the orders
+def _reaches(table: tuple[np.ndarray, np.ndarray], log_tol: float) -> tuple[int, int | float]:
+    """(floor, reach) from a Chernoff table of ``_chernoff``: the orders
     c = (ln E(e^(tZ); Z >= 1) - log_tol) / t, the largest over t < 0 and the
-    smallest over t > 0, skipping those that are nan or inf."""
-    t, log_mgf = _chernoff(model, x, u)
+    smallest over t > 0, skipping those that are nan or inf.  The reach is
+    ``tail_reach``; the floor is the largest c >= 0 at which the same bound
+    at a tilt v = u e^t below u,
+
+        P(1 <= Z <= c) <= (E (v/u)^Z - P(Z = 0)) (u/v)^c,
+
+    stays at e^log_tol or below."""
+    t, log_mgf = table
     c = (log_mgf - log_tol) / t
     down, up = c[t < 0.0], c[t > 0.0]
     down, up = down[np.isfinite(down)], up[np.isfinite(up)]
@@ -145,21 +152,11 @@ def tail_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int | 
     inf are skipped; with none left the reach is math.inf, which
     ``build_aux`` and the node bound of ``log_moments_on_ray`` refuse.
     """
-    return _reaches(model, x, u, log_tol)[1]
+    return _reaches(_chernoff(model, x, u), log_tol)[1]
 
 
-def floor_reach(model: WeightModel, x: float, u: float, log_tol: float) -> int:
-    """The largest c >= 0 at which the same bound at a tilt v = u e^t below u,
-
-        P(1 <= Z <= c) <= (E (v/u)^Z - P(Z = 0)) (u/v)^c,
-
-    stays at e^log_tol or below, over the tilts of ``_chernoff``'s table
-    below u."""
-    return _reaches(model, x, u, log_tol)[0]
-
-
-def _centre_tilt(model: WeightModel, x: float, u: float, centre: float) -> float:
-    """The tilt v = u e^t, t in ``_chernoff``'s table, that minimizes
+def _centre_tilt(table: tuple[np.ndarray, np.ndarray], u: float, centre: float) -> float:
+    """The tilt v = u e^t, t in the Chernoff ``table`` at u, that minimizes
     ln E(e^(tZ); Z >= 1) - centre t, the exponent of both bounds at
     c = centre: there the mean of Z_v away from zero, x v H'(v) /
     (1 - P(Z_v = 0)), sits at the centre, and P(Z_v = c) / P(Z_v >= 1) is
@@ -168,7 +165,7 @@ def _centre_tilt(model: WeightModel, x: float, u: float, centre: float) -> float
     band at large x reads only about 2.6 sigma either side of its centre,
     and the grid alone puts the centre of the unit law at x = 1e5 that far
     from the order it is after."""
-    t, log_mgf = _chernoff(model, x, u)
+    t, log_mgf = table
     phi = log_mgf - centre * t
     phi[~np.isfinite(phi)] = math.inf
     i = int(np.argmin(phi))
@@ -242,30 +239,35 @@ def _band(model: WeightModel, x: float, v: float, start: int, nodes: int):
 
 
 def _window(
-    model: WeightModel, x: float, u: float, v: float, target: float, order: int, limit: int
+    model: WeightModel, x: float, u: float, table: tuple, v: float, target: float, order: int,
+    limit: int,
 ):
     """The tilt, first order and length of a band through ``order``, from the
     tilt v of mean ``target`` away from zero: the orders where Z_v keeps all
-    but e^_ALIAS_LOG of its mass away from zero on either side.  Where they
-    pass ``limit`` (a geometric tail at a finite radius) the target moves
-    down until they fit; None where no target of 1 or more fits."""
+    but e^_ALIAS_LOG of its mass away from zero on either side, by the
+    Chernoff table at v.  ``table`` is the one at u: it serves where v = u
+    and for every centre tilt.  Where the orders pass ``limit`` (a geometric
+    tail at a finite radius) the target moves down until they fit; None
+    where no target of 1 or more fits."""
     while True:
         alias = _ALIAS_LOG + math.log(-math.expm1(-x * float(model.egf_m1(v))))
-        floor, width = _reaches(model, x, v, alias)
+        floor, width = _reaches(table if v == u else _chernoff(model, x, v), alias)
         start = min(floor, order)
         if width - start <= limit:
             return v, start, 1 << (max(width, order + 1) - start - 1).bit_length()
         target *= limit / (width - start)
         if not target >= 1.0:
             return None
-        v = _centre_tilt(model, x, u, target)
+        v = _centre_tilt(table, u, target)
 
 
 def _read_bands(
-    model: WeightModel, x: float, u: float, excess: float, mean: float, reach: int, law: str
+    model: WeightModel, x: float, u: float, table: tuple, excess: float, mean: float, reach: int,
+    law: str,
 ) -> np.ndarray:
-    """ln P(Z = j), j = 1 .. reach, of the law tilted at u, with H(u) - 1 =
-    ``excess`` and mean ``mean``, read in bands; -inf off the lattice."""
+    """ln P(Z = j), j = 1 .. reach, of the law tilted at u, with Chernoff
+    table ``table``, H(u) - 1 = ``excess`` and mean ``mean``, read in bands;
+    -inf off the lattice."""
     span = model.span
     log_pmf = np.full(reach + 1, -math.inf)
     unread = np.zeros(reach + 1, dtype=bool)
@@ -274,7 +276,7 @@ def _read_bands(
     order = min(max(span, span * round(target / span)), reach - reach % span)
     limit = _MAX_NODES
     while order:
-        window = _window(model, x, u, v, target, order, limit)
+        window = _window(model, x, u, table, v, target, order, limit)
         if window:
             v_band, start, nodes = window
             q, bound, e_v = _band(model, x, v_band, start, nodes)
@@ -304,7 +306,7 @@ def _read_bands(
         order = int(np.flatnonzero(unread)[-1]) if unread.any() else 0
         if order:
             target, limit = float(order), _MAX_NODES
-            v = _centre_tilt(model, x, u, target)
+            v = _centre_tilt(table, u, target)
     return log_pmf
 
 
@@ -327,7 +329,7 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     band keeps every unread order whose P(Z_v = i) clears the band's
     rounding bound by 1/_MAX_ROUNDING.  Its window is
     where Z_v keeps all but e^_ALIAS_LOG of its mass on either side (by
-    ``floor_reach`` and ``tail_reach``); where that passes _MAX_NODES (a
+    ``_reaches`` on the Chernoff table at v); where that passes _MAX_NODES (a
     geometric tail at a finite radius), the band's centre moves down until
     the window fits.  Where such a band cannot read its order, the window
     may double, up to _MAX_BAND points, so that the band tilts nearer to
@@ -354,7 +356,8 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
         raise DomainError(f"{law} overflows: mean {mean}, variance {variance}")
     excess = float(model.egf_m1(u))
     log_g = x * excess
-    reach = tail_reach(model, x, u, math.log(_MASS_TOLERANCE))
+    table = _chernoff(model, x, u)
+    reach = _reaches(table, math.log(_MASS_TOLERANCE))[1]
     if model.truncated:
         for j in range(1, min(reach, model.horizon + 1) + 1):
             model.log_weight_moment(j)
@@ -362,7 +365,7 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
         raise DomainError(f"{law} reaches order {reach}, past {_MAX_NODES} transform points")
     if -log_g >= math.log1p(-_MASS_TOLERANCE):
         reach = 0
-    log_pmf = _read_bands(model, x, u, excess, mean, reach, law)
+    log_pmf = _read_bands(model, x, u, table, excess, mean, reach, law)
     log_pmf[0] = -log_g
     cap = min(int(np.searchsorted(np.cumsum(np.exp(log_pmf)), 1.0 - _MASS_TOLERANCE)), reach)
     return AuxiliaryDistribution(
@@ -400,9 +403,15 @@ def local_limit_check(model: WeightModel, chi: float, k: int) -> float:
     x = chi k).  Returns r_k = p_k * sqrt(2 pi) * sigma / span, which tends
     to 1 as k grows at fixed chi.
     """
+    return build_aux(model, *ray_tilt(model, chi, k)).local_limit_ratio(k)
+
+
+def ray_tilt(model: WeightModel, chi: float, k: int) -> tuple[float, float]:
+    """(x, u) = (chi k, the saddle u H'(u) = 1/chi): the law on the ray x/k =
+    chi tilted so that E Z = k.  Refuses an order off the model's lattice
+    and a chi k past float range, in that order, before solving the saddle."""
     model.check_order(k)
-    x = ray_intensity(chi, k)
-    return build_aux(model, x, solve_saddle(model, chi).u).local_limit_ratio(k)
+    return ray_intensity(chi, k), solve_saddle(model, chi).u
 
 
 def ray_nodes(model: WeightModel, saddle: SaddleSolution, k_max: int) -> int | float:

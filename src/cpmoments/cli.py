@@ -15,7 +15,6 @@ import functools
 import io
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
@@ -27,7 +26,7 @@ from . import __version__, auxdist, graphsim
 from . import asymptotics as asym
 from . import moments as mom
 from . import weights as wts
-from .errors import CpmError
+from .errors import CpmError, DomainError
 
 EXIT_NUMERIC = 3
 EXIT_IO = 4
@@ -87,6 +86,12 @@ WEIGHTS_OPTION = click.option("--weights", "weights_spec", required=True, help=(
     " 1/2.  graphsim cannot sample logfact or custom."))
 
 
+def TABLE_OPTIONS(fn):
+    """--out and --format, the options of every command that writes a table."""
+    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")(fn)
+    return click.option("--out", "out_path", required=True, type=click.Path())(fn)
+
+
 def _echo_header(command: str, config: dict) -> None:
     click.echo(json.dumps(
         {"tool": "cpm", "version": __version__, "command": command, "config": config},
@@ -124,16 +129,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_table(path: str, fieldnames: list[str], rows: list[dict], fmt: str) -> None:
+def _write_table(path: str, columns: list[str], rows: list[tuple], fmt: str) -> None:
+    """Rows in the order of ``columns``: a CSV table under one header line,
+    or a JSON list of one object per row."""
     if fmt == "json":
-        _atomic_write(path, json.dumps(rows, indent=2) + "\n")
+        _atomic_write(path, json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n")
         return
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    # every caller gives every row every field, and at least two fields, so
-    # itemgetter yields whole tuples and DictWriter's fill-in is never needed
-    writer.writerows(map(operator.itemgetter(*fieldnames), rows))
+    csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
     _atomic_write(path, buf.getvalue())
 
 
@@ -153,10 +156,7 @@ def format_exact(value: Fraction) -> str:
         return "0"
     # |n|/d > 2^(bits(n) - 1 - bits(d)), so 10^shift |n|/d >= 10^31
     shift = 32 + math.ceil((d.bit_length() - abs(n).bit_length() + 1) * math.log10(2))
-    if shift >= 0:
-        coeff, rest = divmod(abs(n) * 10**shift, d)
-    else:
-        coeff, rest = divmod(abs(n), d * 10**-shift)
+    coeff, rest = divmod(abs(n) * 10 ** max(shift, 0), d * 10 ** max(-shift, 0))
     if rest:
         coeff += coeff % 5 == 0
     else:
@@ -193,8 +193,7 @@ def main() -> None:
               help="Exact rational recurrence (default) or log-space values.")
 @click.option("--finite-n", "finite_n", type=int, default=None,
               help="Use the exact finite-population moment for this n instead.")
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@TABLE_OPTIONS
 @_guarded
 def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
     """Tabulate M_0(x) .. M_k(x)."""
@@ -205,26 +204,23 @@ def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
         "weights": weights_spec, "k": k_max, "x": str(x), "exact": exact,
         "finite_n": finite_n, "out": out_path, "format": fmt,
     })
-    rows = []
+    columns, x_text = ["k", "x", "method", "value", "log_value"], str(x)
     if exact:
         method = "recurrence" if finite_n is None else "finite_n"
-        for k, value in enumerate(mom.moment_sequence(model, k_max, x, finite_n)):
-            row = {
-                "k": k, "x": str(x), "method": method, "value": format_exact(value),
-                "log_value": format_log(wts.log_rational(value) if value >= 0 else None),
-            }
-            if fmt == "json":
-                # JSON carries the ratio alongside the 30-digit decimal
-                row["value_ratio"] = format_ratio(value)
-            rows.append(row)
+        seq = mom.moment_sequence(model, k_max, x, finite_n)
+        rows = [
+            (k, x_text, method, format_exact(value),
+             format_log(wts.log_rational(value) if value >= 0 else None))
+            for k, value in enumerate(seq)
+        ]
+        if fmt == "json":
+            # JSON carries the ratio alongside the 30-digit decimal
+            columns.append("value_ratio")
+            rows = [row + (format_ratio(value),) for row, value in zip(rows, seq)]
     else:
         seq = mom.log_moment_sequence(model, k_max, x)
-        rows = [
-            {"k": k, "x": str(x), "method": "recurrence", "value": "",
-             "log_value": format_log(float(seq[k]))}
-            for k in range(k_max + 1)
-        ]
-    _write_table(out_path, ["k", "x", "method", "value", "log_value"], rows, fmt)
+        rows = [(k, x_text, "recurrence", "", format_log(float(seq[k]))) for k in range(k_max + 1)]
+    _write_table(out_path, columns, rows, fmt)
 
 
 @main.command()
@@ -246,8 +242,7 @@ def rate(weights_spec, chi):
 @WEIGHTS_OPTION
 @click.option("--chi", type=FINITE_FLOAT, required=True)
 @click.option("--k-max", "k_max", type=int, required=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@TABLE_OPTIONS
 @_guarded
 def compare(weights_spec, chi, k_max, out_path, fmt):
     """Exact log-moments against the refined prediction along k, x = chi k."""
@@ -256,18 +251,16 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
         "weights": weights_spec, "chi": chi, "k_max": k_max, "out": out_path, "format": fmt,
         "method": "saddle_dft",
     })
+    if k_max < 0:
+        raise DomainError("order must be >= 0")
     rv = asym.rate_function(model, chi)
     orders = range(model.span, k_max + 1, model.span)
     log_exacts = auxdist.log_moments_on_ray(model, rv.saddle, orders)
-    rows = []
-    for k, log_exact in zip(orders, log_exacts.tolist()):
-        rate_gap = abs((log_exact - k * math.log(chi * k)) / k - rv.psi)
-        rows.append({
-            "k": k,
-            "log_exact": format_log(log_exact),
-            "log_predicted": format_log(rv.log_refined(k)),
-            "rate_gap": format_log(rate_gap),
-        })
+    rows = [
+        (k, format_log(log_exact), format_log(rv.log_refined(k)),
+         format_log(abs((log_exact - k * math.log(chi * k)) / k - rv.psi)))
+        for k, log_exact in zip(orders, log_exacts.tolist())
+    ]
     _write_table(out_path, ["k", "log_exact", "log_predicted", "rate_gap"], rows, fmt)
 
 
@@ -278,8 +271,7 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
 @click.option("--llt-chi", "llt_chi", type=FINITE_FLOAT, default=None,
               help="Ratio x/k for the local-limit mode; supply --k too.")
 @click.option("--k", "k_val", type=int, default=None, help="Order for the local-limit mode.")
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@TABLE_OPTIONS
 @_guarded
 def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
     """Emit the tilted law's pmf and a summary line (mean, variance, r_k)."""
@@ -289,9 +281,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
             raise click.UsageError("--llt-chi requires --k")
         if x_val is not None or u_val is not None:
             raise click.UsageError("--llt-chi with --k sets x and u; drop --x and --u")
-        model.check_order(k_val)
-        sol = asym.solve_saddle(model, llt_chi)
-        x_eff, u_eff = auxdist.ray_intensity(llt_chi, k_val), sol.u
+        x_eff, u_eff = auxdist.ray_tilt(model, llt_chi, k_val)
     else:
         if x_val is None or u_val is None or k_val is not None:
             raise click.UsageError("either give --x and --u, or --llt-chi with --k")
@@ -307,11 +297,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
     }
     if llt_chi is not None:
         summary["r_k"] = dist.local_limit_ratio(k_val)
-    rows = [
-        {"j": j, "p_j": format_log(math.exp(lp))}
-        for j, lp in enumerate(dist.log_pmf)
-        if lp > -math.inf
-    ]
+    rows = [(j, format_log(math.exp(lp))) for j, lp in enumerate(dist.log_pmf) if lp > -math.inf]
     _write_table(out_path, ["j", "p_j"], rows, fmt)
     click.echo(json.dumps(summary, sort_keys=True))
 
@@ -324,8 +310,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
               help="Deviation levels, comma separated.")
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, envvar="CPM_SEED", default=0, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@TABLE_OPTIONS
 @_guarded
 def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
     """Monte Carlo deviation probabilities of the maximal weighted degree."""
@@ -336,22 +321,12 @@ def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
         "trials": trials, "seed": seed, "out": out_path, "format": fmt,
     })
     result = graphsim.deviation_experiment(config)
-    rows = [
-        {
-            "n": n,
-            "kappa": format_log(kappa),
-            "s": format_log(s),
-            "p_hat": format_log(p),
-            "ci": format_log(ci),
-            "bound": format_log(bound),
-            "threshold": format_log(result.threshold_s),
-            "vacuous_flag": int(vac),
-        }
-        for s, p, ci, bound, vac in zip(
-            config.s_values, result.p_hat, result.ci_half_width, result.bound, result.vacuous
-        )
-    ]
-    _write_table(out_path, ["n", "kappa", "s", "p_hat", "ci", "bound", "threshold", "vacuous_flag"], rows, fmt)
+    kappa_text, threshold = format_log(kappa), format_log(result.threshold_s)
+    levels = zip(config.s_values, result.p_hat, result.ci_half_width, result.bound, result.vacuous)
+    rows = [(n, kappa_text, *map(format_log, (s, p, ci, bound)), threshold, int(vac))
+            for s, p, ci, bound, vac in levels]
+    _write_table(out_path, ["n", "kappa", "s", "p_hat", "ci", "bound", "threshold", "vacuous_flag"],
+                 rows, fmt)
 
 
 @main.command()

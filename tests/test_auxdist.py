@@ -222,12 +222,13 @@ class TestTailReach:
     def test_unbounded_window_fits_no_band(self):
         # an infinite window moves the band's target to 0 in one step, below
         # the first order, and the band reader is told that no window fits
-        assert auxdist._window(BLIND, 1.0, 0.5, 0.5, 3.0, 3, auxdist._MAX_NODES) is None
+        table = auxdist._chernoff(BLIND, 1.0, 0.5)
+        assert auxdist._window(BLIND, 1.0, 0.5, table, 0.5, 3.0, 3, auxdist._MAX_NODES) is None
 
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 30.0, 2000.0])
     @pytest.mark.parametrize("log_tol", [LN_TOL, -50.0])
     def test_poisson_floor_bounded_and_close(self, lam, log_tol):
-        floor = auxdist.floor_reach(POISSON, lam, 1.0, log_tol)
+        floor = auxdist._reaches(auxdist._chernoff(POISSON, lam, 1.0), log_tol)[0]
         js = np.arange(1, int(lam + 20 * math.sqrt(lam)) + 64)
         log_pmf = js * math.log(lam) - lam - np.array([math.lgamma(j + 1.0) for j in js])
         head = np.cumsum(np.exp(log_pmf))  # head[c - 1] = P(1 <= Z <= c)
@@ -277,6 +278,22 @@ class TestBands:
         with pytest.raises(DomainError, match=r"P\(Z = \d+\) is lost to rounding in every band"
                            r" of up to 2097152 points"):
             auxdist.build_aux(LOGF, 1e-4, u)
+
+    @pytest.mark.parametrize("x, u", [(400.0, solve_saddle(UNIT, 1.0).u), (1e5, 0.5)],
+                             ids=["ray-k400", "x1e5"])
+    def test_one_chernoff_table_at_u_per_law(self, x, u, monkeypatch):
+        # the reach and every band's centre tilt are read off one table at u;
+        # each band's own tilt v != u has a table of its own
+        tilts = []
+        original = auxdist._chernoff
+
+        def counted(model, x, v):
+            tilts.append(v)
+            return original(model, x, v)
+
+        monkeypatch.setattr(auxdist, "_chernoff", counted)
+        auxdist.build_aux(UNIT, x, u)
+        assert tilts.count(u) == 1
 
     def test_negative_point_mass_is_refused(self):
         # H(u) - 1 = u - u^2/2, a signed moment sequence: at x = 1/2 the pgf
@@ -331,15 +348,28 @@ class TestLocalLimit:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_order_past_float_range_refused(self):
-        # x = chi k comes from ray_intensity, as for aux --llt-chi
-        with pytest.raises(DomainError, match="overflows$"):
-            auxdist.local_limit_check(UNIT, 1.0, 10**400)
+        # x = chi k comes from ray_tilt, as for aux --llt-chi
+        for reject in (auxdist.local_limit_check, auxdist.ray_tilt):
+            with pytest.raises(DomainError) as err:
+                reject(UNIT, 1.0, 10**400)
+            assert str(err.value) == f"intensity chi k = 1.0 * {10**400} overflows"
+
+    def test_ray_tilt_is_the_saddle_at_chi_k(self):
+        assert auxdist.ray_tilt(GAMMA, 3.0, 400) == (1200.0, solve_saddle(GAMMA, 3.0).u)
+        # the order and chi k are checked before the saddle, which chi = 1e-320
+        # does not have
+        for k, message in ((0, "order must be positive"),
+                           (10**400, f"intensity chi k = 1e-320 * {10**400} overflows")):
+            with pytest.raises(DomainError) as err:
+                auxdist.ray_tilt(UNIT, 1e-320, k)
+            assert str(err.value) == message
 
     def test_odd_order_rejected_for_parity_models(self):
         # every entry point of the asymptotics applies the model's one lattice rule
         aux = auxdist.build_aux(BERN, 41.0, solve_saddle(BERN, 1.0).u)
         for reject in (lambda: refined_prediction(BERN, 41, 1.0),
                        lambda: auxdist.local_limit_check(BERN, 1.0, 41),
+                       lambda: auxdist.ray_tilt(BERN, 1.0, 41),
                        lambda: aux.local_limit_ratio(41)):
             with pytest.raises(DomainError) as err:
                 reject()

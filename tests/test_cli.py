@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import prime_power_moments, read_table
 from cpmoments import asymptotics as asym
-from cpmoments import cli, graphsim, moments, weights
+from cpmoments import auxdist, cli, graphsim, moments, weights
 
 
 @pytest.fixture
@@ -536,6 +536,23 @@ class TestAux:
         assert len(ps) > 20000
         assert abs(math.fsum(ps) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("weights_spec", ["unit", "gamma:2,1/2"])
+    def test_local_limit_mode_is_the_law_at_the_ray_tilt(self, runner, tmp_path, weights_spec):
+        out = tmp_path / "a.csv"
+        result = runner.invoke(cli.main, [
+            "aux", "--weights", weights_spec, "--llt-chi", "1", "--k", "400", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        model = weights.from_spec(weights_spec)
+        dist = auxdist.build_aux(model, *auxdist.ray_tilt(model, 1.0, 400))
+        assert out.read_text() == "j,p_j\n" + "".join(
+            f"{j},{math.exp(lp):.17g}\n" for j, lp in enumerate(dist.log_pmf) if lp > -math.inf
+        )
+        assert json.loads(result.output.splitlines()[-1]) == {
+            "mean": dist.mean, "variance": dist.variance, "log_G": dist.log_G,
+            "support_cap": dist.support_cap, "r_k": dist.local_limit_ratio(400),
+        }
+
     def test_usage_error_when_modes_mixed(self, runner, tmp_path):
         result = runner.invoke(cli.main, [
             "aux", "--weights", "unit", "--llt-chi", "1",
@@ -693,18 +710,21 @@ class TestExitCodes:
         assert result.exit_code == 3
 
 
+TABLE_COMMANDS = pytest.mark.parametrize("args", [
+    ["moments", "--weights", "gamma:2,1/2", "--k", "30", "--x", "7/2"],
+    ["moments", "--weights", "gaussian", "--k", "30", "--x", "1e300", "--log"],
+    ["compare", "--weights", "bernoulli", "--chi", "0.5", "--k-max", "40"],
+    ["aux", "--weights", "unit", "--x", "5", "--u", "0.5"],
+    ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0,2.0",
+     "--trials", "5"],
+], ids=["moments", "moments-log", "compare", "aux", "graphsim"])
+
+
 class TestCsvTables:
-    @pytest.mark.parametrize("args", [
-        ["moments", "--weights", "gamma:2,1/2", "--k", "30", "--x", "7/2"],
-        ["moments", "--weights", "gaussian", "--k", "30", "--x", "1e300", "--log"],
-        ["compare", "--weights", "bernoulli", "--chi", "0.5", "--k-max", "40"],
-        ["aux", "--weights", "unit", "--x", "5", "--u", "0.5"],
-        ["graphsim", "--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0,2.0",
-         "--trials", "5"],
-    ], ids=["moments", "moments-log", "compare", "aux", "graphsim"])
+    @TABLE_COMMANDS
     def test_the_bytes_csv_dictwriter_writes(self, runner, tmp_path, args):
-        # the writer reads each row by the field names: every command gives
-        # every row every field, so DictWriter's fill-in value never served
+        # every command gives every row every column, so the rows it writes
+        # are those DictWriter writes from the table it reads back
         out = tmp_path / "t.csv"
         result = runner.invoke(cli.main, [*args, "--out", str(out)])
         assert result.exit_code == 0, result.output
@@ -717,6 +737,22 @@ class TestCsvTables:
         writer.writerows(rows)
         assert len(rows) > 1
         assert buf.getvalue() == text
+
+    @TABLE_COMMANDS
+    def test_json_keys_are_the_csv_header(self, runner, tmp_path, args):
+        tables = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"t.{fmt}"
+            result = runner.invoke(cli.main, [*args, "--out", str(out), "--format", fmt])
+            assert result.exit_code == 0, result.output
+            tables[fmt] = out.read_text()
+        header = tables["csv"].splitlines()[0].split(",")
+        # exact moments carry the ratio in JSON alone
+        if args[0] == "moments" and "--log" not in args:
+            header.append("value_ratio")
+        objects = json.loads(tables["json"])
+        assert len(objects) == len(tables["csv"].splitlines()) - 1
+        assert all(list(row) == header for row in objects)
 
 
 def run_fresh(code, *argv):
@@ -916,6 +952,27 @@ class TestBadInputs:
                   3, "cpm: error: model 'custom[2]' has u H'(u) = -1.0 at u = 1.0; the saddle"
                      " needs it positive, as nonnegative weight moments make it",
                   weights_json='{"moments": [1, -2, 1]}'),
+        bad_input("rate-derivative-overflows",
+                  ["rate", "--weights", "gamma:1e300,1e300", "--chi", "1"],
+                  3, "cpm: error: model 'gamma(1e+300,1e+300)' has u H'(u) = nan at u = 0.0;"
+                     " H'(u) overflows",
+                  header=True),
+        bad_input("graph-tilde-moments-underflow",
+                  ["graphsim", "--n", "10", "--kappa", "1", "--weights", "gamma:1e-300,1e-300",
+                   "--s", "1", "--trials", "1", "--out", "{out}"],
+                  3, "cpm: error: model 'tilde(gamma(1e-300,1e-300))' has u H'(u) = 0.0 at"
+                     " u = 1.0; it underflows, or every weight moment vanishes",
+                  header=True),
+        bad_input("llt-zero-moments",
+                  ["aux", "--weights", "custom:{w}", "--llt-chi", "1", "--k", "4",
+                   "--out", "{out}"],
+                  3, "cpm: error: model 'custom[2]' has u H'(u) = 0.0 at u = 1.0; it underflows,"
+                     " or every weight moment vanishes",
+                  weights_json='{"moments": [1, 0, 0]}'),
+        bad_input("compare-negative-k-max",
+                  ["compare", "--weights", "unit", "--chi", "1", "--k-max", "-5",
+                   "--out", "{out}"],
+                  3, "cpm: error: order must be >= 0", header=True),
         bad_input("x-not-a-number",
                   ["moments", "--weights", "unit", "--k", "3", "--x", "abc", "--out", "{out}"],
                   2, "Error: Invalid value for '--x': 'abc' is not an integer, decimal or ratio"),
