@@ -30,15 +30,18 @@ trial draws from its own counter-based Philox stream keyed by (seed, trial
 index), so results do not depend on trial execution order and are
 bit-reproducible for a given seed.
 
-Trials run on threads, one per usable CPU (``trial_workers``), since numpy
-releases the GIL in the draws and array passes.  Trial t writes D_max[t]
-from stream (seed, t), so the samples are the same bits for any number of
-threads.  A graph below MIN_THREAD_WORK vertices and expected edges runs
-on the calling thread alone, too short to gain from a second.  The graphs
-in flight hold at most MAX_TRIAL_WORK vertices and edges together, as one
-graph of the largest admitted size does, and each keeps two arrays of its
-edge count: the slot indices, overwritten by column indices, and the
-weights.
+Trials run in blocks of about BLOCK_WORK vertices and expected edges, one
+trial a block for larger graphs (``_block_trials``), on threads, one per
+usable CPU and block (``trial_workers``), since numpy releases the GIL in
+the draws and array passes.  Each thread keeps one Philox generator and
+re-keys it to each trial's stream, which draws the same bits as a new
+generator.  A block draws each trial's gaps and weights from its stream,
+then sums the degrees of all its graphs in one pass.  Trial t writes
+D_max[t] from stream (seed, t), so the samples are the same bits for any
+number of threads and any block size.  The blocks in flight hold at most
+MAX_TRIAL_WORK vertices and edges together, as one graph of the largest
+admitted size does, and a graph drawn alone keeps two arrays of its edge
+count: the slot indices, overwritten by column indices, and the weights.
 """
 
 from __future__ import annotations
@@ -58,12 +61,10 @@ from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 # a graph's work is its vertices and expected edges: one trial's arrays take
 # 35-50 bytes for each, and a run 40-85 ns for each (2-core x86-64)
 MAX_TRIAL_WORK = 3 * 10**7  # work of one graph, about 1.5 GB of arrays
-TRIAL_COST = 1000  # a trial's fixed cost, its stream and calls (about 65 us), as work
+TRIAL_COST = 1000  # a trial's fixed cost as work; its stream and calls take 9-17 us in blocks
 MAX_GRAPH_WORK = 10**9  # work and TRIAL_COST summed over the trials, about a minute
-# below this work a trial is too short to share: against one thread, two
-# ran graphs of 2.3e3 at 0.68-1.31x (median 0.73x), of 6.7e3 at 0.91-1.52x
-# and of 3.2e4 at 1.29-1.93x (2-core x86-64, 5 runs each)
-MIN_THREAD_WORK = 10**4
+# graphs drawn together as one block of trials hold about this much work
+BLOCK_WORK = 5 * 10**4
 EDGE_BLOCK = 2**16  # edges per block of a trial's row sums and column indices
 
 
@@ -141,26 +142,40 @@ def weight_sampler(name: str) -> tuple[WeightDraw, WeightModel]:
     return model.sample, model
 
 
-def trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream for one trial; independent of execution order."""
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def trial_generator(
+    seed: int, trial: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Counter-based stream for one trial; independent of execution order.
+
+    Given a Philox ``rng``, re-keys it to the stream and returns it: its
+    counter, buffer and buffered 32-bit half are set as a new generator's,
+    so it draws the same bits without a new generator's entropy setup
+    (about 1.5 us against 16 us, with the GIL held).
+    """
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+    zero = (0, 0, 0, 0)
+    rng.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": zero, "key": (seed, trial)},
+                               "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _geometric_gaps(
-    rng: np.random.Generator, p: float, size: int, cap: int
+    rng: np.random.Generator, p: float, size: int, cap: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``rng.geometric(p, size)`` with every gap above ``cap`` cut to ``cap``.
 
     Below p = 1/3 numpy's sampler is ceil(-E / ln(1 - p)) for one Exp(1)
     draw E per gap; the same division, done in place on the stream's
-    exponentials, gives the same gaps from the same draws.  At and above 1/3
-    numpy searches instead, and its gaps stay small.
+    exponentials (in the float64 array ``out`` of ``size``, where given),
+    gives the same gaps from the same draws.  At and above 1/3 numpy
+    searches instead, and its gaps stay small.
     """
     if p >= 1.0 / 3.0:
         gaps = rng.geometric(p, size=size)
         return np.minimum(gaps, cap, out=gaps)
-    gaps = rng.standard_exponential(size)
+    gaps = rng.standard_exponential(size, out=out)
     gaps /= -math.log1p(-p)
     np.ceil(gaps, out=gaps)
     # cut before the cast: a gap past INT64_MAX has no int64 value, and
@@ -174,76 +189,96 @@ def _geometric_gaps(
 
 
 @functools.lru_cache(maxsize=8)
-def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (row i, flat index of slot (i, i + 1), that index - i - 1)
-    for i < n; the flat indices go on to i = n, where n(n - 1)/2 ends the
-    triangle."""
-    idx = np.arange(n + 1, dtype=np.int64)
-    row_start = idx * n - idx * (idx + 1) // 2
-    tables = (idx[:n], row_start, (row_start - idx - 1)[:n])
+def _row_tables(n: int, graphs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (bin, flat index of slot (i, i + 1), that index - bin - 1)
+    for row i of graph t, at bin t n + i, over ``graphs`` graphs whose slots
+    follow one another, n(n - 1)/2 each; the flat indices go on to bin
+    graphs n, where the last triangle ends."""
+    idx = np.arange(graphs * n + 1, dtype=np.int64)
+    graph, row = np.divmod(idx, n)
+    row_start = graph * (n * (n - 1) // 2) + row * n - row * (row + 1) // 2
+    tables = (idx[:-1], row_start, (row_start - idx - 1)[:-1])
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def sample_degrees(
-    n: int, edge_p: float, draw: WeightDraw, rng: np.random.Generator
-) -> np.ndarray:
-    """All n weighted degrees of one graph draw.
+def _gap_batch(expected: float) -> int:
+    """Gaps drawn at once for a process of ``expected`` edges: 8 standard
+    deviations past the mean, so a second batch is rare."""
+    return int(expected + 8.0 * math.sqrt(expected + 1.0)) + 16
 
-    The upper-triangle slots are visited as a Bernoulli(edge_p) process via
-    cumulative geometric gaps (``_geometric_gaps``).  The sorted flat slot
-    indices are split into rows by counting, for each row, the indices
-    before its row start; slot (i, j) sits at row_start[i] + j - i - 1.
-    The slot indices and the weights are the only arrays of the graph's
-    size: row sums and column indices are taken over blocks of whole rows of
-    about EDGE_BLOCK edges, the columns overwriting the slots, so every sum
-    adds its weights in edge order whatever the blocks.
+
+def sample_degrees(
+    n: int, edge_p: float, draw: WeightDraw, rng, gaps: np.ndarray | None = None
+) -> np.ndarray:
+    """All n weighted degrees of one graph drawn from generator ``rng``; or,
+    given an iterable of generators, one graph from each, as a (graphs, n)
+    array.  Each graph's draws end before the next generator is taken, so
+    the iterable may re-key one generator (``trial_generator``).  Graph t
+    draws its first ``_gap_batch`` gaps into row t of ``gaps``, where given:
+    a caller that passes one array to every call allocates it once, where a
+    new array of some megabytes per graph is mapped and faulted in again
+    each time (1650 page faults, 10-15% of an n = 20000 graph's time).
+
+    The upper-triangle slots of each graph are visited as a Bernoulli(edge_p)
+    process via cumulative geometric gaps (``_geometric_gaps``), and then its
+    weights are drawn.  Graph t's slots are shifted by t n(n - 1)/2, so the
+    slot indices of all graphs form one sorted array, split into rows by
+    counting, for each row, the indices before its row start; slot (i, j) of
+    graph t sits at row_start[t n + i] + j - i - 1.  The slot indices and
+    the weights are the only arrays of one graph's size: row sums and column
+    indices are taken over blocks of whole rows of about EDGE_BLOCK edges,
+    the columns overwriting the slots, so every sum adds its weights in edge
+    order whatever the blocks and however many graphs are drawn together.
     """
-    npairs = n * (n - 1) // 2
-    if npairs == 0 or edge_p <= 0.0:
-        return np.zeros(n)
     if edge_p > 1.0:
         raise DomainError("edge probability must be <= 1")
-
-    expected = npairs * edge_p
-    batch = int(expected + 8.0 * math.sqrt(expected + 1.0)) + 16
-    chunks = []
-    total = 0
-    while total <= npairs:
+    one = isinstance(rng, np.random.Generator)
+    npairs = n * (n - 1) // 2
+    batch = _gap_batch(npairs * edge_p)
+    parts, weights, graphs = [], [], 0
+    for graphs, stream in enumerate([rng] if one else rng, 1):
+        if npairs == 0 or edge_p <= 0.0:
+            continue
+        end = graphs * npairs  # this graph's slots end here
         # a gap of npairs + 1 already ends the process: cutting longer ones
         # moves no kept slot
-        gaps = _geometric_gaps(rng, edge_p, batch, npairs + 1)
-        chunks.append(gaps)
-        total += int(gaps.sum())
-        batch = max(16, int((npairs - total) * edge_p) + 16)
-    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    del chunks, gaps  # concatenated chunks are freed here, not at return
-    pos[0] -= 1  # slot index = cumulative gap - 1
-    np.cumsum(pos, out=pos)
-    idx, row_start, offset = _row_tables(n)
+        pos = _geometric_gaps(stream, edge_p, batch, npairs + 1,
+                              None if gaps is None else gaps[graphs - 1])
+        pos[0] += end - npairs - 1  # slot index = cumulative gap - 1
+        np.cumsum(pos, out=pos)
+        while pos[-1] < end:
+            more = _geometric_gaps(stream, edge_p, max(16, int((end - 1 - pos[-1]) * edge_p) + 16),
+                                   npairs + 1)
+            more[0] += pos[-1]
+            pos = np.concatenate([pos, np.cumsum(more, out=more)])
+        pos = pos[: pos.searchsorted(end)]
+        parts.append(pos)
+        weights.append(draw(stream, pos.size))
+    if not parts:
+        return np.zeros(n) if one else np.zeros((graphs, n))
+    pos = parts[0] if graphs == 1 else np.concatenate(parts)
+    w = weights[0] if graphs == 1 else np.concatenate(weights)
+    del parts, weights  # concatenated parts are freed here, not at return
+    idx, row_start, offset = _row_tables(n, graphs)
     first = np.searchsorted(pos, row_start)  # each row's first edge, then the end
-    pos = pos[: first[n]]
-    if pos.size == 0:
-        return np.zeros(n)
-
     counts = first[1:] - first[:-1]
-    w = draw(rng, pos.size)
     if pos.size <= EDGE_BLOCK:
-        rows = np.bincount(np.repeat(idx, counts), weights=w, minlength=n)
+        rows = np.bincount(np.repeat(idx, counts), weights=w, minlength=idx.size)
         pos -= np.repeat(offset, counts)
     else:
-        rows = np.empty(n)
+        rows = np.empty(idx.size)
         cuts = np.searchsorted(first, range(EDGE_BLOCK, pos.size, EDGE_BLOCK)).tolist()
-        for r0, r1 in zip([0, *cuts], [*cuts, n]):
+        for r0, r1 in zip([0, *cuts], [*cuts, idx.size]):
             if r0 == r1:  # one row of more than EDGE_BLOCK edges
                 continue
             block = slice(first[r0], first[r1])
             rows[r0:r1] = np.bincount(np.repeat(idx[: r1 - r0], counts[r0:r1]),
                                       weights=w[block], minlength=r1 - r0)
             pos[block] -= np.repeat(offset[r0:r1], counts[r0:r1])
-    rows += np.bincount(pos, weights=w, minlength=n)  # columns
-    return rows
+    rows += np.bincount(pos, weights=w, minlength=idx.size)  # columns
+    return rows if one else rows.reshape(graphs, n)
 
 
 def critical_deviation_threshold(model: WeightModel, kappa: float) -> float:
@@ -293,41 +328,56 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _block_trials(work: float) -> int:
+    """Trials per block for graphs of ``work`` vertices and expected edges:
+    as many as fit in BLOCK_WORK, and at least one."""
+    return max(1, int(BLOCK_WORK // work))
+
+
 def trial_workers(work: float, trials: int) -> int:
     """Threads for ``trials`` graphs of ``work`` vertices and expected edges
-    each: one per usable CPU and trial, with the graphs in flight held to
-    MAX_TRIAL_WORK, and one where a graph is below MIN_THREAD_WORK."""
-    if work < MIN_THREAD_WORK:
-        return 1
-    return max(1, min(_usable_cpus(), trials, int(MAX_TRIAL_WORK // work)))
+    each: one per usable CPU and block of trials (``_block_trials``), with
+    the blocks in flight held to MAX_TRIAL_WORK."""
+    size = _block_trials(work)
+    return max(1, min(_usable_cpus(), -(-trials // size), int(MAX_TRIAL_WORK // (work * size))))
 
 
 def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
-    """D_max of every trial of ``config``, drawn on ``trial_workers`` threads.
+    """D_max of every trial of ``config``, drawn in blocks of trials on
+    ``trial_workers`` threads.
 
     Trial t draws from its own stream and writes dmax[t], so the samples are
-    the same for any number of threads.  The calling thread is one of them;
-    the first exception of any stops the others after their current trial,
-    and is raised once all have ended.
+    the same for any number of threads and any block size.  Each thread keeps
+    one generator and re-keys it to each trial's stream.  The calling thread
+    is one of them; the first exception of any stops the others after their
+    current block, and is raised once all have ended.
     """
-    n, trials = config.n, config.trials
+    n, trials, seed = config.n, config.trials, config.seed
     edge_p = config.rho / n
+    size = _block_trials(config.trial_work)
     dmax = np.empty(trials)
-    unclaimed, claim = iter(range(trials)), threading.Lock()
+    unclaimed, claim = iter(range(0, trials, size)), threading.Lock()
     failed: list[BaseException] = []
 
     def run() -> None:
+        # this thread's generator, made by its first trial, and its gap rows,
+        # one per trial of a block, drawn into by every block
+        rng = None
         # numpy's error state is per thread; at a subnormal edge_p a gap
         # E / -ln(1 - p) overflows to inf, which the cut to cap then handles
         try:
+            gaps = np.empty((size, _gap_batch(n * (n - 1) // 2 * edge_p)))
             with np.errstate(over="ignore"):
                 while not failed:
                     with claim:
-                        t = next(unclaimed, None)
-                    if t is None:
+                        start = next(unclaimed, None)
+                    if start is None:
                         return
-                    rng = trial_generator(config.seed, t)
-                    dmax[t] = sample_degrees(n, edge_p, draw, rng).max()
+                    block = range(start, min(start + size, trials))
+                    # each trial re-keys the one generator, once the last has drawn
+                    streams = ((rng := trial_generator(seed, t, rng)) for t in block)
+                    dmax[block.start:block.stop] = sample_degrees(n, edge_p, draw, streams,
+                                                                  gaps).max(axis=1)
         except BaseException as exc:  # raised by the calling thread once all have ended
             failed.append(exc)
 

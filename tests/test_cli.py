@@ -630,15 +630,20 @@ class TestGraphsim:
     ])
     def test_refusal_comes_before_any_trial(self, runner, tmp_path, monkeypatch, kappa, spec,
                                             message):
+        # every trial keys its stream through trial_generator, in any block
         def refuse(*args):
-            raise AssertionError("sample_degrees called")
+            raise AssertionError("trial_generator called")
 
-        monkeypatch.setattr(graphsim, "sample_degrees", refuse)
+        monkeypatch.setattr(graphsim, "trial_generator", refuse)
         out = tmp_path / "g.csv"
         result = runner.invoke(cli.main, graphsim_args("2000", kappa, spec, "1", "2000", "0", out))
         assert result.exit_code == 3, result.output
         assert result.stderr == message + "\n"
         assert not out.exists()
+        # the same run at an admitted kappa reaches the patched draw
+        result = runner.invoke(cli.main, graphsim_args("2000", "4", "exponential", "1", "2000",
+                                                       "0", out))
+        assert isinstance(result.exception, AssertionError)
 
     def test_csv_columns_and_reproducibility(self, runner, tmp_path):
         args = [

@@ -22,11 +22,14 @@ def dmax(cfg, trial=0):
     return float(graphsim.sample_degrees(cfg.n, cfg.rho / cfg.n, draw, rng).max())
 
 
-def reference_degrees(n, edge_p, draw, rng):
-    """Weighted degrees by numpy's geometric gaps and one row lookup per edge."""
+def reference_degrees(n, edge_p, draw, rng, batch=None):
+    """Weighted degrees by numpy's geometric gaps and one row lookup per edge;
+    ``batch`` gaps are drawn first, by default 8 standard deviations past the
+    mean edge count."""
     npairs = n * (n - 1) // 2
     expected = npairs * edge_p
-    batch = int(expected + 8.0 * math.sqrt(expected + 1.0)) + 16
+    if batch is None:
+        batch = int(expected + 8.0 * math.sqrt(expected + 1.0)) + 16
     chunks, total = [], 0
     while total <= npairs:
         gaps = rng.geometric(edge_p, size=batch)
@@ -74,6 +77,39 @@ class TestSampling:
             assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref))
             assert ours.random() == ref.random()
 
+    @pytest.mark.parametrize("n, edge_p, name", [
+        (10, 0.5, "exponential"),
+        (300, 0.3 * math.log(300) / 300, "gamma:1/2,1"),
+        (200, 4 * math.log(200) / 200, "bernoulli"),
+    ])
+    def test_second_gap_batch_drawn_before_the_weights(self, monkeypatch, n, edge_p, name):
+        # a first batch of 5 gaps ends short of the triangle, so every graph
+        # draws more gaps from its own stream before its weights
+        monkeypatch.setattr(graphsim, "_gap_batch", lambda expected: 5)
+        batches = []
+        original = graphsim._geometric_gaps
+
+        def counted(rng, p, size, cap, out=None):
+            batches.append(size)
+            return original(rng, p, size, cap, out)
+
+        monkeypatch.setattr(graphsim, "_geometric_gaps", counted)
+        draw, _ = graphsim.weight_sampler(name)
+        ours, ref = graphsim.trial_generator(8, 0), graphsim.trial_generator(8, 0)
+        got = graphsim.sample_degrees(n, edge_p, draw, ours)
+        assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref, batch=5))
+        assert ours.random() == ref.random()
+        assert len(batches) > 1
+
+        rng = graphsim.trial_generator(0, 0)
+        got = graphsim.sample_degrees(n, edge_p, draw,
+                                      (graphsim.trial_generator(8, t, rng) for t in range(3)))
+        assert got.shape == (3, n)
+        for trial in range(3):
+            ref = graphsim.trial_generator(8, trial)
+            assert np.array_equal(got[trial], reference_degrees(n, edge_p, draw, ref, batch=5))
+        assert rng.random() == ref.random()
+
     def test_gaps_cast_in_place_match_numpy_geometric(self):
         size = 300_005
         ours, numpys = graphsim.trial_generator(3, 2), graphsim.trial_generator(3, 2)
@@ -111,6 +147,37 @@ class TestSampling:
             tracemalloc.stop()
         assert peak <= 9 * 2**20
 
+    def test_block_of_one_graph_holds_two_arrays_of_its_size(self):
+        # a block of one trial, as the experiment draws graphs of this size,
+        # keeps its parts without copying them
+        n = 20000
+        edge_p = 4 * math.log(n) / n
+        draw, _ = graphsim.weight_sampler("gamma:2,1/2")
+        graphsim.sample_degrees(n, edge_p, draw, iter([graphsim.trial_generator(1, 0)]))
+        tracemalloc.start()
+        try:
+            graphsim.sample_degrees(n, edge_p, draw, iter([graphsim.trial_generator(1, 1)]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
+
+    def test_experiment_draws_gaps_into_one_array_per_thread(self, monkeypatch):
+        # a new array of gaps per graph would be mapped and faulted in again
+        bases = []
+        original = graphsim._geometric_gaps
+
+        def recorded(rng, p, size, cap, out=None):
+            bases.append(None if out is None else out.base)
+            return original(rng, p, size, cap, out)
+
+        monkeypatch.setattr(graphsim, "_geometric_gaps", recorded)
+        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 1)
+        cfg = graphsim.GraphSimConfig(2000, 4.0, "exponential", (1.0,), 3, 0)
+        graphsim._dmax_samples(cfg, graphsim.weight_sampler("exponential")[0])
+        assert len(bases) == 3
+        assert bases[0] is not None and all(base is bases[0] for base in bases)
+
     def test_tiny_edge_probability_gives_no_edges(self):
         # numpy's gaps saturate at INT64_MAX here, where their sum wraps
         draw, _ = graphsim.weight_sampler("exponential")
@@ -119,9 +186,11 @@ class TestSampling:
 
     def test_subnormal_edge_probability_warns_nothing(self, monkeypatch):
         # p = rho/n is about 6.9e-310, so most gaps E / -ln(1 - p) overflow to
-        # inf before the cut to cap; each of the two threads ignores that
-        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 2)
+        # inf before the cut to cap; each of the two threads, given a block
+        # of two trials, ignores that
         cfg = graphsim.GraphSimConfig(1000, 1e-307, "unit", (1.0,), 4, 0)
+        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 2)
+        monkeypatch.setattr(graphsim, "BLOCK_WORK", 2.5 * cfg.trial_work)
         assert 0.0 < cfg.rho / cfg.n < sys.float_info.min
         draw, _ = graphsim.weight_sampler("unit")
         with warnings.catch_warnings():
@@ -216,16 +285,18 @@ class TestReproducibility:
         assert not np.array_equal(a.dmax_samples, b.dmax_samples)
 
     def test_worker_failure_reaches_caller(self, monkeypatch):
-        original = graphsim.sample_degrees
+        original = graphsim.trial_generator
 
-        def fail_on_trial_5(n, edge_p, draw, rng):
-            if rng.bit_generator.state["state"]["key"][1] == 5:
+        def fail_on_trial_5(seed, trial, rng=None):
+            if trial == 5:
                 raise RuntimeError("trial 5 failed")
-            return original(n, edge_p, draw, rng)
+            return original(seed, trial, rng)
 
-        monkeypatch.setattr(graphsim, "sample_degrees", fail_on_trial_5)
-        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 3)
         cfg = graphsim.config_from_kappa(200, 2.0, "exponential", (1.0,), 40, seed=31)
+        # trial 5 is the second of the second block of four
+        monkeypatch.setattr(graphsim, "trial_generator", fail_on_trial_5)
+        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 3)
+        monkeypatch.setattr(graphsim, "BLOCK_WORK", 4.5 * cfg.trial_work)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^trial 5 failed$"):
             graphsim.deviation_experiment(cfg)
@@ -239,12 +310,13 @@ class TestReproducibility:
         drawn = []
         original = graphsim.trial_generator
 
-        def recorded(seed, trial):
+        def recorded(seed, trial, rng=None):
             drawn.append(trial)
-            return original(seed, trial)
+            return original(seed, trial, rng)
 
         monkeypatch.setattr(graphsim, "trial_generator", recorded)
         monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 8)
+        monkeypatch.setattr(graphsim, "BLOCK_WORK", 3.5 * cfg.trial_work)  # 134 blocks
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -262,12 +334,59 @@ class TestReproducibility:
         assert graphsim.trial_workers(graphsim.MAX_TRIAL_WORK, 100) == 1
         assert graphsim.trial_workers(10**5, 100) == 64
         assert graphsim.trial_workers(10**5, 3) == 3
-        assert graphsim.trial_workers(graphsim.MIN_THREAD_WORK - 1, 100) == 1
-        # the benchmark's n = 200 graphs run on one thread, its n = 2000 ones on more
+        # the benchmark's n = 200 graphs run in blocks of trials on every
+        # thread, its n = 2000 ones one trial a block; a run within one
+        # block runs on one thread
         small = graphsim.GraphSimConfig(200, 4.0, "bernoulli", (1.0,), 3000, 0)
         large = graphsim.GraphSimConfig(2000, 4.0, "exponential", (1.0,), 200, 0)
-        assert graphsim.trial_workers(small.trial_work, small.trials) == 1
+        assert graphsim._block_trials(small.trial_work) > 1
+        assert graphsim.trial_workers(small.trial_work, small.trials) == 64
+        assert graphsim.trial_workers(small.trial_work, 3) == 1
+        assert graphsim._block_trials(large.trial_work) == 1
         assert graphsim.trial_workers(large.trial_work, large.trials) == 64
+
+    @pytest.mark.parametrize("n, kappa, spec", [
+        (5, 1.5, "unit"),  # p >= 1/3: numpy's search sampler draws the gaps
+        (2000, 1e-25 * 2000 / math.log(2000), "exponential"),  # no edges
+        (200, 4.0, "bernoulli"),
+        (300, 0.3, "gamma:1/2,1"),
+    ])
+    def test_blocks_of_trials_match_single_trials(self, monkeypatch, n, kappa, spec):
+        cfg = graphsim.GraphSimConfig(n, kappa, spec, (1.0,), 7, 17)
+        single = [dmax(cfg, trial=t) for t in range(7)]
+        for size in (1, 2, 3):
+            monkeypatch.setattr(graphsim, "BLOCK_WORK", (size + 0.5) * cfg.trial_work)
+            assert graphsim._block_trials(cfg.trial_work) == size
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: workers)
+                draw, _ = graphsim.weight_sampler(spec)
+                assert graphsim._dmax_samples(cfg, draw).tolist() == single
+
+    @pytest.mark.parametrize("seed", [0, 12, 2**63 + 5])
+    @pytest.mark.parametrize("trial", [0, 1, 2999, 2**40])
+    def test_rekeyed_generator_draws_as_a_new_one(self, seed, trial):
+        samplers = [
+            lambda r: r.standard_exponential(100),
+            lambda r: r.integers(0, 2, 101),
+            lambda r: r.gamma(2.0, 1.0, 50),
+            lambda r: r.gamma(0.5, 1.0, 50),
+            lambda r: r.normal(0.0, 1.0, 51),
+            lambda r: r.geometric(0.5, 50),
+            lambda r: r.random(5),
+            *[lambda r, draw=graphsim.weight_sampler(name)[0]: draw(r, 99)
+              for name in ("exponential", "normal:1", "gamma:2,1/2", "gamma:1/2,1",
+                           "bernoulli", "unit")],
+        ]
+        for sample in samplers:
+            used = graphsim.trial_generator(3, 4)
+            used.integers(0, 2, 3, dtype=np.uint32)  # leaves a 32-bit half buffered
+            assert used.bit_generator.state["has_uint32"] == 1
+            rekeyed = graphsim.trial_generator(seed, trial, used)
+            assert rekeyed is used
+            new = graphsim.trial_generator(seed, trial)
+            assert repr(rekeyed.bit_generator.state) == repr(new.bit_generator.state)
+            assert np.array_equal(sample(rekeyed), sample(new))
+            assert rekeyed.random() == new.random()
 
     def test_trial_streams_are_order_independent(self):
         cfg = graphsim.config_from_kappa(100, 2.0, "normal:1", (0.5,), 8, seed=5)
@@ -439,7 +558,8 @@ class TestDeviationExperiment:
             graphsim.GraphSimConfig(n, 4.0, "exponential", (1.0,), trials, 0)
         with pytest.raises(DomainError, match="expected edges is more than 30000000"):
             graphsim.GraphSimConfig(2 * 10**6, 4.0, "exponential", (1.0,), 1, 0)
-        # two vertices a trial: a million trials cost their fixed part, 65 s
+        # two vertices a trial: a million trials are refused for their fixed
+        # part, though a block of them runs in about 9 us a trial
         with pytest.raises(DomainError, match="plus 1000 per trial, are more than 1000000000"):
             graphsim.GraphSimConfig(2, 1.0, "exponential", (1.0,), 10**6, 0)
 
