@@ -3,5 +3,3 @@ asymptotics, tilted auxiliary distributions, and random-graph degree
 concentration experiments."""
 
 __version__ = "0.1.0"
-
-from . import asymptotics, auxdist, errors, graphsim, moments, weights  # noqa: F401

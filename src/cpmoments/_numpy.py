@@ -9,10 +9,11 @@ otherwise a module that loads numpy on its first attribute access
 ``graphsim`` take ``np`` from here, and none reads an attribute of it at
 import or when a weight model is built.
 
-Only numpy is deferred, never a cpmoments module: ``cpmoments/__init__.py``
-imports all six submodules, because the benchmark's tracer
-(``perfbench/tracing.py``) finds each one in ``sys.modules``
-(``sys.modules["cpmoments.auxdist"]`` and the others) to wrap its functions.
+Only numpy is deferred, never a cpmoments module: ``cpmoments.cli``
+imports all six submodules, so the benchmark's tracer
+(``perfbench/tracing.py``), which imports ``cpmoments.cli``, finds each one
+in ``sys.modules`` (``sys.modules["cpmoments.auxdist"]`` and the others) to
+wrap its functions.
 """
 
 from __future__ import annotations

@@ -68,7 +68,6 @@ class RateValue:
     """Psi(chi), its saddle and fluctuation prefactor, and the lattice span
     of the model's orders."""
 
-    chi: float
     psi: float
     saddle: SaddleSolution
     prefactor: float
@@ -77,7 +76,7 @@ class RateValue:
     def log_refined(self, k: int) -> float:
         """ln of the refined value of M_k(chi k), for k on the model's lattice:
         ln(span * prefactor) + k (ln(chi k) + psi)."""
-        return math.log(self.span * self.prefactor) + k * (math.log(self.chi * k) + self.psi)
+        return math.log(self.span * self.prefactor) + k * (math.log(self.saddle.chi * k) + self.psi)
 
 
 def _or_inf(f: Callable[[float], float], u: float) -> float:
@@ -215,7 +214,7 @@ def rate_function(model: WeightModel, chi: float) -> RateValue:
             f"model {model.name!r} at chi = {chi}: psi = {psi} and prefactor = {prefactor}"
             f" at u = {s.u}; chi u^2 H''(u) or psi is not finite"
         )
-    return RateValue(chi=float(chi), psi=psi, saddle=s, prefactor=prefactor, span=model.span)
+    return RateValue(psi=psi, saddle=s, prefactor=prefactor, span=model.span)
 
 
 def refined_prediction(model: WeightModel, k: int, chi: float) -> float:

@@ -26,7 +26,7 @@ from . import __version__, auxdist, graphsim
 from . import asymptotics as asym
 from . import moments as mom
 from . import weights as wts
-from .errors import CpmError, DomainError
+from .errors import CpmError
 
 EXIT_NUMERIC = 3
 EXIT_IO = 4
@@ -251,8 +251,7 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
         "weights": weights_spec, "chi": chi, "k_max": k_max, "out": out_path, "format": fmt,
         "method": "saddle_dft",
     })
-    if k_max < 0:
-        raise DomainError("order must be >= 0")
+    mom.check_nonnegative_order(k_max)
     rv = asym.rate_function(model, chi)
     orders = range(model.span, k_max + 1, model.span)
     log_exacts = auxdist.log_moments_on_ray(model, rv.saddle, orders)

@@ -33,14 +33,19 @@ bit-reproducible for a given seed.
 Trials run in blocks of about BLOCK_WORK vertices and expected edges, one
 trial a block for larger graphs (``_block_trials``), on threads, one per
 usable CPU and block (``trial_workers``), since numpy releases the GIL in
-the draws and array passes.  Each thread keeps one Philox generator and
-re-keys it to each trial's stream, which draws the same bits as a new
-generator.  A block draws each trial's gaps and weights from its stream,
-then sums the degrees of all its graphs in one pass.  Trial t writes
-D_max[t] from stream (seed, t), so the samples are the same bits for any
-number of threads and any block size.  The blocks in flight hold at most
+the draws and array passes.  On a shared 2-core x86-64 host graphs of
+n >= 2000 gain from the second thread, but blocks of small graphs (n = 200)
+do not: each trial makes about ten numpy calls on some 2e3 elements, each
+releasing and retaking the GIL, and the kernel kept both threads on one CPU
+(405 ms on one thread against 421 ms on two, medians of 9 alternating
+``graph_mc`` pairs).  Each thread keeps one Philox generator and re-keys
+it to each trial's stream, which draws the same bits as a new generator.
+A block draws each trial's gaps and weights from its stream, then sums the
+degrees of all its graphs in one pass.  Trial t writes D_max[t] from
+stream (seed, t), so the samples are the same bits for any number of
+threads and any block size.  The blocks in flight hold at most
 MAX_TRIAL_WORK vertices and edges together, as one graph of the largest
-admitted size does, and a graph drawn alone keeps two arrays of its edge
+admitted size does, and a block of one graph keeps two arrays of its edge
 count: the slot indices, overwritten by column indices, and the weights.
 """
 
@@ -210,21 +215,24 @@ def _gap_batch(expected: float) -> int:
 
 
 def sample_degrees(
-    n: int, edge_p: float, draw: WeightDraw, rng, gaps: np.ndarray | None = None
+    n: int, edge_p: float, draw: WeightDraw, rngs, gaps: np.ndarray | None = None
 ) -> np.ndarray:
-    """All n weighted degrees of one graph drawn from generator ``rng``; or,
-    given an iterable of generators, one graph from each, as a (graphs, n)
-    array.  Each graph's draws end before the next generator is taken, so
-    the iterable may re-key one generator (``trial_generator``).  Graph t
-    draws its first ``_gap_batch`` gaps into row t of ``gaps``, where given:
-    a caller that passes one array to every call allocates it once, where a
+    """All n weighted degrees of one graph drawn from each generator of the
+    iterable ``rngs``, as a (graphs, n) array; one graph is a block of one.
+    Each graph's draws end before the next generator is taken, so the
+    iterable may re-key one generator (``trial_generator``).  Graph t draws
+    its first ``_gap_batch`` gaps into row t of ``gaps``, where given: a
+    caller that passes one array to every call allocates it once, where a
     new array of some megabytes per graph is mapped and faulted in again
     each time (1650 page faults, 10-15% of an n = 20000 graph's time).
+    Refuses an ``edge_p`` outside [0, 1], NaN included.
 
     The upper-triangle slots of each graph are visited as a Bernoulli(edge_p)
     process via cumulative geometric gaps (``_geometric_gaps``), and then its
-    weights are drawn.  Graph t's slots are shifted by t n(n - 1)/2, so the
-    slot indices of all graphs form one sorted array, split into rows by
+    weights are drawn.  At a subnormal edge_p a gap E / -ln(1 - p) overflows
+    to inf, which the cut to the gap cap handles, so the draws run with
+    overflow warnings off.  Graph t's slots are shifted by t n(n - 1)/2, so
+    the slot indices of all graphs form one sorted array, split into rows by
     counting, for each row, the indices before its row start; slot (i, j) of
     graph t sits at row_start[t n + i] + j - i - 1.  The slot indices and
     the weights are the only arrays of one graph's size: row sums and column
@@ -232,32 +240,32 @@ def sample_degrees(
     the columns overwriting the slots, so every sum adds its weights in edge
     order whatever the blocks and however many graphs are drawn together.
     """
-    if edge_p > 1.0:
-        raise DomainError("edge probability must be <= 1")
-    one = isinstance(rng, np.random.Generator)
+    if not 0.0 <= edge_p <= 1.0:
+        raise DomainError("edge probability must lie in [0, 1]")
     npairs = n * (n - 1) // 2
     batch = _gap_batch(npairs * edge_p)
     parts, weights, graphs = [], [], 0
-    for graphs, stream in enumerate([rng] if one else rng, 1):
-        if npairs == 0 or edge_p <= 0.0:
-            continue
-        end = graphs * npairs  # this graph's slots end here
-        # a gap of npairs + 1 already ends the process: cutting longer ones
-        # moves no kept slot
-        pos = _geometric_gaps(stream, edge_p, batch, npairs + 1,
-                              None if gaps is None else gaps[graphs - 1])
-        pos[0] += end - npairs - 1  # slot index = cumulative gap - 1
-        np.cumsum(pos, out=pos)
-        while pos[-1] < end:
-            more = _geometric_gaps(stream, edge_p, max(16, int((end - 1 - pos[-1]) * edge_p) + 16),
-                                   npairs + 1)
-            more[0] += pos[-1]
-            pos = np.concatenate([pos, np.cumsum(more, out=more)])
-        pos = pos[: pos.searchsorted(end)]
-        parts.append(pos)
-        weights.append(draw(stream, pos.size))
+    with np.errstate(over="ignore"):
+        for graphs, stream in enumerate(rngs, 1):
+            if npairs == 0 or edge_p <= 0.0:
+                continue
+            end = graphs * npairs  # this graph's slots end here
+            # a gap of npairs + 1 already ends the process: cutting longer ones
+            # moves no kept slot
+            pos = _geometric_gaps(stream, edge_p, batch, npairs + 1,
+                                  None if gaps is None else gaps[graphs - 1])
+            pos[0] += end - npairs - 1  # slot index = cumulative gap - 1
+            np.cumsum(pos, out=pos)
+            while pos[-1] < end:
+                more = _geometric_gaps(stream, edge_p,
+                                       max(16, int((end - 1 - pos[-1]) * edge_p) + 16), npairs + 1)
+                more[0] += pos[-1]
+                pos = np.concatenate([pos, np.cumsum(more, out=more)])
+            pos = pos[: pos.searchsorted(end)]
+            parts.append(pos)
+            weights.append(draw(stream, pos.size))
     if not parts:
-        return np.zeros(n) if one else np.zeros((graphs, n))
+        return np.zeros((graphs, n))
     pos = parts[0] if graphs == 1 else np.concatenate(parts)
     w = weights[0] if graphs == 1 else np.concatenate(weights)
     del parts, weights  # concatenated parts are freed here, not at return
@@ -278,7 +286,7 @@ def sample_degrees(
                                       weights=w[block], minlength=r1 - r0)
             pos[block] -= np.repeat(offset[r0:r1], counts[r0:r1])
     rows += np.bincount(pos, weights=w, minlength=idx.size)  # columns
-    return rows if one else rows.reshape(graphs, n)
+    return rows.reshape(graphs, n)
 
 
 def critical_deviation_threshold(model: WeightModel, kappa: float) -> float:
@@ -363,21 +371,18 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
         # this thread's generator, made by its first trial, and its gap rows,
         # one per trial of a block, drawn into by every block
         rng = None
-        # numpy's error state is per thread; at a subnormal edge_p a gap
-        # E / -ln(1 - p) overflows to inf, which the cut to cap then handles
         try:
             gaps = np.empty((size, _gap_batch(n * (n - 1) // 2 * edge_p)))
-            with np.errstate(over="ignore"):
-                while not failed:
-                    with claim:
-                        start = next(unclaimed, None)
-                    if start is None:
-                        return
-                    block = range(start, min(start + size, trials))
-                    # each trial re-keys the one generator, once the last has drawn
-                    streams = ((rng := trial_generator(seed, t, rng)) for t in block)
-                    dmax[block.start:block.stop] = sample_degrees(n, edge_p, draw, streams,
-                                                                  gaps).max(axis=1)
+            while not failed:
+                with claim:
+                    start = next(unclaimed, None)
+                if start is None:
+                    return
+                block = range(start, min(start + size, trials))
+                # each trial re-keys the one generator, once the last has drawn
+                streams = ((rng := trial_generator(seed, t, rng)) for t in block)
+                dmax[block.start:block.stop] = sample_degrees(n, edge_p, draw, streams,
+                                                              gaps).max(axis=1)
         except BaseException as exc:  # raised by the calling thread once all have ended
             failed.append(exc)
 

@@ -82,10 +82,15 @@ class MomentValue:
         return cls(k=k, x=x, value_exact=value, value_log=lg, method=method)
 
 
-def partition_profiles(k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every (l_1, ..., l_k) with sum i*l_i = k, ascending lexicographically."""
+def check_nonnegative_order(k: int) -> None:
+    """Raise DomainError for a negative moment order k."""
     if k < 0:
         raise DomainError("order must be >= 0")
+
+
+def partition_profiles(k: int) -> Iterator[tuple[int, ...]]:
+    """Yield every (l_1, ..., l_k) with sum i*l_i = k, ascending lexicographically."""
+    check_nonnegative_order(k)
     if k == 0:
         yield ()
         return
@@ -165,8 +170,7 @@ def moment_sequence(
     above MAX_EXACT_BITS: at D = q before any V_j is evaluated, then at the
     new D each time reading a V_j grows l.
     """
-    if k_max < 0:
-        raise DomainError("order must be >= 0")
+    check_nonnegative_order(k_max)
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
     p, q = (Fraction(x) / (n or 1)).as_integer_ratio()
@@ -222,8 +226,7 @@ def bell_number(k: int) -> int:
     weights multiplies.  Admitted by the recurrence's own bound,
     ``exact_bit_work(k, 1, 1)``, which overstates this work about k-fold:
     k = 2047 takes about 1 s."""
-    if k < 0:
-        raise DomainError("order must be >= 0")
+    check_nonnegative_order(k)
     _check_bit_work(k, 1, 1)
     row = [1]
     for _ in range(k):
@@ -358,8 +361,7 @@ def log_moment_sequence(model: WeightModel, k_max: int, x: NumberLike) -> np.nda
     x = Fraction(x)
     if x <= 0:
         raise DomainError("log-space moments need x > 0")
-    if k_max < 0:
-        raise DomainError("order must be >= 0")
+    check_nonnegative_order(k_max)
     check_log_work(k_max * k_max)
     return _log_recurrence(model.span, log_rational(x), *_log_tables(model, k_max))
 

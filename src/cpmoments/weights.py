@@ -79,15 +79,19 @@ class WeightModel:
     ``horizon`` is the last known moment order of a custom model that only
     knows a finite prefix of the series.  ``sample(rng, size)`` draws i.i.d.
     weights; only built-in weight laws have one, and only they carry
-    ``_log_moment_fn``, ln V_order in closed form.  ``_egf_m1`` is the one
-    value closure, H - 1, for real or complex scalars and numpy arrays; H
-    itself is ``egf``.
+    ``_log_moment_fn``, ln V_order in closed form.
+
+    ``egf_m1(z)`` is the one value closure, H(z) - 1 for |z| < radius: real
+    in, real out, complex in, complex out, elementwise on numpy arrays.  It
+    is not range-checked: the caller keeps z inside the disc.  Each closed
+    form avoids the cancellation of H(z) - 1 near z = 0, so the value
+    carries relative error ~eps however small |z| is.  H itself is ``egf``.
     """
 
     name: str
     radius: float
     _moment_fn: Callable[[int], Fraction]
-    _egf_m1: Callable[[Complexish], Complexish]
+    egf_m1: Callable[[Complexish], Complexish]
     _egf_d1: Callable[[float], float]
     _egf_d2: Callable[[float], float]
     parity_even_only: bool = False
@@ -148,7 +152,7 @@ class WeightModel:
     def egf(self, u: float) -> float:
         """H(u) = 1 + (H(u) - 1); prefer ``egf_m1`` wherever H - 1 is meant."""
         self._check_u(u)
-        return 1.0 + float(self._egf_m1(u))
+        return 1.0 + float(self.egf_m1(u))
 
     def egf_d1(self, u: float) -> float:
         self._check_u(u)
@@ -157,15 +161,6 @@ class WeightModel:
     def egf_d2(self, u: float) -> float:
         self._check_u(u)
         return self._egf_d2(u)
-
-    def egf_m1(self, z: Complexish) -> Complexish:
-        """H(z) - 1 for |z| < radius, elementwise on numpy arrays; real in,
-        real out.  Not range-checked: the caller keeps z inside the disc.
-
-        Each closed form avoids the cancellation of H(z) - 1 near z = 0, so
-        the value carries relative error ~eps however small |z| is.
-        """
-        return self._egf_m1(z)
 
 
 def _log1p(z: Complexish) -> Complexish:
@@ -234,7 +229,7 @@ def unit() -> WeightModel:
         radius=math.inf,
         _moment_fn=lambda order: Fraction(1),
         _log_moment_fn=lambda order: 0.0,
-        _egf_m1=lambda z: np.expm1(z),
+        egf_m1=lambda z: np.expm1(z),
         _egf_d1=math.exp,
         _egf_d2=math.exp,
         sample=lambda rng, size: np.ones(size),
@@ -261,7 +256,7 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         # V_2k = v2^k (2k)! / (2^k k!)
         _log_moment_fn=lambda order: -math.inf if order % 2 else (
             order // 2 * log_half_v2 + math.lgamma(order + 1.0) - math.lgamma(order // 2 + 1.0)),
-        _egf_m1=lambda z: np.expm1(fv2 * z * z / 2.0),
+        egf_m1=lambda z: np.expm1(fv2 * z * z / 2.0),
         _egf_d1=lambda u: fv2 * u * h(u),
         _egf_d2=lambda u: (fv2 + (fv2 * u) ** 2) * h(u),
         sample=lambda rng, size: rng.normal(0.0, math.sqrt(fv2), size),
@@ -280,7 +275,7 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         radius=float(1 / tf),
         _moment_fn=_running_product(lambda l: tf * (mf + l - 1)),
         _log_moment_fn=lambda order: order * log_theta + log_rising(order),
-        _egf_m1=lambda z: np.expm1(-fm * _log1p(-ft * z)),
+        egf_m1=lambda z: np.expm1(-fm * _log1p(-ft * z)),
         _egf_d1=lambda u: fm * ft * (1.0 - ft * u) ** (-fm - 1.0),
         _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * (1.0 - ft * u) ** (-fm - 2.0),
         sample=lambda rng, size: rng.gamma(fm, ft, size),
@@ -295,7 +290,7 @@ def bernoulli_centered() -> WeightModel:
         parity_even_only=True,
         _moment_fn=lambda order: Fraction(1 - order % 2),
         _log_moment_fn=lambda order: -math.inf if order % 2 else 0.0,
-        _egf_m1=lambda z: 2.0 * np.sinh(z / 2.0) ** 2,
+        egf_m1=lambda z: 2.0 * np.sinh(z / 2.0) ** 2,
         _egf_d1=math.sinh,
         _egf_d2=math.cosh,
         sample=lambda rng, size: rng.integers(0, 2, size) * 2.0 - 1.0,
@@ -309,7 +304,7 @@ def exponential() -> WeightModel:
         radius=1.0,
         _moment_fn=_running_product(lambda l: l),
         _log_moment_fn=lambda order: math.lgamma(order + 1.0),
-        _egf_m1=lambda z: z / (1.0 - z),
+        egf_m1=lambda z: z / (1.0 - z),
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
         sample=lambda rng, size: rng.standard_exponential(size),
@@ -323,7 +318,7 @@ def log_factorial() -> WeightModel:
         radius=1.0,
         _moment_fn=_running_product(lambda l: max(l - 1, 1)),
         _log_moment_fn=lambda order: math.lgamma(max(order, 1)),
-        _egf_m1=lambda z: -_log1p(-z),
+        egf_m1=lambda z: -_log1p(-z),
         _egf_d1=lambda u: 1.0 / (1.0 - u),
         _egf_d2=lambda u: (1.0 - u) ** -2.0,
     )
@@ -356,7 +351,7 @@ def custom_model(moments: Sequence[NumberLike]) -> WeightModel:
         radius=math.inf,
         horizon=horizon,
         _moment_fn=lambda order: vals[order],
-        _egf_m1=lambda z: series(z, 0, start=1),
+        egf_m1=lambda z: series(z, 0, start=1),
         _egf_d1=lambda u: series(u, 1),
         _egf_d2=lambda u: series(u, 2),
     )
@@ -383,7 +378,7 @@ def tilde_transform(model: WeightModel) -> WeightModel:
         radius=model.radius,
         horizon=model.horizon,
         _moment_fn=mom,
-        _egf_m1=lambda z: model.egf_m1(z) - fv1 * z,
+        egf_m1=lambda z: model.egf_m1(z) - fv1 * z,
         _egf_d1=lambda u: model.egf_d1(u) - fv1,
         _egf_d2=model.egf_d2,
     )

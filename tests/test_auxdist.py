@@ -181,7 +181,7 @@ class TestSupportRounding:
 
 POISSON = weights.custom_model([1, 1])  # H(u) = 1 + u: Z is Poisson(x u)
 # every Chernoff bound nan: no tilt bounds the reach
-BLIND = dataclasses.replace(EXP, _egf_m1=lambda z: np.full(np.shape(z), np.nan))
+BLIND = dataclasses.replace(EXP, egf_m1=lambda z: np.full(np.shape(z), np.nan))
 
 
 class TestTailReach:
@@ -298,7 +298,7 @@ class TestBands:
     def test_negative_point_mass_is_refused(self):
         # H(u) - 1 = u - u^2/2, a signed moment sequence: at x = 1/2 the pgf
         # exp(x (H(us) - H(u))) has s^2 coefficient x (x - 1) u^2 / 2 < 0
-        signed = dataclasses.replace(UNIT, name="signed", _egf_m1=lambda z: z - z * z / 2.0,
+        signed = dataclasses.replace(UNIT, name="signed", egf_m1=lambda z: z - z * z / 2.0,
                                      _egf_d1=lambda u: 1.0 - u, _egf_d2=lambda u: -1.0)
         with pytest.raises(DomainError, match=r"has P\(Z = 2\) = -.*below minus its rounding"):
             auxdist.build_aux(signed, 0.5, 0.5)

@@ -19,7 +19,7 @@ def dmax(cfg, trial=0):
     """One D_max draw of ``cfg`` from the trial's own stream, as the experiment draws it."""
     draw, _ = graphsim.weight_sampler(cfg.weight_name)
     rng = graphsim.trial_generator(cfg.seed, trial)
-    return float(graphsim.sample_degrees(cfg.n, cfg.rho / cfg.n, draw, rng).max())
+    return float(graphsim.sample_degrees(cfg.n, cfg.rho / cfg.n, draw, [rng])[0].max())
 
 
 def reference_degrees(n, edge_p, draw, rng, batch=None):
@@ -73,7 +73,7 @@ class TestSampling:
         draw, _ = graphsim.weight_sampler(name)
         for trial in range(5):
             ours, ref = graphsim.trial_generator(8, trial), graphsim.trial_generator(8, trial)
-            got = graphsim.sample_degrees(n, edge_p, draw, ours)
+            got = graphsim.sample_degrees(n, edge_p, draw, [ours])[0]
             assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref))
             assert ours.random() == ref.random()
 
@@ -96,7 +96,7 @@ class TestSampling:
         monkeypatch.setattr(graphsim, "_geometric_gaps", counted)
         draw, _ = graphsim.weight_sampler(name)
         ours, ref = graphsim.trial_generator(8, 0), graphsim.trial_generator(8, 0)
-        got = graphsim.sample_degrees(n, edge_p, draw, ours)
+        got = graphsim.sample_degrees(n, edge_p, draw, [ours])[0]
         assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref, batch=5))
         assert ours.random() == ref.random()
         assert len(batches) > 1
@@ -129,27 +129,14 @@ class TestSampling:
         draw, _ = graphsim.weight_sampler(name)
         for trial in range(3):
             ours, ref = graphsim.trial_generator(8, trial), graphsim.trial_generator(8, trial)
-            got = graphsim.sample_degrees(n, edge_p, draw, ours)
+            got = graphsim.sample_degrees(n, edge_p, draw, [ours])[0]
             assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref))
-
-    def test_one_graph_holds_two_arrays_of_its_size(self):
-        # slot indices and weights, 3.2 MB each for about 4e5 edges; the
-        # row tables are cached by the first draw
-        n = 20000
-        edge_p = 4 * math.log(n) / n
-        draw, _ = graphsim.weight_sampler("gamma:2,1/2")
-        graphsim.sample_degrees(n, edge_p, draw, graphsim.trial_generator(1, 0))
-        tracemalloc.start()
-        try:
-            graphsim.sample_degrees(n, edge_p, draw, graphsim.trial_generator(1, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9 * 2**20
 
     def test_block_of_one_graph_holds_two_arrays_of_its_size(self):
         # a block of one trial, as the experiment draws graphs of this size,
-        # keeps its parts without copying them
+        # keeps its parts without copying them: slot indices and weights,
+        # 3.2 MB each for about 4e5 edges; the row tables are cached by the
+        # first draw
         n = 20000
         edge_p = 4 * math.log(n) / n
         draw, _ = graphsim.weight_sampler("gamma:2,1/2")
@@ -181,7 +168,7 @@ class TestSampling:
     def test_tiny_edge_probability_gives_no_edges(self):
         # numpy's gaps saturate at INT64_MAX here, where their sum wraps
         draw, _ = graphsim.weight_sampler("exponential")
-        deg = graphsim.sample_degrees(2000, 1e-25, draw, graphsim.trial_generator(0, 0))
+        deg = graphsim.sample_degrees(2000, 1e-25, draw, [graphsim.trial_generator(0, 0)])[0]
         assert np.array_equal(deg, np.zeros(2000))
 
     def test_subnormal_edge_probability_warns_nothing(self, monkeypatch):
@@ -198,10 +185,19 @@ class TestSampling:
             samples = graphsim._dmax_samples(cfg, draw)
         assert np.array_equal(samples, np.zeros(4))
 
-    def test_edge_probability_above_one_refused(self):
+    def test_subnormal_edge_probability_warns_nothing_in_a_direct_call(self):
+        # the sampler itself ignores the overflow of E / -ln(1 - p) to inf
         draw, _ = graphsim.weight_sampler("unit")
-        with pytest.raises(DomainError, match="^edge probability must be <= 1$"):
-            graphsim.sample_degrees(10, 1.5, draw, graphsim.trial_generator(0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deg = graphsim.sample_degrees(1000, 6.9e-310, draw, [graphsim.trial_generator(0, 0)])
+        assert np.array_equal(deg, np.zeros((1, 1000)))
+
+    @pytest.mark.parametrize("edge_p", [1.5, -0.5, math.nan])
+    def test_edge_probability_outside_unit_interval_refused(self, edge_p):
+        draw, _ = graphsim.weight_sampler("unit")
+        with pytest.raises(DomainError, match=r"^edge probability must lie in \[0, 1\]$"):
+            graphsim.sample_degrees(10, edge_p, draw, [graphsim.trial_generator(0, 0)])
 
     def test_no_edges_at_zero_intensity(self):
         cfg = graphsim.GraphSimConfig(
@@ -220,7 +216,7 @@ class TestSampling:
         # degree mass is twice the sum of edge weights, so with unit weights
         # the degree sum is even
         rng = graphsim.trial_generator(9, 0)
-        deg = graphsim.sample_degrees(40, 0.5, lambda r, size: np.ones(size), rng)
+        deg = graphsim.sample_degrees(40, 0.5, lambda r, size: np.ones(size), [rng])[0]
         assert deg.sum() % 2 == 0
 
     def test_mean_degree_matches_formula(self):
@@ -229,7 +225,7 @@ class TestSampling:
         per_trial_means = np.empty(trials)
         for t in range(trials):
             rng = graphsim.trial_generator(2024, t)
-            per_trial_means[t] = graphsim.sample_degrees(n, rho / n, draw, rng).mean()
+            per_trial_means[t] = graphsim.sample_degrees(n, rho / n, draw, [rng])[0].mean()
         expected = rho * float(model.moment(1)) * (n - 1) / n
         se = per_trial_means.std(ddof=1) / math.sqrt(trials)
         assert abs(per_trial_means.mean() - expected) <= 3 * se
@@ -241,7 +237,7 @@ class TestSampling:
         counts = np.empty(trials)
         for t in range(trials):
             rng = graphsim.trial_generator(5, t)
-            deg = graphsim.sample_degrees(n, p, lambda r, size: np.ones(size), rng)
+            deg = graphsim.sample_degrees(n, p, lambda r, size: np.ones(size), [rng])[0]
             counts[t] = deg.sum() / 2
         se = counts.std(ddof=1) / math.sqrt(trials)
         assert abs(counts.mean() - npairs * p) <= 4 * se
