@@ -33,17 +33,20 @@ bit-reproducible for a given seed.
 Trials run in blocks of about BLOCK_WORK vertices and expected edges, one
 trial a block for larger graphs (``_block_trials``), on threads, one per
 usable CPU and block (``trial_workers``), since numpy releases the GIL in
-the draws and array passes.  On a shared 2-core x86-64 host graphs of
-n >= 2000 gain from the second thread, but blocks of small graphs (n = 200)
-do not: each trial makes about ten numpy calls on some 2e3 elements, each
-releasing and retaking the GIL, and the kernel kept both threads on one CPU
-(405 ms on one thread against 421 ms on two, medians of 9 alternating
-``graph_mc`` pairs).  Each thread keeps one Philox generator and re-keys
-it to each trial's stream, which draws the same bits as a new generator.
-A block draws each trial's gaps and weights from its stream, then sums the
-degrees of all its graphs in one pass.  Trial t writes D_max[t] from
-stream (seed, t), so the samples are the same bits for any number of
-threads and any block size.  The blocks in flight hold at most
+the draws and array passes.  Each thread keeps one Philox generator per
+trial of a block and re-keys each to its trial's stream, which draws the
+same bits as a new generator.  A block draws each graph's first batch of
+exponentials from its own stream, turns all of them into slot indices in
+one pass, then draws each graph's weights, so a trial of a small graph
+makes about five numpy calls of its own, each releasing and retaking the
+GIL, where it made about twelve.  On a shared 2-core x86-64 host, 3000
+graphs of n = 200 (blocks of 21) took a median 433 ms on one thread and
+387 ms on two, against 520 and 469 ms with a gap pass per graph (21
+alternating in-process runs each); the other core was partly busy there,
+so two single-threaded processes ran 1.6 times slower each than one.  A
+block sums the degrees of all its graphs in one pass.  Trial t writes
+D_max[t] from stream (seed, t), so the samples are the same bits for any
+number of threads and any block size.  The blocks in flight hold at most
 MAX_TRIAL_WORK vertices and edges together, as one graph of the largest
 admitted size does, and a block of one graph keeps two arrays of its edge
 count: the slot indices, overwritten by column indices, and the weights.
@@ -155,7 +158,9 @@ def trial_generator(
     Given a Philox ``rng``, re-keys it to the stream and returns it: its
     counter, buffer and buffered 32-bit half are set as a new generator's,
     so it draws the same bits without a new generator's entropy setup
-    (about 1.5 us against 16 us, with the GIL held).
+    (about 1.5 us against 16 us, with the GIL held).  The re-keyed stream
+    is the same object, so a block of graphs, which ``sample_degrees``
+    draws from all at once, re-keys one generator per graph.
     """
     if rng is None:
         return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
@@ -167,29 +172,36 @@ def trial_generator(
 
 
 def _geometric_gaps(
-    rng: np.random.Generator, p: float, size: int, cap: int, out: np.ndarray | None = None
+    rngs: list[np.random.Generator], p: float, size: int, cap: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``rng.geometric(p, size)`` with every gap above ``cap`` cut to ``cap``.
+    """``rng.geometric(p, size)`` of each generator of ``rngs``, one row each,
+    with every gap above ``cap`` cut to ``cap``: an int64 (len(rngs), size)
+    array, the float64 C-contiguous ``out`` of that shape viewed as int64,
+    where given.
 
     Below p = 1/3 numpy's sampler is ceil(-E / ln(1 - p)) for one Exp(1)
-    draw E per gap; the same division, done in place on the stream's
-    exponentials (in the float64 array ``out`` of ``size``, where given),
-    gives the same gaps from the same draws.  At and above 1/3 numpy
-    searches instead, and its gaps stay small.
+    draw E per gap.  Each generator draws its exponentials into its row, and
+    the same division, done once in place over all rows, gives the same gaps
+    from the same draws.  At and above 1/3 numpy searches instead, and its
+    gaps stay small.
     """
+    gaps = np.empty((len(rngs), size)) if out is None else out
+    cast = gaps.view(np.int64)
     if p >= 1.0 / 3.0:
-        gaps = rng.geometric(p, size=size)
-        return np.minimum(gaps, cap, out=gaps)
-    gaps = rng.standard_exponential(size, out=out)
+        for row, rng in zip(cast, rngs):
+            row[...] = rng.geometric(p, size=size)
+        return np.minimum(cast, cap, out=cast)
+    for row, rng in zip(gaps, rngs):
+        rng.standard_exponential(size, out=row)
     gaps /= -math.log1p(-p)
     np.ceil(gaps, out=gaps)
     # cut before the cast: a gap past INT64_MAX has no int64 value, and
     # numpy's saturated INT64_MAX gaps make the gap sum wrap
     np.minimum(gaps, cap, out=gaps)
     # cast in place: numpy assigns a 1-d array onto its own buffer element by
-    # element, without a second array of gaps
-    cast = gaps.view(np.int64)
-    cast[...] = gaps
+    # element, where a 2-d one would go through a temporary copy
+    cast.reshape(-1)[...] = gaps.reshape(-1)
     return cast
 
 
@@ -217,22 +229,27 @@ def _gap_batch(expected: float) -> int:
 def sample_degrees(
     n: int, edge_p: float, draw: WeightDraw, rngs, gaps: np.ndarray | None = None
 ) -> np.ndarray:
-    """All n weighted degrees of one graph drawn from each generator of the
-    iterable ``rngs``, as a (graphs, n) array; one graph is a block of one.
-    Each graph's draws end before the next generator is taken, so the
-    iterable may re-key one generator (``trial_generator``).  Graph t draws
-    its first ``_gap_batch`` gaps into row t of ``gaps``, where given: a
-    caller that passes one array to every call allocates it once, where a
-    new array of some megabytes per graph is mapped and faulted in again
-    each time (1650 page faults, 10-15% of an n = 20000 graph's time).
-    Refuses an ``edge_p`` outside [0, 1], NaN included.
+    """All n weighted degrees of one graph drawn from each generator of
+    ``rngs``, as a (graphs, n) array; one graph is a block of one.  The
+    generators must be distinct objects, since all of them are drawn from
+    at once: a generator given twice, as by an iterable that re-keys one
+    generator (``trial_generator``), is refused.  Graph t draws its first
+    ``_gap_batch`` gaps into row t of ``gaps``, where given: a caller that
+    passes one array to every call allocates it once, where a new array of
+    some megabytes per graph is mapped and faulted in again each time (1650
+    page faults, 10-15% of an n = 20000 graph's time).  Refuses an
+    ``edge_p`` outside [0, 1], NaN included.
 
     The upper-triangle slots of each graph are visited as a Bernoulli(edge_p)
-    process via cumulative geometric gaps (``_geometric_gaps``), and then its
-    weights are drawn.  At a subnormal edge_p a gap E / -ln(1 - p) overflows
-    to inf, which the cut to the gap cap handles, so the draws run with
-    overflow warnings off.  Graph t's slots are shifted by t n(n - 1)/2, so
-    the slot indices of all graphs form one sorted array, split into rows by
+    process via cumulative geometric gaps (``_geometric_gaps``).  Every graph
+    draws its first batch of exponentials from its own stream, and the gap
+    transform and cumulative sum then run once over the block; graph t's
+    slots are shifted by t n(n - 1)/2.  Each graph then draws any second
+    batch and exactly its edge count of weights, so each stream draws its
+    gaps, then its weights, as a graph drawn alone does.  At a subnormal
+    edge_p a gap E / -ln(1 - p) overflows to inf, which the cut to the gap
+    cap handles, so the draws run with overflow warnings off.  The slot
+    indices of all graphs form one sorted array, split into rows by
     counting, for each row, the indices before its row start; slot (i, j) of
     graph t sits at row_start[t n + i] + j - i - 1.  The slot indices and
     the weights are the only arrays of one graph's size: row sums and column
@@ -242,30 +259,32 @@ def sample_degrees(
     """
     if not 0.0 <= edge_p <= 1.0:
         raise DomainError("edge probability must lie in [0, 1]")
+    rngs = list(rngs)
+    graphs = len(rngs)
+    if len(set(map(id, rngs))) < graphs:
+        raise ValueError("one generator is given for two graphs; each graph needs its own")
     npairs = n * (n - 1) // 2
-    batch = _gap_batch(npairs * edge_p)
-    parts, weights, graphs = [], [], 0
-    with np.errstate(over="ignore"):
-        for graphs, stream in enumerate(rngs, 1):
-            if npairs == 0 or edge_p <= 0.0:
-                continue
-            end = graphs * npairs  # this graph's slots end here
-            # a gap of npairs + 1 already ends the process: cutting longer ones
-            # moves no kept slot
-            pos = _geometric_gaps(stream, edge_p, batch, npairs + 1,
-                                  None if gaps is None else gaps[graphs - 1])
-            pos[0] += end - npairs - 1  # slot index = cumulative gap - 1
-            np.cumsum(pos, out=pos)
-            while pos[-1] < end:
-                more = _geometric_gaps(stream, edge_p,
-                                       max(16, int((end - 1 - pos[-1]) * edge_p) + 16), npairs + 1)
-                more[0] += pos[-1]
-                pos = np.concatenate([pos, np.cumsum(more, out=more)])
-            pos = pos[: pos.searchsorted(end)]
-            parts.append(pos)
-            weights.append(draw(stream, pos.size))
-    if not parts:
+    if npairs == 0 or edge_p <= 0.0 or graphs == 0:
         return np.zeros((graphs, n))
+    parts, weights = [], []
+    with np.errstate(over="ignore"):
+        # a gap of npairs + 1 already ends the process: cutting longer ones
+        # moves no kept slot
+        pos = _geometric_gaps(rngs, edge_p, _gap_batch(npairs * edge_p), npairs + 1,
+                              None if gaps is None else gaps[:graphs])
+        pos[:, 0] += np.arange(-1, graphs * npairs - 1, npairs)  # slot = cumulative gap - 1
+        np.cumsum(pos, axis=1, out=pos)
+        for graph, (stream, row) in enumerate(zip(rngs, pos)):
+            end = (graph + 1) * npairs  # this graph's slots end here
+            while row[-1] < end:
+                more = _geometric_gaps([stream], edge_p,
+                                       max(16, int((end - 1 - row[-1]) * edge_p) + 16),
+                                       npairs + 1)[0]
+                more[0] += row[-1]
+                row = np.concatenate([row, np.cumsum(more, out=more)])
+            row = row[: row.searchsorted(end)]
+            parts.append(row)
+            weights.append(draw(stream, row.size))
     pos = parts[0] if graphs == 1 else np.concatenate(parts)
     w = weights[0] if graphs == 1 else np.concatenate(weights)
     del parts, weights  # concatenated parts are freed here, not at return
@@ -356,9 +375,11 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
 
     Trial t draws from its own stream and writes dmax[t], so the samples are
     the same for any number of threads and any block size.  Each thread keeps
-    one generator and re-keys it to each trial's stream.  The calling thread
-    is one of them; the first exception of any stops the others after their
-    current block, and is raised once all have ended.
+    one generator per trial of a block and re-keys each to its trial's stream
+    for every block, as ``sample_degrees`` draws from all of a block's
+    streams at once.  The calling thread is one of them; the first exception
+    of any stops the others after their current block, and is raised once
+    all have ended.
     """
     n, trials, seed = config.n, config.trials, config.seed
     edge_p = config.rho / n
@@ -368,9 +389,9 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
     failed: list[BaseException] = []
 
     def run() -> None:
-        # this thread's generator, made by its first trial, and its gap rows,
-        # one per trial of a block, drawn into by every block
-        rng = None
+        # this thread's generators and gap rows, one of each per trial of a
+        # block, used by every block; a generator is made by its first trial
+        rngs: list = [None] * size
         try:
             gaps = np.empty((size, _gap_batch(n * (n - 1) // 2 * edge_p)))
             while not failed:
@@ -379,9 +400,9 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
                 if start is None:
                     return
                 block = range(start, min(start + size, trials))
-                # each trial re-keys the one generator, once the last has drawn
-                streams = ((rng := trial_generator(seed, t, rng)) for t in block)
-                dmax[block.start:block.stop] = sample_degrees(n, edge_p, draw, streams,
+                for slot, t in enumerate(block):
+                    rngs[slot] = trial_generator(seed, t, rngs[slot])
+                dmax[block.start:block.stop] = sample_degrees(n, edge_p, draw, rngs[: len(block)],
                                                               gaps).max(axis=1)
         except BaseException as exc:  # raised by the calling thread once all have ended
             failed.append(exc)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import sys
 import threading
@@ -54,12 +55,15 @@ GAP_PROBABILITIES = [1e-300, 1e-30, 1e-12, 1e-6, 1.98e-3, 0.0152, 0.106, 0.2, 0.
 class TestSampling:
     @pytest.mark.parametrize("p", GAP_PROBABILITIES)
     def test_gaps_and_next_draw_match_numpy_geometric(self, p):
+        # a block of two generators, one row of gaps each
         cap = 2**62
-        ours, numpys = graphsim.trial_generator(3, 1), graphsim.trial_generator(3, 1)
+        ours = [graphsim.trial_generator(3, t) for t in (1, 2)]
+        numpys = [graphsim.trial_generator(3, t) for t in (1, 2)]
         gaps = graphsim._geometric_gaps(ours, p, 5000, cap)
-        assert gaps.dtype == np.int64
-        assert np.array_equal(gaps, np.minimum(numpys.geometric(p, size=5000), cap))
-        assert ours.random() == numpys.random()
+        assert gaps.dtype == np.int64 and gaps.shape == (2, 5000)
+        for row, rng, numpy_rng in zip(gaps, ours, numpys):
+            assert np.array_equal(row, np.minimum(numpy_rng.geometric(p, size=5000), cap))
+            assert rng.random() == numpy_rng.random()
 
     @pytest.mark.parametrize("n, edge_p, name", [
         (2, 1.0, "unit"),
@@ -89,9 +93,9 @@ class TestSampling:
         batches = []
         original = graphsim._geometric_gaps
 
-        def counted(rng, p, size, cap, out=None):
+        def counted(rngs, p, size, cap, out=None):
             batches.append(size)
-            return original(rng, p, size, cap, out)
+            return original(rngs, p, size, cap, out)
 
         monkeypatch.setattr(graphsim, "_geometric_gaps", counted)
         draw, _ = graphsim.weight_sampler(name)
@@ -101,19 +105,56 @@ class TestSampling:
         assert ours.random() == ref.random()
         assert len(batches) > 1
 
-        rng = graphsim.trial_generator(0, 0)
-        got = graphsim.sample_degrees(n, edge_p, draw,
-                                      (graphsim.trial_generator(8, t, rng) for t in range(3)))
+        rngs = [graphsim.trial_generator(8, t) for t in range(3)]
+        got = graphsim.sample_degrees(n, edge_p, draw, rngs)
         assert got.shape == (3, n)
         for trial in range(3):
             ref = graphsim.trial_generator(8, trial)
             assert np.array_equal(got[trial], reference_degrees(n, edge_p, draw, ref, batch=5))
-        assert rng.random() == ref.random()
+            assert rngs[trial].random() == ref.random()
+
+    def test_block_mixes_graphs_with_and_without_a_second_gap_batch(self, monkeypatch):
+        # a first batch of about the expected edge count ends short of the
+        # triangle in some graphs of the block and past it in others
+        n, name = 200, "bernoulli"
+        edge_p = 4 * math.log(n) / n
+        batch = int(n * (n - 1) // 2 * edge_p)
+        monkeypatch.setattr(graphsim, "_gap_batch", lambda expected: batch)
+        calls = []
+        original = graphsim._geometric_gaps
+
+        def recorded(rngs, p, size, cap, out=None):
+            calls.append(list(rngs))
+            return original(rngs, p, size, cap, out)
+
+        monkeypatch.setattr(graphsim, "_geometric_gaps", recorded)
+        draw, _ = graphsim.weight_sampler(name)
+        rngs = [graphsim.trial_generator(21, t) for t in range(12)]
+        got = graphsim.sample_degrees(n, edge_p, draw, rngs)
+        assert calls[0] == rngs
+        second = {id(rng) for later in calls[1:] for rng in later}
+        assert all(len(later) == 1 for later in calls[1:])
+        assert 0 < len(second) < len(rngs)
+        for trial, rng in enumerate(rngs):
+            ref = graphsim.trial_generator(21, trial)
+            assert np.array_equal(got[trial], reference_degrees(n, edge_p, draw, ref, batch=batch))
+            assert rng.random() == ref.random()
+
+    def test_generator_given_twice_is_refused(self):
+        draw, _ = graphsim.weight_sampler("unit")
+        rng = graphsim.trial_generator(0, 0)
+        with pytest.raises(ValueError, match="^one generator is given for two graphs"):
+            graphsim.sample_degrees(10, 0.5, draw, [rng, rng])
+        # an iterable that re-keys one generator would draw every graph from
+        # the last stream
+        with pytest.raises(ValueError, match="^one generator is given for two graphs"):
+            graphsim.sample_degrees(10, 0.5, draw,
+                                    (graphsim.trial_generator(8, t, rng) for t in range(3)))
 
     def test_gaps_cast_in_place_match_numpy_geometric(self):
         size = 300_005
         ours, numpys = graphsim.trial_generator(3, 2), graphsim.trial_generator(3, 2)
-        gaps = graphsim._geometric_gaps(ours, 0.01, size, 2**62)
+        gaps = graphsim._geometric_gaps([ours], 0.01, size, 2**62)[0]
         assert np.array_equal(gaps, numpys.geometric(0.01, size=size))
         assert ours.random() == numpys.random()
 
@@ -154,9 +195,9 @@ class TestSampling:
         bases = []
         original = graphsim._geometric_gaps
 
-        def recorded(rng, p, size, cap, out=None):
+        def recorded(rngs, p, size, cap, out=None):
             bases.append(None if out is None else out.base)
-            return original(rng, p, size, cap, out)
+            return original(rngs, p, size, cap, out)
 
         monkeypatch.setattr(graphsim, "_geometric_gaps", recorded)
         monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 1)
@@ -357,6 +398,23 @@ class TestReproducibility:
                 monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: workers)
                 draw, _ = graphsim.weight_sampler(spec)
                 assert graphsim._dmax_samples(cfg, draw).tolist() == single
+
+    def test_benchmark_shapes_dmax_bits_pinned(self):
+        # the tables pin only counts of D_max, so these pin its bits: sha256
+        # of dmax_samples.tobytes() for the three benchmark graph shapes at
+        # kappa = 4 and benchmark seed 1
+        shapes = [
+            (2000, "exponential", 200, 1000,
+             "049653c7d7a6dd5b7d1fff4020209694ef0e03f2018a36f6614148905857c377"),
+            (20000, "gamma:2,1/2", 10, 1001,
+             "4e5a6126a0252db7bb44fcf48d80846335cac64de76be538bc40e6b11542cdac"),
+            (200, "bernoulli", 3000, 1002,
+             "a50479ccd2bd06b9656d10e9cbe8220c1c809a9df52c03697cde4283d3e32f5b"),
+        ]
+        for n, spec, trials, seed, digest in shapes:
+            cfg = graphsim.GraphSimConfig(n, 4.0, spec, (1.0,), trials, seed)
+            samples = graphsim._dmax_samples(cfg, graphsim.weight_sampler(spec)[0])
+            assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed", [0, 12, 2**63 + 5])
     @pytest.mark.parametrize("trial", [0, 1, 2999, 2**40])
