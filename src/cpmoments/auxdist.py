@@ -134,7 +134,8 @@ def _reaches(table: tuple[np.ndarray, np.ndarray], log_tol: float) -> tuple[int,
 
     stays at e^log_tol or below."""
     t, log_mgf = table
-    c = (log_mgf - log_tol) / t
+    with np.errstate(over="ignore"):  # an order past float range bounds nothing: skipped
+        c = (log_mgf - log_tol) / t
     down, up = c[t < 0.0], c[t > 0.0]
     down, up = down[np.isfinite(down)], up[np.isfinite(up)]
     floor = max(0, math.floor(down.max())) if down.size else 0
@@ -224,7 +225,8 @@ def _band(model: WeightModel, x: float, v: float, start: int, nodes: int):
         diff = np.expm1(x * excess)
         diff *= p0
     else:
-        err += 2.0 * x * np.abs(excess - e0) + 1.0
+        # 2 x alone may pass float range at an x of 9e307 or more
+        err += x * (2.0 * np.abs(excess - e0)) + 1.0
         err *= np.abs(g)
         diff = g
         diff -= p0
@@ -338,8 +340,9 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     1 s and 150 MB.
 
     Refused with a DomainError before any transform runs: a reach of
-    _MAX_NODES or more, or an infinite one, and a custom model with a
-    negative weight moment or one it does not declare, up to the reach.
+    _MAX_NODES or more, or an infinite one, unless P(Z = 0) holds the mass,
+    and a custom model with a negative weight moment or one it does not
+    declare, up to the reach.
     Refused as they are read: a point mass below minus its rounding bound,
     and an order no band of up to _MAX_BAND points can read.
     """
@@ -361,11 +364,14 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     if model.truncated:
         for j in range(1, min(reach, model.horizon + 1) + 1):
             model.log_weight_moment(j)
-    if reach >= _MAX_NODES:
-        raise DomainError(f"{law} reaches order {reach}, past {_MAX_NODES} transform points")
     if -log_g >= math.log1p(-_MASS_TOLERANCE):
-        reach = 0
-    log_pmf = _read_bands(model, x, u, table, excess, mean, reach, law)
+        # P(Z = 0) holds the mass whatever the reach; x (H(u) - 1) may even
+        # underflow to 0
+        reach, log_pmf = 0, np.empty(1)
+    elif reach >= _MAX_NODES:
+        raise DomainError(f"{law} reaches order {reach}, past {_MAX_NODES} transform points")
+    else:
+        log_pmf = _read_bands(model, x, u, table, excess, mean, reach, law)
     log_pmf[0] = -log_g
     cap = min(int(np.searchsorted(np.cumsum(np.exp(log_pmf)), 1.0 - _MASS_TOLERANCE)), reach)
     return AuxiliaryDistribution(

@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands: moments, rate, compare, aux, graphsim, bell, identities.
-Every run first echoes one JSON header line with the resolved configuration
-and tool version; tabular output goes to ``--out`` as CSV or JSON, written
-atomically.  Exit codes: 0 success, 2 usage error, 3 numeric or domain
-error, 4 I/O error.
+Every run first echoes one JSON header line with the tool version and the
+resolved configuration: every option under its long name (``--k-max`` as
+``k_max``), with aux's effective x and u and compare's method.  Tabular
+output goes to ``--out`` as CSV or JSON, written atomically.  Exit codes:
+0 success, 2 usage error, 3 numeric or domain error, 4 I/O error; one
+boundary, the command group, maps the last two for every command.
 """
 
 from __future__ import annotations
 
 import csv
 import decimal
-import functools
 import io
 import json
 import math
@@ -92,28 +93,21 @@ def TABLE_OPTIONS(fn):
     return click.option("--out", "out_path", required=True, type=click.Path())(fn)
 
 
-def _echo_header(command: str, config: dict) -> None:
+def _echo_header(**effective) -> None:
+    """The header line of the running command: its config keys every option's
+    parsed value by the option's long name (a Fraction as its ratio string),
+    then takes ``effective``, values a command derives or adds."""
+    ctx = click.get_current_context()
+    config = {}
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        config[max(param.opts, key=len).lstrip("-").replace("-", "_")] = (
+            str(value) if isinstance(value, Fraction) else value)
     click.echo(json.dumps(
-        {"tool": "cpm", "version": __version__, "command": command, "config": config},
+        {"tool": "cpm", "version": __version__, "command": ctx.command.name,
+         "config": {**config, **effective}},
         sort_keys=True,
     ))
-
-
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except CpmError as exc:
-            click.echo(f"cpm: error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
-        except OSError as exc:
-            click.echo(f"cpm: i/o error: {exc}", err=True)
-            sys.exit(EXIT_IO)
-
-    return wrapper
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -179,7 +173,22 @@ def format_log(value: float | None) -> str:
     return f"{value:.17g}"
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _ErrorBoundary(click.Group):
+    """The one error boundary of every command: a CpmError exits 3 and an
+    OSError exits 4, each as one stderr line; click's own exceptions pass."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CpmError as exc:
+            click.echo(f"cpm: error: {exc}", err=True)
+            sys.exit(EXIT_NUMERIC)
+        except OSError as exc:
+            click.echo(f"cpm: i/o error: {exc}", err=True)
+            sys.exit(EXIT_IO)
+
+
+@click.group(cls=_ErrorBoundary, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="cpm")
 def main() -> None:
     """Compound Poisson moment calculator and experiment driver."""
@@ -194,16 +203,12 @@ def main() -> None:
 @click.option("--finite-n", "finite_n", type=int, default=None,
               help="Use the exact finite-population moment for this n instead.")
 @TABLE_OPTIONS
-@_guarded
 def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
     """Tabulate M_0(x) .. M_k(x)."""
     if finite_n is not None and not exact:
         raise click.UsageError("--finite-n needs the exact path; drop --log")
     model = wts.from_spec(weights_spec)
-    _echo_header("moments", {
-        "weights": weights_spec, "k": k_max, "x": str(x), "exact": exact,
-        "finite_n": finite_n, "out": out_path, "format": fmt,
-    })
+    _echo_header()
     columns, x_text = ["k", "x", "method", "value", "log_value"], str(x)
     if exact:
         method = "recurrence" if finite_n is None else "finite_n"
@@ -226,11 +231,10 @@ def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
 @main.command()
 @WEIGHTS_OPTION
 @click.option("--chi", type=FINITE_FLOAT, required=True, help="Intensity-to-order ratio x/k.")
-@_guarded
 def rate(weights_spec, chi):
     """Print the limiting rate: chi, tilt u, psi, fluctuation prefactor."""
     model = wts.from_spec(weights_spec)
-    _echo_header("rate", {"weights": weights_spec, "chi": chi})
+    _echo_header()
     rv = asym.rate_function(model, chi)
     click.echo(json.dumps({
         "chi": chi, "u": rv.saddle.u, "psi": rv.psi, "prefactor": rv.prefactor,
@@ -243,14 +247,10 @@ def rate(weights_spec, chi):
 @click.option("--chi", type=FINITE_FLOAT, required=True)
 @click.option("--k-max", "k_max", type=int, required=True)
 @TABLE_OPTIONS
-@_guarded
 def compare(weights_spec, chi, k_max, out_path, fmt):
     """Exact log-moments against the refined prediction along k, x = chi k."""
     model = wts.from_spec(weights_spec)
-    _echo_header("compare", {
-        "weights": weights_spec, "chi": chi, "k_max": k_max, "out": out_path, "format": fmt,
-        "method": "saddle_dft",
-    })
+    _echo_header(method="saddle_dft")
     mom.check_nonnegative_order(k_max)
     rv = asym.rate_function(model, chi)
     orders = range(model.span, k_max + 1, model.span)
@@ -271,7 +271,6 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
               help="Ratio x/k for the local-limit mode; supply --k too.")
 @click.option("--k", "k_val", type=int, default=None, help="Order for the local-limit mode.")
 @TABLE_OPTIONS
-@_guarded
 def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
     """Emit the tilted law's pmf and a summary line (mean, variance, r_k)."""
     model = wts.from_spec(weights_spec)
@@ -285,10 +284,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
         if x_val is None or u_val is None or k_val is not None:
             raise click.UsageError("either give --x and --u, or --llt-chi with --k")
         x_eff, u_eff = x_val, u_val
-    _echo_header("aux", {
-        "weights": weights_spec, "x": x_eff, "u": u_eff, "llt_chi": llt_chi,
-        "k": k_val, "out": out_path, "format": fmt,
-    })
+    _echo_header(x=x_eff, u=u_eff)
     dist = auxdist.build_aux(model, x_eff, u_eff)
     summary = {
         "mean": dist.mean, "variance": dist.variance, "log_G": dist.log_G,
@@ -310,15 +306,11 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, envvar="CPM_SEED", default=0, show_default=True)
 @TABLE_OPTIONS
-@_guarded
 def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
     """Monte Carlo deviation probabilities of the maximal weighted degree."""
     graphsim.weight_sampler(weights_spec)  # a bad spec fails before the header
     config = graphsim.GraphSimConfig(n, kappa, weights_spec, s_values, trials, seed)
-    _echo_header("graphsim", {
-        "n": n, "kappa": kappa, "weights": weights_spec, "s": list(s_values),
-        "trials": trials, "seed": seed, "out": out_path, "format": fmt,
-    })
+    _echo_header()
     result = graphsim.deviation_experiment(config)
     kappa_text, threshold = format_log(kappa), format_log(result.threshold_s)
     levels = zip(config.s_values, result.p_hat, result.ci_half_width, result.bound, result.vacuous)
@@ -330,18 +322,16 @@ def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
 
 @main.command()
 @click.option("--k", type=int, required=True)
-@_guarded
 def bell(k):
     """Print the k-th Bell number."""
-    _echo_header("bell", {"k": k})
+    _echo_header()
     click.echo(format_ratio(mom.bell_number(k)))
 
 
 @main.command()
-@_guarded
 def identities() -> None:
     """Run the exact combinatorial identity suites and print a pass/fail table."""
-    _echo_header("identities", {})
+    _echo_header()
     checks: list[tuple[str, bool]] = []
 
     counts = mom.composition_counts(12)

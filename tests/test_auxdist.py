@@ -9,7 +9,7 @@ import pytest
 
 from cpmoments import auxdist, moments, weights
 from cpmoments.asymptotics import refined_prediction, solve_saddle
-from cpmoments.errors import DomainError
+from cpmoments.errors import CpmError, DomainError
 
 UNIT = weights.unit()
 GAUSS = weights.gaussian_centered(1)
@@ -80,6 +80,49 @@ class TestConstruction:
             auxdist.build_aux(EXP, 1.0, 1.0)
         with pytest.raises(DomainError):
             auxdist.build_aux(EXP, 1.0, 0.0)
+
+    def test_every_law_returns_or_refuses(self):
+        # 7 models at 8 intensities and 4 tilts below each radius: no input may
+        # escape as a traceback or a RuntimeWarning, such as the mean of Z away
+        # from zero where x (H(u) - 1) underflows to 0, or an order past float
+        # range in the Chernoff table
+        specs = ["unit", "exponential", "logfact", "gamma:1/1000,1", "bernoulli",
+                 "gaussian:1e-300", "gamma:1e300,1e-300"]
+        calls = 0
+        for spec in specs:
+            model = weights.from_spec(spec)
+            for x in (1e-320, 1e-300, 1e-10, 1e10, 1e200, 1e307, 1e308, 1.7e308):
+                for u in (1e-300, 1e-10, 0.5, 0.999999999):
+                    if u < model.radius:
+                        calls += 1
+                        try:
+                            auxdist.build_aux(model, x, u)
+                        except CpmError:
+                            pass
+        assert calls == 224
+
+    @pytest.mark.parametrize("model, x, u", [
+        (UNIT, 1e-320, 1e-10), (EXP, 1e-300, 1e-300), (BERN, 1e-320, 1e-10),
+        (weights.gaussian_centered(Fraction(1, 10**300)), 1e-10, 1e-10),
+        # no tilt of the Chernoff table bounds these: their reach is infinite
+        (UNIT, 1e-300, 1e-300), (BERN, 1e200, 1e-300),
+        (weights.gaussian_centered(Fraction(1, 10**300)), 1e-300, 0.5),
+    ], ids=["unit", "exponential", "bernoulli", "gaussian-1e-300", "unit-unbounded-reach",
+            "bernoulli-unbounded-reach", "gaussian-1e-300-unbounded-reach"])
+    def test_underflowing_intensity_leaves_the_mass_at_zero(self, model, x, u):
+        aux = auxdist.build_aux(model, x, u)
+        assert (aux.support_cap, aux.log_G, aux.pmf(0)) == (0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("x", [1e308, 1.7e308])
+    def test_band_bound_past_twice_float_range(self, x):
+        # x (H(u) - 1) = 1e5 x / 1e308 for gamma:1/1000,1 at u = 1e-300; the
+        # bound's 2 x alone overflows
+        aux = auxdist.build_aux(weights.gamma(Fraction(1, 1000), 1), x, 1e-300)
+        p = np.exp(aux.log_pmf)
+        js = np.arange(aux.support_cap + 1)
+        assert 1.0 - 1e-10 <= p.sum() <= 1.0 + 1e-12
+        assert float(js @ p) == pytest.approx(aux.mean, rel=1e-9)
+        assert float((js - aux.mean) ** 2 @ p) == pytest.approx(aux.variance, rel=1e-6)
 
 
 # the chi = 3 saddles, whose summed mass rounding leaves short of 1 - 1e-12,

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import prime_power_moments, read_table
 from cpmoments import asymptotics as asym
 from cpmoments import auxdist, cli, graphsim, moments, weights
+from cpmoments.errors import DomainError
 
 
 @pytest.fixture
@@ -33,18 +34,31 @@ def header_of(output: str) -> dict:
 
 class TestHeader:
     def test_every_command_echoes_valid_header(self, runner, tmp_path):
-        out = tmp_path / "t.csv"
-        invocations = [
-            ["bell", "--k", "5"],
-            ["rate", "--weights", "unit", "--chi", "1"],
-            ["identities"],
-            ["moments", "--weights", "unit", "--k", "3", "--x", "1", "--out", str(out)],
-        ]
-        for args in invocations:
-            result = runner.invoke(cli.main, args)
+        # the config holds every option under its long name, and compare adds
+        # its method
+        out = ["--out", str(tmp_path / "t.csv")]
+        invocations = {
+            "bell": ["--k", "5"],
+            "rate": ["--weights", "unit", "--chi", "1"],
+            "identities": [],
+            "moments": ["--weights", "unit", "--k", "3", "--x", "1", *out],
+            "compare": ["--weights", "unit", "--chi", "1", "--k-max", "3", *out],
+            "aux": ["--weights", "unit", "--llt-chi", "1", "--k", "20", *out],
+            "graphsim": ["--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0",
+                         "--trials", "2", *out],
+        }
+        assert set(invocations) == set(cli.main.commands)
+        for name, command in cli.main.commands.items():
+            result = runner.invoke(cli.main, [name, *invocations[name]])
             assert result.exit_code == 0, result.output
             header = header_of(result.output)
-            assert header["command"] == args[0]
+            assert header["command"] == name
+            keys = {opt[2:].replace("-", "_") for param in command.params
+                    for opt in param.opts if opt.startswith("--")}
+            assert set(header["config"]) == keys | ({"method"} if name == "compare" else set())
+            if name == "aux":  # the effective x and u replace the unset --x and --u
+                x, u = auxdist.ray_tilt(weights.unit(), 1.0, 20)
+                assert (header["config"]["x"], header["config"]["u"]) == (x, u)
 
     def test_schema_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -553,6 +567,27 @@ class TestAux:
             "support_cap": dist.support_cap, "r_k": dist.local_limit_ratio(400),
         }
 
+    @pytest.mark.parametrize("x, u, code", [("1e-320", "1e-10", 0), ("1e308", "0.5", 3)],
+                             ids=["intensity-underflow", "reach-past-float-range"])
+    def test_extreme_intensity_ends_cleanly(self, runner, tmp_path, x, u, code):
+        # x (H(u) - 1) underflows to 0, so the law is the point mass at 0; at
+        # x = 1e308 the Chernoff orders pass float range and the reach is refused
+        out = tmp_path / "a.csv"
+        result = runner.invoke(cli.main, [
+            "aux", "--weights", "unit", "--x", x, "--u", u, "--out", str(out),
+        ])
+        assert result.exit_code == code, result.output
+        header_of(result.stdout)
+        if code:
+            assert len(result.stderr.splitlines()) == 1
+            assert result.stderr.startswith("cpm: error: tilted law of model 'unit' at x = 1e+308")
+            assert result.stderr.endswith(f" past {2**18} transform points\n")
+            assert not out.exists()
+        else:
+            assert result.stderr == ""
+            assert out.read_text() == "j,p_j\n0,1\n"
+            assert json.loads(result.stdout.splitlines()[-1])["support_cap"] == 0
+
     def test_usage_error_when_modes_mixed(self, runner, tmp_path):
         result = runner.invoke(cli.main, [
             "aux", "--weights", "unit", "--llt-chi", "1",
@@ -669,7 +704,32 @@ class TestGraphsim:
         assert header["config"]["seed"] == 424242
 
 
+@pytest.fixture
+def throwaway_command():
+    """Register a command ``throwaway`` that raises the exception it is
+    given on the cpm group, and remove it afterwards."""
+    def register(exc):
+        @cli.main.command(name="throwaway")
+        def throwaway():
+            raise exc
+
+    yield register
+    cli.main.commands.pop("throwaway", None)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("exc, code, line", [
+        (DomainError("no such law"), 3, "cpm: error: no such law"),
+        (OSError(28, "No space left on device"), 4,
+         "cpm: i/o error: [Errno 28] No space left on device"),
+    ], ids=["domain", "io"])
+    def test_the_group_maps_every_command(self, runner, throwaway_command, exc, code, line):
+        # a command carries no error handling of its own
+        throwaway_command(exc)
+        result = runner.invoke(cli.main, ["throwaway"])
+        assert result.exit_code == code, result.output
+        assert result.stderr == line + "\n"
+
     def test_usage_error_is_two(self, runner):
         assert runner.invoke(cli.main, ["rate", "--weights", "unit"]).exit_code == 2
         assert runner.invoke(cli.main, ["frobnicate"]).exit_code == 2
