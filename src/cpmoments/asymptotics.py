@@ -35,11 +35,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from . import weights as _weights
 from .errors import DomainError, SaddleError, TruncatedModelError
-from .weights import WeightModel
+from .weights import WeightModel, or_inf
 
 _UNIT = _weights.unit()
 _BERNOULLI = _weights.bernoulli_centered()
@@ -77,14 +76,6 @@ class RateValue:
         """ln of the refined value of M_k(chi k), for k on the model's lattice:
         ln(span * prefactor) + k (ln(chi k) + psi)."""
         return math.log(self.span * self.prefactor) + k * (math.log(self.saddle.chi * k) + self.psi)
-
-
-def _or_inf(f: Callable[[float], float], u: float) -> float:
-    """f(u), or inf where it overflows."""
-    try:
-        return f(u)
-    except OverflowError:
-        return math.inf
 
 
 def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
@@ -130,8 +121,8 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
     above = False  # until a point right of the root, g - 1/chi may round to -1/chi
     u = min(1.0, u0 / 2.0)
     for _ in range(100):
-        d1 = _or_inf(model.egf_d1, u)
-        gu, d2 = u * d1, _or_inf(model.egf_d2, u)
+        d1 = model.egf_d1(u)
+        gu, d2 = u * d1, model.egf_d2(u)
         trace.append((u, gu))
         res = abs(gu - target)
         if math.inf in (gu, u * d2):
@@ -167,7 +158,7 @@ def solve_saddle(model: WeightModel, chi: float) -> SaddleSolution:
         # left of it, where F's digits do not matter
         scaled = chi * bg
         f = math.log(scaled) if 0.0 < scaled < math.inf else math.log(bg) + math.log(chi)
-        u = min(bu * _or_inf(math.exp, -f / (1.0 + bu * bd2 / bd1)), cap)
+        u = min(bu * or_inf(math.exp, -f / (1.0 + bu * bd2 / bd1)), cap)
         if u >= hi:  # F's chord to hi, or the midpoint in t where g overflowed there
             if hi_f < math.inf:
                 u = bu * math.exp(f / (f - hi_f) * (math.log(hi) - math.log(bu)))

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._numpy import np
-from .asymptotics import SaddleSolution, _or_inf, solve_saddle
+from .asymptotics import SaddleSolution, solve_saddle
 from .errors import DomainError
 from .moments import log_moments_by_recurrence, moment_sequence
 from .weights import WeightModel, log_rational
@@ -351,7 +351,7 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
         raise DomainError("intensity x must be positive")
     if not 0.0 < u < model.radius:
         raise DomainError(f"tilt u must lie in (0, {model.radius}), got {u}")
-    h1, h2 = _or_inf(model.egf_d1, u), _or_inf(model.egf_d2, u)
+    h1, h2 = model.egf_d1(u), model.egf_d2(u)
     mean = x * u * h1
     variance = x * (u * h1 + u * u * h2)
     law = f"tilted law of model {model.name!r} at x = {x}, u = {u}"
@@ -369,7 +369,8 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
         # underflow to 0
         reach, log_pmf = 0, np.empty(1)
     elif reach >= _MAX_NODES:
-        raise DomainError(f"{law} reaches order {reach}, past {_MAX_NODES} transform points")
+        raise DomainError(
+            f"{law} reaches order {float(reach):.17g}, past {_MAX_NODES} transform points")
     else:
         log_pmf = _read_bands(model, x, u, table, excess, mean, reach, law)
     log_pmf[0] = -log_g

@@ -291,19 +291,15 @@ def sample_degrees(
     idx, row_start, offset = _row_tables(n, graphs)
     first = np.searchsorted(pos, row_start)  # each row's first edge, then the end
     counts = first[1:] - first[:-1]
-    if pos.size <= EDGE_BLOCK:
-        rows = np.bincount(np.repeat(idx, counts), weights=w, minlength=idx.size)
-        pos -= np.repeat(offset, counts)
-    else:
-        rows = np.empty(idx.size)
-        cuts = np.searchsorted(first, range(EDGE_BLOCK, pos.size, EDGE_BLOCK)).tolist()
-        for r0, r1 in zip([0, *cuts], [*cuts, idx.size]):
-            if r0 == r1:  # one row of more than EDGE_BLOCK edges
-                continue
-            block = slice(first[r0], first[r1])
-            rows[r0:r1] = np.bincount(np.repeat(idx[: r1 - r0], counts[r0:r1]),
-                                      weights=w[block], minlength=r1 - r0)
-            pos[block] -= np.repeat(offset[r0:r1], counts[r0:r1])
+    rows = np.empty(idx.size)
+    cuts = np.searchsorted(first, range(EDGE_BLOCK, pos.size, EDGE_BLOCK)).tolist()
+    for r0, r1 in zip([0, *cuts], [*cuts, idx.size]):
+        if r0 == r1:  # one row of more than EDGE_BLOCK edges
+            continue
+        block = slice(first[r0], first[r1])
+        rows[r0:r1] = np.bincount(np.repeat(idx[: r1 - r0], counts[r0:r1]),
+                                  weights=w[block], minlength=r1 - r0)
+        pos[block] -= np.repeat(offset[r0:r1], counts[r0:r1])
     rows += np.bincount(pos, weights=w, minlength=idx.size)  # columns
     return rows.reshape(graphs, n)
 

@@ -9,7 +9,8 @@ The package only ever needs H as H - 1 (the rate's (H(u) - 1)/(u H'(u)),
 the tilted law's normaliser exp(x (H(u) - 1)), the transform nodes), so a
 model carries H - 1, H' and H''.  H - 1 is evaluated on the complex disc
 |z| < u0 in a closed form free of the cancellation of 1 + small - 1; H' and
-H'' on the real interval [0, u0).  Moments are exact fractions for every
+H'' on the real interval [0, u0), from the same closed form, and as inf
+past float range.  Moments are exact fractions for every
 built-in model so that combinatorial identities downstream can be checked
 with exact arithmetic, while the generating functions use closed forms
 rather than partial series sums, which keeps them accurate near a finite
@@ -155,12 +156,22 @@ class WeightModel:
         return 1.0 + float(self.egf_m1(u))
 
     def egf_d1(self, u: float) -> float:
+        """H'(u), or inf where it overflows."""
         self._check_u(u)
-        return self._egf_d1(u)
+        return or_inf(self._egf_d1, u)
 
     def egf_d2(self, u: float) -> float:
+        """H''(u), or inf where it overflows."""
         self._check_u(u)
-        return self._egf_d2(u)
+        return or_inf(self._egf_d2, u)
+
+
+def or_inf(f: Callable[[float], float], u: float) -> float:
+    """f(u), or inf where it overflows."""
+    try:
+        return f(u)
+    except OverflowError:
+        return math.inf
 
 
 def _log1p(z: Complexish) -> Complexish:
@@ -276,8 +287,8 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         _moment_fn=_running_product(lambda l: tf * (mf + l - 1)),
         _log_moment_fn=lambda order: order * log_theta + log_rising(order),
         egf_m1=lambda z: np.expm1(-fm * _log1p(-ft * z)),
-        _egf_d1=lambda u: fm * ft * (1.0 - ft * u) ** (-fm - 1.0),
-        _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * (1.0 - ft * u) ** (-fm - 2.0),
+        _egf_d1=lambda u: fm * ft * math.exp(-(fm + 1.0) * math.log1p(-ft * u)),
+        _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * math.exp(-(fm + 2.0) * math.log1p(-ft * u)),
         sample=lambda rng, size: rng.gamma(fm, ft, size),
     )
 

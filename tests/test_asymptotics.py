@@ -188,6 +188,26 @@ class TestRateFunction:
         # chi eps of error into psi (-8e-4 for unit weights at 1e14, not 5e-15)
         assert abs(asym.rate_function(model, chi).psi - exact_psi(model, chi)) <= 2e-15
 
+    @pytest.mark.parametrize("m", [10**8, 10**13, 10**18, 10**20])
+    @pytest.mark.parametrize("chi", [1e-3, 1.0])
+    def test_large_gamma_shapes_match_mpmath(self, m, chi):
+        # H' and H'' as powers of the rounded 1 - u put psi 8.9e21 off for
+        # m = 1e18 at chi = 1e-3, and left no root in reach for m = 1e20
+        rv = asym.rate_function(weights.gamma(m, 1), chi)
+        with mpmath.workdps(60):
+            big_m, x = mpmath.mpf(m), mpmath.mpf(chi)
+
+            def log_chi_g(t):  # ln(chi u H'(u)) at u = e^t, H'(u) = m (1 - u)^-(m+1)
+                return mpmath.log(x * big_m) + t - (big_m + 1) * mpmath.log1p(-mpmath.exp(t))
+
+            # bracketed far left of the root and just below the radius
+            bracket = (mpmath.log(mpmath.mpf("1e-30") / (x * big_m)), mpmath.mpf("-1e-30"))
+            u = mpmath.exp(mpmath.findroot(log_chi_g, bracket, solver="anderson"))
+            h1 = big_m * mpmath.exp(-(big_m + 1) * mpmath.log1p(-u))
+            psi = mpmath.expm1(-big_m * mpmath.log1p(-u)) / (u * h1) - 1 + mpmath.log(h1)
+        assert abs(rv.saddle.u - u) <= 1e-12 * u
+        assert abs(rv.psi - psi) <= 1e-12 * psi
+
     def test_every_chi_returns_or_refuses(self):
         # 31 models at 211 values of chi: no input may escape as a traceback, such
         # as log(chi u H'(u)) where that product underflows to 0

@@ -101,6 +101,15 @@ class TestConstruction:
                             pass
         assert calls == 224
 
+    @pytest.mark.parametrize("x", [1e307, 1e308, 1.7e308])
+    def test_gamma_excess_underflow_is_refused(self, x):
+        # gamma:1e300,1e-300 at u = 1e-300: theta u = 1e-600 underflows, so
+        # -m log1p(-theta u) reads H(u) - 1 as 0 where it is about 1e-300, and the
+        # law's mean x u H'(u) is up to 1.7e8; only the overflow of m (m + 1) in
+        # H'' refuses it, and a law built from H - 1 = 0 would be a point mass
+        with pytest.raises(CpmError):
+            auxdist.build_aux(weights.from_spec("gamma:1e300,1e-300"), x, 1e-300)
+
     @pytest.mark.parametrize("model, x, u", [
         (UNIT, 1e-320, 1e-10), (EXP, 1e-300, 1e-300), (BERN, 1e-320, 1e-10),
         (weights.gaussian_centered(Fraction(1, 10**300)), 1e-10, 1e-10),

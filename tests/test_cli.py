@@ -607,7 +607,7 @@ GRAPHSIM_TABLE_DIGESTS = [
     ("2000", "4", "exponential", "0.9,1.0,1.1,1.2,1.5", "20", "13",
      "614ad0b2c23125579357e94703e20bf74a8e81a89540acb2249dc62b698246b7"),
     ("300", "0.3", "gamma:1/2,1", "3.0,4.0,5.0,6.0", "200", "14",
-     "6e9fb5b583b55c20681c63a902ecca4ce1d020152f3b92060b84633b2b967ec5"),
+     "7b57c42a503531fb6c0d3b3b4076cdcbec933d29141667309b945ef2a5042e12"),
 ]
 
 
@@ -660,7 +660,7 @@ class TestGraphsim:
         ("0", "exponential", "cpm: error: kappa must be positive"),
         ("4", "gamma:1e-300,1", "cpm: error: chi = 2.0 out of reach: the smallest chi model"
                                 " 'tilde(gamma(1e-300,1))' reaches is"
-                                " 1/(u H'(u)) = 9.999778782818783e+287 at u = 0.999999999999"),
+                                " 1/(u H'(u)) = 9.999778782818786e+287 at u = 0.999999999999"),
         ("1e-320", "unit", "cpm: error: chi = 5e-321 out of reach: 1/chi overflows"),
     ])
     def test_refusal_comes_before_any_trial(self, runner, tmp_path, monkeypatch, kappa, spec,
@@ -1002,7 +1002,7 @@ class TestBadInputs:
         bad_input("rate-product-underflows",
                   ["rate", "--weights", "gamma:1,1e-300", "--chi", "1e-300"],
                   3, "cpm: error: chi = 1e-300 out of reach: the smallest chi model"
-                     " 'gamma(1,1e-300)' reaches is 1/(u H'(u)) = 9.999557570501274e-25 at"
+                     " 'gamma(1,1e-300)' reaches is 1/(u H'(u)) = 9.999557570501276e-25 at"
                      " u = 9.99999999999e+299",
                   header=True),
         bad_input("rate-inverse-chi-overflows", ["rate", "--weights", "unit", "--chi", "1e-320"],
@@ -1100,6 +1100,11 @@ class TestBadInputs:
                   ["aux", "--weights", "unit", "--x", "1e6", "--u", "0.5", "--out", "{out}"],
                   3, "cpm: error: tilted law of model 'unit' at x = 1000000.0, u = 0.5 reaches"
                      " order 832645, past 262144 transform points",
+                  header=True),
+        bad_input("aux-reach-past-float-digits",
+                  ["aux", "--weights", "unit", "--x", "1e308", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: tilted law of model 'unit' at x = 1e+308, u = 0.5 reaches"
+                     " order 8.2435914783060481e+307, past 262144 transform points",
                   header=True),
         bad_input("aux-custom-negative-moment",
                   ["aux", "--weights", "custom:{w}", "--x", "1", "--u", "0.5", "--out", "{out}"],

@@ -115,6 +115,28 @@ class TestBuiltins:
                 d2 = (model.egf_d1(u + h) - model.egf_d1(u - h)) / (2 * h)
                 assert d2 == pytest.approx(model.egf_d2(u), rel=1e-6), model.name
 
+    @pytest.mark.parametrize("m", [Fraction(1, 10**300), Fraction(1, 2), 2,
+                                   10**8, 10**13, 10**20])
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), 1])
+    def test_gamma_derivatives_match_mpmath(self, m, theta):
+        # (1 - theta u)^-a as exp(-a log1p(-theta u)): a power of 1 - theta u
+        # rounded to a float errs by up to a eps, 0.63 relative at m = 1e20
+        model = weights.gamma(m, theta)
+        u0 = model.radius
+        grid = [10.0**e * u0 for e in range(-320, 0)] + [u0 * f for f in (0.5, 0.999, 1 - 1e-9)]
+        with mpmath.workdps(60):
+            fm, ft = mpmath.mpf(float(m)), mpmath.mpf(float(theta))
+            for u in grid:
+                log_base = mpmath.log1p(-ft * mpmath.mpf(u))
+                for got, exact in [
+                    (model.egf_d1(u), fm * ft * mpmath.exp(-(fm + 1) * log_base)),
+                    (model.egf_d2(u), fm * (fm + 1) * ft * ft * mpmath.exp(-(fm + 2) * log_base)),
+                ]:
+                    if exact > sys.float_info.max:
+                        assert got == math.inf, (model.name, u)
+                    else:
+                        assert abs(got - exact) <= 1e-13 * exact, (model.name, u)
+
     def test_gaussian_double_factorial_moments(self):
         for v2 in (1, Fraction(3, 4)):
             model = weights.gaussian_centered(v2)
