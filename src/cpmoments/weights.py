@@ -281,12 +281,24 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         raise DomainError("gamma needs m > 0 and theta > 0")
     fm, ft = float(mf), float(tf)
     log_theta, log_rising = log_rational(tf), _log_rising(mf)
+    fmt = fm * ft
+    # m theta z, without the subnormal theta z: as (m theta) z, or as (m z) theta
+    # where m theta is not a normal float
+    scaled = (lambda z: fmt * z) if sys.float_info.min <= fmt <= sys.float_info.max else (
+        lambda z: fm * z * ft)
+
+    def excess(z: Complexish) -> Complexish:
+        # -m log1p(-theta z) = m theta z where theta z is subnormal and keeps
+        # a few bits, or 0
+        t = ft * z
+        return np.expm1(np.where(np.abs(t) < sys.float_info.min, scaled(z), -fm * _log1p(-t)))
+
     return WeightModel(
         name=f"gamma({_param_name(mf)},{_param_name(tf)})",
         radius=float(1 / tf),
         _moment_fn=_running_product(lambda l: tf * (mf + l - 1)),
         _log_moment_fn=lambda order: order * log_theta + log_rising(order),
-        egf_m1=lambda z: np.expm1(-fm * _log1p(-ft * z)),
+        egf_m1=excess,
         _egf_d1=lambda u: fm * ft * math.exp(-(fm + 1.0) * math.log1p(-ft * u)),
         _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * math.exp(-(fm + 2.0) * math.log1p(-ft * u)),
         sample=lambda rng, size: rng.gamma(fm, ft, size),

@@ -1,11 +1,9 @@
 import csv
 import io
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -81,12 +79,3 @@ def brute_force_finite_n(model, k, n, lam):
             weight *= model.moment(tup.count(j))
         total += prob * weight
     return total
-
-
-@pytest.fixture
-def approx_log():
-    def check(a, b, tol):
-        assert math.isfinite(a) and math.isfinite(b)
-        assert abs(a - b) <= tol, f"{a} vs {b} (tol {tol})"
-
-    return check

@@ -8,7 +8,7 @@ import pytest
 
 from cpmoments import asymptotics as asym
 from cpmoments import moments, weights
-from cpmoments.errors import CpmError, DomainError, SaddleError, TruncatedModelError
+from cpmoments.errors import DomainError, SaddleError, TruncatedModelError
 
 UNIT = weights.unit()
 GAUSS = weights.gaussian_centered(1)
@@ -19,51 +19,8 @@ LOGF = weights.log_factorial()
 
 ALL = [UNIT, GAUSS, GAMMA, BERN, EXP, LOGF]
 
-OMEGA = 0.5671432904097838  # solution of u e^u = 1
-
-
-def fixed_point_unit_tilt(chi, iterations=200):
-    # u <- ln(1 / (chi u)) converges for the unit model when 1/chi > e^-1
-    u = 0.5
-    for _ in range(iterations):
-        u = 0.5 * (u + math.log(1.0 / (chi * u)))
-    return u
-
-
-# H and H' of the six built-ins, for the mpmath reference of the rate
-CLOSED_FORMS = {
-    "unit": (mpmath.exp, mpmath.exp),
-    "gaussian(1)": (lambda u: mpmath.exp(u * u / 2), lambda u: u * mpmath.exp(u * u / 2)),
-    "gamma(2,1/2)": (lambda u: (1 - u / 2) ** -2, lambda u: (1 - u / 2) ** -3),
-    "bernoulli": (mpmath.cosh, mpmath.sinh),
-    "exponential": (lambda u: 1 / (1 - u), lambda u: (1 - u) ** -2),
-    "logfact": (lambda u: 1 - mpmath.log(1 - u), lambda u: 1 / (1 - u)),
-}
-
-
-def exact_psi(model, chi):
-    """Psi(chi) at 60 digits: the tilt by findroot from the float one, then
-    (H - 1)/(u H') - 1 + ln H' with H - 1 keeping 45 digits down to 1e-15."""
-    h, h1 = CLOSED_FORMS[model.name]
-    with mpmath.workdps(60):
-        target = 1 / mpmath.mpf(chi)
-        start = mpmath.mpf(asym.solve_saddle(model, chi).u)
-        u = mpmath.findroot(lambda v: v * h1(v) - target, start)
-        return float((h(u) - 1) / (u * h1(u)) - 1 + mpmath.log(h1(u)))
-
 
 class TestSolveSaddle:
-    def test_unit_matches_fixed_point(self):
-        sol = asym.solve_saddle(UNIT, 1.0)
-        assert sol.u == pytest.approx(OMEGA, abs=1e-13)
-        assert sol.u == pytest.approx(fixed_point_unit_tilt(1.0), abs=1e-10)
-
-    def test_gamma11_closed_form(self):
-        for chi in (0.3, 1.0, 4.0):
-            sol = asym.solve_saddle(weights.gamma(1, 1), chi)
-            closed = (2.0 + chi - math.sqrt(chi * (4.0 + chi))) / 2.0
-            assert sol.u == pytest.approx(closed, rel=1e-12)
-
     def test_residual_bound_over_grid(self):
         for model in ALL:
             for exp10 in range(-3, 7):
@@ -125,13 +82,6 @@ class TestSolveSaddle:
         with pytest.raises(SaddleError, match="custom"):
             asym.solve_saddle(weights.custom_model([1, -2, 1]), 1.0)
 
-    def test_large_chi_tilt_scales_like_inverse_first_moment(self):
-        chi = 1e6
-        for model in (UNIT, GAMMA, EXP, LOGF):
-            v1 = float(model.moment(1))
-            sol = asym.solve_saddle(model, chi)
-            assert sol.u == pytest.approx(1.0 / (chi * v1), rel=1e-3), model.name
-
     def test_monotone_along_trace(self):
         for model in ALL:
             sol = asym.solve_saddle(model, 0.7)
@@ -153,101 +103,6 @@ class TestSolveSaddle:
 
 
 class TestRateFunction:
-    def test_unit_alternative_expression(self):
-        # (H-1)/(uH') - 1 + ln H' with H = e^u collapses to u - 1 + 1/u - 1/(u e^u)
-        for chi in (0.5, 1.0, 2.0):
-            rv = asym.rate_function(UNIT, chi)
-            u = rv.saddle.u
-            alt = u - 1.0 + 1.0 / u - 1.0 / (u * math.exp(u))
-            assert rv.psi == pytest.approx(alt, abs=1e-12)
-
-    def test_large_chi_limit_is_log_first_moment(self):
-        for model in (UNIT, GAMMA, EXP, LOGF):
-            rv = asym.rate_function(model, 1e6)
-            assert rv.psi == pytest.approx(math.log(float(model.moment(1))), abs=1e-4)
-
-    def test_prefactor_in_unit_interval(self):
-        for model in ALL:
-            for chi in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e6):
-                rv = asym.rate_function(model, chi)
-                assert 0.0 < rv.prefactor <= 1.0
-
-    def test_prefactor_limits_at_large_chi(self):
-        # -> 1 when V_1 > 0; -> 1/sqrt(2) for centered (even-only) sequences
-        for model in (UNIT, GAMMA, EXP, LOGF):
-            assert asym.rate_function(model, 1e6).prefactor == pytest.approx(1.0, abs=1e-3)
-        for model in (GAUSS, BERN):
-            assert asym.rate_function(model, 1e6).prefactor == pytest.approx(
-                1.0 / math.sqrt(2.0), abs=1e-3
-            )
-
-    @pytest.mark.parametrize("model", ALL, ids=lambda m: m.name)
-    @pytest.mark.parametrize("chi", [0.25, 1.0, 4.0, 1e6, 1e10, 1e14])
-    def test_psi_matches_mpmath(self, model, chi):
-        # at large chi, H(u) - 1 ~ 1/chi; formed as H(u) - 1.0 it would carry
-        # chi eps of error into psi (-8e-4 for unit weights at 1e14, not 5e-15)
-        assert abs(asym.rate_function(model, chi).psi - exact_psi(model, chi)) <= 2e-15
-
-    @pytest.mark.parametrize("m", [10**8, 10**13, 10**18, 10**20])
-    @pytest.mark.parametrize("chi", [1e-3, 1.0])
-    def test_large_gamma_shapes_match_mpmath(self, m, chi):
-        # H' and H'' as powers of the rounded 1 - u put psi 8.9e21 off for
-        # m = 1e18 at chi = 1e-3, and left no root in reach for m = 1e20
-        rv = asym.rate_function(weights.gamma(m, 1), chi)
-        with mpmath.workdps(60):
-            big_m, x = mpmath.mpf(m), mpmath.mpf(chi)
-
-            def log_chi_g(t):  # ln(chi u H'(u)) at u = e^t, H'(u) = m (1 - u)^-(m+1)
-                return mpmath.log(x * big_m) + t - (big_m + 1) * mpmath.log1p(-mpmath.exp(t))
-
-            # bracketed far left of the root and just below the radius
-            bracket = (mpmath.log(mpmath.mpf("1e-30") / (x * big_m)), mpmath.mpf("-1e-30"))
-            u = mpmath.exp(mpmath.findroot(log_chi_g, bracket, solver="anderson"))
-            h1 = big_m * mpmath.exp(-(big_m + 1) * mpmath.log1p(-u))
-            psi = mpmath.expm1(-big_m * mpmath.log1p(-u)) / (u * h1) - 1 + mpmath.log(h1)
-        assert abs(rv.saddle.u - u) <= 1e-12 * u
-        assert abs(rv.psi - psi) <= 1e-12 * psi
-
-    def test_every_chi_returns_or_refuses(self):
-        # 31 models at 211 values of chi: no input may escape as a traceback, such
-        # as log(chi u H'(u)) where that product underflows to 0
-        specs = ["unit", "bernoulli", "exponential", "logfact"]
-        specs += [f"gaussian:{v}" for v in ("1e-300", "1", "1e300")]
-        specs += [f"gamma:{m},{t}" for m in ("1e-300", "1", "1e300")
-                  for t in ("1e-300", "1", "1e300")]
-        models = []
-        for spec in specs:
-            model = weights.from_spec(spec)
-            models.append(model)
-            if model.moment(1) <= sys.float_info.max:
-                models.append(weights.tilde_transform(model))
-        calls = 0
-        for model in models:
-            for q in range(-323, 309, 3):
-                calls += 1
-                try:
-                    asym.rate_function(model, float(f"1e{q}"))
-                except CpmError:
-                    pass
-        assert calls == 6541
-
-    def test_gaussian_variance_scales_the_tilt(self):
-        # H_v(u) = H_1(sqrt(v) u): the saddle moves to u / sqrt(v), psi by
-        # ln(1 / sqrt(v)), and the prefactor not at all
-        small = weights.gaussian_centered(Fraction(1, 10**300))
-        solved = 0
-        for q in range(-306, -25):
-            chi = float(f"1e{q}")
-            try:
-                ref = asym.rate_function(GAUSS, chi)
-            except SaddleError:
-                continue
-            got = asym.rate_function(small, chi)
-            solved += 1
-            assert got.psi == pytest.approx(ref.psi + 0.5 * math.log(1e-300), rel=1e-12, abs=0)
-            assert got.prefactor == pytest.approx(ref.prefactor, rel=1e-12, abs=0)
-        assert solved > 200
-
     def test_rejects_truncated_models(self):
         with pytest.raises(TruncatedModelError):
             asym.rate_function(weights.custom_model([1, 1, 2, 6]), 1.0)
@@ -370,11 +225,6 @@ class TestSpecialCaseAgreement:
             generic = asym.refined_prediction(GAUSS, k, x / k)
             special = asym.gaussian_moment_prediction(k, x, 1.0)
             assert special - generic == pytest.approx(0.5 * math.log(x), abs=1e-8)
-
-    def test_gaussian_beta_solves_lambert_equation(self):
-        # x = khalf means beta e^beta = 1, same tilt as the unit model at chi 1
-        beta = asym.solve_saddle(UNIT, 1.0).u
-        assert beta == pytest.approx(OMEGA, abs=1e-12)
 
     def test_exponential_sum_prediction_tracks_exact(self):
         k, x = 300, 300.0

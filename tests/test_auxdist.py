@@ -9,7 +9,7 @@ import pytest
 
 from cpmoments import auxdist, moments, weights
 from cpmoments.asymptotics import refined_prediction, solve_saddle
-from cpmoments.errors import CpmError, DomainError
+from cpmoments.errors import DomainError
 
 UNIT = weights.unit()
 GAUSS = weights.gaussian_centered(1)
@@ -28,31 +28,10 @@ def grid():
 
 
 class TestConstruction:
-    def test_mass_mean_variance_invariants(self):
-        for model, x, u in grid():
-            aux = auxdist.build_aux(model, x, u)
-            js = np.arange(aux.support_cap + 1)
-            p = np.exp(aux.log_pmf)
-            mass = p.sum()
-            assert 1.0 - 1e-10 <= mass <= 1.0 + 1e-12, (model.name, x, u)
-            emp_mean = float((js * p).sum() / mass)
-            assert emp_mean == pytest.approx(aux.mean, rel=1e-9), (model.name, x, u)
-            emp_var = float(((js - aux.mean) ** 2 * p).sum() / mass)
-            assert emp_var == pytest.approx(aux.variance, rel=1e-8), (model.name, x, u)
-
-    def test_normalizer_closed_form(self):
-        aux = auxdist.build_aux(UNIT, 2.0, 0.5)
-        assert aux.log_G == pytest.approx(2.0 * (math.exp(0.5) - 1.0))
-
     def test_mean_at_matched_tilt_is_one(self):
         u = solve_saddle(UNIT, 1.0).u
         aux = auxdist.build_aux(UNIT, 1.0, u)
         assert aux.mean == pytest.approx(1.0, abs=1e-12)
-
-    def test_gaussian_mean_formula(self):
-        x, u = 5.0, 0.8
-        aux = auxdist.build_aux(GAUSS, x, u)
-        assert aux.mean == pytest.approx(x * u * u * math.exp(u * u / 2.0))
 
     def test_parity_support_is_even(self):
         aux = auxdist.build_aux(BERN, 4.0, 1.0)
@@ -81,35 +60,6 @@ class TestConstruction:
         with pytest.raises(DomainError):
             auxdist.build_aux(EXP, 1.0, 0.0)
 
-    def test_every_law_returns_or_refuses(self):
-        # 7 models at 8 intensities and 4 tilts below each radius: no input may
-        # escape as a traceback or a RuntimeWarning, such as the mean of Z away
-        # from zero where x (H(u) - 1) underflows to 0, or an order past float
-        # range in the Chernoff table
-        specs = ["unit", "exponential", "logfact", "gamma:1/1000,1", "bernoulli",
-                 "gaussian:1e-300", "gamma:1e300,1e-300"]
-        calls = 0
-        for spec in specs:
-            model = weights.from_spec(spec)
-            for x in (1e-320, 1e-300, 1e-10, 1e10, 1e200, 1e307, 1e308, 1.7e308):
-                for u in (1e-300, 1e-10, 0.5, 0.999999999):
-                    if u < model.radius:
-                        calls += 1
-                        try:
-                            auxdist.build_aux(model, x, u)
-                        except CpmError:
-                            pass
-        assert calls == 224
-
-    @pytest.mark.parametrize("x", [1e307, 1e308, 1.7e308])
-    def test_gamma_excess_underflow_is_refused(self, x):
-        # gamma:1e300,1e-300 at u = 1e-300: theta u = 1e-600 underflows, so
-        # -m log1p(-theta u) reads H(u) - 1 as 0 where it is about 1e-300, and the
-        # law's mean x u H'(u) is up to 1.7e8; only the overflow of m (m + 1) in
-        # H'' refuses it, and a law built from H - 1 = 0 would be a point mass
-        with pytest.raises(CpmError):
-            auxdist.build_aux(weights.from_spec("gamma:1e300,1e-300"), x, 1e-300)
-
     @pytest.mark.parametrize("model, x, u", [
         (UNIT, 1e-320, 1e-10), (EXP, 1e-300, 1e-300), (BERN, 1e-320, 1e-10),
         (weights.gaussian_centered(Fraction(1, 10**300)), 1e-10, 1e-10),
@@ -121,18 +71,6 @@ class TestConstruction:
     def test_underflowing_intensity_leaves_the_mass_at_zero(self, model, x, u):
         aux = auxdist.build_aux(model, x, u)
         assert (aux.support_cap, aux.log_G, aux.pmf(0)) == (0, 0.0, 1.0)
-
-    @pytest.mark.parametrize("x", [1e308, 1.7e308])
-    def test_band_bound_past_twice_float_range(self, x):
-        # x (H(u) - 1) = 1e5 x / 1e308 for gamma:1/1000,1 at u = 1e-300; the
-        # bound's 2 x alone overflows
-        aux = auxdist.build_aux(weights.gamma(Fraction(1, 1000), 1), x, 1e-300)
-        p = np.exp(aux.log_pmf)
-        js = np.arange(aux.support_cap + 1)
-        assert 1.0 - 1e-10 <= p.sum() <= 1.0 + 1e-12
-        assert float(js @ p) == pytest.approx(aux.mean, rel=1e-9)
-        assert float((js - aux.mean) ** 2 @ p) == pytest.approx(aux.variance, rel=1e-6)
-
 
 # the chi = 3 saddles, whose summed mass rounding leaves short of 1 - 1e-12,
 # and the geometric tails at chi = 1e-2, far beyond 12 sigma of the mean
@@ -357,21 +295,6 @@ class TestBands:
 
 
 class TestInversionIdentity:
-    def test_spot_examples(self):
-        assert auxdist.inversion_check(auxdist.build_aux(UNIT, 1.0, 0.5), 5) <= 1e-9
-        aux = auxdist.build_aux(GAMMA, 10.0, 0.9)
-        assert auxdist.inversion_check(aux, 12) <= 1e-9
-
-    def test_twenty_point_grid(self):
-        for model, x, u in grid():
-            aux = auxdist.build_aux(model, x, u)
-            for k in (4, 12):
-                if model.parity_even_only and k % 2:
-                    k += 1
-                if aux.log_pmf[k] == -math.inf:
-                    continue
-                assert auxdist.inversion_check(aux, k) <= 1e-9, (model.name, x, u, k)
-
     def test_out_of_support_rejected(self):
         aux = auxdist.build_aux(BERN, 4.0, 1.0)
         with pytest.raises(DomainError):
@@ -439,18 +362,6 @@ class TestLocalLimit:
         z = (js[window] - aux.mean) / aux.sigma
         normal = np.exp(-0.5 * z * z) / (math.sqrt(2 * math.pi) * aux.sigma)
         assert np.max(np.abs(p - normal)) / normal.max() <= 0.10
-
-
-class TestAgainstExactMoments:
-    def test_pmf_reproduces_exact_ratios(self):
-        # p_j / p_0 = M_j(x) u^j / j!, checked against exact rationals
-        model, x, u = EXP, 2.0, 0.4
-        aux = auxdist.build_aux(model, x, u)
-        ms = moments.moment_sequence(model, 10, Fraction(2))
-        for j in range(1, 11):
-            expected = float(ms[j]) * u**j / math.factorial(j)
-            got = math.exp(aux.log_pmf[j] - aux.log_pmf[0])
-            assert got == pytest.approx(expected, rel=1e-9)
 
 
 BUILTINS = (UNIT, GAUSS, GAMMA, BERN, EXP, LOGF)

@@ -5,15 +5,12 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cpmoments import asymptotics, graphsim, weights
-from cpmoments.asymptotics import solve_saddle
 from cpmoments.errors import DomainError
-from cpmoments.weights import tilde_transform
 
 
 def dmax(cfg, trial=0):
@@ -451,52 +448,6 @@ class TestReproducibility:
 
 
 class TestThresholdAndBound:
-    def test_threshold_positive_for_builtins(self):
-        for model in (weights.unit(),
-                      weights.exponential(),
-                      weights.gamma(2, Fraction(1, 2)),
-                      weights.gaussian_centered(1),
-                      weights.bernoulli_centered()):
-            for kappa in (0.5, 2.0, 4.0):
-                assert graphsim.critical_deviation_threshold(model, kappa) > 0
-
-    def test_threshold_matches_hand_solved_tilt(self):
-        # exponential weights, kappa = 4: tilt solves u ((1-u)^-2 - 1) = 1/2
-        model = weights.exponential()
-        tm = tilde_transform(model)
-        lo, hi = 0.0, 0.999
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid * ((1 - mid) ** -2 - 1.0) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-        u = 0.5 * (lo + hi)
-        ratio = (tm.egf(u) - 1.0) / (u * tm.egf_d1(u))
-        expected = tm.egf_d1(u) * math.exp(ratio - 0.5)
-        got = graphsim.critical_deviation_threshold(model, 4.0)
-        assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_threshold_tilt_matches_bounding_moment_order(self):
-        # with centered normal weights (already mean-free) the tilt of the
-        # kappa = 1 threshold solves u^2 e^{u^2/2} = 2, the order-to-intensity
-        # ratio of the moment of order 2 ln n at rho = ln n
-        model = weights.gaussian_centered(1)
-        sol = solve_saddle(model, 0.5)
-        assert sol.u**2 * math.exp(sol.u**2 / 2.0) == pytest.approx(2.0, rel=1e-12)
-        expected = sol.H1_u * math.exp(
-            sol.excess / (sol.u * sol.H1_u) - 0.5
-        )
-        got = graphsim.critical_deviation_threshold(model, 1.0)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_threshold_large_kappa_asymptote(self):
-        # tilt: u^2 V_2 ~ 2/kappa, so the threshold approaches sqrt(2 V_2 / kappa)
-        kappa = 1e4
-        for model, v2 in ((weights.exponential(), 2.0), (weights.gaussian_centered(1), 1.0)):
-            got = graphsim.critical_deviation_threshold(model, kappa)
-            assert got == pytest.approx(math.sqrt(2.0 * v2 / kappa), rel=0.05), model.name
-
     def test_bound_is_one_at_threshold(self):
         model = weights.exponential()
         for kappa in (2.0, 4.0):
