@@ -288,10 +288,13 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         lambda z: fm * z * ft)
 
     def excess(z: Complexish) -> Complexish:
-        # -m log1p(-theta z) = m theta z where theta z is subnormal and keeps
-        # a few bits, or 0
         t = ft * z
-        return np.expm1(np.where(np.abs(t) < sys.float_info.min, scaled(z), -fm * _log1p(-t)))
+        exponent, small = -fm * _log1p(-t), np.abs(t) < sys.float_info.min
+        if small.any():
+            # -m log1p(-theta z) = m theta z where theta z is subnormal and
+            # keeps a few bits, or 0
+            exponent = np.where(small, scaled(z), exponent)
+        return np.expm1(exponent)
 
     return WeightModel(
         name=f"gamma({_param_name(mf)},{_param_name(tf)})",

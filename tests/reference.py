@@ -43,38 +43,53 @@ FAMILIES = {
 
 class Law:
     """The reference of one weight spec, or of its mean shift H(u) - u V_1
-    when ``tilde``: the shift cancels about log10(2 V_1 / (V_2 u)) digits
-    near u = 0, so each point of a mean shift carries that many more."""
+    when ``tilde``; ``v(j)`` is the family's V_j.  The mean shift cancels
+    about log10(2 V_1 / (V_2 u)) digits near u = 0, so each point of a mean
+    shift carries that many more."""
 
     def __init__(self, spec, tilde=False):
         head, _, arg = spec.partition(":")
         with mpmath.workdps(DIGITS):
             params = [mpf(float(Fraction(a))) for a in arg.split(",")] if arg else []
-            self.u0, self._v, self._m1, self._d1, self._d2 = FAMILIES[head](*params)
+            self.u0, self.v, self._m1, self._d1, self._d2 = FAMILIES[head](*params)
             self.u0, self._log_u0 = mpf(self.u0), float(mpmath.log(self.u0))
-            self.tilde = tilde and self._v(1) > 0
-            self._spread = float(mpmath.log10(2 * self._v(1) / self._v(2))) if self.tilde else 0
+            self.tilde = tilde and self.v(1) > 0
+            self._spread = float(mpmath.log10(2 * self.v(1) / self.v(2))) if self.tilde else 0
 
     def point(self, u=None, y=None):
         """(u, L, digits) at u, or at the y of the saddle's coordinate."""
         digits = DIGITS
-        if self.tilde:  # ln u is y, or ln u0 - ln(1 + e^-y) below a finite radius
-            log_u = (math.log(u) if u else -math.inf) if y is None else float(y) if (
-                self.u0 == mpmath.inf) else self._log_u0 + min(float(y), 0) - math.log1p(
-                math.exp(-abs(float(y))))
-            digits += max(0, int(self._spread - log_u / math.log(10)) + 10)
+        if self.tilde:
+            digits += max(0, int(self._spread - self._log_u(u, y) / math.log(10)) + 10)
         with mpmath.workdps(digits):
             if y is None:
-                return (u := mpf(u)), mpmath.log1p(-u / self.u0), digits  # 0 if u0 is inf
+                u = mpf(u)
+                return u, mpmath.log1p(-u / self.u0), digits  # L = 0 below an infinite radius
             e = mpmath.exp(y)
-            return (e, 0, digits) if self.u0 == mpmath.inf else (
-                self.u0 * e / (1 + e), -mpmath.log1p(e), digits)
+            if self.u0 == mpmath.inf:
+                return e, 0, digits
+            return self.u0 * e / (1 + e), -mpmath.log1p(e), digits
+
+    def _log_u(self, u, y):
+        """ln u as a float, from u or from y: y is ln u below an infinite
+        radius and ln u0 - ln(1 + e^-y) below a finite one."""
+        if y is None:
+            return math.log(u) if u else -math.inf
+        y = float(y)
+        if self.u0 == mpmath.inf:
+            return y
+        return self._log_u0 + min(y, 0) - math.log1p(math.exp(-abs(y)))
+
+    def excess(self, u):
+        """H(u) - 1 of the family (never of its mean shift) at the working
+        precision, for u an mpf or an mpc."""
+        return self._m1(u, mpmath.log1p(-u / self.u0))
 
     def h(self, p, excess=True):
         """(H(u) - 1, H'(u), H''(u)) at a point, or H' and H'' alone."""
         u, L, digits = p
         with mpmath.workdps(digits):
-            v1 = self._v(1) if self.tilde else 0  # at the digits of the point
+            v1 = self.v(1) if self.tilde else 0  # at the digits of the point
             values = ((self._m1(u, L) - v1 * u,) if excess else ()) + (
                 self._d1(u, L) - v1, self._d2(u, L))
         return tuple(+v for v in values)
@@ -124,7 +139,7 @@ def log_moments(law, x, k_max):
     """ln M_0(x) .. ln M_kmax(x) (-inf where M_k = 0) from M_k = x sum_j
     C(k-1, j-1) V_j M_(k-j), whose terms are all nonnegative."""
     with mpmath.workdps(DIGITS):
-        m, v = [mpf(1)], [0 if j == 1 and law.tilde else law._v(j) for j in range(k_max + 1)]
+        m, v = [mpf(1)], [0 if j == 1 and law.tilde else law.v(j) for j in range(k_max + 1)]
         for k in range(1, k_max + 1):
             m.append(x * mpmath.fsum(math.comb(k - 1, j - 1) * v[j] * m[k - j]
                                      for j in range(1, k + 1)))
