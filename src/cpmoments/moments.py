@@ -30,13 +30,15 @@ C(k-1, j-1) - C(k-1, j)/n and scales x by 1/n.  The centered moment of
 Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1:
 ``moment_sequence(tilde_transform(model), k, x)``.
 
-Also here: Bell numbers B_k = B_k(1) by Aitken's array, in O(k^2)
-additions where the recurrence on unit weights at x = 1 multiplies (the
-Bell polynomial B_k(x) is ``moment_sequence(unit(), k, x)``), the even-block
-set-partition counts, and the closed-form polynomial identities used as
-oracles for exponential and factorial weight sequences; the composition
-identity is a partial Bell polynomial, read off one exact sequence of
-exponential-weight moments.
+On all-ones weights (unit, or a custom list of ones) the exact engine
+takes Aitken's array instead of the convolution: O(k^2) additions, and at
+x = p/q one small product by q per entry, where the convolution
+multiplies big integers.  The Bell polynomial B_k(x) is
+``moment_sequence(unit(), k, x)`` and the Bell number B_k its value at
+x = 1.  Also here: the even-block set-partition counts, and the
+closed-form polynomial identities used as oracles for exponential and
+factorial weight sequences; the composition identity is a partial Bell
+polynomial, read off one exact sequence of exponential-weight moments.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator, Sequence
 
 from . import weights as _weights
@@ -56,7 +58,7 @@ from .weights import NumberLike, WeightModel, log_rational
 ORACLE_CAP = 25  # profile enumeration beyond this is pointless, cost is exponential
 MAX_LOG_WORK = 2 * 10**9  # k^2 summed over log recurrences to orders k
 MAX_EXACT_BITS = 2 * 10**13  # bit products of one exact recurrence, by exact_bit_work;
-# just above moments --weights unit --k 2000 --x 1 (1.7e13, 13-20 s)
+# just above moments --weights bernoulli --k 2000 --x 1 (1.7e13, 3.9-6.0 s)
 
 _EXPONENTIAL = _weights.exponential()
 
@@ -156,7 +158,8 @@ def _weight_moments(model: WeightModel, k_max: int, bp: int, q: int) -> tuple[li
 def moment_sequence(
     model: WeightModel, k_max: int, x: NumberLike, n: int | None = None
 ) -> list[Fraction]:
-    """Exact M_0(x) .. M_kmax(x) by the convolution recurrence.
+    """Exact M_0(x) .. M_kmax(x) by the convolution recurrence, or on
+    all-ones weights by Aitken's array.
 
     With a population size ``n`` the sequence is instead the pre-limit
     moment E (sum_{i<=n} a_i W_i)^k, P(a_i = 1) = x/n, by the power
@@ -166,32 +169,48 @@ def moment_sequence(
     The recurrence runs on integers.  With scale x (or x/n) = p/q and
     ``_weight_moments``'s l, D = q l, the scaled moments N_k = D^k M_k obey
     N_k = sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j, and each order
-    is reduced once, as Fraction(N_k, D^k).  Refuses an ``exact_bit_work``
+    is reduced once, as Fraction(N_k, D^k).  When every V_j read is 1 (and
+    n is None) l = 1 and N_{k+1} = p sum_i C(k, i) q^(k-i) N_i, which
+    Aitken's array gives in additions: each row opens with p times the last
+    entry of the row above, every next entry adds q times the entry above
+    its predecessor, and N_k opens row k.  Refuses an ``exact_bit_work``
     above MAX_EXACT_BITS: at D = q before any V_j is evaluated, then at the
     new D each time reading a V_j grows l.
     """
+    ns, d = _scaled_moments(model, k_max, x, n)
+    # Fraction(N_k, D^k), D^k by one product per order
+    return list(map(Fraction, ns, accumulate(repeat(d, k_max), operator.mul, initial=1)))
+
+
+def _scaled_moments(model: WeightModel, k_max: int, x: NumberLike, n: int | None):
+    """N_0 .. N_kmax and D of ``moment_sequence``: M_k = N_k / D^k."""
     check_nonnegative_order(k_max)
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
     p, q = (Fraction(x) / (n or 1)).as_integer_ratio()
     vs, ell = _weight_moments(model, k_max, p.bit_length(), q)
     d = q * ell
-    cs, step = [], p * ell  # step = p q^(j-1) l^j
-    for v in vs:
-        cs.append(step * v.numerator // v.denominator)
-        step *= d
-    # a_k(j) = C(k-1, j-1), or n C(k-1, j-1) - C(k-1, j): either obeys
-    # Pascal's rule a_{k+1}(j) = a_k(j) + a_k(j-1), with a_k(0) = 0 or -1
-    row, edge = ([1], 0) if n is None else ([n], -1)
     ns = [1]
-    for _ in range(k_max):
-        ns.append(sum(map(operator.mul, map(operator.mul, row, cs), reversed(ns))))
-        row = [row[0] + edge, *map(operator.add, row[1:], row), row[-1]]
-    out, power = [], 1
-    for value in ns:
-        out.append(Fraction(value, power))
-        power *= d
-    return out
+    if n is None and all(v == 1 for v in vs):
+        # all-ones weights (l = 1): N_{k+1} = p sum_i C(k, i) q^(k-i) N_i is
+        # Aitken's array with every carried entry times q; skipping the
+        # product at q = 1 halves the Bell numbers' time
+        row = [1]
+        for _ in range(k_max):
+            row = list(accumulate(row if q == 1 else map(q.__mul__, row), initial=p * row[-1]))
+            ns.append(row[0])
+    else:
+        cs, step = [], p * ell  # step = p q^(j-1) l^j
+        for v in vs:
+            cs.append(step * v.numerator // v.denominator)
+            step *= d
+        # a_k(j) = C(k-1, j-1), or n C(k-1, j-1) - C(k-1, j): either obeys
+        # Pascal's rule a_{k+1}(j) = a_k(j) + a_k(j-1), with a_k(0) = 0 or -1
+        row, edge = ([1], 0) if n is None else ([n], -1)
+        for _ in range(k_max):
+            ns.append(sum(map(operator.mul, map(operator.mul, row, cs), reversed(ns))))
+            row = [row[0] + edge, *map(operator.add, row[1:], row), row[-1]]
+    return ns, d
 
 
 def moment_recurrence(model: WeightModel, k: int, x: NumberLike) -> MomentValue:
@@ -219,19 +238,13 @@ def moment_partition_oracle(model: WeightModel, k: int, x: NumberLike) -> Moment
 
 
 def bell_number(k: int) -> int:
-    """Number of set partitions of a k-set, B_k(1), by Aitken's array: each
-    row opens with the last entry of the row above, every next entry adds
-    the entry above its predecessor, and B_k opens row k.  That is O(k^2)
-    additions, about k^3 log k bit work where ``moment_sequence`` on unit
-    weights multiplies.  Admitted by the recurrence's own bound,
-    ``exact_bit_work(k, 1, 1)``, which overstates this work about k-fold:
-    k = 2047 takes about 1 s."""
-    check_nonnegative_order(k)
-    _check_bit_work(k, 1, 1)
-    row = [1]
-    for _ in range(k):
-        row = list(accumulate(row, initial=row[-1]))
-    return row[0]
+    """Number of set partitions of a k-set, B_k = M_k(1) of unit weights,
+    read off the integer table of ``moment_sequence``'s all-ones route,
+    Aitken's array, where D = 1: O(k^2) additions of integers of about
+    k log k bits, with no fraction built.  Admitted by the recurrence's
+    bound at x = 1, ``exact_bit_work(k, 1, 1)``, which overstates the
+    array's work about k-fold: k = 2047 takes about 1 s."""
+    return _scaled_moments(_weights.unit(), k, 1, None)[0][k]
 
 
 def even_partition_number(two_k: int) -> int:
@@ -275,10 +288,13 @@ def exact_bit_work(k_max: int, bp: int, bq: int) -> int:
     schoolbook products over all terms come to
     k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  It counts every
     coefficient at j (b_q + 1) bits, even where l^j cancels den(V_j), so it
-    overstates weights with long denominators.  MAX_EXACT_BITS sits just
-    above the 1.7e13 of ``moments --weights unit --k 2000 --x 1`` (13-20 s);
-    20 runs of that recurrence took 0.45 to 1.9 ps per estimated product
-    (2-core x86-64)."""
+    overstates weights with long denominators, and all-ones weights, whose
+    Aitken array adds where the convolution multiplies.  MAX_EXACT_BITS
+    sits just above the 1.7e13 of ``moments --weights bernoulli --k 2000
+    --x 1``, a convolution at b_p = b_q = 1: 3.9 to 6.0 s in 3 runs from
+    the shell (2-core x86-64).  Half its V_j and half its moments are zero,
+    so that is about 0.3 ps per estimated product, where 20 runs of the
+    convolution on unit weights took 0.45 to 1.9 ps."""
     return k_max**3 * (bp + bq + k_max.bit_length()) * (4 * bp + k_max * (bq + 1)) // 24
 
 

@@ -119,33 +119,7 @@ class TestRateFunction:
             assert generic == pytest.approx(closed, abs=1e-10)
 
 
-class TestRateConvergence:
-    def test_normalized_log_moments_approach_psi(self):
-        ladders = {False: [25, 50, 100, 200], True: [26, 50, 100, 200]}
-        for model in (UNIT, GAMMA, EXP, LOGF, GAUSS, BERN):
-            for chi in (0.5, 1.0, 2.0):
-                rv = asym.rate_function(model, chi)
-                gaps = []
-                for k in ladders[model.parity_even_only]:
-                    x = chi * k
-                    lg = moments.log_moment(model, k, x)
-                    gaps.append(abs(lg / k - math.log(x) - rv.psi))
-                assert all(a > b for a, b in zip(gaps, gaps[1:])), (model.name, chi, gaps)
-                assert gaps[-1] < 0.05
-
-
 class TestRefinedPrediction:
-    def test_unit_and_gamma11_within_five_percent_at_200(self):
-        for model in (UNIT, weights.gamma(1, 1)):
-            exact = moments.log_moment(model, 200, 200.0)
-            pred = asym.refined_prediction(model, 200, 1.0)
-            assert abs(math.expm1(exact - pred)) < 0.05, model.name
-
-    def test_bernoulli_within_ten_percent_at_200(self):
-        exact = moments.log_moment(BERN, 200, 200.0)
-        pred = asym.refined_prediction(BERN, 200, 1.0)
-        assert abs(math.expm1(exact - pred)) < 0.10
-
     def test_log_prediction_normalizes_to_rate(self):
         chi = 1.5
         rv = asym.rate_function(EXP, chi)

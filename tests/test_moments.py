@@ -271,8 +271,8 @@ class TestIntegerEngine:
             moments.moment_sequence(MODELS["unit"], k, x, n)
 
     def test_bit_work_bound_admits_bell_2000(self):
-        # moments --weights unit --k 2000 --x 1 runs (13-20 s); the bound is
-        # calibrated just above it
+        # moments --weights bernoulli --k 2000 --x 1 runs (3.9-6.0 s), and so
+        # does bell --k 2000; the bound is calibrated just above them
         work = moments.exact_bit_work(2000, 1, 1)
         assert work <= moments.MAX_EXACT_BITS < 1.2 * work
         assert moments.exact_bit_work(0, 997, 11230) == 0
@@ -287,10 +287,12 @@ class TestBell:
         assert moments.bell_number(5) == 52
         assert moments.bell_number(10) == 115975
 
-    def test_aitken_array_is_the_unit_weight_engine(self):
-        # two algorithms: Aitken's additions against the convolution recurrence
-        engine = moments.moment_sequence(weights.unit(), 300, 1)
-        assert [moments.bell_number(k) for k in range(301)] == engine
+    @pytest.mark.parametrize("x", [1, Fraction(7, 2)])
+    def test_all_ones_route_matches_fraction_recurrence(self, x):
+        # unit weights and an all-ones custom list take Aitken's array
+        expected = fraction_moment_sequence(weights.unit(), 300, x)
+        assert moments.moment_sequence(weights.unit(), 300, x) == expected
+        assert moments.moment_sequence(weights.custom_model([1] * 301), 300, x) == expected
 
     def test_refused_by_the_engine_bound_before_any_row(self, monkeypatch):
         def refuse(*args, **kwargs):
