@@ -287,9 +287,10 @@ class TestBell:
         assert moments.bell_number(5) == 52
         assert moments.bell_number(10) == 115975
 
-    @pytest.mark.parametrize("x", [1, Fraction(7, 2)])
+    @pytest.mark.parametrize("x", [0, 1, Fraction(1, 3), Fraction(7, 2), Fraction(-5, 3)])
     def test_all_ones_route_matches_fraction_recurrence(self, x):
-        # unit weights and an all-ones custom list take Aitken's array
+        # unit weights and an all-ones custom list take Aitken's array; x = 0
+        # zeroes its first entry, 1/3 scales by q alone, -5/3 flips sign
         expected = fraction_moment_sequence(weights.unit(), 300, x)
         assert moments.moment_sequence(weights.unit(), 300, x) == expected
         assert moments.moment_sequence(weights.custom_model([1] * 301), 300, x) == expected
