@@ -4,9 +4,11 @@ Subcommands: moments, rate, compare, aux, graphsim, bell, identities.
 Every run first echoes one JSON header line with the tool version and the
 resolved configuration: every option under its long name (``--k-max`` as
 ``k_max``), with aux's effective x and u and compare's method.  Tabular
-output goes to ``--out`` as CSV or JSON, written atomically.  Exit codes:
-0 success, 2 usage error, 3 numeric or domain error, 4 I/O error; one
-boundary, the command group, maps the last two for every command.
+output goes to ``--out`` as CSV or JSON, written atomically: a new table
+gets mode 0666 under the umask, and an overwritten one keeps its mode.
+Exit codes: 0 success, 2 usage error, 3 numeric or domain error, 4 I/O
+error; one boundary, the command group, maps the last two for every
+command.
 """
 
 from __future__ import annotations
@@ -114,6 +116,15 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cpm-tmp-")
     try:
+        # mkstemp makes the file 0600: give it the mode of the table it
+        # replaces, or that of a new file, 0666 under the umask
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

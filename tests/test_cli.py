@@ -766,6 +766,19 @@ class TestExitCodes:
         assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
         assert out.read_text() == "old\n"
 
+    def test_table_takes_a_new_files_mode_or_keeps_the_old_ones(self, runner, tmp_path):
+        out = tmp_path / "t.csv"
+        args = ["moments", "--weights", "unit", "--k", "3", "--x", "1", "--out", str(out)]
+        umask = os.umask(0o027)
+        try:
+            assert runner.invoke(cli.main, args).exit_code == 0
+            assert out.stat().st_mode & 0o7777 == 0o640
+            out.chmod(0o604)
+            assert runner.invoke(cli.main, args).exit_code == 0
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o7777 == 0o604
+
     def test_truncated_model_rate_is_three(self, runner, tmp_path):
         path = tmp_path / "w.json"
         path.write_text('{"moments": [1, 1, 2]}')
@@ -1017,6 +1030,12 @@ class TestBadInputs:
                   3, "cpm: error: model 'custom[2]' has u H'(u) = -1.0 at u = 1.0; the saddle"
                      " needs it positive, as nonnegative weight moments make it",
                   weights_json='{"moments": [1, -2, 1]}'),
+        bad_input("saddle-target-unreachable",
+                  ["aux", "--weights", "custom:{w}", "--llt-chi", "0.0333", "--k", "30",
+                   "--out", "{out}"],
+                  3, "cpm: error: target 30.030030030030026 unreachable for model 'custom[2]' in"
+                     " 4 evaluations (u H'(u) too small, or u H'(u) or H''(u) overflowing)",
+                  weights_json='{"moments": [1, 1, -0.01]}'),
         bad_input("rate-derivative-overflows",
                   ["rate", "--weights", "gamma:1e300,1e300", "--chi", "1"],
                   3, "cpm: error: model 'gamma(1e+300,1e+300)' has u H'(u) = nan at u = 0.0;"
