@@ -766,17 +766,27 @@ class TestExitCodes:
         assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
         assert out.read_text() == "old\n"
 
-    def test_table_takes_a_new_files_mode_or_keeps_the_old_ones(self, runner, tmp_path):
+    def test_new_table_takes_a_new_files_mode(self, runner, tmp_path):
         out = tmp_path / "t.csv"
         args = ["moments", "--weights", "unit", "--k", "3", "--x", "1", "--out", str(out)]
         umask = os.umask(0o027)
         try:
             assert runner.invoke(cli.main, args).exit_code == 0
-            assert out.stat().st_mode & 0o7777 == 0o640
-            out.chmod(0o604)
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o7777 == 0o640
+
+    def test_overwritten_table_keeps_its_mode(self, runner, tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_text("old\n")
+        out.chmod(0o604)
+        args = ["moments", "--weights", "unit", "--k", "3", "--x", "1", "--out", str(out)]
+        umask = os.umask(0o027)
+        try:
             assert runner.invoke(cli.main, args).exit_code == 0
         finally:
             os.umask(umask)
+        assert out.read_text() != "old\n"
         assert out.stat().st_mode & 0o7777 == 0o604
 
     def test_truncated_model_rate_is_three(self, runner, tmp_path):

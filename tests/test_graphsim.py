@@ -379,11 +379,14 @@ class TestReproducibility:
         assert graphsim._block_trials(large.trial_work) == 1
         assert graphsim.trial_workers(large.trial_work, large.trials) == 64
 
-    def test_usable_cpus_read_the_affinity_set_or_the_cpu_count(self, monkeypatch):
+    def test_usable_cpus_read_the_affinity_set(self, monkeypatch):
         # pinned to one CPU, every run takes one worker: the calling thread
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
         assert graphsim._usable_cpus() == graphsim.trial_workers(10**5, 100) == 1
-        monkeypatch.delattr("os.sched_getaffinity")
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        # a platform without sched_getaffinity
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 5)
         assert graphsim._usable_cpus() == 5
 
