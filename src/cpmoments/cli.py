@@ -350,7 +350,10 @@ def identities() -> None:
     checks.append(("composition multinomial sum = C(k-1, p-1), p <= 8", ok))
 
     def matches_moments(model: wts.WeightModel, closed_form) -> bool:
-        # one exact sequence per intensity, orders 1..12 read off it
+        # one exact sequence per intensity, orders 1..12 read off it, by the
+        # convolution on a custom list of the same V_j: the family's own
+        # route (logfact's M_(k+1) = (x + k) M_k) would restate the closed form
+        model = wts.custom_model([model.moment(j) for j in range(13)])
         for x in (1, 3, Fraction(7, 2)):
             seq = mom.moment_sequence(model, 12, x)
             if any(math.factorial(k) * closed_form(k, x) != seq[k] for k in range(1, 13)):

@@ -6,8 +6,8 @@ the i.i.d. weights W_j, is a weighted Bell polynomial:
     M_k(x) = k! * sum over profiles (l_1..l_k), sum i*l_i = k, of
              prod_i (x V_i)^{l_i} / ( (i!)^{l_i} l_i! )
 
-Two independent evaluation routes are provided.  The production path is an
-O(k^2) convolution recurrence
+Two independent evaluation routes are provided.  The production path is
+``moment_sequence``, whose general case is the O(k^2) convolution recurrence
 
     M_k = sum_{j=1..k} C(k-1, j-1) x V_j M_{k-j}
 
@@ -15,7 +15,12 @@ obtained by differentiating the generating function
 G(x,u) = sum M_k u^k/k! = exp(x (H(u) - 1)).  It runs on Python integers:
 scaled by D^k, with D the denominator of x times an integer that clears
 the weight moments' denominators, every M_k is an integer combination of
-the lower ones, and each is divided by D^k once.  The oracle path
+the lower ones, and each is divided by D^k once.  A built-in law that
+declares the structure of its H takes a cheaper route to the same
+integers: a D-finite recurrence of fixed order where H' is rational
+(exponential, logfact, gamma of integer shape), O(k) big products, and
+the q-Aitken array of unit weights where ln H is a monomial (unit,
+gaussian), O(k^2) additions.  The oracle path
 enumerates partition profiles directly (exponential cost, capped at
 k <= 25) in Fractions.  Both are exact.  A float variant of the
 recurrence, one dot product per order at a running tilt, gives a whole
@@ -30,15 +35,12 @@ C(k-1, j-1) - C(k-1, j)/n and scales x by 1/n.  The centered moment of
 Y - x V_1 is the plain recurrence on the mean-shift model H(u) - u V_1:
 ``moment_sequence(tilde_transform(model), k, x)``.
 
-On all-ones weights (unit, or a custom list of ones) the exact engine
-takes Aitken's array instead of the convolution: O(k^2) additions, and at
-x = p/q one small product by q per entry, where the convolution
-multiplies big integers.  The Bell polynomial B_k(x) is
-``moment_sequence(unit(), k, x)`` and the Bell number B_k its value at
-x = 1.  Also here: the even-block set-partition counts, and the
-closed-form polynomial identities used as oracles for exponential and
-factorial weight sequences; the composition identity is a partial Bell
-polynomial, read off one exact sequence of exponential-weight moments.
+The Bell polynomial B_k(x) is ``moment_sequence(unit(), k, x)`` and the
+Bell number B_k its value at x = 1, both off the q-Aitken array.  Also
+here: the even-block set-partition counts, and the closed-form polynomial
+identities used as oracles for exponential and factorial weight
+sequences; the composition identity is a partial Bell polynomial, read off
+one exact sequence of exponential-weight moments.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from typing import Iterator, Sequence
 
 from . import weights as _weights
@@ -111,15 +113,19 @@ def partition_profiles(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, k)
 
 
-def _root_or_self(f: int, j: int) -> int:
-    """r = the j-th root of f when f is a perfect j-th power, else r = f:
-    either way f divides r^j.
+def _missing_root(c: Fraction, power: int, j: int) -> int:
+    """The factor r by which a scale l with l^j = ``power`` grows so that
+    (l r)^j c is an integer: 1 where den(c) divides l^j; else, with the
+    missing factor f = den(c) / gcd(den(c), l^j), the j-th root of f when
+    f is a perfect j-th power, and f otherwise.  Either way f divides r^j.
 
     The root candidate is floor(f^(1/j)) by Newton's method on r^j = f,
     seeded by the float root.  From any r >= 1 one step lands at or above
     it, since the mean of j - 1 copies of r and f/r^(j-1) is at least their
     geometric mean f^(1/j), and from there the steps fall to it.
     """
+    if (f := c.denominator // math.gcd(c.denominator, power)) == 1:
+        return 1
     shift = max(f.bit_length() // j - 60, 0)
     r = int(2 ** (math.log2(f) / j - shift)) << shift
     r = ((j - 1) * r + f // r ** (j - 1)) // j
@@ -129,53 +135,78 @@ def _root_or_self(f: int, j: int) -> int:
 
 
 def _weight_moments(model: WeightModel, k_max: int, bp: int, q: int) -> tuple[list[Fraction], int]:
-    """V_1 .. V_kmax and the scale l of ``moment_sequence``: l^j V_j is an
-    integer for every j, and the recurrence runs at D = q l.
+    """V_1 .. V_kmax and the scale l of ``moment_sequence``'s convolution:
+    l^j V_j is an integer for every j, and the recurrence runs at D = q l.
 
-    l starts at 1 and grows as each V_j is read.  If den(V_j) does not
-    divide l^j, the missing factor is f = den(V_j) / gcd(den(V_j), l^j),
-    and l grows by a factor r with f dividing r^j: the j-th root of f when
-    f is a perfect j-th power, f otherwise.  So gaussian:1e-300,
-    den(V_2) = 10^300, runs at l = 10^150, and V_j = 1/p^j at l = p.  The
+    l starts at 1 and grows by ``_missing_root`` as each V_j is read: by
+    the j-th root of the factor of den(V_j) that l^j misses where that
+    factor is a perfect j-th power, by the factor otherwise.  So
+    gaussian:1e-300, den(V_2) = 10^300, runs at l = 10^150, and V_j =
+    1/p^j at l = p.  The
     lcm of the denominators would also clear them, but for V_j =
     (2j-1)!!/2^j it is 2^j, not 2, and the recurrence's integers would grow
     by k^2 bits.  ``exact_bit_work`` is held to MAX_EXACT_BITS at D = q
-    before any V_j is evaluated and again at D = q l each time l grows, so
-    the last check is at the D that runs.
+    by the caller before any V_j is evaluated, and here again at D = q l
+    each time l grows, so the last check is at the D the convolution runs.
     """
-    _check_bit_work(k_max, bp, q.bit_length())
     vs, ell, power = [], 1, 1  # power = l^j
     for j in range(1, k_max + 1):
         vs.append(v := model.moment(j))
         power *= ell
-        if (f := v.denominator // math.gcd(v.denominator, power)) > 1:
-            ell *= _root_or_self(f, j)
+        if (r := _missing_root(v, power, j)) > 1:
+            ell *= r
             power = ell**j
             _check_bit_work(k_max, bp, (q * ell).bit_length())
     return vs, ell
 
 
+def _route_scale(model: WeightModel, k_max: int, bp: int, q: int,
+                 terms: list[tuple[int, Fraction]]) -> int:
+    """The scale l of a structured route: l^w c is an integer for every
+    (w, c) of ``terms``, the coefficients it reads with their weights, l
+    grown term by term as ``_weight_moments`` grows it.  Where l = 1 every
+    V_j is an integer, so the check at D = q, made before, is the last one
+    the convolution would make; elsewhere the V_j are read by
+    ``_weight_moments`` for the same checks at the same D, and no refusal
+    depends on the route."""
+    ell = 1
+    for w, c in sorted(terms):
+        ell *= _missing_root(c, ell**w, w)
+    if ell > 1:
+        _weight_moments(model, k_max, bp, q)
+    return ell
+
+
 def moment_sequence(
     model: WeightModel, k_max: int, x: NumberLike, n: int | None = None
 ) -> list[Fraction]:
-    """Exact M_0(x) .. M_kmax(x) by the convolution recurrence, or on
-    all-ones weights by Aitken's array.
+    """Exact M_0(x) .. M_kmax(x), by the route the structure of H allows.
 
     With a population size ``n`` the sequence is instead the pre-limit
     moment E (sum_{i<=n} a_i W_i)^k, P(a_i = 1) = x/n, by the power
     recurrence M_k = (x/n) sum_j (n C(k-1, j-1) - C(k-1, j)) V_j M_{k-j};
     ``None`` is its n -> infinity limit.
 
-    The recurrence runs on integers.  With scale x (or x/n) = p/q and
-    ``_weight_moments``'s l, D = q l, the scaled moments N_k = D^k M_k obey
-    N_k = sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j, and each order
-    is reduced once, as Fraction(N_k, D^k).  When every V_j read is 1 (and
-    n is None) l = 1 and N_{k+1} = p sum_i C(k, i) q^(k-i) N_i, which
-    Aitken's array gives in additions: each row opens with p times the last
-    entry of the row above, every next entry adds q times the entry above
-    its predecessor, and N_k opens row k.  Refuses an ``exact_bit_work``
-    above MAX_EXACT_BITS: at D = q before any V_j is evaluated, then at the
-    new D each time reading a V_j grows l.
+    Every route runs on integers N_k = D^k M_k, at a D = q l of its own
+    (x or x/n = p/q), and reduces each order once, as Fraction(N_k, D^k).
+    With n None, a law that declares its H (``WeightModel``) takes:
+
+    * the D-finite route where H' = P/Q, Q(0) = 1 (exponential, logfact,
+      gamma of integer shape): Q G' = x P G for G = exp(x (H - 1)) gives
+      M_{k+1} = x sum_i P_i k^(i) M_{k-i} - sum_{i>=1} Q_i k^(i) M_{k+1-i},
+      k^(i) = k (k-1) .. (k-i+1), O(k) products of a big integer by a
+      small one (Q is cut at degree k, so a shape m > k costs O(k^2));
+    * the Touchard route where ln H(u) = a u^d / d! (unit; gaussian(v),
+      a = v, d = 2): M_{dj} = (dj)! a^j T_j(x) / (d!^j j!), (2j-1)!! v^j
+      T_j(x) for gaussian(v), from the unit-weight moments T_j off the
+      q-Aitken array, O(k^2/d^2) additions and products by q.
+
+    Every other model, and every finite n, takes the convolution N_k =
+    sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j, l of
+    ``_weight_moments``: O(k^2) products of big integers.  Each route is
+    refused by the convolution's ``exact_bit_work`` check above
+    MAX_EXACT_BITS: at D = q before any V_j is evaluated, then at the new
+    D each time reading a V_j grows l (``_route_scale``).
     """
     ns, d = _scaled_moments(model, k_max, x, n)
     # Fraction(N_k, D^k), D^k by one product per order
@@ -183,34 +214,85 @@ def moment_sequence(
 
 
 def _scaled_moments(model: WeightModel, k_max: int, x: NumberLike, n: int | None):
-    """N_0 .. N_kmax and D of ``moment_sequence``: M_k = N_k / D^k."""
+    """N_0 .. N_kmax and D of ``moment_sequence``, M_k = N_k / D^k, by the
+    route it names; D = q l, with l from ``_route_scale`` on the
+    coefficients a structured route reads, from ``_weight_moments`` on
+    the convolution's V_j."""
     check_nonnegative_order(k_max)
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
     p, q = (Fraction(x) / (n or 1)).as_integer_ratio()
-    vs, ell = _weight_moments(model, k_max, p.bit_length(), q)
-    d = q * ell
-    ns = [1]
-    if n is None and all(v == 1 for v in vs):
-        # all-ones weights (l = 1): N_{k+1} = p sum_i C(k, i) q^(k-i) N_i is
-        # Aitken's array with every carried entry times q; skipping the
-        # product at q = 1 halves the Bell numbers' time
-        row = [1]
-        for _ in range(k_max):
-            row = list(accumulate(row if q == 1 else map(q.__mul__, row), initial=p * row[-1]))
-            ns.append(row[0])
+    bp = p.bit_length()
+    _check_bit_work(k_max, bp, q.bit_length())
+    if n is None and model.touchard is not None:
+        a, deg = model.touchard
+        ell = _route_scale(model, k_max, bp, q, [(deg, a)])
+        ns = _touchard_table(a, deg, k_max, p, q, ell)
+    elif n is None and model.d1_ratio is not None:
+        ps, qs = model.d1_ratio(k_max)
+        ell = _route_scale(model, k_max, bp, q, [*((i + 1, c) for i, c in enumerate(ps)),
+                                                 *enumerate(qs)])
+        ns = _dfinite_table(ps, qs, k_max, p, q, ell)
     else:
-        cs, step = [], p * ell  # step = p q^(j-1) l^j
-        for v in vs:
-            cs.append(step * v.numerator // v.denominator)
-            step *= d
-        # a_k(j) = C(k-1, j-1), or n C(k-1, j-1) - C(k-1, j): either obeys
-        # Pascal's rule a_{k+1}(j) = a_k(j) + a_k(j-1), with a_k(0) = 0 or -1
-        row, edge = ([1], 0) if n is None else ([n], -1)
-        for _ in range(k_max):
-            ns.append(sum(map(operator.mul, map(operator.mul, row, cs), reversed(ns))))
-            row = [row[0] + edge, *map(operator.add, row[1:], row), row[-1]]
-    return ns, d
+        vs, ell = _weight_moments(model, k_max, bp, q)
+        ns = _convolution_table(vs, n, k_max, p, q, ell)
+    return ns, q * ell
+
+
+def _dfinite_table(ps, qs, k_max: int, p: int, q: int, ell: int) -> list[int]:
+    """N_0 .. N_kmax at D = q l for H' = P/Q: N_{k+1} = sum_i k^(i) (c_i -
+    e_i (k - i)) N_{k-i} with c_i = p l D^i P_i and e_i = D^(i+1) Q_(i+1),
+    integers at ``_route_scale``'s l, which clears P_i at weight i + 1 and
+    Q_i at weight i."""
+    d = q * ell
+    cs = [p * ell * d**i * c.numerator // c.denominator for i, c in enumerate(ps)]
+    es = [d**i * c.numerator // c.denominator for i, c in enumerate(qs)][1:]
+    terms = list(zip_longest(cs, es, fillvalue=0))
+    ns = [1]
+    for k in range(k_max):
+        total, fall = 0, 1  # fall = k^(i)
+        for i, (c, e) in enumerate(terms[: k + 1]):
+            total += fall * (c - e * (k - i)) * ns[k - i]
+            fall *= k - i
+        ns.append(total)
+    return ns
+
+
+def _touchard_table(a: Fraction, deg: int, k_max: int, p: int, q: int, ell: int) -> list[int]:
+    """N_0 .. N_kmax at D = q l for ln H(u) = a u^deg / deg!: N_{deg j} =
+    w_j A_j and zero off the lattice, w_j = prod_{i<=j} C(deg i - 1,
+    deg - 1) q^(deg-1) l^deg a.  A_j = q^j T_j(x) obeys A_{j+1} = p sum_i
+    C(j, i) q^(j-i) A_i, the q-Aitken array: each row opens with p times
+    the last entry of the row above, every next entry adds q times the
+    entry above its predecessor, and A_j opens row j.  Skipping the
+    product by q at q = 1 halves the Bell numbers' time."""
+    units, row = [1], [1]
+    for _ in range(k_max // deg):
+        row = list(accumulate(row if q == 1 else map(q.__mul__, row), initial=p * row[-1]))
+        units.append(row[0])
+    step = q ** (deg - 1) * ell**deg * a.numerator // a.denominator
+    ws = accumulate((math.comb(deg * j - 1, deg - 1) * step for j in range(1, len(units))),
+                    operator.mul, initial=1)
+    ns = [0] * (k_max + 1)
+    ns[::deg] = map(operator.mul, ws, units)
+    return ns
+
+
+def _convolution_table(vs: list[Fraction], n: int | None, k_max: int, p: int, q: int,
+                       ell: int) -> list[int]:
+    """N_0 .. N_kmax at D = q l by the convolution on ``_weight_moments``'s V_j and l."""
+    d, cs, step = q * ell, [], p * ell  # step = p q^(j-1) l^j
+    for v in vs:
+        cs.append(step * v.numerator // v.denominator)
+        step *= d
+    # a_k(j) = C(k-1, j-1), or n C(k-1, j-1) - C(k-1, j): either obeys
+    # Pascal's rule a_{k+1}(j) = a_k(j) + a_k(j-1), with a_k(0) = 0 or -1
+    ns = [1]
+    row, edge = ([1], 0) if n is None else ([n], -1)
+    for _ in range(k_max):
+        ns.append(sum(map(operator.mul, map(operator.mul, row, cs), reversed(ns))))
+        row = [row[0] + edge, *map(operator.add, row[1:], row), row[-1]]
+    return ns
 
 
 def moment_recurrence(model: WeightModel, k: int, x: NumberLike) -> MomentValue:
@@ -239,11 +321,12 @@ def moment_partition_oracle(model: WeightModel, k: int, x: NumberLike) -> Moment
 
 def bell_number(k: int) -> int:
     """Number of set partitions of a k-set, B_k = M_k(1) of unit weights,
-    read off the integer table of ``moment_sequence``'s all-ones route,
-    Aitken's array, where D = 1: O(k^2) additions of integers of about
-    k log k bits, with no fraction built.  Admitted by the recurrence's
-    bound at x = 1, ``exact_bit_work(k, 1, 1)``, which overstates the
-    array's work about k-fold: k = 2047 takes about 1 s."""
+    read off the integer table of ``moment_sequence``'s Touchard route, the
+    q-Aitken array at x = 1, where D = 1 and it is Aitken's array: O(k^2)
+    additions of integers of about k log k bits, with no fraction built
+    and no V_j read.  Admitted by the recurrence's bound at x = 1,
+    ``exact_bit_work(k, 1, 1)``, which overstates the array's work about
+    k-fold: k = 2047 takes about 1 s."""
     return _scaled_moments(_weights.unit(), k, 1, None)[0][k]
 
 
@@ -288,8 +371,12 @@ def exact_bit_work(k_max: int, bp: int, bq: int) -> int:
     schoolbook products over all terms come to
     k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  It counts every
     coefficient at j (b_q + 1) bits, even where l^j cancels den(V_j), so it
-    overstates weights with long denominators, and all-ones weights, whose
-    Aitken array adds where the convolution multiplies.  MAX_EXACT_BITS
+    overstates weights with long denominators.  It is the convolution's
+    cost, and every route is held to it, at the convolution's D, so that
+    no refusal depends on the route: it overstates the D-finite route,
+    O(k) products of a big integer by a small one, about k-fold or more,
+    and the q-Aitken array, which adds where the convolution multiplies,
+    about k-fold.  MAX_EXACT_BITS
     sits just above the 1.7e13 of ``moments --weights bernoulli --k 2000
     --x 1``, a convolution at b_p = b_q = 1: 3.9 to 6.0 s in 3 runs from
     the shell (2-core x86-64).  Half its V_j and half its moments are zero,

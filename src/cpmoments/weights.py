@@ -44,6 +44,8 @@ from .errors import DomainError, HorizonError
 NumberLike = Union[int, float, str, Fraction]
 WeightDraw = Callable[["np.random.Generator", int], "np.ndarray"]
 Complexish = Union[float, complex, "np.ndarray"]
+# n -> (P, Q) with H' = P/Q, each cut after degree n
+D1Ratio = Callable[[int], tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]
 
 
 def log_rational(v: Fraction) -> float:
@@ -87,6 +89,13 @@ class WeightModel:
     is not range-checked: the caller keeps z inside the disc.  Each closed
     form avoids the cancellation of H(z) - 1 near z = 0, so the value
     carries relative error ~eps however small |z| is.  H itself is ``egf``.
+
+    A built-in law may declare the structure of H, which picks its exact
+    moment route (``moments.moment_sequence``): ``touchard = (a, d)`` where
+    ln H(u) = a u^d / d! (unit weights, centered gaussians), and
+    ``d1_ratio(n) = (P, Q)`` where H' = P/Q with Q(0) = 1, each cut after
+    degree n (exponential, logfact, gamma of integer shape).  Derived
+    models declare neither.
     """
 
     name: str
@@ -99,6 +108,8 @@ class WeightModel:
     horizon: int | None = None
     sample: WeightDraw | None = None
     _log_moment_fn: Callable[[int], float] | None = None
+    touchard: tuple[Fraction, int] | None = None
+    d1_ratio: D1Ratio | None = None
 
     @property
     def truncated(self) -> bool:
@@ -227,6 +238,12 @@ def _log_rising(m: Fraction) -> Callable[[int], float]:
     return lambda j: j * log_m + (fm + j - 0.5) * math.log1p(j / fm) - j + tail(fm + j) - tail(fm)
 
 
+def _power_ratio(alpha: Fraction, theta: Fraction, s: int) -> D1Ratio:
+    """n -> (P, Q) of H'(t) = alpha (1 - theta t)^-s: P = (alpha,) and Q the
+    binomial (1 - theta t)^s, cut after degree n so that a huge s costs n terms."""
+    return lambda n: ((alpha,), tuple(math.comb(s, i) * (-theta) ** i for i in range(min(s, n) + 1)))
+
+
 def _param_name(value: Fraction) -> str:
     """The exact ratio, or past 20 characters its float unless that is 0."""
     text, near = str(value), float(value)
@@ -244,6 +261,7 @@ def unit() -> WeightModel:
         _egf_d1=math.exp,
         _egf_d2=math.exp,
         sample=lambda rng, size: np.ones(size),
+        touchard=(Fraction(1), 1),
     )
 
 
@@ -271,6 +289,7 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
         _egf_d1=lambda u: fv2 * u * h(u),
         _egf_d2=lambda u: (fv2 + (fv2 * u) ** 2) * h(u),
         sample=lambda rng, size: rng.normal(0.0, math.sqrt(fv2), size),
+        touchard=(v2f, 2),
     )
 
 
@@ -305,6 +324,7 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
         _egf_d1=lambda u: fm * ft * math.exp(-(fm + 1.0) * math.log1p(-ft * u)),
         _egf_d2=lambda u: fm * (fm + 1.0) * ft * ft * math.exp(-(fm + 2.0) * math.log1p(-ft * u)),
         sample=lambda rng, size: rng.gamma(fm, ft, size),
+        d1_ratio=_power_ratio(mf * tf, tf, int(mf) + 1) if mf.denominator == 1 else None,
     )
 
 
@@ -334,6 +354,7 @@ def exponential() -> WeightModel:
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
         sample=lambda rng, size: rng.standard_exponential(size),
+        d1_ratio=_power_ratio(Fraction(1), Fraction(1), 2),
     )
 
 
@@ -347,6 +368,7 @@ def log_factorial() -> WeightModel:
         egf_m1=lambda z: -_log1p(-z),
         _egf_d1=lambda u: 1.0 / (1.0 - u),
         _egf_d2=lambda u: (1.0 - u) ** -2.0,
+        d1_ratio=_power_ratio(Fraction(1), Fraction(1), 1),
     )
 
 

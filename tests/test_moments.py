@@ -269,8 +269,9 @@ class TestBell:
 
     @pytest.mark.parametrize("x", [0, 1, Fraction(1, 3), Fraction(7, 2), Fraction(-5, 3)])
     def test_all_ones_route_matches_fraction_recurrence(self, x):
-        # unit weights and an all-ones custom list take Aitken's array; x = 0
-        # zeroes its first entry, 1/3 scales by q alone, -5/3 flips sign
+        # unit weights take the q-Aitken array, an all-ones custom list the
+        # convolution; x = 0 zeroes the array's first entry, 1/3 scales by q
+        # alone, -5/3 flips sign
         expected = fraction_moment_sequence(weights.unit(), 300, x)
         assert moments.moment_sequence(weights.unit(), 300, x) == expected
         assert moments.moment_sequence(weights.custom_model([1] * 301), 300, x) == expected
@@ -294,6 +295,62 @@ class TestBell:
             assert moments.moment_sequence(weights.unit(), 3, x)[3] == expected
         assert moments.moment_sequence(weights.unit(), 3, 2)[3] == 22
         assert moments.moment_sequence(weights.unit(), 0, 5)[0] == 1
+
+
+ROUTE_INTENSITIES = (0, Fraction(1, 3), 1, Fraction(7, 2), Fraction(-5, 3))
+ROUTE_FAMILIES = (
+    ("exponential", 300), ("logfact", 300),
+    *((f"gamma:{m},{theta}", 60) for m in (1, 2, 3, 5) for theta in ("1", "1/2", "2/3", "5/7")),
+    ("gamma:1e18,1", 60),  # a recurrence of order 1e18 + 1, cut at the orders read
+    *((f"gaussian:{v}", 300) for v in ("1", "1/3", "1/8", "3/5")),
+)
+
+
+class TestRoutes:
+    """Each structured route of ``moment_sequence`` equals the convolution."""
+
+    @pytest.mark.parametrize("x", ROUTE_INTENSITIES, ids=str)
+    @pytest.mark.parametrize("spec, k_max", ROUTE_FAMILIES)
+    def test_route_matches_fraction_recurrence(self, spec, k_max, x):
+        model = weights.from_spec(spec)
+        assert moments.moment_sequence(model, k_max, x) == fraction_moment_sequence(model, k_max, x)
+
+    def test_each_model_takes_its_route(self, monkeypatch):
+        taken = []
+        for name in ("_touchard_table", "_dfinite_table", "_convolution_table"):
+            monkeypatch.setattr(moments, name, lambda *args, name=name, table=getattr(
+                moments, name): (taken.append(name), table(*args))[1])
+        structured = {"unit": "_touchard_table", "gaussian:3/5": "_touchard_table",
+                      "exponential": "_dfinite_table", "logfact": "_dfinite_table",
+                      "gamma:2,1/2": "_dfinite_table"}
+        for spec, route in structured.items():
+            for n, want in ((None, route), (1000, "_convolution_table")):
+                taken.clear()
+                moments.moment_sequence(weights.from_spec(spec), 20, Fraction(7, 2), n)
+                assert taken == [want], (spec, n)
+        for model in (MODELS["bernoulli"], weights.from_spec("gamma:1/2,1"),
+                      weights.tilde_transform(MODELS["exponential"]),
+                      weights.tilde_transform(MODELS["unit"]), weights.custom_model([1] * 21),
+                      central_model(MODELS["logfact"])):
+            taken.clear()
+            moments.moment_sequence(model, 20, Fraction(7, 2))
+            assert taken == ["_convolution_table"], model.name
+
+    def test_integer_weights_admitted_without_reading_a_moment(self, monkeypatch):
+        # declared integer coefficients give integer V_j, so the check at D = q
+        # is the last one and no V_j is read
+        specs = ("unit", "exponential", "logfact", "gaussian:1", "gamma:2,1")
+        expected = {spec: fraction_moment_sequence(weights.from_spec(spec), 60, Fraction(7, 2))
+                    for spec in specs}
+
+        def refuse(self, j):
+            raise AssertionError("weight moments evaluated")
+
+        monkeypatch.setattr(weights.WeightModel, "moment", refuse)
+        assert moments.bell_number(300) == moments.moment_sequence(MODELS["unit"], 300, 1)[300]
+        for spec in specs:
+            got = moments.moment_sequence(weights.from_spec(spec), 60, Fraction(7, 2))
+            assert got == expected[spec], spec
 
 
 class TestEvenPartitionNumbers:
