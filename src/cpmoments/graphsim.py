@@ -33,23 +33,27 @@ bit-reproducible for a given seed.
 Trials run in blocks of about BLOCK_WORK vertices and expected edges, one
 trial a block for larger graphs (``_block_trials``), on threads, one per
 usable CPU and block (``trial_workers``), since numpy releases the GIL in
-the draws and array passes.  Each thread keeps one Philox generator per
-trial of a block and re-keys each to its trial's stream, which draws the
-same bits as a new generator.  A block draws each graph's first batch of
-exponentials from its own stream, turns all of them into slot indices in
-one pass, then draws each graph's weights, so a trial of a small graph
-makes about five numpy calls of its own, each releasing and retaking the
-GIL, where it made about twelve.  On a shared 2-core x86-64 host, 3000
+the draws and in most array passes (``np.add.at`` keeps it).  Each thread
+keeps one Philox generator per trial of a block and re-keys each to its
+trial's stream, which draws the same bits as a new generator.  A block
+draws each graph's first batch of exponentials from its own stream and
+turns all of them into slot indices in one pass, so a trial of a small
+graph makes about five numpy calls of its own, each releasing and retaking
+the GIL, where it made about twelve.  On a shared 2-core x86-64 host, 3000
 graphs of n = 200 (blocks of 21) took a median 433 ms on one thread and
 387 ms on two, against 520 and 469 ms with a gap pass per graph (21
 alternating in-process runs each); the other core was partly busy there,
 so two single-threaded processes ran 1.6 times slower each than one.  A
-block sums the degrees of all its graphs in one pass.  Trial t writes
+block then draws the weights and sums the degrees of all its graphs
+together, one stretch of whole rows of about EDGE_BLOCK edges at a time,
+each graph's weights from its own stream.  Trial t writes
 D_max[t] from stream (seed, t), so the samples are the same bits for any
 number of threads and any block size.  The blocks in flight hold at most
 MAX_TRIAL_WORK vertices and edges together, as one graph of the largest
-admitted size does, and a block of one graph keeps two arrays of its edge
-count: the slot indices, overwritten by column indices, and the weights.
+admitted size does, and a block keeps one array of its edge count: the
+slot indices, overwritten by column indices.  Two trials of n = 10^6 at
+kappa = 4 (2.8e7 edges each, one thread) peaked at 302 MB of resident
+memory, against 512 MB when each graph also kept an array of its weights.
 """
 
 from __future__ import annotations
@@ -67,13 +71,18 @@ from .errors import DomainError
 from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 
 # a graph's work is its vertices and expected edges: one trial's arrays take
-# 35-50 bytes for each, and a run 40-85 ns for each (2-core x86-64)
-MAX_TRIAL_WORK = 3 * 10**7  # work of one graph, about 1.5 GB of arrays
+# 52-62 bytes for each vertex and 8 for each edge (tracemalloc peaks from
+# n = 1e4 to 2e6), and a run 40-85 ns for each (2-core x86-64)
+MAX_TRIAL_WORK = 3 * 10**7  # work of one graph, at most about 1.8 GB of arrays
 TRIAL_COST = 1000  # a trial's fixed cost as work; its stream and calls take 9-17 us in blocks
 MAX_GRAPH_WORK = 10**9  # work and TRIAL_COST summed over the trials, about a minute
 # graphs drawn together as one block of trials hold about this much work
 BLOCK_WORK = 5 * 10**4
-EDGE_BLOCK = 2**16  # edges per block of a trial's row sums and column indices
+# edges per block of a trial's weights, row sums and column indices: each
+# block holds a few temporaries of its length, so the n = 20000 benchmark
+# graph peaks at 4.7, 4.2 and 3.9 MiB under tracemalloc at 2^16, 2^15 and
+# 2^14; 2^14 makes twice the blocks and ran graph_mc about 4% slower
+EDGE_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -245,17 +254,24 @@ def sample_degrees(
     draws its first batch of exponentials from its own stream, and the gap
     transform and cumulative sum then run once over the block; graph t's
     slots are shifted by t n(n - 1)/2.  Each graph then draws any second
-    batch and exactly its edge count of weights, so each stream draws its
-    gaps, then its weights, as a graph drawn alone does.  At a subnormal
-    edge_p a gap E / -ln(1 - p) overflows to inf, which the cut to the gap
-    cap handles, so the draws run with overflow warnings off.  The slot
-    indices of all graphs form one sorted array, split into rows by
-    counting, for each row, the indices before its row start; slot (i, j) of
-    graph t sits at row_start[t n + i] + j - i - 1.  The slot indices and
-    the weights are the only arrays of one graph's size: row sums and column
-    indices are taken over blocks of whole rows of about EDGE_BLOCK edges,
-    the columns overwriting the slots, so every sum adds its weights in edge
-    order whatever the blocks and however many graphs are drawn together.
+    batch.  At a subnormal edge_p a gap E / -ln(1 - p) overflows to inf,
+    which the cut to the gap cap handles, so the draws run with overflow
+    warnings off.  The slot indices of all graphs form one sorted array,
+    split into rows by counting, for each row, the indices before its row
+    start; slot (i, j) of graph t sits at row_start[t n + i] + j - i - 1.
+
+    The slot indices are the only array of one graph's size.  The weights
+    are drawn over blocks of whole rows of about EDGE_BLOCK edges, in edge
+    order, each graph's from its own stream: a stream draws all its gaps,
+    then its edge count of weights in one or more pieces, which a
+    ``WeightDraw`` draws as the same bits as one call, so a graph gets the
+    weights it would get drawn alone.  Each block takes its rows' sums with
+    one ``bincount`` and turns its slots into column indices in place;
+    ``np.add.at`` adds its weights onto one array of column sums, and so
+    adds each column in edge order across the blocks, as one ``bincount``
+    over all edges would (a ``bincount`` per block, summed, would change the
+    last bits).  Every sum thus adds its weights in edge order whatever the
+    blocks and however many graphs are drawn together.
     """
     if not 0.0 <= edge_p <= 1.0:
         raise DomainError("edge probability must lie in [0, 1]")
@@ -266,7 +282,7 @@ def sample_degrees(
     npairs = n * (n - 1) // 2
     if npairs == 0 or edge_p <= 0.0 or graphs == 0:
         return np.zeros((graphs, n))
-    parts, weights = [], []
+    parts = []
     with np.errstate(over="ignore"):
         # a gap of npairs + 1 already ends the process: cutting longer ones
         # moves no kept slot
@@ -282,25 +298,32 @@ def sample_degrees(
                                        npairs + 1)[0]
                 more[0] += row[-1]
                 row = np.concatenate([row, np.cumsum(more, out=more)])
-            row = row[: row.searchsorted(end)]
-            parts.append(row)
-            weights.append(draw(stream, row.size))
+            parts.append(row[: row.searchsorted(end)])
     pos = parts[0] if graphs == 1 else np.concatenate(parts)
-    w = weights[0] if graphs == 1 else np.concatenate(weights)
-    del parts, weights  # concatenated parts are freed here, not at return
+    del parts  # concatenated parts are freed here, not at return
     idx, row_start, offset = _row_tables(n, graphs)
     first = np.searchsorted(pos, row_start)  # each row's first edge, then the end
     counts = first[1:] - first[:-1]
-    rows = np.empty(idx.size)
+    graph_first = first[::n].tolist()  # each graph's first edge, then the end
+    rows, cols = np.zeros(idx.size), np.zeros(idx.size)
     cuts = np.searchsorted(first, range(EDGE_BLOCK, pos.size, EDGE_BLOCK)).tolist()
     for r0, r1 in zip([0, *cuts], [*cuts, idx.size]):
-        if r0 == r1:  # one row of more than EDGE_BLOCK edges
+        e0, e1 = int(first[r0]), int(first[r1])
+        if e0 == e1:  # no edge, or one row of more than EDGE_BLOCK edges
             continue
-        block = slice(first[r0], first[r1])
+        # the block's weights in edge order, each graph's from its own stream
+        draws = []
+        for g in range(r0 // n, (r1 - 1) // n + 1):
+            size = min(e1, graph_first[g + 1]) - max(e0, graph_first[g])
+            if size:
+                draws.append(draw(rngs[g], size))
+        w = draws[0] if len(draws) == 1 else np.concatenate(draws)
         rows[r0:r1] = np.bincount(np.repeat(idx[: r1 - r0], counts[r0:r1]),
-                                  weights=w[block], minlength=r1 - r0)
-        pos[block] -= np.repeat(offset[r0:r1], counts[r0:r1])
-    rows += np.bincount(pos, weights=w, minlength=idx.size)  # columns
+                                  weights=w, minlength=r1 - r0)
+        block = pos[e0:e1]
+        block -= np.repeat(offset[r0:r1], counts[r0:r1])  # slots to columns
+        np.add.at(cols, block, w)  # each column in edge order, as one bincount adds
+    rows += cols
     return rows.reshape(graphs, n)
 
 

@@ -42,6 +42,9 @@ from ._numpy import np
 from .errors import DomainError, HorizonError
 
 NumberLike = Union[int, float, str, Fraction]
+# draw(rng, size): size i.i.d. weights from rng.  Drawing a, then b, gives
+# bit for bit the a + b weights of one call and leaves rng at the same next
+# draw, so a caller may split one stream's draws into pieces.
 WeightDraw = Callable[["np.random.Generator", int], "np.ndarray"]
 Complexish = Union[float, complex, "np.ndarray"]
 # n -> (P, Q) with H' = P/Q, each cut after degree n
@@ -81,8 +84,9 @@ class WeightModel:
     ``parity_even_only`` marks weights whose odd moments all vanish;
     ``horizon`` is the last known moment order of a custom model that only
     knows a finite prefix of the series.  ``sample(rng, size)`` draws i.i.d.
-    weights; only built-in weight laws have one, and only they carry
-    ``_log_moment_fn``, ln V_order in closed form.
+    weights, the same bits in pieces as in one call (``WeightDraw``); only
+    built-in weight laws have one, and only they carry ``_log_moment_fn``,
+    ln V_order in closed form.
 
     ``egf_m1(z)`` is the one value closure, H(z) - 1 for |z| < radius: real
     in, real out, complex in, complex out, elementwise on numpy arrays.  It

@@ -170,11 +170,43 @@ class TestSampling:
             got = graphsim.sample_degrees(n, edge_p, draw, [ours])[0]
             assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref))
 
-    def test_block_of_one_graph_holds_two_arrays_of_its_size(self):
+    @pytest.mark.parametrize("block", [8, 1000])
+    @pytest.mark.parametrize("name", ["bernoulli", "gamma:1/2,1"])
+    def test_many_graph_blocks_bit_identical_to_reference(self, monkeypatch, block, name):
+        # about 3 edges a graph: some graphs draw no edge, and an edge block
+        # ends inside some graph, whose weights come in two draws
+        n, edge_p, graphs = 30, 0.007, 400
+        monkeypatch.setattr(graphsim, "EDGE_BLOCK", block)
+        sampler, _ = graphsim.weight_sampler(name)
+        calls = []
+
+        def draw(rng, size):
+            calls.append((id(rng), size))
+            return sampler(rng, size)
+
+        rngs = [graphsim.trial_generator(8, t) for t in range(graphs)]
+        got = graphsim.sample_degrees(n, edge_p, draw, rngs)
+        sizes = {}
+        for key, size in calls:
+            assert size > 0
+            sizes.setdefault(key, []).append(size)
+        assert any(len(drawn) > 1 for drawn in sizes.values())
+        assert len(sizes) < graphs
+        for trial, rng in enumerate(rngs):
+            ref = graphsim.trial_generator(8, trial)
+            assert np.array_equal(got[trial], reference_degrees(n, edge_p, sampler, ref))
+            assert rng.random() == ref.random()
+        # a block of rows with no edge draws nothing
+        calls.clear()
+        rngs = [graphsim.trial_generator(8, t) for t in range(3)]
+        assert np.array_equal(graphsim.sample_degrees(n, 1e-9, draw, rngs), np.zeros((3, n)))
+        assert calls == []
+
+    def test_block_of_one_graph_holds_one_array_of_its_size(self):
         # a block of one trial, as the experiment draws graphs of this size,
-        # keeps its parts without copying them: slot indices and weights,
-        # 3.2 MB each for about 4e5 edges; the row tables are cached by the
-        # first draw
+        # keeps its slot indices without copying them, 3.2 MB for about 4e5
+        # edges, and draws its weights a block of edges at a time; the row
+        # tables are cached by the first draw
         n = 20000
         edge_p = 4 * math.log(n) / n
         draw, _ = graphsim.weight_sampler("gamma:2,1/2")
@@ -185,7 +217,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 2**20
+        assert peak <= 5 * 2**20
 
     def test_experiment_draws_gaps_into_one_array_per_thread(self, monkeypatch):
         # a new array of gaps per graph would be mapped and faulted in again

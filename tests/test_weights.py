@@ -175,6 +175,18 @@ class TestBuiltins:
         assert np.array_equal(got, want)
         assert ours.random() == ref.random()
 
+    @pytest.mark.parametrize("spec", ["unit", "exponential", "gamma:2,1/2", "gamma:1/2,1",
+                                      "gaussian:1", "bernoulli"])
+    @pytest.mark.parametrize("a, b", [(0, 5), (5, 0), (1, 1), (3, 4), (7, 1000), (999, 2)])
+    def test_sampler_draws_the_same_bits_in_pieces(self, spec, a, b):
+        # graph sampling splits one stream's weights across blocks of edges;
+        # odd sizes leave bernoulli's 32-bit half buffered between the pieces
+        draw = weights.from_spec(spec).sample
+        pieces, whole = (np.random.Generator(np.random.Philox(key=11)) for _ in range(2))
+        got = np.concatenate([draw(pieces, a), draw(pieces, b)])
+        assert np.array_equal(got, draw(whole, a + b))
+        assert repr(pieces.bit_generator.state) == repr(whole.bit_generator.state)
+
     def test_radius_values(self):
         assert weights.unit().radius == math.inf
         assert weights.gamma(2, Fraction(1, 2)).radius == pytest.approx(2.0)
