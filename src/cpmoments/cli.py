@@ -25,11 +25,17 @@ from fractions import Fraction
 
 import click
 
-from . import __version__, auxdist, graphsim
-from . import asymptotics as asym
-from . import moments as mom
-from . import weights as wts
+from . import __version__
+from ._numpy import lazy_module
 from .errors import CpmError
+
+# each executes on the first attribute read, so a command runs only the
+# modules it calls (see _numpy.py)
+wts = lazy_module("cpmoments.weights")
+mom = lazy_module("cpmoments.moments")
+asym = lazy_module("cpmoments.asymptotics")
+auxdist = lazy_module("cpmoments.auxdist")
+graphsim = lazy_module("cpmoments.graphsim")
 
 EXIT_NUMERIC = 3
 EXIT_IO = 4
@@ -79,7 +85,8 @@ def _finite_float(text: str) -> float:
 
 # refusing nan and +-inf keeps every header and result line standard JSON
 FINITE_FLOAT = _Parsed("float", _finite_float, "a finite number")
-RATIONAL = _Parsed("rational", wts.parse_rational, "an integer, decimal or ratio")
+RATIONAL = _Parsed("rational", lambda text: wts.parse_rational(text),
+                   "an integer, decimal or ratio")
 FINITE_FLOAT_LIST = _Parsed("list", lambda text: tuple(map(_finite_float, text.split(","))),
                             "a comma-separated list of finite numbers")
 

@@ -398,7 +398,14 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
     for every block, as ``sample_degrees`` draws from all of a block's
     streams at once.  The calling thread is one of them; the first exception
     of any stops the others after their current block, and is raised once
-    all have ended.
+    all have ended.  Their end also empties the ``_row_tables`` cache, so a
+    finished run keeps none of its tables.
+
+    The threads start after ``deviation_experiment``'s saddle solve and the
+    allocation of ``dmax``, so ``graphsim``, ``asymptotics``, ``weights`` and
+    numpy, each of which ``cpmoments.cli`` may hold as a lazy module, have
+    executed: ``LazyLoader`` takes no lock on Python 3.10 and 3.11, so no
+    worker may make a module's first access.
     """
     n, trials, seed = config.n, config.trials, config.seed
     edge_p = config.rho / n
@@ -435,6 +442,7 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
     finally:
         for thread in threads:
             thread.join()
+        _row_tables.cache_clear()
     if failed:
         raise failed[0]
     return dmax

@@ -851,23 +851,36 @@ def run_fresh(code, *argv):
     return result.stdout
 
 
+NUMERIC_MODULES = ("weights", "moments", "asymptotics", "auxdist", "graphsim")
+
 # runs cli.main on each argument list of argv[1] (JSON) with click's runner
-# and prints whether any of numpy's own modules were loaded before and after
+# and prints whether any of numpy's own modules were loaded, and which of
+# cli's lazily bound submodules had executed, before and after: LazyLoader
+# gives a module back its plain type when it executes it
 RUN_COMMANDS = """
-import json, sys
+import json, sys, types
 from click.testing import CliRunner
 import cpmoments.cli as cli
 
 def numpy_loaded():
     return any(name.startswith("numpy.") for name in sys.modules)
 
-before = numpy_loaded()
+def executed():
+    names = ("weights", "moments", "asymptotics", "auxdist", "graphsim")
+    return sorted(n for n in names if type(sys.modules["cpmoments." + n]) is types.ModuleType)
+
+before, executed_before = numpy_loaded(), executed()
 for args in json.loads(sys.argv[1]):
     result = CliRunner().invoke(cli.main, args)
     assert result.exit_code == 0, (args, result.output)
 print(json.dumps({"before": before, "after": numpy_loaded(),
+                  "executed_before": executed_before, "executed": executed(),
                   "modules": sorted(name for name in sys.modules if name.startswith("cpmoments."))}))
 """
+
+
+def run_commands(*commands):
+    return json.loads(run_fresh(RUN_COMMANDS, json.dumps(commands)))
 
 
 class TestImport:
@@ -886,19 +899,58 @@ class TestImport:
             [*moments_args, "--finite-n", "1000", "--out", str(tmp_path / "f.csv")],
             ["identities"],
         ]
-        seen = json.loads(run_fresh(RUN_COMMANDS, json.dumps(commands)))
+        seen = run_commands(*commands)
         assert not seen["before"] and not seen["after"]
+        assert seen["executed"] == ["moments", "weights"]
         # the benchmark's tracer wraps every numeric submodule it finds in sys.modules
-        for name in ("weights", "moments", "asymptotics", "auxdist", "graphsim"):
+        for name in NUMERIC_MODULES:
             assert f"cpmoments.{name}" in seen["modules"]
+
+    def test_import_version_and_help_execute_no_numeric_module(self):
+        seen = run_commands(["--version"], ["--help"])
+        assert seen["executed_before"] == seen["executed"] == []
+        for name in NUMERIC_MODULES:
+            assert f"cpmoments.{name}" in seen["modules"]
+
+    def test_rate_executes_weights_and_asymptotics_only(self):
+        seen = run_commands(["rate", "--weights", "exponential", "--chi", "0.5"])
+        assert seen["executed"] == ["asymptotics", "weights"]
 
     def test_lazy_numpy_graph_table_is_byte_identical(self, tmp_path):
         n, kappa, spec, s, trials, seed, digest = GRAPHSIM_TABLE_DIGESTS[0]
         out = tmp_path / "g.csv"
-        args = graphsim_args(n, kappa, spec, s, trials, seed, out)
-        seen = json.loads(run_fresh(RUN_COMMANDS, json.dumps([args])))
+        seen = run_commands(graphsim_args(n, kappa, spec, s, trials, seed, out))
         assert not seen["before"] and seen["after"]
+        assert "moments" not in seen["executed"] and "auxdist" not in seen["executed"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_threaded_graph_run_right_after_import_is_byte_identical(self, tmp_path):
+        # three workers, in a process where graphsim, asymptotics, weights
+        # and numpy are all still lazy when the command starts: the run
+        # executes them before it starts any worker
+        n, kappa, spec, s, trials, seed, digest = GRAPHSIM_TABLE_DIGESTS[1]
+        out = tmp_path / "g.csv"
+        code = """
+import json, sys, types
+from click.testing import CliRunner
+import cpmoments.cli as cli
+
+graphsim = sys.modules["cpmoments.graphsim"]
+assert type(graphsim) is not types.ModuleType
+# an attribute set on a lazy module before it executes is kept when it does
+graphsim.trial_workers = lambda work, trials: 3
+result = CliRunner().invoke(cli.main, json.loads(sys.argv[1]))
+assert result.exit_code == 0, result.output
+assert graphsim.trial_workers(1.0, 1) == 3
+"""
+        run_fresh(code, json.dumps(graphsim_args(n, kappa, spec, s, trials, seed, out)))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_lazy_submodule_is_an_attribute_of_its_package(self):
+        # as after a plain import: ``import cpmoments.weights`` then
+        # ``cpmoments.weights.from_spec`` works after cli bound it lazily
+        code = "import cpmoments.cli, cpmoments.weights; print(cpmoments.weights.from_spec.__name__)"
+        assert run_fresh(code) == "from_spec\n"
 
     def test_lazy_module_refuses_a_missing_module(self):
         from cpmoments import _numpy

@@ -367,6 +367,7 @@ class TestReproducibility:
         with pytest.raises(RuntimeError, match="^trial 5 failed$"):
             graphsim.deviation_experiment(cfg)
         assert threading.active_count() == before
+        assert graphsim._row_tables.cache_info().currsize == 0
 
     def test_each_trial_drawn_once_under_fast_switching(self, monkeypatch):
         # more threads than cores, switching every microsecond: a trial
@@ -584,6 +585,15 @@ class TestDeviationExperiment:
         cfg = graphsim.config_from_kappa(100, 2.0, "exponential", (0.5, 1.0, 1.5, 2.0), 3, seed=4)
         graphsim.deviation_experiment(cfg)
         assert len(calls) == 1
+
+    def test_finished_run_keeps_no_row_tables(self, monkeypatch):
+        # 10 trials in blocks of 4 on two threads: tables of two block
+        # shapes, dropped once both threads have ended
+        cfg = graphsim.config_from_kappa(200, 2.0, "exponential", (1.0,), 10, seed=5)
+        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 2)
+        monkeypatch.setattr(graphsim, "BLOCK_WORK", 4.5 * cfg.trial_work)
+        graphsim.deviation_experiment(cfg)
+        assert graphsim._row_tables.cache_info().currsize == 0
 
     def test_small_s_bound_vacuous(self):
         cfg = graphsim.config_from_kappa(100, 2.0, "exponential", (1e-9,), 5, seed=2)
