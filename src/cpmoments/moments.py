@@ -17,7 +17,8 @@ scaled by D^k, with D the denominator of x times an integer that clears
 the weight moments' denominators, every M_k is an integer combination of
 the lower ones, and each is divided by D^k once.  A built-in law that
 declares the structure of its H takes a cheaper route to the same
-integers: a D-finite recurrence of fixed order where H' is rational
+Fractions, scaled by the D that clears the coefficients it reads in place
+of the V_j: a D-finite recurrence of fixed order where H' is rational
 (exponential, logfact, gamma of integer shape), O(k) big products, and
 the q-Aitken array of unit weights where ln H is a monomial (unit,
 gaussian), O(k^2) additions.  The oracle path
@@ -49,8 +50,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
-from typing import Iterator, Sequence
+from itertools import accumulate, repeat, tee, zip_longest
+from typing import Iterable, Iterator, Sequence
 
 from . import weights as _weights
 from ._numpy import np
@@ -134,47 +135,36 @@ def _missing_root(c: Fraction, power: int, j: int) -> int:
     return r if r**j == f else f
 
 
-def _weight_moments(model: WeightModel, k_max: int, bp: int, q: int) -> tuple[list[Fraction], int]:
-    """V_1 .. V_kmax and the scale l of ``moment_sequence``'s convolution:
-    l^j V_j is an integer for every j, and the recurrence runs at D = q l.
+def _scale(terms: Iterable[tuple[int, Fraction]], k_max: int, bp: int, q: int) -> int:
+    """The scale l of a route that reads the coefficients ``terms``, (w, c)
+    pairs in ascending weight w: l^w c is an integer for each, and the
+    route runs at D = q l.
 
-    l starts at 1 and grows by ``_missing_root`` as each V_j is read: by
-    the j-th root of the factor of den(V_j) that l^j misses where that
-    factor is a perfect j-th power, by the factor otherwise.  So
-    gaussian:1e-300, den(V_2) = 10^300, runs at l = 10^150, and V_j =
-    1/p^j at l = p.  The
-    lcm of the denominators would also clear them, but for V_j =
+    l starts at 1 and grows by ``_missing_root`` as each term is read: by
+    the w-th root of the factor of den(c) that l^w misses where that factor
+    is a perfect w-th power, by the factor otherwise.  So gaussian:1e-300,
+    a = 10^-300 at weight 2, runs at l = 10^150, and V_j = 1/p^j at l = p.
+    The lcm of the denominators would also clear V_j, but for V_j =
     (2j-1)!!/2^j it is 2^j, not 2, and the recurrence's integers would grow
     by k^2 bits.  ``exact_bit_work`` is held to MAX_EXACT_BITS at D = q
-    by the caller before any V_j is evaluated, and here again at D = q l
-    each time l grows, so the last check is at the D the convolution runs.
+    before any term is read, and again at D = q l each time l grows, so the
+    last check is at the D the route runs at, and a lazy ``terms`` is read
+    no further than the term that grows l past the bound.
     """
-    vs, ell, power = [], 1, 1  # power = l^j
-    for j in range(1, k_max + 1):
-        vs.append(v := model.moment(j))
-        power *= ell
-        if (r := _missing_root(v, power, j)) > 1:
-            ell *= r
-            power = ell**j
-            _check_bit_work(k_max, bp, (q * ell).bit_length())
-    return vs, ell
-
-
-def _route_scale(model: WeightModel, k_max: int, bp: int, q: int,
-                 terms: list[tuple[int, Fraction]]) -> int:
-    """The scale l of a structured route: l^w c is an integer for every
-    (w, c) of ``terms``, the coefficients it reads with their weights, l
-    grown term by term as ``_weight_moments`` grows it.  Where l = 1 every
-    V_j is an integer, so the check at D = q, made before, is the last one
-    the convolution would make; elsewhere the V_j are read by
-    ``_weight_moments`` for the same checks at the same D, and no refusal
-    depends on the route."""
-    ell = 1
-    for w, c in sorted(terms):
-        ell *= _missing_root(c, ell**w, w)
-    if ell > 1:
-        _weight_moments(model, k_max, bp, q)
-    return ell
+    ell, power, last, terms = 1, 1, 0, iter(terms)  # power = l^last
+    while (work := exact_bit_work(k_max, bp, bq := (q * ell).bit_length())) <= MAX_EXACT_BITS:
+        for w, c in terms:
+            power, last = power * ell ** (w - last), w
+            if (r := _missing_root(c, power, w)) > 1:
+                ell *= r
+                power = ell**w
+                break
+        else:
+            return ell
+    raise DomainError(
+        f"exact recurrence to order {k_max} at a scale of {bp} numerator and {bq} denominator"
+        f" bits needs about {work} bit products, more than {MAX_EXACT_BITS}"
+    )
 
 
 def moment_sequence(
@@ -202,11 +192,13 @@ def moment_sequence(
       q-Aitken array, O(k^2/d^2) additions and products by q.
 
     Every other model, and every finite n, takes the convolution N_k =
-    sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j, l of
-    ``_weight_moments``: O(k^2) products of big integers.  Each route is
-    refused by the convolution's ``exact_bit_work`` check above
-    MAX_EXACT_BITS: at D = q before any V_j is evaluated, then at the new
-    D each time reading a V_j grows l (``_route_scale``).
+    sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j: O(k^2) products of
+    big integers.  Each route's l is grown by ``_scale`` over the
+    coefficients it reads, a at weight d, P_i at weight i + 1 and Q_i at
+    weight i, or V_j at weight j, so the structured routes read no V_j.
+    Each is refused by ``exact_bit_work`` above MAX_EXACT_BITS at the D it
+    runs at: at D = q before any coefficient is read, then at the new D
+    each time one grows l.
     """
     ns, d = _scaled_moments(model, k_max, x, n)
     # Fraction(N_k, D^k), D^k by one product per order
@@ -215,35 +207,42 @@ def moment_sequence(
 
 def _scaled_moments(model: WeightModel, k_max: int, x: NumberLike, n: int | None):
     """N_0 .. N_kmax and D of ``moment_sequence``, M_k = N_k / D^k, by the
-    route it names; D = q l, with l from ``_route_scale`` on the
-    coefficients a structured route reads, from ``_weight_moments`` on
-    the convolution's V_j."""
+    route it names; D = q l, with l from ``_scale`` on the coefficients
+    that route reads, the convolution's V_j read one by one up to a
+    refusal."""
     check_nonnegative_order(k_max)
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
     p, q = (Fraction(x) / (n or 1)).as_integer_ratio()
     bp = p.bit_length()
-    _check_bit_work(k_max, bp, q.bit_length())
     if n is None and model.touchard is not None:
         a, deg = model.touchard
-        ell = _route_scale(model, k_max, bp, q, [(deg, a)])
+        ell = _scale([(deg, a)], k_max, bp, q)
         ns = _touchard_table(a, deg, k_max, p, q, ell)
     elif n is None and model.d1_ratio is not None:
-        ps, qs = model.d1_ratio(k_max)
-        ell = _route_scale(model, k_max, bp, q, [*((i + 1, c) for i, c in enumerate(ps)),
-                                                 *enumerate(qs)])
-        ns = _dfinite_table(ps, qs, k_max, p, q, ell)
+        ratio = []  # (P, Q), built once D = q is admitted
+        ell = _scale(_ratio_terms(model.d1_ratio, k_max, ratio), k_max, bp, q)
+        ns = _dfinite_table(*ratio, k_max, p, q, ell)
     else:
-        vs, ell = _weight_moments(model, k_max, bp, q)
-        ns = _convolution_table(vs, n, k_max, p, q, ell)
+        vs, read = tee(map(model.moment, range(1, k_max + 1)))
+        ell = _scale(enumerate(read, 1), k_max, bp, q)
+        ns = _convolution_table(list(vs), n, k_max, p, q, ell)
     return ns, q * ell
+
+
+def _ratio_terms(d1_ratio, k_max: int, ratio: list) -> Iterator[tuple[int, Fraction]]:
+    """The coefficients the D-finite route reads, P_i at weight i + 1 and
+    Q_i at weight i, in ascending order; ``d1_ratio(k_max)`` is built at
+    the first one read, and appended to ``ratio``."""
+    ratio.extend(d1_ratio(k_max))
+    ps, qs = ratio
+    yield from sorted([*((i + 1, c) for i, c in enumerate(ps)), *enumerate(qs)])
 
 
 def _dfinite_table(ps, qs, k_max: int, p: int, q: int, ell: int) -> list[int]:
     """N_0 .. N_kmax at D = q l for H' = P/Q: N_{k+1} = sum_i k^(i) (c_i -
     e_i (k - i)) N_{k-i} with c_i = p l D^i P_i and e_i = D^(i+1) Q_(i+1),
-    integers at ``_route_scale``'s l, which clears P_i at weight i + 1 and
-    Q_i at weight i."""
+    integers at ``_scale``'s l on ``_ratio_terms``."""
     d = q * ell
     cs = [p * ell * d**i * c.numerator // c.denominator for i, c in enumerate(ps)]
     es = [d**i * c.numerator // c.denominator for i, c in enumerate(qs)][1:]
@@ -280,7 +279,7 @@ def _touchard_table(a: Fraction, deg: int, k_max: int, p: int, q: int, ell: int)
 
 def _convolution_table(vs: list[Fraction], n: int | None, k_max: int, p: int, q: int,
                        ell: int) -> list[int]:
-    """N_0 .. N_kmax at D = q l by the convolution on ``_weight_moments``'s V_j and l."""
+    """N_0 .. N_kmax at D = q l by the convolution on V_j, at ``_scale``'s l on them."""
     d, cs, step = q * ell, [], p * ell  # step = p q^(j-1) l^j
     for v in vs:
         cs.append(step * v.numerator // v.denominator)
@@ -324,9 +323,9 @@ def bell_number(k: int) -> int:
     read off the integer table of ``moment_sequence``'s Touchard route, the
     q-Aitken array at x = 1, where D = 1 and it is Aitken's array: O(k^2)
     additions of integers of about k log k bits, with no fraction built
-    and no V_j read.  Admitted by the recurrence's bound at x = 1,
-    ``exact_bit_work(k, 1, 1)``, which overstates the array's work about
-    k-fold: k = 2047 takes about 1 s."""
+    and no V_j read.  Admitted by ``_scale`` at D = 1, the unit law's l,
+    as ``exact_bit_work(k, 1, 1)`` <= MAX_EXACT_BITS, which overstates
+    the array's work about k-fold: k = 2047 takes about 1 s."""
     return _scaled_moments(_weights.unit(), k, 1, None)[0][k]
 
 
@@ -366,32 +365,27 @@ def finite_n_moment(model: WeightModel, k: int, n: int, lam: NumberLike) -> Mome
 def exact_bit_work(k_max: int, bp: int, bq: int) -> int:
     """Estimated bit products of ``moment_sequence`` to order k, with b_p
     bits in x's (or x/n's) numerator p and b_q in D = q l, l the scale
-    ``_weight_moments`` has grown to: N_m carries about m (b_p + b_q +
+    ``_scale`` has grown to: N_m carries about m (b_p + b_q +
     log2 m) bits and the j-th coefficient b_p + j (b_q + 1), and their
     schoolbook products over all terms come to
     k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  It counts every
     coefficient at j (b_q + 1) bits, even where l^j cancels den(V_j), so it
     overstates weights with long denominators.  It is the convolution's
-    cost, and every route is held to it, at the convolution's D, so that
-    no refusal depends on the route: it overstates the D-finite route,
-    O(k) products of a big integer by a small one, about k-fold or more,
-    and the q-Aitken array, which adds where the convolution multiplies,
-    about k-fold.  MAX_EXACT_BITS
+    cost, and every route is held to it at the D it runs at: it overstates
+    the D-finite route, O(k) products of a big integer by a small one,
+    about k-fold or more, and the q-Aitken array, which adds where the
+    convolution multiplies, about k-fold.  A route's D is the
+    convolution's for gaussian(v) and for gamma of small integer shape;
+    where the V_j cancel a denominator that the route's coefficients keep,
+    it is larger: gamma:4096,1/2 at x = 1 runs at D = 2, Q_1 = -4097/2,
+    where the convolution's is 1, and is refused from k = 1839, not 2048.
+    MAX_EXACT_BITS
     sits just above the 1.7e13 of ``moments --weights bernoulli --k 2000
     --x 1``, a convolution at b_p = b_q = 1: 3.9 to 6.0 s in 3 runs from
     the shell (2-core x86-64).  Half its V_j and half its moments are zero,
     so that is about 0.3 ps per estimated product, where 20 runs of the
     convolution on unit weights took 0.45 to 1.9 ps."""
     return k_max**3 * (bp + bq + k_max.bit_length()) * (4 * bp + k_max * (bq + 1)) // 24
-
-
-def _check_bit_work(k_max: int, bp: int, bq: int) -> None:
-    work = exact_bit_work(k_max, bp, bq)
-    if work > MAX_EXACT_BITS:
-        raise DomainError(
-            f"exact recurrence to order {k_max} at a scale of {bp} numerator and {bq} denominator"
-            f" bits needs about {work} bit products, more than {MAX_EXACT_BITS}"
-        )
 
 
 def check_log_work(terms: int) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -176,7 +177,8 @@ class TestIntegerEngine:
                            (weights.from_spec("gaussian:1e-300"), 10**150),
                            (weights.custom_model(prime_power_moments(60)),
                             math.prod(first_primes(60)))):
-            vs, got = moments._weight_moments(model, 60, 1, 1)
+            vs = [model.moment(j) for j in range(1, 61)]
+            got = moments._scale(enumerate(vs, start=1), 60, 1, 1)
             assert got == ell, model.name
             assert all((ell**j * v).denominator == 1 for j, v in enumerate(vs, start=1))
 
@@ -197,14 +199,27 @@ class TestIntegerEngine:
         with pytest.raises(DomainError, match="more than"):
             moments.bell_number(10**8)
 
+    def test_dfinite_coefficients_built_after_the_check_at_q(self):
+        # Q is cut at degree k, so a huge shape at k = 1e8 would build 1e8
+        # coefficients before a refusal that needs none of them
+        def refuse(n):
+            raise AssertionError("D-finite coefficients built")
+
+        model = dataclasses.replace(weights.from_spec("gamma:1e18,1"), d1_ratio=refuse)
+        with pytest.raises(DomainError, match=f"bit products, more than {moments.MAX_EXACT_BITS}$"):
+            moments.moment_sequence(model, 10**8, 1)
+        with pytest.raises(AssertionError, match="coefficients built"):
+            moments.moment_sequence(model, 20, 1)
+
     @pytest.mark.parametrize("model, k, read, bits", [
-        (weights.from_spec("gaussian:1e-300"), 2000, 2, 499),  # den(V_2) = 10^300: l = 10^150
+        # the Touchard route reads a = 10^-300 at weight 2, no V_j: l = 10^150
+        (weights.from_spec("gaussian:1e-300"), 2000, 0, 499),
         (weights.from_spec("gamma:1/3,1e-300"), 2000, 1, 999),  # l = den(V_1) = 3 10^300
-        (weights.from_spec("gaussian:1e-300"), 240, 2, 499),  # 3.5e13; 10.4 s unbounded at 10^300
+        (weights.from_spec("gaussian:1e-300"), 240, 0, 499),  # 3.5e13; 10.4 s unbounded at 10^300
         # refused at l = p_1 .. p_42; the greedy l = p_1^1 .. p_j^j read all 300 V_j and ran on
         (weights.custom_model(prime_power_moments(300)), 300, 42, 242),
-    ], ids=["gaussian:1e-300-2000-2-499", "gamma:1/3,1e-300-2000-1-999",
-            "gaussian:1e-300-240-2-499", "prime-powers-300-42-242"])
+    ], ids=["gaussian:1e-300-2000-0-499", "gamma:1/3,1e-300-2000-1-999",
+            "gaussian:1e-300-240-0-499", "prime-powers-300-42-242"])
     def test_weight_denominators_refused_as_read(self, monkeypatch, model, k, read, bits):
         seen = []
         moment = weights.WeightModel.moment
@@ -336,21 +351,62 @@ class TestRoutes:
             moments.moment_sequence(model, 20, Fraction(7, 2))
             assert taken == ["_convolution_table"], model.name
 
-    def test_integer_weights_admitted_without_reading_a_moment(self, monkeypatch):
-        # declared integer coefficients give integer V_j, so the check at D = q
-        # is the last one and no V_j is read
-        specs = ("unit", "exponential", "logfact", "gaussian:1", "gamma:2,1")
-        expected = {spec: fraction_moment_sequence(weights.from_spec(spec), 60, Fraction(7, 2))
-                    for spec in specs}
+    def test_structured_routes_read_no_weight_moment(self, monkeypatch):
+        # each route's scale grows over the coefficients it reads, so a law
+        # whose l is above 1 (gaussian:1/3, gamma:2,1/2) reads no V_j either
+        models = [weights.from_spec(spec) for spec in (
+            "unit", "gaussian:1", "gaussian:1/3", "gaussian:1e-300", "gamma:2,1/2", "gamma:3,2/3",
+            "exponential", "logfact")]
 
         def refuse(self, j):
             raise AssertionError("weight moments evaluated")
 
         monkeypatch.setattr(weights.WeightModel, "moment", refuse)
+        for model in models:
+            for x in (Fraction(7, 2), Fraction(-5, 3)):
+                assert len(moments.moment_sequence(model, 200, x)) == 201, model.name
         assert moments.bell_number(300) == moments.moment_sequence(MODELS["unit"], 300, 1)[300]
-        for spec in specs:
-            got = moments.moment_sequence(weights.from_spec(spec), 60, Fraction(7, 2))
-            assert got == expected[spec], spec
+
+    def test_route_scale_is_the_convolution_scale(self):
+        # a route is admitted at the D it runs at; for these laws that D is the
+        # one the convolution on their V_j would run at, refusals included
+        def outcome(terms):
+            try:
+                return moments._scale(terms, 120, 1, 1)
+            except DomainError as exc:
+                return str(exc)
+
+        values = ["1", "2", "1/2", "1/3", "2/3", "3/4", "5/7", "7/2", "1/8", "3/5", "1/100", "9/10",
+                  "10/3", "1/6", "12/5", "6/7", "1e-300"]
+        laws = [(f"gaussian:{v}", None) for v in values]
+        laws += [(f"gamma:{m},{v}", m) for m in range(1, 65) for v in values]
+        for spec, shape in laws:
+            model = weights.from_spec(spec)
+            if shape is None:
+                a, deg = model.touchard
+                route = outcome([(deg, a)])
+            else:
+                route = outcome(moments._ratio_terms(model.d1_ratio, 120, []))
+            vs = [model.moment(j) for j in range(1, 121)]
+            assert route == outcome(enumerate(vs, start=1)), spec
+        # gaussian:1e-300 at x = 1: the first order refused, by its route and
+        # by the convolution on a custom list of its V_j (l = 10^150 either way)
+        model = weights.from_spec("gaussian:1e-300")
+        k = 200
+        while moments.exact_bit_work(k, 1, 499) <= moments.MAX_EXACT_BITS:
+            k += 1
+        custom = weights.custom_model([model.moment(j) for j in range(k + 1)])
+        assert moments.moment_sequence(model, k - 1, 1) == moments.moment_sequence(custom, k - 1, 1)
+        for law in (model, custom):
+            with pytest.raises(DomainError, match="1 numerator and 499 denominator bits"):
+                moments.moment_sequence(law, k, 1)
+        # the one known move: Q_1 = -4097/2 runs the route at D = 2, where the
+        # V_j are integers to this order, so it is refused from 1839, not 2048
+        assert moments.exact_bit_work(1838, 1, 2) <= moments.MAX_EXACT_BITS
+        assert moments.exact_bit_work(1839, 1, 2) > moments.MAX_EXACT_BITS
+        with pytest.raises(DomainError, match="^exact recurrence to order 1900 at a scale of 1"
+                           " numerator and 2 denominator bits"):
+            moments.moment_sequence(weights.from_spec("gamma:4096,1/2"), 1900, 1)
 
 
 class TestEvenPartitionNumbers:
