@@ -7,22 +7,23 @@ the i.i.d. weights W_j, is a weighted Bell polynomial:
              prod_i (x V_i)^{l_i} / ( (i!)^{l_i} l_i! )
 
 Two independent evaluation routes are provided.  The production path is
-``moment_sequence``, whose general case is the O(k^2) convolution recurrence
+``moment_sequence``, whose one recurrence comes from differentiating the
+generating function G(x,u) = sum M_k u^k/k! = exp(x (H(u) - 1)) once:
+Q G' = x P G wherever H' = P/Q, Q(0) = 1.  With P^_i = i! P_i and
+Q^_i = i! Q_i the EGF coefficients of P and Q, it reads
 
-    M_k = sum_{j=1..k} C(k-1, j-1) x V_j M_{k-j}
+    M_{k+1} = sum_i [C(k, i) x P^_i - C(k, i+1) Q^_{i+1}] M_{k-i}.
 
-obtained by differentiating the generating function
-G(x,u) = sum M_k u^k/k! = exp(x (H(u) - 1)).  It runs on Python integers:
-scaled by D^k, with D the denominator of x times an integer that clears
-the weight moments' denominators, every M_k is an integer combination of
-the lower ones, and each is divided by D^k once.  A built-in law that
-declares the structure of its H takes a cheaper route to the same
-Fractions, scaled by the D that clears the coefficients it reads in place
-of the V_j: a D-finite recurrence of fixed order where H' is rational
-(exponential, logfact, gamma of integer shape), O(k) big products, and
-the q-Aitken array of unit weights where ln H is a monomial (unit,
-gaussian), O(k^2) additions.  The oracle path
-enumerates partition profiles directly (exponential cost, capped at
+A law that declares a rational H' (exponential, logfact, gamma of integer
+shape) runs it at fixed order, O(k) big products; every other law at
+Q = 1 and P = H', P^_i = V_{i+1}, the O(k^2) convolution
+M_k = sum_{j=1..k} C(k-1, j-1) x V_j M_{k-j}.  It runs on Python
+integers: scaled by D^k, with D the denominator of x times an integer
+that clears the denominators of the coefficients it reads, every M_k is
+an integer combination of the lower ones, and each is divided by D^k
+once.  Where ln H is a monomial (unit, gaussian) the q-Aitken array of
+unit weights gives the same Fractions in O(k^2) additions.  The oracle
+path enumerates partition profiles directly (exponential cost, capped at
 k <= 25) in Fractions.  Both are exact.  A float variant of the
 recurrence, one dot product per order at a running tilt, gives a whole
 table ln M_0(x) .. ln M_k(x) at one intensity without overflow, in O(k^2);
@@ -50,7 +51,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat, tee, zip_longest
+from itertools import accumulate, count, repeat, tee
 from typing import Iterable, Iterator, Sequence
 
 from . import weights as _weights
@@ -179,23 +180,28 @@ def moment_sequence(
 
     Every route runs on integers N_k = D^k M_k, at a D = q l of its own
     (x or x/n = p/q), and reduces each order once, as Fraction(N_k, D^k).
-    With n None, a law that declares its H (``WeightModel``) takes:
+    There are two:
 
-    * the D-finite route where H' = P/Q, Q(0) = 1 (exponential, logfact,
-      gamma of integer shape): Q G' = x P G for G = exp(x (H - 1)) gives
-      M_{k+1} = x sum_i P_i k^(i) M_{k-i} - sum_{i>=1} Q_i k^(i) M_{k+1-i},
-      k^(i) = k (k-1) .. (k-i+1), O(k) products of a big integer by a
-      small one (Q is cut at degree k, so a shape m > k costs O(k^2));
-    * the Touchard route where ln H(u) = a u^d / d! (unit; gaussian(v),
-      a = v, d = 2): M_{dj} = (dj)! a^j T_j(x) / (d!^j j!), (2j-1)!! v^j
-      T_j(x) for gaussian(v), from the unit-weight moments T_j off the
-      q-Aitken array, O(k^2/d^2) additions and products by q.
+    * with n None, where ln H(u) = a u^d / d! (unit; gaussian(v), a = v,
+      d = 2, ``WeightModel.touchard``): M_{dj} = (dj)! a^j T_j(x) /
+      (d!^j j!), (2j-1)!! v^j T_j(x) for gaussian(v), from the unit-weight
+      moments T_j off the q-Aitken array, O(k^2/d^2) additions and
+      products by q;
+    * for every other law, the recurrence Q G' = x P G of G = exp(x (H -
+      1)) and H' = P/Q, Q(0) = 1, in binomial form
+      M_{k+1} = sum_i [C(k, i) x i! P_i - C(k, i+1) (i+1)! Q_{i+1}] M_{k-i}.
+      With n None, a law that declares a rational H'
+      (``WeightModel.d1_ratio``: exponential, logfact, gamma of integer
+      shape) runs it at fixed order, O(k) products of a big integer by a
+      small one (Q is cut at degree k, so a shape m > k costs O(k^2)).
+      Every other law, and every law at a finite n, runs it at Q = 1 and
+      P = H', whose EGF coefficients are the V_{i+1}: O(k^2) products of
+      big integers, with Miller's n C(k, i) - C(k, i+1) in place of
+      C(k, i) at a finite n.
 
-    Every other model, and every finite n, takes the convolution N_k =
-    sum_j a_k(j) c_j N_{k-j}, c_j = p q^(j-1) l^j V_j: O(k^2) products of
-    big integers.  Each route's l is grown by ``_scale`` over the
-    coefficients it reads, a at weight d, P_i at weight i + 1 and Q_i at
-    weight i, or V_j at weight j, so the structured routes read no V_j.
+    Each route's l is grown by ``_scale`` over the coefficients it reads,
+    a at weight d, P_i at weight i + 1 and Q_i at weight i, or V_j at
+    weight j, so the structured routes read no V_j.
     Each is refused by ``exact_bit_work`` above MAX_EXACT_BITS at the D it
     runs at: at D = q before any coefficient is read, then at the new D
     each time one grows l.
@@ -206,10 +212,10 @@ def moment_sequence(
 
 
 def _scaled_moments(model: WeightModel, k_max: int, x: NumberLike, n: int | None):
-    """N_0 .. N_kmax and D of ``moment_sequence``, M_k = N_k / D^k, by the
-    route it names; D = q l, with l from ``_scale`` on the coefficients
-    that route reads, the convolution's V_j read one by one up to a
-    refusal."""
+    """N_0 .. N_kmax and D of ``moment_sequence``, M_k = N_k / D^k, off the
+    q-Aitken array or the one recurrence, on a declared P/Q or on the V_j;
+    D = q l, with l from ``_scale`` on the coefficients that route reads,
+    the V_j read one by one up to a refusal."""
     check_nonnegative_order(k_max)
     if n is not None and n <= 0:
         raise DomainError("population size n must be positive")
@@ -218,43 +224,24 @@ def _scaled_moments(model: WeightModel, k_max: int, x: NumberLike, n: int | None
     if n is None and model.touchard is not None:
         a, deg = model.touchard
         ell = _scale([(deg, a)], k_max, bp, q)
-        ns = _touchard_table(a, deg, k_max, p, q, ell)
-    elif n is None and model.d1_ratio is not None:
+        return _touchard_table(a, deg, k_max, p, q, ell), q * ell
+    if n is None and model.d1_ratio is not None:
         ratio = []  # (P, Q), built once D = q is admitted
         ell = _scale(_ratio_terms(model.d1_ratio, k_max, ratio), k_max, bp, q)
-        ns = _dfinite_table(*ratio, k_max, p, q, ell)
-    else:
+    else:  # Q = 1, P = H'
         vs, read = tee(map(model.moment, range(1, k_max + 1)))
         ell = _scale(enumerate(read, 1), k_max, bp, q)
-        ns = _convolution_table(list(vs), n, k_max, p, q, ell)
-    return ns, q * ell
+        ratio = [list(vs), None]
+    return _recurrence_table(*ratio, n, k_max, p, q, ell), q * ell
 
 
 def _ratio_terms(d1_ratio, k_max: int, ratio: list) -> Iterator[tuple[int, Fraction]]:
-    """The coefficients the D-finite route reads, P_i at weight i + 1 and
-    Q_i at weight i, in ascending order; ``d1_ratio(k_max)`` is built at
-    the first one read, and appended to ``ratio``."""
+    """The coefficients the recurrence reads off a declared H' = P/Q, P_i at
+    weight i + 1 and Q_i at weight i, in ascending order; ``d1_ratio(k_max)``
+    is built at the first one read, and appended to ``ratio``."""
     ratio.extend(d1_ratio(k_max))
     ps, qs = ratio
     yield from sorted([*((i + 1, c) for i, c in enumerate(ps)), *enumerate(qs)])
-
-
-def _dfinite_table(ps, qs, k_max: int, p: int, q: int, ell: int) -> list[int]:
-    """N_0 .. N_kmax at D = q l for H' = P/Q: N_{k+1} = sum_i k^(i) (c_i -
-    e_i (k - i)) N_{k-i} with c_i = p l D^i P_i and e_i = D^(i+1) Q_(i+1),
-    integers at ``_scale``'s l on ``_ratio_terms``."""
-    d = q * ell
-    cs = [p * ell * d**i * c.numerator // c.denominator for i, c in enumerate(ps)]
-    es = [d**i * c.numerator // c.denominator for i, c in enumerate(qs)][1:]
-    terms = list(zip_longest(cs, es, fillvalue=0))
-    ns = [1]
-    for k in range(k_max):
-        total, fall = 0, 1  # fall = k^(i)
-        for i, (c, e) in enumerate(terms[: k + 1]):
-            total += fall * (c - e * (k - i)) * ns[k - i]
-            fall *= k - i
-        ns.append(total)
-    return ns
 
 
 def _touchard_table(a: Fraction, deg: int, k_max: int, p: int, q: int, ell: int) -> list[int]:
@@ -277,20 +264,45 @@ def _touchard_table(a: Fraction, deg: int, k_max: int, p: int, q: int, ell: int)
     return ns
 
 
-def _convolution_table(vs: list[Fraction], n: int | None, k_max: int, p: int, q: int,
-                       ell: int) -> list[int]:
-    """N_0 .. N_kmax at D = q l by the convolution on V_j, at ``_scale``'s l on them."""
-    d, cs, step = q * ell, [], p * ell  # step = p q^(j-1) l^j
-    for v in vs:
-        cs.append(step * v.numerator // v.denominator)
-        step *= d
-    # a_k(j) = C(k-1, j-1), or n C(k-1, j-1) - C(k-1, j): either obeys
-    # Pascal's rule a_{k+1}(j) = a_k(j) + a_k(j-1), with a_k(0) = 0 or -1
+def _recurrence_table(ps, qs, n: int | None, k_max: int, p: int, q: int, ell: int) -> list[int]:
+    """N_0 .. N_kmax at D = q l from Q G' = x P G, G = exp(x (H - 1)), in
+    binomial form:
+
+        N_{k+1} = sum_i [C(k, i) c_i - C(k, i+1) e_i] N_{k-i},
+
+    c_i = p l D^i i! P_i and e_i = D^(i+1) (i+1)! Q_(i+1), integers at
+    ``_scale``'s l on ``_ratio_terms``: i! P_i and i! Q_i are the EGF
+    coefficients of the ordinary P = ``ps`` and Q = ``qs`` of a declared
+    H' = P/Q.  ``qs`` None is Q = 1 and P = H', whose EGF coefficients are
+    the V_{i+1} in ``ps``: c_i = p l D^i V_{i+1}, integers at ``_scale``'s l
+    on the V_j, and no e-sum.  C(k, .) is one Pascal row, grown to the
+    width of the coefficients, with the zero C(k, k+1) at its end until
+    then for the e-sum; with a population n it is Miller's n C(k, i) -
+    C(k, i+1), the same rule seeded n with edge -1 in place of 1 and 0."""
+    d, declared = q * ell, qs is not None
+
+    def integers(coefficients, step):  # times D^i, and i! for a declared law
+        steps = accumulate(map(d.__mul__, count(1)) if declared else repeat(d), operator.mul,
+                           initial=step)
+        return [s * c.numerator // c.denominator for s, c in zip(steps, coefficients)]
+
+    cs, es = integers(ps, p * ell), integers(qs, 1)[1:] if declared else []
+    width = max(len(cs), len(es))
+    if es:  # both sums run over one width
+        cs, es = (xs + [0] * (width - len(xs)) for xs in (cs, es))
     ns = [1]
-    row, edge = ([1], 0) if n is None else ([n], -1)
+    row, edge = ([1, 0], 0) if n is None else ([n, 0], -1)
     for _ in range(k_max):
-        ns.append(sum(map(operator.mul, map(operator.mul, row, cs), reversed(ns))))
-        row = [row[0] + edge, *map(operator.add, row[1:], row), row[-1]]
+        above = row[1:]  # C(k, i+1)
+        terms = map(operator.mul, row, cs)
+        if es:
+            terms = map(operator.sub, terms, map(operator.mul, above, es))
+        # summed from the first product: a sum from 0 would copy it
+        products = map(operator.mul, terms, reversed(ns))
+        ns.append(sum(products, next(products)))
+        row = [row[0] + edge, *map(operator.add, above, row)]
+        if len(row) <= width:  # C(k+1, k+2) = 0
+            row.append(0)
     return ns
 
 
@@ -370,21 +382,21 @@ def exact_bit_work(k_max: int, bp: int, bq: int) -> int:
     schoolbook products over all terms come to
     k^3 (b_p + b_q + log2 k) (4 b_p + k (b_q + 1)) / 24.  It counts every
     coefficient at j (b_q + 1) bits, even where l^j cancels den(V_j), so it
-    overstates weights with long denominators.  It is the convolution's
-    cost, and every route is held to it at the D it runs at: it overstates
-    the D-finite route, O(k) products of a big integer by a small one,
-    about k-fold or more, and the q-Aitken array, which adds where the
-    convolution multiplies, about k-fold.  A route's D is the
-    convolution's for gaussian(v) and for gamma of small integer shape;
-    where the V_j cancel a denominator that the route's coefficients keep,
-    it is larger: gamma:4096,1/2 at x = 1 runs at D = 2, Q_1 = -4097/2,
-    where the convolution's is 1, and is refused from k = 1839, not 2048.
-    MAX_EXACT_BITS
-    sits just above the 1.7e13 of ``moments --weights bernoulli --k 2000
-    --x 1``, a convolution at b_p = b_q = 1: 3.9 to 6.0 s in 3 runs from
-    the shell (2-core x86-64).  Half its V_j and half its moments are zero,
-    so that is about 0.3 ps per estimated product, where 20 runs of the
-    convolution on unit weights took 0.45 to 1.9 ps."""
+    overstates weights with long denominators.  It is the cost of the
+    recurrence on the V_j, and every route is held to it at the D it runs
+    at: it overstates the recurrence on a declared P/Q, O(k) products of
+    a big integer by a small one, about k-fold or more, and the q-Aitken
+    array, which adds where the recurrence multiplies, about k-fold.  A
+    route's D is that of the V_j for gaussian(v) and for gamma of small
+    integer shape; where the V_j cancel a denominator that the route's
+    coefficients keep, it is larger: gamma:4096,1/2 at x = 1 runs at D = 2,
+    Q_1 = -4097/2, where the V_j run at D = 1, and is refused from k = 1839,
+    not 2048.  MAX_EXACT_BITS sits just above the 1.7e13 of ``moments
+    --weights bernoulli --k 2000 --x 1``, the recurrence on the V_j at
+    b_p = b_q = 1: 3.9 to 6.0 s in 3 runs from the shell (2-core x86-64).
+    Half its V_j and half its moments are zero, so that is about 0.3 ps per
+    estimated product, where 20 runs of the recurrence on unit weights'
+    V_j took 0.45 to 1.9 ps."""
     return k_max**3 * (bp + bq + k_max.bit_length()) * (4 * bp + k_max * (bq + 1)) // 24
 
 

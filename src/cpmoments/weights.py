@@ -387,7 +387,8 @@ def custom_model(moments: Sequence[NumberLike]) -> WeightModel:
     if not vals or vals[0] != 1:
         raise DomainError("custom moment list must start with V_0 = 1")
     horizon = len(vals) - 1
-    fvals = [float(v) for v in vals]
+    # a V_j past float range is +-inf in the floats; the exact V_j stay in vals
+    fvals = [or_inf(float, v) if v >= 0 else -or_inf(float, -v) for v in vals]
 
     def series(z: Complexish, shift: int, start: int = 0) -> Complexish:
         # shift-th derivative of the truncated series at z, from its z^start term

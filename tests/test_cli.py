@@ -221,6 +221,23 @@ class TestMoments:
         assert result.exit_code == 3, result.output
         assert result.stderr.endswith(f"bit products, more than {moments.MAX_EXACT_BITS}\n")
 
+    def test_custom_moments_past_float_range(self, runner, tmp_path):
+        # the exact and the log tables read the exact V_j, never their floats
+        spec_file = tmp_path / "w.json"
+        spec_file.write_text('{"moments": [1, "1e400", "1e400"]}')
+        for extra in ([], ["--log"]):
+            out = tmp_path / "m.csv"
+            result = runner.invoke(cli.main, [
+                "moments", "--weights", f"custom:{spec_file}", "--k", "2", "--x", "1",
+                "--out", str(out), *extra,
+            ])
+            assert result.exit_code == 0, result.output
+            rows = read_table(str(out))
+            # M_1 = V_1 = 1e400, M_2 = V_2 + V_1^2 = 1e800 + 1e400
+            assert float(rows[1]["log_value"]) == pytest.approx(400 * math.log(10))
+            assert float(rows[2]["log_value"]) == pytest.approx(800 * math.log(10))
+            assert rows[1]["value"] == ("" if extra else "1.00000000000000000000000000000E+400")
+
     def test_exact_table_round_trips(self, runner, tmp_path):
         out = tmp_path / "m.csv"
         result = runner.invoke(cli.main, [
@@ -1059,9 +1076,28 @@ class TestBadInputs:
         bad_input("gaussian-tiny-exponent", MOMENTS + ["--weights", "gaussian:1e-5000"],
                   3, "cpm: error: weight spec 'gaussian:1e-5000': parameter out of"
                      " float range"),
-        bad_input("custom-overflow", MOMENTS + ["--weights", "custom:{w}"],
-                  3, "cpm: error: weight spec 'custom:{w}': parameter out of float range",
+        # a V_j past float range is +-inf in the EGF only: the exact and log
+        # tables run (TestMoments), the rest refuse as before
+        bad_input("custom-overflow",
+                  ["aux", "--weights", "custom:{w}", "--x", "1", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: tilted law of model 'custom[1]' at x = 1.0, u = 0.5 overflows:"
+                     " mean inf, variance inf",
+                  header=True, weights_json='{"moments": [1, "1e400"]}'),
+        bad_input("custom-overflow-llt",
+                  ["aux", "--weights", "custom:{w}", "--llt-chi", "1", "--k", "2",
+                   "--out", "{out}"],
+                  3, "cpm: error: model 'custom[1]' has u H'(u) = nan at u = 0.0; H'(u) overflows",
                   weights_json='{"moments": [1, "1e400"]}'),
+        bad_input("custom-overflow-rate", ["rate", "--weights", "custom:{w}", "--chi", "1"],
+                  3, "cpm: error: model 'custom[1]' only knows a finite moment prefix; the"
+                     " limiting rate needs the full series",
+                  header=True, weights_json='{"moments": [1, "1e400"]}'),
+        bad_input("custom-overflow-compare",
+                  ["compare", "--weights", "custom:{w}", "--chi", "1", "--k-max", "3",
+                   "--out", "{out}"],
+                  3, "cpm: error: model 'custom[1]' only knows a finite moment prefix; the"
+                     " limiting rate needs the full series",
+                  header=True, weights_json='{"moments": [1, "1e400"]}'),
         bad_input("x-huge-exponent",
                   ["moments", "--weights", "unit", "--k", "2", "--x", "1e5000", "--out", "{out}"],
                   2, "Error: Invalid value for '--x': '1e5000' needs integers of more than"

@@ -166,6 +166,16 @@ class TestIntegerEngine:
         got = moments.moment_sequence(model, k_max, x, n)
         assert got == fraction_moment_sequence(model, k_max, x, n)
 
+    def test_custom_moments_past_float_range(self):
+        # the exact and the log tables read the exact V_j, never their floats
+        big = Fraction(10**400)
+        model = weights.custom_model([1, big, -big])
+        for n in POPULATIONS:
+            got = moments.moment_sequence(model, 2, 3, n)
+            assert got == fraction_moment_sequence(model, 2, 3, n)
+        logs = moments.log_moment_sequence(weights.custom_model([1, big, big]), 2, 1)
+        assert logs[2] == pytest.approx(weights.log_rational(big + big**2))
+
     def test_scale_stays_small_for_geometric_denominators(self):
         # V_j = (2j-1)!!/2^j needs l = 2, where the lcm of the denominators is 2^j;
         # den(V_2) = 10^300 needs l = 10^150, and V_j = 1/p_j^j needs l = p_1 .. p_j
@@ -331,25 +341,39 @@ class TestRoutes:
         assert moments.moment_sequence(model, k_max, x) == fraction_moment_sequence(model, k_max, x)
 
     def test_each_model_takes_its_route(self, monkeypatch):
+        # the q-Aitken array, or the one recurrence: on a declared P/Q, on the
+        # V_j with Q = 1, and at a finite n on the V_j with Miller's row
         taken = []
-        for name in ("_touchard_table", "_dfinite_table", "_convolution_table"):
-            monkeypatch.setattr(moments, name, lambda *args, name=name, table=getattr(
-                moments, name): (taken.append(name), table(*args))[1])
-        structured = {"unit": "_touchard_table", "gaussian:3/5": "_touchard_table",
-                      "exponential": "_dfinite_table", "logfact": "_dfinite_table",
-                      "gamma:2,1/2": "_dfinite_table"}
-        for spec, route in structured.items():
-            for n, want in ((None, route), (1000, "_convolution_table")):
+        array, recurrence = moments._touchard_table, moments._recurrence_table
+
+        def traced_array(*args):
+            taken.append("array")
+            return array(*args)
+
+        def traced_recurrence(ps, qs, n, *args):
+            taken.append((tuple(ps), qs, n))
+            return recurrence(ps, qs, n, *args)
+
+        monkeypatch.setattr(moments, "_touchard_table", traced_array)
+        monkeypatch.setattr(moments, "_recurrence_table", traced_recurrence)
+        laws = [(weights.from_spec(spec), route) for spec, route in (
+            ("unit", "array"), ("gaussian:3/5", "array"), ("exponential", "P/Q"),
+            ("logfact", "P/Q"), ("gamma:2,1/2", "P/Q"), ("bernoulli", "V_j"),
+            ("gamma:1/2,1", "V_j"))]
+        laws += [(model, "V_j") for model in (
+            weights.tilde_transform(MODELS["exponential"]),
+            weights.tilde_transform(MODELS["unit"]), weights.custom_model([1] * 21),
+            central_model(MODELS["logfact"]))]
+        for model, route in laws:
+            vs = tuple(model.moment(j) for j in range(1, 21))
+            if route == "P/Q":
+                want = (*model.d1_ratio(20), None)
+            else:
+                want = "array" if route == "array" else (vs, None, None)
+            for n, path in ((None, want), (1000, (vs, None, 1000))):
                 taken.clear()
-                moments.moment_sequence(weights.from_spec(spec), 20, Fraction(7, 2), n)
-                assert taken == [want], (spec, n)
-        for model in (MODELS["bernoulli"], weights.from_spec("gamma:1/2,1"),
-                      weights.tilde_transform(MODELS["exponential"]),
-                      weights.tilde_transform(MODELS["unit"]), weights.custom_model([1] * 21),
-                      central_model(MODELS["logfact"])):
-            taken.clear()
-            moments.moment_sequence(model, 20, Fraction(7, 2))
-            assert taken == ["_convolution_table"], model.name
+                moments.moment_sequence(model, 20, Fraction(7, 2), n)
+                assert taken == [path], (model.name, n)
 
     def test_structured_routes_read_no_weight_moment(self, monkeypatch):
         # each route's scale grows over the coefficients it reads, so a law

@@ -210,6 +210,14 @@ class TestCustom:
         assert custom.egf_d1(u) == pytest.approx(1 + 2 * u)
         assert custom.egf_d2(u) == pytest.approx(2.0)
 
+    def test_moments_past_float_range(self):
+        # kept exact, and +-inf with their sign in the EGF's floats
+        big = Fraction(10**400)
+        for sign in (1, -1):
+            custom = weights.custom_model([1, sign * big, 2])
+            assert custom.moment(1) == sign * big
+            assert custom.egf_d1(0.0) == sign * math.inf
+
     def test_requires_unit_zeroth_moment(self):
         with pytest.raises(DomainError):
             weights.custom_model([2, 1])
