@@ -16,6 +16,13 @@ with exact arithmetic, while the generating functions use closed forms
 rather than partial series sums, which keeps them accurate near a finite
 radius u0.  Only this module turns H into H - 1 or back.
 
+Families that share a structure of H share its declaration: unit and
+centered gaussian weights are the one Touchard law ln H = a u^d / d!
+(``_touchard``, d = 1 and 2), and exponential weights are gamma(1, 1) with
+rational closures of their own.  A parameter or moment past float range is
++-inf in the floats (``or_inf``) and exact everywhere else, so the exact
+and log tables run on it and the float routes refuse it.
+
 One transform recurs throughout the package: ``tilde_transform``, the
 mean-shift pseudo-model with EGF H(u) - u V_1, whose "moment" sequence is
 V with V_1 zeroed.  That sequence generates the moments of the
@@ -29,11 +36,11 @@ laws carry one, so a transformed, factorial or custom model is never sampled.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence, Union
@@ -77,7 +84,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class WeightModel:
     """Immutable moment sequence + generating function of a weight variable.
 
@@ -95,8 +102,9 @@ class WeightModel:
     carries relative error ~eps however small |z| is.  H itself is ``egf``.
 
     A built-in law may declare the structure of H, which picks its exact
-    moment route (``moments.moment_sequence``): ``touchard = (a, d)`` where
-    ln H(u) = a u^d / d! (unit weights, centered gaussians), and
+    moment route (``moments.moment_sequence``): ``touchard = (a, d)``, the
+    Touchard law's parameters, where ln H(u) = a u^d / d! (unit weights at
+    (1, 1), centered gaussians of variance v at (v, 2)), and
     ``d1_ratio(n) = (P, Q)`` where H' = P/Q with Q(0) = 1, each cut after
     degree n (exponential, logfact, gamma of integer shape).  Derived
     models declare neither.
@@ -229,7 +237,9 @@ def _log_rising(m: Fraction) -> Callable[[int], float]:
     lgamma(m + j) - lgamma(m) would cancel about m ln m, so Stirling's series
     gives the difference: j ln m + (m + j - 1/2) log1p(j/m) - j + R(m + j) -
     R(m), with R cut after its z^-7 term (the next is below 1.2e-14 at 16)."""
-    fm, lm = float(m), log_rational(m)
+    fm, lm = or_inf(float, m), log_rational(m)
+    if fm == math.inf:  # the rest, about j^2 / 2m, is below 1e-300
+        return lambda j: j * lm
     if fm < 16.0:
         base = math.lgamma(fm + 1.0)
         return lambda j: lm + math.lgamma(fm + j) - base if j else 0.0
@@ -250,59 +260,67 @@ def _power_ratio(alpha: Fraction, theta: Fraction, s: int) -> D1Ratio:
 
 def _param_name(value: Fraction) -> str:
     """The exact ratio, or past 20 characters its float unless that is 0."""
-    text, near = str(value), float(value)
+    text, near = str(value), or_inf(float, value)
     return repr(near) if len(text) > 20 and near else text
 
 
-def unit() -> WeightModel:
-    """All weight moments equal to one: the plain Bell-polynomial case, H(u) = e^u."""
+def _touchard(name: str, a: Fraction, d: int, sample: WeightDraw) -> WeightModel:
+    """The Touchard law ln H(u) = a u^d / d! for d in {1, 2}: V_dj = prod_{i<=j}
+    a C(di - 1, d - 1) = (a/d!)^j (dj)!/j!, zero off the lattice of step d,
+    H' = a u^(d-1) H and H'' = (a (d - 1) + (a u^(d-1))^2) H.  Each float is
+    formed in one order for every (a, d): a z^d / d! as ((a z) z) / 2 at
+    d = 2, and as z itself at a = d = 1; a past float range is inf
+    (``or_inf``).  At d = 1, ln V_j is j ln a, with no lgamma."""
+    fa, log_step = or_inf(float, a), log_rational(a / math.factorial(d))
+    lattice = _running_product(lambda i: a * math.comb(d * i - 1, d - 1))  # j -> V_dj
+    if d == 2:  # a u^(d-1), a z^d / d! and ln V_order
+        slope, exponent = (lambda u: fa * u), (lambda z: fa * z * z / 2.0)
+        log_moment = lambda order: -math.inf if order % 2 else (
+            order // 2 * log_step + math.lgamma(order + 1.0) - math.lgamma(order // 2 + 1.0))
+    else:
+        slope, exponent = (lambda u: fa), (lambda z: z) if a == 1 else (lambda z: fa * z)
+        log_moment = lambda order: order * log_step
+
     return WeightModel(
-        name="unit",
+        name=name,
         radius=math.inf,
-        _moment_fn=lambda order: Fraction(1),
-        _log_moment_fn=lambda order: 0.0,
-        egf_m1=lambda z: np.expm1(z),
-        _egf_d1=math.exp,
-        _egf_d2=math.exp,
-        sample=lambda rng, size: np.ones(size),
-        touchard=(Fraction(1), 1),
+        parity_even_only=d == 2,
+        _moment_fn=lambda order: Fraction(0) if order % d else lattice(order // d),
+        _log_moment_fn=log_moment,
+        egf_m1=lambda z: np.expm1(exponent(z)),
+        _egf_d1=lambda u: slope(u) * math.exp(exponent(u)),
+        _egf_d2=lambda u: (fa * (d - 1) + slope(u) ** 2) * math.exp(exponent(u)),
+        sample=sample,
+        touchard=(a, d),
     )
+
+
+def unit() -> WeightModel:
+    """All weight moments equal to one: the plain Bell-polynomial case, H(u) =
+    e^u, the Touchard law at a = d = 1."""
+    return _touchard("unit", Fraction(1), 1, lambda rng, size: np.ones(size))
 
 
 def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
-    """Centered normal weights of variance v2: V_{2k} = v2^k (2k-1)!!, odd moments zero."""
+    """Centered normal weights of variance v2: V_{2k} = v2^k (2k-1)!!, odd
+    moments zero, H(u) = e^(v2 u^2 / 2), the Touchard law at a = v2, d = 2."""
     v2f = Fraction(v2)
     if v2f <= 0:
         raise DomainError("gaussian_centered needs v2 > 0")
-    fv2 = float(v2f)
-    even = _running_product(lambda k: v2f * (2 * k - 1))  # k -> V_{2k}
-    log_half_v2 = log_rational(v2f / 2)
-
-    def h(u: float) -> float:
-        return math.exp(fv2 * u * u / 2.0)
-
-    return WeightModel(
-        name=f"gaussian({_param_name(v2f)})",
-        radius=math.inf,
-        parity_even_only=True,
-        _moment_fn=lambda order: Fraction(0) if order % 2 else even(order // 2),
-        # V_2k = v2^k (2k)! / (2^k k!)
-        _log_moment_fn=lambda order: -math.inf if order % 2 else (
-            order // 2 * log_half_v2 + math.lgamma(order + 1.0) - math.lgamma(order // 2 + 1.0)),
-        egf_m1=lambda z: np.expm1(fv2 * z * z / 2.0),
-        _egf_d1=lambda u: fv2 * u * h(u),
-        _egf_d2=lambda u: (fv2 + (fv2 * u) ** 2) * h(u),
-        sample=lambda rng, size: rng.normal(0.0, math.sqrt(fv2), size),
-        touchard=(v2f, 2),
-    )
+    scale = math.sqrt(or_inf(float, v2f))
+    return _touchard(f"gaussian({_param_name(v2f)})", v2f, 2,
+                     lambda rng, size: rng.normal(0.0, scale, size))
 
 
 def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
-    """Gamma(shape m, scale theta) weights: V_l = theta^l m(m+1)...(m+l-1)."""
+    """Gamma(shape m, scale theta) weights: V_l = theta^l m(m+1)...(m+l-1).
+    An m or theta past float range is inf in the floats; the radius 1/theta
+    must be a float."""
     mf, tf = Fraction(m), Fraction(theta)
     if mf <= 0 or tf <= 0:
         raise DomainError("gamma needs m > 0 and theta > 0")
-    fm, ft = float(mf), float(tf)
+    fm, ft = or_inf(float, mf), or_inf(float, tf)
+    (mn, md), (tn, td) = mf.as_integer_ratio(), tf.as_integer_ratio()
     log_theta, log_rising = log_rational(tf), _log_rising(mf)
     fmt = fm * ft
     # m theta z, without the subnormal theta z: as (m theta) z, or as (m z) theta
@@ -322,7 +340,8 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
     return WeightModel(
         name=f"gamma({_param_name(mf)},{_param_name(tf)})",
         radius=float(1 / tf),
-        _moment_fn=_running_product(lambda l: tf * (mf + l - 1)),
+        # theta (m + l - 1) from the integer parts: one Fraction a step, not three
+        _moment_fn=_running_product(lambda l: Fraction(tn * (mn + (l - 1) * md), td * md)),
         _log_moment_fn=lambda order: order * log_theta + log_rising(order),
         egf_m1=excess,
         _egf_d1=lambda u: fm * ft * math.exp(-(fm + 1.0) * math.log1p(-ft * u)),
@@ -348,17 +367,17 @@ def bernoulli_centered() -> WeightModel:
 
 
 def exponential() -> WeightModel:
-    """Exponential(1) weights: V_k = k!, H(u) = 1/(1-u) on [0, 1)."""
-    return WeightModel(
+    """Exponential(1) weights: V_k = k!, H(u) = 1/(1-u) on [0, 1).  The law
+    is gamma(1, 1) (its radius, V_k, ln V_k and declared H' = P/Q) with its
+    own rational closures z/(1-z), (1-u)^-2 and 2 (1-u)^-3 and its own
+    sampler, which draws gamma(1, 1)'s bits faster."""
+    return dataclasses.replace(
+        gamma(1, 1),
         name="exponential",
-        radius=1.0,
-        _moment_fn=_running_product(lambda l: l),
-        _log_moment_fn=lambda order: math.lgamma(order + 1.0),
         egf_m1=lambda z: z / (1.0 - z),
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
         sample=lambda rng, size: rng.standard_exponential(size),
-        d1_ratio=_power_ratio(Fraction(1), Fraction(1), 2),
     )
 
 
@@ -395,6 +414,8 @@ def custom_model(moments: Sequence[NumberLike]) -> WeightModel:
         total, term = 0.0, 1.0
         for j, v in enumerate(fvals[shift:]):
             if j >= start:
+                if not math.isfinite(v):  # +-inf times a power of z that is 0 adds 0, not nan
+                    v = np.where(term == 0, 0.0, v) if np.ndim(term) else v if term else 0.0
                 total = total + v * term
             term = term * (z / (j + 1))
         return total

@@ -238,6 +238,20 @@ class TestMoments:
             assert float(rows[2]["log_value"]) == pytest.approx(800 * math.log(10))
             assert rows[1]["value"] == ("" if extra else "1.00000000000000000000000000000E+400")
 
+    @pytest.mark.parametrize("spec", ["gaussian:1e400", "gamma:1e400,1", "gamma:1,1e400"])
+    def test_laws_past_float_range(self, runner, tmp_path, spec):
+        # the exact table reads the exact parameters, and the log table their logs
+        tables = []
+        for extra in ([], ["--log"]):
+            out = tmp_path / "m.csv"
+            result = runner.invoke(cli.main, [
+                "moments", "--weights", spec, "--k", "40", "--x", "1", "--out", str(out), *extra,
+            ])
+            assert result.exit_code == 0, result.output
+            tables.append([float(row["log_value"]) for row in read_table(str(out))])
+        assert tables[0][2] > 900
+        assert tables[1] == pytest.approx(tables[0], rel=1e-12)
+
     def test_exact_table_round_trips(self, runner, tmp_path):
         out = tmp_path / "m.csv"
         result = runner.invoke(cli.main, [
@@ -1005,6 +1019,11 @@ NOT_FINITE = (
 )
 
 
+# a law whose parameter passes float range: H'(0) is inf, or its disc is empty
+NAN_SLOPE = "cpm: error: model '%s' has u H'(u) = nan at u = 0.0; H'(u) overflows"
+OUTSIDE_NO_DISC = "cpm: error: u = 0.0 outside the convergence interval [0, 0.0) of '%s'"
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("args, code, message, header, weights_json", [
         bad_input("finite-n-with-log",
@@ -1049,9 +1068,6 @@ class TestBadInputs:
                   3, "cpm: error: weight spec 'gaussian:abc': 'abc' is not a number"),
         bad_input("gamma-not-a-number", GRAPHSIM + ["--weights", "gamma:1,x"],
                   3, "cpm: error: weight spec 'gamma:1,x': 'x' is not a number"),
-        bad_input("gaussian-overflow", MOMENTS + ["--weights", "gaussian:1e400"],
-                  3, "cpm: error: weight spec 'gaussian:1e400': parameter out of"
-                     " float range"),
         bad_input("custom-invalid-json", MOMENTS + ["--weights", "custom:{w}"],
                   3, "cpm: error: weight spec 'custom:{w}': not a JSON file"
                      " (Expecting value: line 1 column 1 (char 0))",
@@ -1098,6 +1114,59 @@ class TestBadInputs:
                   3, "cpm: error: model 'custom[1]' only knows a finite moment prefix; the"
                      " limiting rate needs the full series",
                   header=True, weights_json='{"moments": [1, "1e400"]}'),
+        # a law's parameter past float range is inf in its floats only: the
+        # exact and log tables run (TestMoments), every float route refuses
+        bad_input("gaussian-overflow", ["rate", "--weights", "gaussian:1e400", "--chi", "1"],
+                  3, NAN_SLOPE % "gaussian(inf)", header=True),
+        bad_input("gaussian-overflow-compare",
+                  ["compare", "--weights", "gaussian:1e400", "--chi", "1", "--k-max", "3",
+                   "--out", "{out}"],
+                  3, NAN_SLOPE % "gaussian(inf)", header=True),
+        bad_input("gaussian-overflow-aux",
+                  ["aux", "--weights", "gaussian:1e400", "--x", "1", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: tilted law of model 'gaussian(inf)' at x = 1.0, u = 0.5"
+                     " overflows: mean inf, variance inf", header=True),
+        bad_input("gaussian-overflow-llt",
+                  ["aux", "--weights", "gaussian:1e400", "--llt-chi", "1", "--k", "4",
+                   "--out", "{out}"],
+                  3, NAN_SLOPE % "gaussian(inf)"),
+        bad_input("gaussian-overflow-graphsim", GRAPHSIM + ["--weights", "gaussian:1e400"],
+                  3, NAN_SLOPE % "gaussian(inf)", header=True),
+        bad_input("gamma-shape-overflow-rate", ["rate", "--weights", "gamma:1e400,1", "--chi", "1"],
+                  3, NAN_SLOPE % "gamma(inf,1)", header=True),
+        bad_input("gamma-shape-overflow-compare",
+                  ["compare", "--weights", "gamma:1e400,1", "--chi", "1", "--k-max", "3",
+                   "--out", "{out}"],
+                  3, NAN_SLOPE % "gamma(inf,1)", header=True),
+        bad_input("gamma-shape-overflow-aux",
+                  ["aux", "--weights", "gamma:1e400,1", "--x", "1", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: tilted law of model 'gamma(inf,1)' at x = 1.0, u = 0.5"
+                     " overflows: mean inf, variance inf", header=True),
+        bad_input("gamma-shape-overflow-llt",
+                  ["aux", "--weights", "gamma:1e400,1", "--llt-chi", "1", "--k", "4",
+                   "--out", "{out}"],
+                  3, NAN_SLOPE % "gamma(inf,1)"),
+        bad_input("gamma-shape-overflow-graphsim", GRAPHSIM + ["--weights", "gamma:1e400,1"],
+                  3, "cpm: error: weight model 'gamma:1e400,1' has a mean V_1 past float range"),
+        # its radius 1/theta underflows to 0
+        bad_input("gamma-scale-overflow-rate", ["rate", "--weights", "gamma:1,1e400", "--chi", "1"],
+                  3, OUTSIDE_NO_DISC % "gamma(1,inf)", header=True),
+        bad_input("gamma-scale-overflow-compare",
+                  ["compare", "--weights", "gamma:1,1e400", "--chi", "1", "--k-max", "3",
+                   "--out", "{out}"],
+                  3, OUTSIDE_NO_DISC % "gamma(1,inf)", header=True),
+        bad_input("gamma-scale-overflow-aux",
+                  ["aux", "--weights", "gamma:1,1e400", "--x", "1", "--u", "0.5", "--out", "{out}"],
+                  3, "cpm: error: tilt u must lie in (0, 0.0), got 0.5", header=True),
+        bad_input("gamma-scale-overflow-llt",
+                  ["aux", "--weights", "gamma:1,1e400", "--llt-chi", "1", "--k", "4",
+                   "--out", "{out}"],
+                  3, OUTSIDE_NO_DISC % "gamma(1,inf)"),
+        bad_input("gamma-scale-overflow-graphsim", GRAPHSIM + ["--weights", "gamma:1,1e400"],
+                  3, "cpm: error: weight model 'gamma:1,1e400' has a mean V_1 past float range"),
+        # 1/theta passes float range: no float radius
+        bad_input("gamma-scale-underflow", MOMENTS + ["--weights", "gamma:1,1e-400"],
+                  3, "cpm: error: weight spec 'gamma:1,1e-400': parameter out of float range"),
         bad_input("x-huge-exponent",
                   ["moments", "--weights", "unit", "--k", "2", "--x", "1e5000", "--out", "{out}"],
                   2, "Error: Invalid value for '--x': '1e5000' needs integers of more than"

@@ -176,6 +176,17 @@ class TestIntegerEngine:
         logs = moments.log_moment_sequence(weights.custom_model([1, big, big]), 2, 1)
         assert logs[2] == pytest.approx(weights.log_rational(big + big**2))
 
+    @pytest.mark.parametrize("spec", ["gaussian:1e400", "gamma:1e400,1", "gamma:1,1e400"])
+    def test_laws_past_float_range(self, spec):
+        # a parameter past float range is inf in the floats only: the exact
+        # table runs on its route, and the log table reads the exact parameter
+        model = weights.from_spec(spec)
+        for x in (1, Fraction(7, 2)):
+            exact = moments.moment_sequence(model, 40, x)
+            assert exact == fraction_moment_sequence(model, 40, x)
+            want = np.array([weights.log_rational(m) for m in exact])
+            assert_logs_agree(moments.log_moment_sequence(model, 40, x), want, 1e-12)
+
     def test_scale_stays_small_for_geometric_denominators(self):
         # V_j = (2j-1)!!/2^j needs l = 2, where the lcm of the denominators is 2^j;
         # den(V_2) = 10^300 needs l = 10^150, and V_j = 1/p_j^j needs l = p_1 .. p_j

@@ -32,6 +32,8 @@ CLOSED_FORM_CASES = [
                                 "gamma:16,1/3")),
     *((f"gamma:{m},{theta}", 300) for m in ("1e-400", "1e-3", "1e8", "1e300")
       for theta in ("1e-300", "1/2") if (m, theta) not in (("1e-3", "1/2"), ("1e8", "1/2"))),
+    # a parameter past float range: the floats are inf, the logs come from the exact parameter
+    *((spec, 300) for spec in ("gaussian:1e400", "gamma:1e400,1", "gamma:1,1e400")),
 ]
 
 
@@ -187,6 +189,52 @@ class TestBuiltins:
         assert np.array_equal(got, draw(whole, a + b))
         assert repr(pieces.bit_generator.state) == repr(whole.bit_generator.state)
 
+    def test_exponential_sampler_draws_gamma_bits(self):
+        # exponential keeps standard_exponential only for speed: gamma(1, 1)
+        # draws the same bits, in one call and in pieces
+        draws = [weights.exponential().sample, weights.gamma(1, 1).sample]
+        for sizes in ((1000,), (1, 499, 500), (7, 0, 993)):
+            streams = [np.random.Generator(np.random.Philox(key=5)) for _ in draws]
+            got = [np.concatenate([draw(rng, size) for size in sizes])
+                   for draw, rng in zip(draws, streams)]
+            assert np.array_equal(got[0], got[1])
+            assert repr(streams[0].bit_generator.state) == repr(streams[1].bit_generator.state)
+
+    def test_exponential_is_gamma_one_one(self):
+        # the exact side, ln V_j and the radius are gamma(1, 1)'s, bit for bit
+        exp, gam = weights.exponential(), weights.gamma(1, 1)
+        assert exp.radius == gam.radius == 1.0
+        assert exp.d1_ratio(30) == gam.d1_ratio(30)
+        for j in range(151):
+            assert exp.moment(j) == gam.moment(j) == math.factorial(j)
+            assert exp.log_weight_moment(j) == gam.log_weight_moment(j) == math.lgamma(j + 1.0)
+
+    @pytest.mark.parametrize("spec, name, touchard", [
+        ("unit", "unit", (1, 1)),
+        ("gaussian:1/3", "gaussian(1/3)", (Fraction(1, 3), 2)),
+        ("gaussian:1e400", "gaussian(inf)", (Fraction(10**400), 2)),
+    ])
+    def test_touchard_laws(self, spec, name, touchard):
+        # V_dj = (a/d!)^j (dj)!/j! on the lattice of step d, and zero off it
+        model = weights.from_spec(spec)
+        a, d = touchard
+        assert (model.name, model.touchard, model.span) == (name, touchard, d)
+        step = Fraction(a, math.factorial(d))
+        for order in range(41):
+            j, off = divmod(order, d)
+            want = 0 if off else step**j * math.factorial(order) / math.factorial(j)
+            assert model.moment(order) == want
+
+    @pytest.mark.parametrize("spec, name, v2", [
+        ("gamma:1e400,1", "gamma(inf,1)", 10**400 * (10**400 + 1)),
+        ("gamma:1,1e400", "gamma(1,inf)", 2 * 10**800),
+    ])
+    def test_gamma_parameters_past_float_range(self, spec, name, v2):
+        # the exact side is built from the exact parameters; the floats are inf
+        model = weights.from_spec(spec)
+        assert (model.name, model.moment(2)) == (name, v2)
+        assert model.d1_ratio(3)[0] == (10**400,)
+
     def test_radius_values(self):
         assert weights.unit().radius == math.inf
         assert weights.gamma(2, Fraction(1, 2)).radius == pytest.approx(2.0)
@@ -217,6 +265,19 @@ class TestCustom:
             custom = weights.custom_model([1, sign * big, 2])
             assert custom.moment(1) == sign * big
             assert custom.egf_d1(0.0) == sign * math.inf
+
+    def test_zero_power_of_an_infinite_moment_adds_nothing(self):
+        # V_2 = +-1e400 is +-inf in the floats, and u^2 = 0 at u = 0
+        for sign in (1, -1):
+            custom = weights.custom_model([1, 2, sign * Fraction(10**400)])
+            assert custom.egf_d1(0.0) == 2.0
+            assert custom.egf(0.0) == 1.0
+            assert float(custom.egf_m1(0.0)) == 0.0
+            assert custom.egf_d1(1e-3) == sign * math.inf
+            assert custom.egf_d2(0.0) == sign * math.inf
+            # element by element on arrays
+            got = custom.egf_m1(np.array([0.0, 1e-3]))
+            assert np.array_equal(got, [0.0, sign * math.inf])
 
     def test_requires_unit_zeroth_moment(self):
         with pytest.raises(DomainError):
