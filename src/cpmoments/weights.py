@@ -65,21 +65,22 @@ def log_rational(v: Fraction) -> float:
     return math.log(v.numerator) - math.log(v.denominator)
 
 
-# Fraction's decimal form: integer digits, fraction digits, exponent
-_DECIMAL_EXPONENT = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
+# Fraction's forms: integer digits, fraction digits, exponent, denominator digits
+_RATIONAL = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?(?:\s*/\s*([\d_]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, but an exponent that would make the numerator or the
-    denominator longer than the integer-to-string limit (CPython's default
-    4300 where it is unset or unknown) raises OverflowError before
-    ``Fraction`` builds 10**exponent; malformed text raises ValueError or
-    ZeroDivisionError."""
-    match = _DECIMAL_EXPONENT.fullmatch(text)
+    """``Fraction(text)``, but a literal whose numerator or denominator would
+    be longer than the integer-to-string limit (CPython's default 4300 where
+    it is unset or unknown) raises OverflowError before ``Fraction`` builds
+    it: a long integer, a long decimal, either side of a ratio, or an
+    exponent that would build 10**exponent.  Malformed text raises
+    ValueError or ZeroDivisionError."""
+    match = _RATIONAL.fullmatch(text.strip())
     if match:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-        whole, frac, exponent = match[1], match[2] or "", int(match[3])
-        if len(whole) + len(frac) + abs(exponent - len(frac)) > limit:
+        whole, frac, exponent, den = match[1], match[2] or "", int(match[3] or 0), match[4] or ""
+        if max(len(whole) + max(len(frac), exponent), len(frac) - exponent + 1, len(den)) > limit:
             raise OverflowError(f"{text!r} needs integers of more than {limit} digits")
     return Fraction(text)
 
@@ -314,8 +315,8 @@ def gaussian_centered(v2: NumberLike = 1) -> WeightModel:
 
 def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
     """Gamma(shape m, scale theta) weights: V_l = theta^l m(m+1)...(m+l-1).
-    An m or theta past float range is inf in the floats; the radius 1/theta
-    must be a float."""
+    An m, a theta or a radius 1/theta past float range is inf in the floats
+    (``or_inf``), so the exact and log tables run at any m and theta."""
     mf, tf = Fraction(m), Fraction(theta)
     if mf <= 0 or tf <= 0:
         raise DomainError("gamma needs m > 0 and theta > 0")
@@ -339,7 +340,7 @@ def gamma(m: NumberLike, theta: NumberLike) -> WeightModel:
 
     return WeightModel(
         name=f"gamma({_param_name(mf)},{_param_name(tf)})",
-        radius=float(1 / tf),
+        radius=or_inf(float, 1 / tf),
         # theta (m + l - 1) from the integer parts: one Fraction a step, not three
         _moment_fn=_running_product(lambda l: Fraction(tn * (mn + (l - 1) * md), td * md)),
         _log_moment_fn=lambda order: order * log_theta + log_rising(order),
@@ -436,7 +437,9 @@ def tilde_transform(model: WeightModel) -> WeightModel:
 
     The transformed sequence generates the moments of the mean-centered
     compound Poisson variable; it has no sampler because it is not the
-    moment sequence of a weight distribution.
+    moment sequence of a weight distribution.  Its H' and H'' are built on
+    the base law's closures, not on its ``egf_d1``/``egf_d2``, so the
+    shift's own methods apply the range check and the overflow rule once.
     Identity when V_1 = 0 already.
     """
     v1 = model.moment(1)
@@ -453,8 +456,8 @@ def tilde_transform(model: WeightModel) -> WeightModel:
         horizon=model.horizon,
         _moment_fn=mom,
         egf_m1=lambda z: model.egf_m1(z) - fv1 * z,
-        _egf_d1=lambda u: model.egf_d1(u) - fv1,
-        _egf_d2=model.egf_d2,
+        _egf_d1=lambda u: model._egf_d1(u) - fv1,
+        _egf_d2=model._egf_d2,
     )
 
 
@@ -473,10 +476,14 @@ _FAMILIES: dict[str, tuple[Callable[..., WeightModel], tuple[int, ...]]] = {
 
 
 def _number(text: str, spec: str) -> Fraction:
+    """``parse_rational(text)``; malformed text and a literal past the digit
+    limit are a ``DomainError`` that names the spec."""
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"weight spec {spec!r}: {text!r} is not a number") from None
+    except OverflowError as exc:
+        raise DomainError(f"weight spec {spec!r}: {exc}") from None
 
 
 def from_spec(text: str) -> WeightModel:
@@ -485,27 +492,27 @@ def from_spec(text: str) -> WeightModel:
     Grammar: ``unit | gaussian[:V2] | gamma:m,theta | bernoulli | exponential
     | logfact | custom:path.json`` where custom JSON is
     ``{"moments": [1, v1, v2, ...]}``.  Numeric parameters accept integers,
-    decimals and ratios like ``1/2``.  Malformed specs raise ``DomainError``.
+    decimals and ratios like ``1/2``.  Malformed specs, and literals past
+    ``parse_rational``'s digit limit, raise ``DomainError``; a parameter past
+    float range is no error, as every constructor takes its floats through
+    ``or_inf``.
     """
     head, _, arg = text.partition(":")
     key = head.strip().lower()
-    try:
-        if key == "custom":
-            try:
-                data = json.loads(Path(arg).read_text())
-            except ValueError as exc:  # undecodable bytes or invalid JSON
-                raise DomainError(f"weight spec {text!r}: not a JSON file ({exc})") from None
-            moments = data.get("moments") if isinstance(data, dict) else None
-            if not isinstance(moments, list):
-                raise DomainError(f'weight spec {text!r}: expected {{"moments": [1, v1, ...]}}')
-            return custom_model([_number(str(v), text) for v in moments])
-        if key not in _FAMILIES:
-            raise DomainError(f"unknown weight model: {text!r}")
-        constructor, counts = _FAMILIES[key]
-        params = [_number(part, text) for part in arg.split(",")] if arg else []
-        if len(params) not in counts:
-            allowed = " or ".join(map(str, counts)) + " parameters"
-            raise DomainError(f"weight spec {text!r}: {key} takes {allowed}, got {len(params)}")
-        return constructor(*params)
-    except OverflowError:  # every parameter ends up as a float
-        raise DomainError(f"weight spec {text!r}: parameter out of float range") from None
+    if key == "custom":
+        try:
+            data = json.loads(Path(arg).read_text())
+        except ValueError as exc:  # undecodable bytes or invalid JSON
+            raise DomainError(f"weight spec {text!r}: not a JSON file ({exc})") from None
+        moments = data.get("moments") if isinstance(data, dict) else None
+        if not isinstance(moments, list):
+            raise DomainError(f'weight spec {text!r}: expected {{"moments": [1, v1, ...]}}')
+        return custom_model([_number(str(v), text) for v in moments])
+    if key not in _FAMILIES:
+        raise DomainError(f"unknown weight model: {text!r}")
+    constructor, counts = _FAMILIES[key]
+    params = [_number(part, text) for part in arg.split(",")] if arg else []
+    if len(params) not in counts:
+        allowed = " or ".join(map(str, counts)) + " parameters"
+        raise DomainError(f"weight spec {text!r}: {key} takes {allowed}, got {len(params)}")
+    return constructor(*params)

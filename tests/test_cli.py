@@ -252,6 +252,20 @@ class TestMoments:
         assert tables[0][2] > 900
         assert tables[1] == pytest.approx(tables[0], rel=1e-12)
 
+    @pytest.mark.parametrize("spec", [f"gamma:{m},{theta}" for m in ("1", "2", "1/2", "1e400")
+                                      for theta in ("1e-320", "1e-400")])
+    def test_gamma_scale_below_float_range(self, runner, tmp_path, spec):
+        # the radius 1/theta is past float range or inf; no table reads it
+        tables = []
+        for extra in ([], ["--log"]):
+            out = tmp_path / "m.csv"
+            result = runner.invoke(cli.main, [
+                "moments", "--weights", spec, "--k", "40", "--x", "7/2", "--out", str(out), *extra,
+            ])
+            assert result.exit_code == 0, result.output
+            tables.append([float(row["log_value"]) for row in read_table(str(out))])
+        assert tables[1] == pytest.approx(tables[0], rel=1e-12)
+
     def test_exact_table_round_trips(self, runner, tmp_path):
         out = tmp_path / "m.csv"
         result = runner.invoke(cli.main, [
@@ -506,6 +520,17 @@ class TestAux:
         assert total == pytest.approx(1.0, abs=1e-10)
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["mean"] == pytest.approx(0.5 * math.exp(0.5))
+
+    def test_scale_below_float_range_is_a_point_mass(self, runner, tmp_path):
+        # theta is 0 in the floats, so H - 1 is 0 and the tilted law sits at 0
+        out = tmp_path / "a.csv"
+        result = runner.invoke(cli.main, [
+            "aux", "--weights", "gamma:1,1e-400", "--x", "1", "--u", "0.5", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert read_table(str(out)) == [{"j": "0", "p_j": "1"}]
+        summary = json.loads(result.output.strip().splitlines()[-1])
+        assert (summary["mean"], summary["variance"], summary["support_cap"]) == (0.0, 0.0, 0)
 
     def test_local_limit_mode(self, runner, tmp_path):
         out = tmp_path / "a.csv"
@@ -1021,6 +1046,17 @@ NOT_FINITE = (
 
 # a law whose parameter passes float range: H'(0) is inf, or its disc is empty
 NAN_SLOPE = "cpm: error: model '%s' has u H'(u) = nan at u = 0.0; H'(u) overflows"
+ZERO_SLOPE = ("cpm: error: model '%s' has u H'(u) = 0.0 at u = 1.0; it underflows, or every"
+              " weight moment vanishes")
+# gamma:1,1e-400, whose theta is 0 in the floats, printed as its exact ratio
+GAMMA_TINY_SCALE = "gamma(1,1/1" + "0" * 400 + ")"
+# a literal one digit past the int-string limit in each form parse_rational reads
+LONG_LITERALS = [
+    ("integer", "7" * (LIMIT + 1)),
+    ("decimal", "0." + "7" * LIMIT),
+    ("numerator", "7" * (LIMIT + 1) + "/3"),
+    ("denominator", "3/" + "7" * (LIMIT + 1)),
+]
 OUTSIDE_NO_DISC = "cpm: error: u = 0.0 outside the convergence interval [0, 0.0) of '%s'"
 
 
@@ -1090,8 +1126,12 @@ class TestBadInputs:
         bad_input("custom-missing-file", MOMENTS + ["--weights", "custom:{w}"],
                   4, "cpm: i/o error: [Errno 2] No such file or directory: '{w}'"),
         bad_input("gaussian-tiny-exponent", MOMENTS + ["--weights", "gaussian:1e-5000"],
-                  3, "cpm: error: weight spec 'gaussian:1e-5000': parameter out of"
-                     " float range"),
+                  3, "cpm: error: weight spec 'gaussian:1e-5000': '1e-5000' needs integers of"
+                     f" more than {LIMIT} digits"),
+        *(bad_input(f"weights-long-{form}", MOMENTS + ["--weights", f"gamma:{text},1"],
+                    3, f"cpm: error: weight spec 'gamma:{text},1': '{text}' needs integers of"
+                       f" more than {LIMIT} digits")
+          for form, text in LONG_LITERALS),
         # a V_j past float range is +-inf in the EGF only: the exact and log
         # tables run (TestMoments), the rest refuse as before
         bad_input("custom-overflow",
@@ -1164,9 +1204,20 @@ class TestBadInputs:
                   3, OUTSIDE_NO_DISC % "gamma(1,inf)"),
         bad_input("gamma-scale-overflow-graphsim", GRAPHSIM + ["--weights", "gamma:1,1e400"],
                   3, "cpm: error: weight model 'gamma:1,1e400' has a mean V_1 past float range"),
-        # 1/theta passes float range: no float radius
-        bad_input("gamma-scale-underflow", MOMENTS + ["--weights", "gamma:1,1e-400"],
-                  3, "cpm: error: weight spec 'gamma:1,1e-400': parameter out of float range"),
+        # theta is 0 in the floats, so H' is 0 and no saddle exists; the exact
+        # and log tables run (TestMoments)
+        bad_input("gamma-scale-underflow", ["rate", "--weights", "gamma:1,1e-400", "--chi", "1"],
+                  3, ZERO_SLOPE % GAMMA_TINY_SCALE, header=True),
+        bad_input("gamma-scale-underflow-compare",
+                  ["compare", "--weights", "gamma:1,1e-400", "--chi", "1", "--k-max", "3",
+                   "--out", "{out}"],
+                  3, ZERO_SLOPE % GAMMA_TINY_SCALE, header=True),
+        bad_input("gamma-scale-underflow-llt",
+                  ["aux", "--weights", "gamma:1,1e-400", "--llt-chi", "1", "--k", "4",
+                   "--out", "{out}"],
+                  3, ZERO_SLOPE % GAMMA_TINY_SCALE),
+        bad_input("gamma-scale-underflow-graphsim", GRAPHSIM + ["--weights", "gamma:1,1e-400"],
+                  3, ZERO_SLOPE % f"tilde({GAMMA_TINY_SCALE})", header=True),
         bad_input("x-huge-exponent",
                   ["moments", "--weights", "unit", "--k", "2", "--x", "1e5000", "--out", "{out}"],
                   2, "Error: Invalid value for '--x': '1e5000' needs integers of more than"
@@ -1175,6 +1226,11 @@ class TestBadInputs:
                   ["moments", "--weights", "unit", "--k", "2", "--x", "1e-5000", "--out", "{out}"],
                   2, "Error: Invalid value for '--x': '1e-5000' needs integers of more than"
                      f" {LIMIT} digits"),
+        *(bad_input(f"x-long-{form}",
+                    ["moments", "--weights", "unit", "--k", "2", "--x", text, "--out", "{out}"],
+                    2, f"Error: Invalid value for '--x': '{text}' needs integers of more than"
+                       f" {LIMIT} digits")
+          for form, text in LONG_LITERALS),
         bad_input("chi-below-reach", ["rate", "--weights", "logfact", "--chi", "1e-13"],
                   3, "cpm: error: chi = 1e-13 out of reach: the smallest chi model 'logfact'"
                      " reaches is 1/(u H'(u)) = 9.999778782808785e-13 at u = 0.999999999999",

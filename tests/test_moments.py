@@ -187,6 +187,19 @@ class TestIntegerEngine:
             want = np.array([weights.log_rational(m) for m in exact])
             assert_logs_agree(moments.log_moment_sequence(model, 40, x), want, 1e-12)
 
+    @pytest.mark.parametrize("spec", [f"gamma:{m},{theta}" for m in ("1", "2", "1/2", "1e400")
+                                      for theta in ("1e-320", "1e-400")])
+    def test_gamma_scale_below_float_range(self, spec):
+        # theta is subnormal or 0 in the floats and the radius 1/theta large or
+        # inf: the tables read the exact V_j, as they do from a custom list
+        model = weights.from_spec(spec)
+        listed = weights.custom_model([model.moment(j) for j in range(41)])
+        for x in (1, Fraction(7, 2)):
+            exact = moments.moment_sequence(model, 40, x)
+            assert exact == moments.moment_sequence(listed, 40, x)
+            want = np.array([weights.log_rational(m) for m in exact])
+            assert_logs_agree(moments.log_moment_sequence(model, 40, x), want, 1e-12)
+
     def test_scale_stays_small_for_geometric_denominators(self):
         # V_j = (2j-1)!!/2^j needs l = 2, where the lcm of the denominators is 2^j;
         # den(V_2) = 10^300 needs l = 10^150, and V_j = 1/p_j^j needs l = p_1 .. p_j

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -397,6 +397,18 @@ SPEC_FAMILIES = [
     ("log_factorial", weights.log_factorial, 0),
 ]
 POSITIVE = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+# literals about float range and the int-string limit: decimal exponents,
+# long integers (leading zeros included) and ratios of them
+LONG_INTEGERS = st.builds(lambda sign, digit, n: sign + digit * n, st.sampled_from(["", "-"]),
+                          st.sampled_from("0123456789"), st.integers(1, 6000))
+EDGE_EXPONENTS = st.one_of(st.integers(-6000, 6000), st.sampled_from(
+    [-LIMIT - 1, -LIMIT, -400, -324, -320, -308, 308, 309, 400, LIMIT - 1, LIMIT]))
+EDGE_LITERALS = st.one_of(
+    st.builds("{}e{}".format, st.sampled_from(["1", "2.5", "0.3", "7_0", "-1"]), EDGE_EXPONENTS),
+    LONG_INTEGERS,
+    st.builds("{}/{}".format, LONG_INTEGERS, LONG_INTEGERS.map(lambda text: text.lstrip("-"))),
+)
 
 
 class TestSpecParsing:
@@ -442,6 +454,37 @@ class TestSpecParsing:
         parsed, direct = weights.from_spec(spec), constructor(*params)
         assert parsed.name == direct.name
         assert [parsed.moment(j) for j in range(9)] == [direct.moment(j) for j in range(9)]
+
+    @pytest.mark.parametrize("family, arity", [(f[0], f[2]) for f in SPEC_FAMILIES if f[2]],
+                             ids=[f[0] for f in SPEC_FAMILIES if f[2]])
+    @settings(max_examples=200)
+    @given(params=st.lists(EDGE_LITERALS, min_size=2, max_size=2))
+    def test_edge_parameters_raise_only_spec_errors(self, family, arity, params):
+        # a parameter past float range is inf in the floats (or_inf), and a
+        # literal past the digit limit a DomainError: no OverflowError escapes
+        try:
+            weights.from_spec(f"{family}:{','.join(params[:arity])}")
+        except DomainError:
+            pass
+
+    @settings(max_examples=200)
+    @given(values=st.lists(EDGE_LITERALS, max_size=3), quoted=st.booleans())
+    def test_edge_custom_moments_raise_only_spec_errors(self, tmp_path_factory, values, quoted):
+        path = tmp_path_factory.getbasetemp() / "edge.json"
+        path.write_text('{"moments": [1, %s]}' % ", ".join(
+            f'"{v}"' if quoted else v for v in values))
+        try:
+            weights.from_spec(f"custom:{path}")
+        except (DomainError, OSError):
+            pass
+
+    @pytest.mark.parametrize("text", [
+        "7" * LIMIT, "0." + "7" * (LIMIT - 1), f"1e{LIMIT - 1}", f"1e-{LIMIT - 1}",
+        "7" * LIMIT + "/" + "3" * LIMIT,
+    ], ids=["integer", "decimal", "exponent", "negative-exponent", "ratio"])
+    def test_literals_at_the_digit_limit_parse(self, text):
+        # one digit more is refused (TestBadInputs' x-long-* rows)
+        assert weights.parse_rational(text) == Fraction(text)
 
     @given(st.one_of(
         st.text(),
