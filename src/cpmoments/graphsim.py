@@ -45,15 +45,25 @@ graphs of n = 200 (blocks of 21) took a median 433 ms on one thread and
 alternating in-process runs each); the other core was partly busy there,
 so two single-threaded processes ran 1.6 times slower each than one.  A
 block then draws the weights and sums the degrees of all its graphs
-together, one stretch of whole rows of about EDGE_BLOCK edges at a time,
+together, one block of whole rows of about EDGE_BLOCK edges at a time,
 each graph's weights from its own stream.  Trial t writes
 D_max[t] from stream (seed, t), so the samples are the same bits for any
 number of threads and any block size.  The blocks in flight hold at most
 MAX_TRIAL_WORK vertices and edges together, as one graph of the largest
-admitted size does, and a block keeps one array of its edge count: the
-slot indices, overwritten by column indices.  Two trials of n = 10^6 at
-kappa = 4 (2.8e7 edges each, one thread) peaked at 302 MB of resident
-memory, against 512 MB when each graph also kept an array of its weights.
+admitted size does.
+
+Memory is linear in n, not in the edge count.  A block of several graphs,
+or of one graph of at most BLOCK_WORK expected edges, holds its slot
+indices in one array of its edge count, at most about BLOCK_WORK.  A
+larger graph never holds its slots: it draws its gaps twice from the same
+bits, in stretches of BLOCK_WORK, and keeps one stretch and at most one
+partial row of slots at a time, so only graphs past one stretch draw their
+gaps twice.  Its arrays then take about 50-60 bytes a vertex, its row
+tables and degree sums, and a fixed 1.5 MiB.  Two trials of n = 10^6 at
+kappa = 4 (2.8e7 edges each, one thread) peaked at 78 MB of resident
+memory, against 302 MB when each graph kept its slot indices; the second
+gap pass makes an n = 20000 graph (4e5 edges) about 4 ms slower on one
+thread, 32 ms against 28.
 """
 
 from __future__ import annotations
@@ -70,17 +80,19 @@ from .asymptotics import rate_function
 from .errors import DomainError
 from .weights import WeightDraw, WeightModel, from_spec, tilde_transform
 
-# a graph's work is its vertices and expected edges: one trial's arrays take
-# 52-62 bytes for each vertex and 8 for each edge (tracemalloc peaks from
-# n = 1e4 to 2e6), and a run 40-85 ns for each (2-core x86-64)
-MAX_TRIAL_WORK = 3 * 10**7  # work of one graph, at most about 1.8 GB of arrays
+# a graph's work is its vertices and expected edges: a run takes 40-85 ns
+# for each (2-core x86-64), so the caps bound time; one trial's arrays take
+# about 50-60 bytes for each vertex and none for each edge past a stretch
+# of BLOCK_WORK (tracemalloc peaks from n = 1e5 to 2e6)
+MAX_TRIAL_WORK = 3 * 10**7  # work of one graph, a few seconds and at most about 1.8 GB
 TRIAL_COST = 1000  # a trial's fixed cost as work; its stream and calls take 9-17 us in blocks
 MAX_GRAPH_WORK = 10**9  # work and TRIAL_COST summed over the trials, about a minute
-# graphs drawn together as one block of trials hold about this much work
+# graphs drawn together as one block of trials hold about this much work,
+# and one graph of more expected edges streams its gaps this many at a time
 BLOCK_WORK = 5 * 10**4
 # edges per block of a trial's weights, row sums and column indices: each
 # block holds a few temporaries of its length, so the n = 20000 benchmark
-# graph peaks at 4.7, 4.2 and 3.9 MiB under tracemalloc at 2^16, 2^15 and
+# graph peaks at 1.7, 1.5 and 1.2 MiB under tracemalloc at 2^16, 2^15 and
 # 2^14; 2^14 makes twice the blocks and ran graph_mc about 4% slower
 EDGE_BLOCK = 2**15
 
@@ -193,7 +205,8 @@ def _geometric_gaps(
     draw E per gap.  Each generator draws its exponentials into its row, and
     the same division, done once in place over all rows, gives the same gaps
     from the same draws.  At and above 1/3 numpy searches instead, and its
-    gaps stay small.
+    gaps stay small.  Either way each gap takes its own draws in turn, so
+    gaps drawn in pieces are the bits of one call.
     """
     gaps = np.empty((len(rngs), size)) if out is None else out
     cast = gaps.view(np.int64)
@@ -203,7 +216,10 @@ def _geometric_gaps(
         return np.minimum(cast, cap, out=cast)
     for row, rng in zip(gaps, rngs):
         rng.standard_exponential(size, out=row)
-    gaps /= -math.log1p(-p)
+    # at a subnormal p a gap E / -ln(1 - p) overflows to inf, which the cut
+    # to cap handles
+    with np.errstate(over="ignore"):
+        gaps /= -math.log1p(-p)
     np.ceil(gaps, out=gaps)
     # cut before the cast: a gap past INT64_MAX has no int64 value, and
     # numpy's saturated INT64_MAX gaps make the gap sum wrap
@@ -235,43 +251,142 @@ def _gap_batch(expected: float) -> int:
     return int(expected + 8.0 * math.sqrt(expected + 1.0)) + 16
 
 
+def _more_gaps(left: int, p: float) -> int:
+    """Gaps of the next batch, where ``left`` slots are still to be visited."""
+    return max(16, int(left * p) + 16)
+
+
+def _streams(n: int, edge_p: float, graphs: int) -> bool:
+    """Whether a block of ``graphs`` graphs streams its gaps
+    (``_streamed_slots``): one graph of more than BLOCK_WORK expected
+    edges.  ``_block_trials`` puts such a graph in a block of its own."""
+    return graphs == 1 and n * (n - 1) // 2 * edge_p > BLOCK_WORK
+
+
+def _gap_width(n: int, edge_p: float, graphs: int) -> int:
+    """Gaps a block of ``graphs`` graphs draws into its buffer's rows, one
+    row each: the first ``_gap_batch``, or, where the block streams, a
+    stretch of BLOCK_WORK and one row's slots."""
+    if _streams(n, edge_p, graphs):
+        return int(BLOCK_WORK) + n
+    return _gap_batch(n * (n - 1) // 2 * edge_p)
+
+
+def _block_slots(n: int, edge_p: float, rngs: list, gaps: np.ndarray) -> np.ndarray:
+    """The sorted slots of the edges of every graph of a block, drawn in one
+    gap pass: graph t draws its first batch into row t of ``gaps``, then
+    any more batches, and its slots are shifted by t n(n - 1)/2.
+
+    The gap transform and cumulative sum run once over the block's rows.  A
+    gap of n(n - 1)/2 + 1 already ends a graph, so the gaps are cut there,
+    which moves no kept slot.  Where no graph drew a second batch, the
+    slots move to the front of ``gaps``, each graph's to or before its own
+    row, so the block allocates no new array of its edge count.  Made and
+    freed once a block, where the allocator returns such arrays to the
+    system, they cost 3000 graphs of n = 200 39000 page faults and about
+    15% of their time."""
+    graphs, npairs = len(rngs), n * (n - 1) // 2
+    pos = _geometric_gaps(rngs, edge_p, gaps.shape[1], npairs + 1, gaps)
+    pos[:, 0] += np.arange(-1, graphs * npairs - 1, npairs)  # slot = cumulative gap - 1
+    np.cumsum(pos, axis=1, out=pos)
+    parts, drew_more = [], False
+    for graph, (stream, row) in enumerate(zip(rngs, pos)):
+        end = (graph + 1) * npairs  # this graph's slots end here
+        while row[-1] < end:
+            more = _geometric_gaps([stream], edge_p, _more_gaps(end - 1 - row[-1], edge_p),
+                                   npairs + 1)[0]
+            more[0] += row[-1]
+            row, drew_more = np.concatenate([row, np.cumsum(more, out=more)]), True
+        parts.append(row[: row.searchsorted(end)])
+    if graphs == 1 or drew_more:
+        return parts[0] if graphs == 1 else np.concatenate(parts)
+    flat, size = pos.reshape(-1), 0
+    for part in parts:
+        flat[size : size + part.size] = part
+        size += part.size
+    return flat[:size]
+
+
+def _streamed_slots(n: int, edge_p: float, rng: np.random.Generator, buf: np.ndarray,
+                    scratch: np.random.Generator, row_start: np.ndarray):
+    """Yield (sorted slots, first row, end row) for one graph's edges, a
+    stretch of whole rows at a time, from two passes over the gaps of
+    ``rng``, BLOCK_WORK gaps at a time in the float64 ``buf`` of
+    BLOCK_WORK + n.
+
+    The first pass draws the gaps from ``rng`` in the batches
+    ``_block_slots`` draws, and keeps only their running sum, so ``rng``
+    ends where the gaps end and the graph's weights start.  The second
+    pass sets ``scratch`` to ``rng``'s start state, redraws the same gaps
+    and sums them into slots, carrying each stretch's last, partial row,
+    of fewer than n slots, on to the next.  A caller may overwrite the
+    slots of a yielded stretch."""
+    npairs, stretch = n * (n - 1) // 2, int(BLOCK_WORK)
+    start = rng.bit_generator.state
+    last, size = -1, _gap_batch(npairs * edge_p)  # last: the slot of the last gap
+    while last < npairs:
+        for done in range(0, size, stretch):
+            part = min(stretch, size - done)
+            last += int(_geometric_gaps([rng], edge_p, part, npairs + 1, buf[None, :part]).sum())
+        size = _more_gaps(npairs - 1 - last, edge_p)
+    scratch.bit_generator.state = start
+    slots = buf.view(np.int64)
+    carry, last, r0 = 0, -1, 0
+    while r0 < n:
+        gaps = _geometric_gaps([scratch], edge_p, stretch, npairs + 1,
+                               buf[None, carry : carry + stretch])[0]
+        gaps[0] += last
+        np.cumsum(gaps, out=gaps)
+        last = int(gaps[-1])
+        # rows before r1 end at or before the last slot; r1 = n once all do
+        r1 = int(np.searchsorted(row_start, last + 1, side="right")) - 1
+        cut = int(np.searchsorted(slots[: carry + stretch], row_start[r1]))
+        yield slots[:cut], r0, r1
+        carry += stretch - cut
+        slots[:carry] = slots[cut : cut + carry]
+        r0 = r1
+
+
 def sample_degrees(
-    n: int, edge_p: float, draw: WeightDraw, rngs, gaps: np.ndarray | None = None
+    n: int, edge_p: float, draw: WeightDraw, rngs, gaps: np.ndarray | None = None,
+    scratch: np.random.Generator | None = None,
 ) -> np.ndarray:
     """All n weighted degrees of one graph drawn from each generator of
     ``rngs``, as a (graphs, n) array; one graph is a block of one.  The
     generators must be distinct objects, since all of them are drawn from
     at once: a generator given twice, as by an iterable that re-keys one
-    generator (``trial_generator``), is refused.  Graph t draws its first
-    ``_gap_batch`` gaps into row t of ``gaps``, where given: a caller that
-    passes one array to every call allocates it once, where a new array of
-    some megabytes per graph is mapped and faulted in again each time (1650
-    page faults, 10-15% of an n = 20000 graph's time).  Refuses an
-    ``edge_p`` outside [0, 1], NaN included.
+    generator (``trial_generator``), is refused.  Refuses an ``edge_p``
+    outside [0, 1], NaN included.
 
     The upper-triangle slots of each graph are visited as a Bernoulli(edge_p)
-    process via cumulative geometric gaps (``_geometric_gaps``).  Every graph
-    draws its first batch of exponentials from its own stream, and the gap
-    transform and cumulative sum then run once over the block; graph t's
-    slots are shifted by t n(n - 1)/2.  Each graph then draws any second
-    batch.  At a subnormal edge_p a gap E / -ln(1 - p) overflows to inf,
-    which the cut to the gap cap handles, so the draws run with overflow
-    warnings off.  The slot indices of all graphs form one sorted array,
-    split into rows by counting, for each row, the indices before its row
-    start; slot (i, j) of graph t sits at row_start[t n + i] + j - i - 1.
+    process via cumulative geometric gaps (``_geometric_gaps``).  A stream
+    draws all its gaps, then its edge count of weights.  The gaps go into
+    the rows of ``gaps``, a float64 array of ``_gap_width`` columns, where
+    given: a caller that passes one array to every call allocates it once,
+    where a new array of some megabytes per graph is mapped and faulted in
+    again each time (1650 page faults, 10-15% of an n = 20000 graph's time).
 
-    The slot indices are the only array of one graph's size.  The weights
-    are drawn over blocks of whole rows of about EDGE_BLOCK edges, in edge
-    order, each graph's from its own stream: a stream draws all its gaps,
-    then its edge count of weights in one or more pieces, which a
-    ``WeightDraw`` draws as the same bits as one call, so a graph gets the
-    weights it would get drawn alone.  Each block takes its rows' sums with
-    one ``bincount`` and turns its slots into column indices in place;
-    ``np.add.at`` adds its weights onto one array of column sums, and so
-    adds each column in edge order across the blocks, as one ``bincount``
-    over all edges would (a ``bincount`` per block, summed, would change the
-    last bits).  Every sum thus adds its weights in edge order whatever the
-    blocks and however many graphs are drawn together.
+    A block of several graphs, or of one graph of at most BLOCK_WORK
+    expected edges, draws its gaps once (``_block_slots``), and holds all
+    its slots in one sorted array.  A larger graph never holds all its
+    slots (``_streamed_slots``): it draws its gaps twice from the same
+    bits, in stretches of BLOCK_WORK, the second time from ``scratch``
+    (a new generator where none is given) rewound to the start of its
+    stream, and its slots arrive a stretch of whole rows at a time.  Its
+    memory is then O(n + BLOCK_WORK + EDGE_BLOCK), not O(edges).
+
+    Within each stretch, the weights are drawn over blocks of whole rows of
+    about EDGE_BLOCK edges, in edge order, each graph's from its own
+    stream, in one or more pieces, which a ``WeightDraw`` draws as the same
+    bits as one call, so a graph gets the weights it would get drawn alone.
+    Each block takes its rows' sums with one ``bincount`` and turns its
+    slots into column indices in place (slot (i, j) of graph t sits at
+    row_start[t n + i] + j - i - 1); ``np.add.at`` adds its weights onto
+    one array of column sums, and so adds each column in edge order across
+    the blocks, as one ``bincount`` over all edges would (a ``bincount`` per
+    block, summed, would change the last bits).  Every sum thus adds its
+    weights in edge order whatever the stretches and blocks and however
+    many graphs are drawn together.
     """
     if not 0.0 <= edge_p <= 1.0:
         raise DomainError("edge probability must lie in [0, 1]")
@@ -279,50 +394,40 @@ def sample_degrees(
     graphs = len(rngs)
     if len(set(map(id, rngs))) < graphs:
         raise ValueError("one generator is given for two graphs; each graph needs its own")
-    npairs = n * (n - 1) // 2
-    if npairs == 0 or edge_p <= 0.0 or graphs == 0:
+    if n * (n - 1) // 2 == 0 or edge_p <= 0.0 or graphs == 0:
         return np.zeros((graphs, n))
-    parts = []
-    with np.errstate(over="ignore"):
-        # a gap of npairs + 1 already ends the process: cutting longer ones
-        # moves no kept slot
-        pos = _geometric_gaps(rngs, edge_p, _gap_batch(npairs * edge_p), npairs + 1,
-                              None if gaps is None else gaps[:graphs])
-        pos[:, 0] += np.arange(-1, graphs * npairs - 1, npairs)  # slot = cumulative gap - 1
-        np.cumsum(pos, axis=1, out=pos)
-        for graph, (stream, row) in enumerate(zip(rngs, pos)):
-            end = (graph + 1) * npairs  # this graph's slots end here
-            while row[-1] < end:
-                more = _geometric_gaps([stream], edge_p,
-                                       max(16, int((end - 1 - row[-1]) * edge_p) + 16),
-                                       npairs + 1)[0]
-                more[0] += row[-1]
-                row = np.concatenate([row, np.cumsum(more, out=more)])
-            parts.append(row[: row.searchsorted(end)])
-    pos = parts[0] if graphs == 1 else np.concatenate(parts)
-    del parts  # concatenated parts are freed here, not at return
+    if gaps is None:
+        gaps = np.empty((graphs, _gap_width(n, edge_p, graphs)))
     idx, row_start, offset = _row_tables(n, graphs)
-    first = np.searchsorted(pos, row_start)  # each row's first edge, then the end
-    counts = first[1:] - first[:-1]
-    graph_first = first[::n].tolist()  # each graph's first edge, then the end
+    if _streams(n, edge_p, graphs):
+        scratch = np.random.Generator(np.random.Philox()) if scratch is None else scratch
+        stretches = _streamed_slots(n, edge_p, rngs[0], gaps[0], scratch, row_start)
+    else:
+        stretches = [(_block_slots(n, edge_p, rngs, gaps[:graphs]), 0, idx.size)]
     rows, cols = np.zeros(idx.size), np.zeros(idx.size)
-    cuts = np.searchsorted(first, range(EDGE_BLOCK, pos.size, EDGE_BLOCK)).tolist()
-    for r0, r1 in zip([0, *cuts], [*cuts, idx.size]):
-        e0, e1 = int(first[r0]), int(first[r1])
-        if e0 == e1:  # no edge, or one row of more than EDGE_BLOCK edges
-            continue
-        # the block's weights in edge order, each graph's from its own stream
-        draws = []
-        for g in range(r0 // n, (r1 - 1) // n + 1):
-            size = min(e1, graph_first[g + 1]) - max(e0, graph_first[g])
-            if size:
-                draws.append(draw(rngs[g], size))
-        w = draws[0] if len(draws) == 1 else np.concatenate(draws)
-        rows[r0:r1] = np.bincount(np.repeat(idx[: r1 - r0], counts[r0:r1]),
-                                  weights=w, minlength=r1 - r0)
-        block = pos[e0:e1]
-        block -= np.repeat(offset[r0:r1], counts[r0:r1])  # slots to columns
-        np.add.at(cols, block, w)  # each column in edge order, as one bincount adds
+    for pos, r0, r1 in stretches:
+        first = np.searchsorted(pos, row_start[r0 : r1 + 1])  # row r's first edge at r - r0
+        counts = first[1:] - first[:-1]
+        # each graph's first edge, then the end: a stretch holds whole graphs
+        # or lies within its block's one graph
+        graph_first = [*first[:-1:n].tolist(), pos.size]
+        cuts = (r0 + np.searchsorted(first, range(EDGE_BLOCK, pos.size, EDGE_BLOCK))).tolist()
+        for b0, b1 in zip([r0, *cuts], [*cuts, r1]):
+            e0, e1 = int(first[b0 - r0]), int(first[b1 - r0])
+            if e0 == e1:  # no edge, or one row of more than EDGE_BLOCK edges
+                continue
+            # the block's weights in edge order, each graph's from its own stream
+            draws = []
+            for g in range(b0 // n, (b1 - 1) // n + 1):
+                size = min(e1, graph_first[g + 1]) - max(e0, graph_first[g])
+                if size:
+                    draws.append(draw(rngs[g], size))
+            w = draws[0] if len(draws) == 1 else np.concatenate(draws)
+            bins = np.repeat(idx[: b1 - b0], counts[b0 - r0 : b1 - r0])
+            rows[b0:b1] = np.bincount(bins, weights=w, minlength=b1 - b0)
+            block = pos[e0:e1]
+            block -= np.take(offset[b0:b1], bins, out=bins, mode="clip")  # slots to columns
+            np.add.at(cols, block, w)  # each column in edge order, as one bincount adds
     rows += cols
     return rows.reshape(graphs, n)
 
@@ -396,7 +501,8 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
     the same for any number of threads and any block size.  Each thread keeps
     one generator per trial of a block and re-keys each to its trial's stream
     for every block, as ``sample_degrees`` draws from all of a block's
-    streams at once.  The calling thread is one of them; the first exception
+    streams at once; its gap array and scratch generator serve every block
+    too.  The calling thread is one of them; the first exception
     of any stops the others after their current block, and is raised once
     all have ended.  Their end also empties the ``_row_tables`` cache, so a
     finished run keeps none of its tables.
@@ -416,10 +522,12 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
 
     def run() -> None:
         # this thread's generators and gap rows, one of each per trial of a
-        # block, used by every block; a generator is made by its first trial
+        # block, and its scratch generator for a second gap pass, used by
+        # every block; a generator is made by its first trial
         rngs: list = [None] * size
         try:
-            gaps = np.empty((size, _gap_batch(n * (n - 1) // 2 * edge_p)))
+            gaps = np.empty((size, _gap_width(n, edge_p, size)))
+            scratch = np.random.Generator(np.random.Philox())
             while not failed:
                 with claim:
                     start = next(unclaimed, None)
@@ -429,7 +537,7 @@ def _dmax_samples(config: GraphSimConfig, draw: WeightDraw) -> np.ndarray:
                 for slot, t in enumerate(block):
                     rngs[slot] = trial_generator(seed, t, rngs[slot])
                 dmax[block.start:block.stop] = sample_degrees(n, edge_p, draw, rngs[: len(block)],
-                                                              gaps).max(axis=1)
+                                                              gaps, scratch).max(axis=1)
         except BaseException as exc:  # raised by the calling thread once all have ended
             failed.append(exc)
 

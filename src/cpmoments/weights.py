@@ -69,19 +69,37 @@ def log_rational(v: Fraction) -> float:
 _RATIONAL = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?(?:\s*/\s*([\d_]+))?")
 
 
+def _digit_limit() -> int:
+    """The integer-to-string limit: CPython's default 4300 where it is unset
+    or unknown."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _brief(text: str) -> str:
+    """``repr(text)``, or for a text longer than the digit limit the repr of
+    its first 20 characters and its count of digits, so that an error
+    quoting it stays one short line."""
+    if len(text) <= _digit_limit():
+        return repr(text)
+    return f"{text[:20] + '...'!r} ({sum(map(str.isdigit, text))} digits)"
+
+
 def parse_rational(text: str) -> Fraction:
     """``Fraction(text)``, but a literal whose numerator or denominator would
-    be longer than the integer-to-string limit (CPython's default 4300 where
-    it is unset or unknown) raises OverflowError before ``Fraction`` builds
-    it: a long integer, a long decimal, either side of a ratio, or an
-    exponent that would build 10**exponent.  Malformed text raises
-    ValueError or ZeroDivisionError."""
+    be longer than the integer-to-string limit (``_digit_limit``) raises
+    OverflowError before ``Fraction`` builds it: a long integer, a long
+    decimal, either side of a ratio, an exponent that would build
+    10**exponent, or an exponent itself past the limit.  The message quotes
+    the literal through ``_brief``.  Malformed text raises ValueError or
+    ZeroDivisionError."""
     match = _RATIONAL.fullmatch(text.strip())
     if match:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-        whole, frac, exponent, den = match[1], match[2] or "", int(match[3] or 0), match[4] or ""
-        if max(len(whole) + max(len(frac), exponent), len(frac) - exponent + 1, len(den)) > limit:
-            raise OverflowError(f"{text!r} needs integers of more than {limit} digits")
+        limit = _digit_limit()
+        whole, frac, exponent, den = match[1], match[2] or "", match[3] or "0", match[4] or ""
+        # an exponent of more digits than the limit is too long for int() itself
+        e = int(exponent) if sum(map(str.isdigit, exponent)) <= limit else math.inf
+        if max(len(whole) + max(len(frac), e), len(frac) - e + 1, len(den)) > limit:
+            raise OverflowError(f"{_brief(text)} needs integers of more than {limit} digits")
     return Fraction(text)
 
 
@@ -440,12 +458,13 @@ def tilde_transform(model: WeightModel) -> WeightModel:
     moment sequence of a weight distribution.  Its H' and H'' are built on
     the base law's closures, not on its ``egf_d1``/``egf_d2``, so the
     shift's own methods apply the range check and the overflow rule once.
+    A mean past float range is inf in the shift's floats (``or_inf``).
     Identity when V_1 = 0 already.
     """
     v1 = model.moment(1)
     if v1 == 0:
         return model
-    fv1 = float(v1)
+    fv1 = or_inf(float, v1)
 
     def mom(order: int) -> Fraction:
         return Fraction(0) if order == 1 else model.moment(order)
@@ -477,13 +496,14 @@ _FAMILIES: dict[str, tuple[Callable[..., WeightModel], tuple[int, ...]]] = {
 
 def _number(text: str, spec: str) -> Fraction:
     """``parse_rational(text)``; malformed text and a literal past the digit
-    limit are a ``DomainError`` that names the spec."""
+    limit are a ``DomainError`` that names the spec (the latter through
+    ``_brief``, as the spec holds the literal)."""
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"weight spec {spec!r}: {text!r} is not a number") from None
     except OverflowError as exc:
-        raise DomainError(f"weight spec {spec!r}: {exc}") from None
+        raise DomainError(f"weight spec {_brief(spec)}: {exc}") from None
 
 
 def from_spec(text: str) -> WeightModel:

@@ -1056,7 +1056,14 @@ LONG_LITERALS = [
     ("decimal", "0." + "7" * LIMIT),
     ("numerator", "7" * (LIMIT + 1) + "/3"),
     ("denominator", "3/" + "7" * (LIMIT + 1)),
+    ("exponent", "1e" + "9" * (LIMIT + 1)),  # too long for int() itself
 ]
+
+
+def brief(text):
+    """A text past the digit limit as an error line quotes it: its first 20
+    characters and its count of digits."""
+    return f"'{text[:20]}...' ({sum(c.isdigit() for c in text)} digits)"
 OUTSIDE_NO_DISC = "cpm: error: u = 0.0 outside the convergence interval [0, 0.0) of '%s'"
 
 
@@ -1129,9 +1136,14 @@ class TestBadInputs:
                   3, "cpm: error: weight spec 'gaussian:1e-5000': '1e-5000' needs integers of"
                      f" more than {LIMIT} digits"),
         *(bad_input(f"weights-long-{form}", MOMENTS + ["--weights", f"gamma:{text},1"],
-                    3, f"cpm: error: weight spec 'gamma:{text},1': '{text}' needs integers of"
-                       f" more than {LIMIT} digits")
+                    3, f"cpm: error: weight spec {brief(f'gamma:{text},1')}: {brief(text)} needs"
+                       f" integers of more than {LIMIT} digits")
           for form, text in LONG_LITERALS),
+        # the file's path is quoted whole, its literal by a prefix
+        bad_input("custom-long-literal", MOMENTS + ["--weights", "custom:{w}"],
+                  3, f"cpm: error: weight spec 'custom:{{w}}': {brief('7' * (LIMIT + 1))} needs"
+                     f" integers of more than {LIMIT} digits",
+                  weights_json='{"moments": [1, "%s"]}' % ("7" * (LIMIT + 1))),
         # a V_j past float range is +-inf in the EGF only: the exact and log
         # tables run (TestMoments), the rest refuse as before
         bad_input("custom-overflow",
@@ -1228,8 +1240,8 @@ class TestBadInputs:
                      f" {LIMIT} digits"),
         *(bad_input(f"x-long-{form}",
                     ["moments", "--weights", "unit", "--k", "2", "--x", text, "--out", "{out}"],
-                    2, f"Error: Invalid value for '--x': '{text}' needs integers of more than"
-                       f" {LIMIT} digits")
+                    2, f"Error: Invalid value for '--x': {brief(text)} needs integers of more"
+                       f" than {LIMIT} digits")
           for form, text in LONG_LITERALS),
         bad_input("chi-below-reach", ["rate", "--weights", "logfact", "--chi", "1e-13"],
                   3, "cpm: error: chi = 1e-13 out of reach: the smallest chi model 'logfact'"

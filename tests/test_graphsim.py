@@ -202,13 +202,15 @@ class TestSampling:
         assert np.array_equal(graphsim.sample_degrees(n, 1e-9, draw, rngs), np.zeros((3, n)))
         assert calls == []
 
-    def test_block_of_one_graph_holds_one_array_of_its_size(self):
+    def test_streamed_graph_holds_no_array_of_its_edge_count(self):
         # a block of one trial, as the experiment draws graphs of this size,
-        # keeps its slot indices without copying them, 3.2 MB for about 4e5
-        # edges, and draws its weights a block of edges at a time; the row
-        # tables are cached by the first draw
+        # streams its gaps: it never holds its 4e5 slot indices (3.1 MiB),
+        # only a stretch of gaps and one row's slots, its degree sums and a
+        # block of edges at a time (about 1.5 MiB in all); the row tables
+        # are cached by the first draw
         n = 20000
         edge_p = 4 * math.log(n) / n
+        assert graphsim._streams(n, edge_p, 1)
         draw, _ = graphsim.weight_sampler("gamma:2,1/2")
         graphsim.sample_degrees(n, edge_p, draw, iter([graphsim.trial_generator(1, 0)]))
         tracemalloc.start()
@@ -217,7 +219,127 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 2**20
+        assert peak <= 2 * 2**20
+
+    # (n, edge_p, weights) for a one-graph block that streams its gaps at
+    # stretches of 8 and of 1000: gaps below p = 1/3 by inverted
+    # exponentials, at and above it by numpy's search; at 0.95, rows of up
+    # to 1045 edges, more than a stretch
+    STREAMED = [
+        (2000, 4 * math.log(2000) / 2000, "unit"),
+        (1500, 0.01, "gamma:1/2,1"),
+        (1000, 0.05, "bernoulli"),
+        (300, 0.5, "exponential"),
+        (1100, 0.95, "exponential"),
+    ]
+
+    @pytest.mark.parametrize("stretch", [8, 1000])
+    @pytest.mark.parametrize("n, edge_p, name", STREAMED)
+    def test_streamed_degrees_bit_identical_to_reference(self, monkeypatch, stretch, n, edge_p,
+                                                         name):
+        monkeypatch.setattr(graphsim, "BLOCK_WORK", stretch)
+        monkeypatch.setattr(graphsim, "EDGE_BLOCK", stretch)
+        assert graphsim._streams(n, edge_p, 1)
+        streams = []
+        original = graphsim._geometric_gaps
+
+        def recorded(rngs, p, size, cap, out=None):
+            streams.append(rngs[0])
+            assert size <= stretch
+            return original(rngs, p, size, cap, out)
+
+        monkeypatch.setattr(graphsim, "_geometric_gaps", recorded)
+        draw, _ = graphsim.weight_sampler(name)
+        for trial in range(2):
+            ours, ref = graphsim.trial_generator(8, trial), graphsim.trial_generator(8, trial)
+            got = graphsim.sample_degrees(n, edge_p, draw, [ours])[0]
+            assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref))
+            assert ours.random() == ref.random()
+            # the first pass draws from the trial's stream, the second from
+            # a scratch generator
+            assert streams[0] is ours and any(rng is not ours for rng in streams)
+            streams.clear()
+
+    @pytest.mark.parametrize("stretch", [8, 1000])
+    @pytest.mark.parametrize("n, edge_p, name", [STREAMED[1], STREAMED[3]])
+    def test_streamed_second_gap_batch_drawn_before_the_weights(self, monkeypatch, stretch, n,
+                                                                edge_p, name):
+        # a first batch of 5 gaps ends short of the triangle, so the first
+        # pass draws a second batch, in stretches, and the second pass
+        # redraws both
+        monkeypatch.setattr(graphsim, "BLOCK_WORK", stretch)
+        monkeypatch.setattr(graphsim, "EDGE_BLOCK", stretch)
+        monkeypatch.setattr(graphsim, "_gap_batch", lambda expected: 5)
+        assert graphsim._streams(n, edge_p, 1)
+        calls = []
+        original = graphsim._geometric_gaps
+
+        def recorded(rngs, p, size, cap, out=None):
+            calls.append((rngs[0], size))
+            return original(rngs, p, size, cap, out)
+
+        monkeypatch.setattr(graphsim, "_geometric_gaps", recorded)
+        draw, _ = graphsim.weight_sampler(name)
+        ours, ref = graphsim.trial_generator(8, 0), graphsim.trial_generator(8, 0)
+        got = graphsim.sample_degrees(n, edge_p, draw, [ours])[0]
+        assert np.array_equal(got, reference_degrees(n, edge_p, draw, ref, batch=5))
+        assert ours.random() == ref.random()
+        first_pass = [size for rng, size in calls if rng is ours]
+        assert first_pass[0] == 5 and len(first_pass) > 1 and len(first_pass) < len(calls)
+
+    @pytest.mark.parametrize("stretch, n, edge_p, graphs", [
+        (graphsim.BLOCK_WORK, 2000, 4 * math.log(2000) / 2000, 1),  # the benchmark's n = 2000
+        (1000, 30, 0.5, 1),
+        (1000, 300, 0.5, 3),  # more than a stretch a graph, in a block of three
+    ])
+    def test_gaps_that_fit_are_drawn_once(self, monkeypatch, stretch, n, edge_p, graphs):
+        monkeypatch.setattr(graphsim, "BLOCK_WORK", stretch)
+        calls = []
+        original = graphsim._geometric_gaps
+
+        def recorded(rngs, p, size, cap, out=None):
+            calls.append((list(rngs), size))
+            return original(rngs, p, size, cap, out)
+
+        monkeypatch.setattr(graphsim, "_geometric_gaps", recorded)
+        draw, _ = graphsim.weight_sampler("exponential")
+        rngs = [graphsim.trial_generator(8, t) for t in range(graphs)]
+        got = graphsim.sample_degrees(n, edge_p, draw, rngs)
+        assert calls == [(rngs, graphsim._gap_batch(n * (n - 1) // 2 * edge_p))]
+        for trial, rng in enumerate(rngs):
+            ref = graphsim.trial_generator(8, trial)
+            assert np.array_equal(got[trial], reference_degrees(n, edge_p, draw, ref))
+            assert rng.random() == ref.random()
+
+    def test_experiment_streams_gaps_through_one_array_per_thread(self, monkeypatch):
+        # every streamed graph of a thread draws into the same gap array and
+        # redraws from the same scratch generator
+        cfg = graphsim.GraphSimConfig(2000, 4.0, "exponential", (1.0,), 3, 0)
+        single = [dmax(cfg, trial=t) for t in range(3)]
+        bases, scratches, rngs_seen = [], [], []
+        original = graphsim._geometric_gaps
+
+        def recorded(rngs, p, size, cap, out=None):
+            bases.append(out.base)
+            if rngs[0] not in rngs_seen:
+                scratches.append(rngs[0])
+            return original(rngs, p, size, cap, out)
+
+        generator = graphsim.trial_generator
+
+        def seen(seed, trial, rng=None):
+            rngs_seen.append(generator(seed, trial, rng))
+            return rngs_seen[-1]
+
+        monkeypatch.setattr(graphsim, "_geometric_gaps", recorded)
+        monkeypatch.setattr(graphsim, "trial_generator", seen)
+        monkeypatch.setattr(graphsim, "trial_workers", lambda work, trials: 1)
+        monkeypatch.setattr(graphsim, "BLOCK_WORK", 1000)
+        assert graphsim._block_trials(cfg.trial_work) == 1
+        samples = graphsim._dmax_samples(cfg, graphsim.weight_sampler("exponential")[0])
+        assert samples.tolist() == single
+        assert len(scratches) > 3 and all(rng is scratches[0] for rng in scratches)
+        assert all(base is bases[0] for base in bases)
 
     def test_experiment_draws_gaps_into_one_array_per_thread(self, monkeypatch):
         # a new array of gaps per graph would be mapped and faulted in again

@@ -305,6 +305,15 @@ class TestTildeTransform:
         assert tilde.moment(2) == 2
         assert tilde.moment(3) == 6
 
+    def test_mean_past_float_range_builds(self):
+        # the mean is inf in the shift's floats (or_inf), as every float of
+        # a law is; its exact side is the base law's but for V_1
+        base = weights.from_spec("gamma:1e400,1")
+        tilde = weights.tilde_transform(base)
+        assert tilde.name == "tilde(gamma(inf,1))"
+        assert tilde.moment(1) == 0
+        assert [tilde.moment(j) for j in range(2, 6)] == [base.moment(j) for j in range(2, 6)]
+
     @given(st.integers(1, 15))
     def test_shift_identity_on_grid(self, tenths):
         for model in (weights.exponential(), weights.gamma(3, Fraction(1, 4)), weights.unit()):
