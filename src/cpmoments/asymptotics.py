@@ -27,7 +27,7 @@ The per-family closed forms (normal, gamma, symmetric Bernoulli,
 exponential and factorial weight sequences) are implemented in their
 classical shapes so they can be cross-checked against the generic formula;
 they solve the same saddle equation, so agreement is algebraic up to float
-rounding, except for the normal-weight prefactor (see tests).
+rounding.
 """
 
 from __future__ import annotations
@@ -223,19 +223,19 @@ def _stirling_log_factorial(k: int) -> float:
 
 
 def gaussian_moment_prediction(k: int, x: float, v2: float = 1.0) -> float:
-    """ln of the classical normal-weight closed form for M_k(x), k even.
+    """ln of the normal-weight closed form for M_k(x), k even.
 
-    Written with beta solving beta e^beta = k_half / x; the k-th power part
-    agrees with the generic formula, the classical prefactor carries an
-    extra sqrt(x) relative to it (documented in tests).  k and v2 are
-    checked by ``gaussian_centered(v2)`` and its ``check_order``.
+    Written with beta solving beta e^beta = k_half / x, the generic formula
+    with its prefactor (1 + chi u^2 H''(u))^(-1/2) = (2 (1 + beta))^(-1/2)
+    at u^2 = 2 beta / v2.  k and v2 are checked by ``gaussian_centered(v2)``
+    and its ``check_order``.
     """
     _weights.gaussian_centered(v2).check_order(k)
     half = k // 2
     beta = solve_saddle(_UNIT, x / half).u
     log_a = math.expm1(beta) / (beta * math.exp(beta)) - 2.0
     # ln 2 is the lattice-span factor of the even-support tilted law.
-    return math.log(2.0) + 0.5 * (math.log(x) - math.log(2.0 * (1.0 + beta))) + half * (
+    return math.log(2.0) - 0.5 * math.log(2.0 * (1.0 + beta)) + half * (
         math.log(2.0 * v2 / beta) + 2.0 * math.log(half) + log_a
     )
 

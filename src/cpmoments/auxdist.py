@@ -356,7 +356,9 @@ def build_aux(model: WeightModel, x: float, u: float) -> AuxiliaryDistribution:
     variance = x * (u * h1 + u * u * h2)
     law = f"tilted law of model {model.name!r} at x = {x}, u = {u}"
     if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise DomainError(f"{law} overflows: mean {mean}, variance {variance}")
+        # inf overflows; nan is 0 * inf, where u^2 underflows and H'' overflows
+        what = "is not a number in floats" if math.isnan(mean + variance) else "overflows"
+        raise DomainError(f"{law} {what}: mean {mean}, variance {variance}")
     excess = float(model.egf_m1(u))
     log_g = x * excess
     table = _chernoff(model, x, u)

@@ -1,10 +1,21 @@
-"""The 60-digit mpmath reference of the edge atlas (``test_atlas.py``).
+"""The package-free reference of the exact atlas (``test_exact_atlas.py``) and
+of the edge atlas (``test_atlas.py``).  Nothing here comes from ``cpmoments``:
+a spec is parsed here, the V_j come from their textbook formulas, and the
+saddle is a bracketed root of its own.
 
-One table gives each built-in weight family's moments V_j and its H - 1,
-H' and H'' in closed form, at the family's parameters rounded to doubles as
-the package holds them.  The saddle of the rate, the rate itself and
-ln M_k(x) are built on that table.  Nothing here comes from ``cpmoments``:
-a spec is parsed here, and the saddle is a bracketed root of its own.
+A law is a spec (``unit``, ``gaussian[:v]``, ``gamma:m,theta``,
+``bernoulli``, ``exponential``, ``logfact``), ``~spec`` its mean shift H(u) -
+u V_1, whose V_1 is zeroed, or a list [1, V_1, ..]  of a custom law.
+
+The exact side reads the V_j as Fractions at the exact parameters and runs
+one convolution, M_k = x sum_j C(k-1, j-1) V_j M_(k-j), or J.C.P. Miller's
+power recurrence at a finite population n.
+
+The 60-digit mpmath side holds each family's H - 1, H' and H'' in closed
+form, and the same V_j, at the family's parameters rounded to doubles as the
+package holds them.  The saddle of the rate and the rate itself are built on
+that table, and ln M_k(x) is the log of the exact convolution at those
+parameters.
 
 A point is held as (u, L), L = ln(1 - u/u0) below a finite radius u0 (0
 below an infinite one), so that H keeps its digits near 0 and near u0.  The
@@ -20,38 +31,90 @@ from mpmath import mpf
 
 DIGITS = 60
 NEWTON_STOP = mpf(1e-8)
-# family -> its parameters -> (u0, V_j, H - 1, H', H'') with the H's at (u, L)
+# family -> V_j at its parameters, exact for exact parameters
+MOMENTS = {
+    "unit": lambda j: 1,
+    "gaussian": lambda j, v=1: 0 if j % 2 else v ** (j // 2) * math.prod(range(1, j, 2)),
+    "gamma": lambda j, m, t: t**j * math.prod(m + i for i in range(j)),
+    "bernoulli": lambda j: 1 - j % 2,
+    "exponential": math.factorial,
+    "logfact": lambda j: math.factorial(max(j - 1, 0)),
+}
+# family -> its parameters -> (u0, H - 1, H', H'') with the H's at (u, L)
 FAMILIES = {
-    "unit": lambda: (mpmath.inf, lambda j: 1, lambda u, L: mpmath.expm1(u),
+    "unit": lambda: (mpmath.inf, lambda u, L: mpmath.expm1(u),
                      lambda u, L: mpmath.exp(u), lambda u, L: mpmath.exp(u)),
     "gaussian": lambda v=1: (
-        mpmath.inf, lambda j: 0 if j % 2 else v ** (j // 2) * mpmath.fac2(j - 1),
-        lambda u, L: mpmath.expm1(v * u * u / 2), lambda u, L: v * u * mpmath.exp(v * u * u / 2),
+        mpmath.inf, lambda u, L: mpmath.expm1(v * u * u / 2),
+        lambda u, L: v * u * mpmath.exp(v * u * u / 2),
         lambda u, L: (v + (v * u) ** 2) * mpmath.exp(v * u * u / 2)),
     "gamma": lambda m, t: (
-        1 / t, lambda j: mpmath.fprod(t * (m + i) for i in range(j)),
-        lambda u, L: mpmath.expm1(-m * L), lambda u, L: m * t * mpmath.exp(-(m + 1) * L),
+        1 / t, lambda u, L: mpmath.expm1(-m * L), lambda u, L: m * t * mpmath.exp(-(m + 1) * L),
         lambda u, L: m * (m + 1) * t * t * mpmath.exp(-(m + 2) * L)),
-    "bernoulli": lambda: (mpmath.inf, lambda j: 1 - j % 2, lambda u, L: 2 * mpmath.sinh(u / 2)**2,
+    "bernoulli": lambda: (mpmath.inf, lambda u, L: 2 * mpmath.sinh(u / 2)**2,
                           lambda u, L: mpmath.sinh(u), lambda u, L: mpmath.cosh(u)),
-    "exponential": lambda: (1, mpmath.factorial, lambda u, L: u * mpmath.exp(-L),
+    "exponential": lambda: (1, lambda u, L: u * mpmath.exp(-L),
                             lambda u, L: mpmath.exp(-2 * L), lambda u, L: 2 * mpmath.exp(-3 * L)),
-    "logfact": lambda: (1, lambda j: mpmath.factorial(max(j - 1, 0)), lambda u, L: -L,
+    "logfact": lambda: (1, lambda u, L: -L,
                         lambda u, L: mpmath.exp(-L), lambda u, L: mpmath.exp(-2 * L)),
 }
 
 
-class Law:
-    """The reference of one weight spec, or of its mean shift H(u) - u V_1
-    when ``tilde``; ``v(j)`` is the family's V_j.  The mean shift cancels
-    about log10(2 V_1 / (V_2 u)) digits near u = 0, so each point of a mean
-    shift carries that many more."""
+def parse(spec):
+    """(family, exact parameters, whether ``~`` asks for the mean shift)."""
+    head, _, arg = spec.lstrip("~").partition(":")
+    return head, [Fraction(a) for a in arg.split(",")] if arg else [], spec.startswith("~")
 
-    def __init__(self, spec, tilde=False):
-        head, _, arg = spec.partition(":")
+
+def exact_v(law, k_max):
+    """V_0 .. V_kmax of a law as Fractions."""
+    if not isinstance(law, str):
+        return [Fraction(v) for v in law[: k_max + 1]]
+    head, params, tilde = parse(law)
+    return [Fraction(0 if tilde and j == 1 else MOMENTS[head](j, *params))
+            for j in range(k_max + 1)]
+
+
+def convolution(v, x, k_max, n=None):
+    """M_0(x) .. M_kmax(x) from the exact V_j in ``v`` and an exact x, by
+    M_k = x sum_j C(k-1, j-1) V_j M_(k-j), or at a population n by Miller's
+    M_k = (x/n) sum_j (n C(k-1, j-1) - C(k-1, j)) V_j M_(k-j).  Each order
+    sums its terms as integers over the lcm of their denominators and
+    reduces the sum once."""
+    scale, m = Fraction(x) / (n or 1), [Fraction(1)]
+    for k in range(1, k_max + 1):
+        terms = [((math.comb(k - 1, j - 1) if n is None else n * math.comb(k - 1, j - 1)
+                   - math.comb(k - 1, j)) * v[j].numerator * m[k - j].numerator,
+                  v[j].denominator * m[k - j].denominator) for j in range(1, k + 1) if v[j]]
+        den = math.lcm(*(d for _, d in terms))
+        m.append(scale * Fraction(sum(t * (den // d) for t, d in terms), den))
+    return m
+
+
+def exact_moments(law, x, k_max, n=None):
+    """M_0(x) .. M_kmax(x) of a law, at a population n if one is given, as Fractions."""
+    return convolution(exact_v(law, k_max), x, k_max, n)
+
+
+def to_mpf(value):
+    """A Fraction at the working precision."""
+    return mpf(value.numerator) / value.denominator
+
+
+class Law:
+    """The mpmath reference of one weight spec, or of its mean shift H(u) - u V_1
+    for ``~spec``; ``exact(j)`` is the family's V_j as a Fraction and ``v(j)``
+    the same at the working precision.  The mean shift cancels about
+    log10(2 V_1 / (V_2 u)) digits near u = 0, so each point of a mean shift
+    carries that many more."""
+
+    def __init__(self, spec):
+        head, params, tilde = parse(spec)
+        params = [Fraction(float(p)) for p in params]  # as the package's floats hold them
+        self.exact = lambda j: Fraction(MOMENTS[head](j, *params))
+        self.v = lambda j: to_mpf(self.exact(j))
         with mpmath.workdps(DIGITS):
-            params = [mpf(float(Fraction(a))) for a in arg.split(",")] if arg else []
-            self.u0, self.v, self._m1, self._d1, self._d2 = FAMILIES[head](*params)
+            self.u0, self._m1, self._d1, self._d2 = FAMILIES[head](*map(to_mpf, params))
             self.u0, self._log_u0 = mpf(self.u0), float(mpmath.log(self.u0))
             self.tilde = tilde and self.v(1) > 0
             self._spread = float(mpmath.log10(2 * self.v(1) / self.v(2))) if self.tilde else 0
@@ -136,11 +199,8 @@ def rates(law, chis):
 
 
 def log_moments(law, x, k_max):
-    """ln M_0(x) .. ln M_kmax(x) (-inf where M_k = 0) from M_k = x sum_j
-    C(k-1, j-1) V_j M_(k-j), whose terms are all nonnegative."""
+    """ln M_0(x) .. ln M_kmax(x) (-inf where M_k = 0) of the exact moments at
+    the exact x a float stands for."""
+    v = [0 if j == 1 and law.tilde else law.exact(j) for j in range(k_max + 1)]
     with mpmath.workdps(DIGITS):
-        m, v = [mpf(1)], [0 if j == 1 and law.tilde else law.v(j) for j in range(k_max + 1)]
-        for k in range(1, k_max + 1):
-            m.append(x * mpmath.fsum(math.comb(k - 1, j - 1) * v[j] * m[k - j]
-                                     for j in range(1, k + 1)))
-        return [mpmath.log(value) if value else -mpmath.inf for value in m]
+        return [mpmath.log(to_mpf(m)) if m else -mpmath.inf for m in convolution(v, x, k_max)]

@@ -176,6 +176,11 @@ class TestLargeIntensityLimit:
         assert scaled[-1] == pytest.approx(c, rel=1e-5)
 
 
+# closed form -> its model and parameters
+CLOSED_FORMS = {"gaussian": (GAUSS, {}), "gamma": (GAMMA, {"m": 2, "theta": 0.5}),
+                "bernoulli": (BERN, {}), "exponential": (EXP, {}), "logfact": (LOGF, {})}
+
+
 class TestSpecialCaseAgreement:
     def test_closed_forms_match_generic_saddle(self):
         cases = [
@@ -185,20 +190,27 @@ class TestSpecialCaseAgreement:
             ("exponential", EXP, 200, 200.0, {}),
             ("exponential", EXP, 300, 120.0, {}),
             ("logfact", LOGF, 200, 500.0, {}),
+            # normal weights at three variances, where the generic prefactor
+            # needs no extra sqrt(x) (test_closed_forms_approach_the_exact_moments)
+            *(("gaussian", weights.gaussian_centered(v2), k, x, {"v2": float(v2)})
+              for v2 in (Fraction(1, 3), 1, Fraction(5, 2))
+              for k, x in ((200, 200.0), (400, 100.0), (800, 30.0))),
         ]
         for case, model, k, x, params in cases:
             generic = asym.refined_prediction(model, k, x / k)
             special = asym.special_case_prediction(case, k, x, **params)
             assert abs(special - generic) <= 1e-8, (case, k, x)
 
-    def test_gaussian_closed_form_prefactor_discrepancy(self):
-        # The classical normal-weight prefactor carries an extra sqrt(x)
-        # relative to the generic one; the k-th power part agrees.  Document
-        # the exact offset so any transcription change is caught.
-        for k, x in ((200, 200.0), (400, 100.0)):
-            generic = asym.refined_prediction(GAUSS, k, x / k)
-            special = asym.gaussian_moment_prediction(k, x, 1.0)
-            assert special - generic == pytest.approx(0.5 * math.log(x), abs=1e-8)
+    @pytest.mark.parametrize("case", CLOSED_FORMS)
+    def test_closed_forms_approach_the_exact_moments(self, case):
+        model, params = CLOSED_FORMS[case]
+        # at chi = 1 each closed form overshoots ln M_k by O(1/k): the error
+        # is positive and falls 4-fold for each 4-fold k (6.8e-4 to 4.3e-5
+        # for normal weights, where an extra 1/2 ln x would leave 2.65 at k = 200)
+        errors = [asym.special_case_prediction(case, k, float(k), **params)
+                  - moments.log_moment(model, k, float(k)) for k in (200, 800, 3200)]
+        assert errors[-1] > 0, errors
+        assert all(abs(a / b - 4.0) <= 0.1 for a, b in zip(errors, errors[1:])), errors
 
     def test_exponential_sum_prediction_tracks_exact(self):
         k, x = 300, 300.0

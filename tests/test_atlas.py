@@ -48,9 +48,7 @@ def model_of(spec):
     return weights.tilde_transform(model) if spec.startswith("~") else model
 
 
-@functools.cache
-def law_of(spec):
-    return reference.Law(spec.lstrip("~"), tilde=spec.startswith("~"))
+law_of = functools.cache(reference.Law)
 
 
 def within(got, want, rel, floor=0.0):

@@ -72,6 +72,14 @@ class TestConstruction:
         aux = auxdist.build_aux(model, x, u)
         assert (aux.support_cap, aux.log_G, aux.pmf(0)) == (0, 0.0, 1.0)
 
+    def test_nan_mean_or_variance_is_not_called_an_overflow(self):
+        # u^2 underflows to 0 where H''(u) overflows, so the variance is 0 inf;
+        # still refused, although P(Z = 0) = 1 (ROADMAP item 7)
+        with pytest.raises(DomainError, match=(
+                r"^tilted law of model 'gamma\(1e\+300,1e-300\)' at x = 1e-320, u = 1e-300 is not"
+                r" a number in floats: mean 0.0, variance nan$")):
+            auxdist.build_aux(weights.from_spec("gamma:1e300,1e-300"), 1e-320, 1e-300)
+
 # the chi = 3 saddles, whose summed mass rounding leaves short of 1 - 1e-12,
 # and the geometric tails at chi = 1e-2, far beyond 12 sigma of the mean
 SADDLE_CASES = [(UNIT, 3.0, 400), (GAMMA, 3.0, 400), (EXP, 3.0, 1000), (GAMMA, 3.0, 9000),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from conftest import (
     brute_force_finite_n, brute_force_moment, first_primes, prime_power_moments, set_partitions,
 )
@@ -25,29 +26,6 @@ MODELS = {
 }
 
 RATIONALS = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=8)
-
-
-def fraction_moment_sequence(model, k_max, x, n=None):
-    """The convolution recurrence in Fractions, term by term: the reference
-    of the scaled integer engine ``moments.moment_sequence``."""
-    if k_max < 0:
-        raise DomainError("order must be >= 0")
-    if n is not None and n <= 0:
-        raise DomainError("population size n must be positive")
-    xe = Fraction(x)
-    scale = xe if n is None else xe / n
-    vs = [model.moment(j) for j in range(k_max + 1)]
-    ms = [Fraction(1)]
-    for k in range(1, k_max + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if vs[j]:
-                coef = math.comb(k - 1, j - 1)
-                if n is not None:
-                    coef = n * coef - math.comb(k - 1, j)
-                acc += coef * vs[j] * ms[k - j]
-        ms.append(scale * acc)
-    return ms
 
 
 class TestProfiles:
@@ -90,127 +68,47 @@ class TestRecurrenceAgainstOracles:
             got = moments.moment_recurrence(model, 2, x).value_exact
             assert got == x * v2 + x**2 * v1**2
 
-    def test_first_moment(self):
-        assert moments.moment_recurrence(MODELS["unit"], 1, 1).value_exact == 1
-
-    def test_parity_models_have_zero_odd_moments(self):
-        for name in ("gaussian", "bernoulli"):
-            for k in (1, 3, 5, 7, 9):
-                assert moments.moment_recurrence(MODELS[name], k, 3).value_exact == 0
-
     def test_oracle_cap(self):
         with pytest.raises(DomainError):
             moments.moment_partition_oracle(MODELS["unit"], 26, 1)
 
 
-def central_model(model, horizon=60):
-    """Custom model of the central moments E(W - V_1)^l, l <= horizon: V_1 = 0
-    and, unlike ``tilde_transform``, every higher moment is shifted too."""
-    v1 = model.moment(1)
-    return weights.custom_model([
-        sum(math.comb(order, j) * model.moment(j) * (-v1) ** (order - j)
-            for j in range(order + 1))
-        for order in range(horizon + 1)
-    ])
-
-
-MODEL_ZOO = {
-    **MODELS,
-    "gamma(1/2,1)": weights.gamma(Fraction(1, 2), 1),
-    "gamma(2/3,5/7)": weights.gamma(Fraction(2, 3), Fraction(5, 7)),
-    "gaussian(1/3)": weights.gaussian_centered(Fraction(1, 3)),
-    "gaussian(1/4)": weights.gaussian_centered(Fraction(1, 4)),
-    "gaussian(1/100)": weights.gaussian_centered(Fraction(1, 100)),
-    **{f"tilde({name})": weights.tilde_transform(MODELS[name])
-       for name in ("unit", "exponential", "gamma", "logfact")},
-    # the random-order test samples to k = 60, the horizon of these
-    **{f"central({name})": central_model(MODELS[name])
-       for name in ("unit", "exponential", "gamma", "logfact")},
-}
-# custom models stop at their last moment, so this one stays out of MODEL_ZOO,
-# which the random-order test samples to k = 60
-PRIME_POWERS = weights.custom_model(prime_power_moments(16))
-INTENSITIES = (0, Fraction(1, 3), Fraction(7, 2), 10**300, Fraction(0.7373))
-POPULATIONS = (None, 1, 2, 1000)
-CUSTOM_MOMENTS = st.lists(
-    st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=1, max_size=14
-)
-
-
 class TestIntegerEngine:
-    """``moment_sequence`` equals the Fraction recurrence term by term."""
-
-    @pytest.mark.parametrize("name", [*MODEL_ZOO, "custom(1/p_j^j)"])
-    def test_matches_fraction_recurrence(self, name):
-        model = MODEL_ZOO.get(name, PRIME_POWERS)
-        for x in INTENSITIES:
-            for n in POPULATIONS:
-                got = moments.moment_sequence(model, 16, x, n)
-                assert got == fraction_moment_sequence(model, 16, x, n), (x, n)
-                assert all(type(v) is Fraction for v in got)
-
-    @given(CUSTOM_MOMENTS, st.sampled_from(INTENSITIES), st.sampled_from(POPULATIONS),
-           st.integers(0, 14), st.booleans())
-    def test_custom_models_match_fraction_recurrence(self, tail, x, n, k_max, tilde):
-        model = weights.custom_model([1, *tail])
-        if tilde:
-            model = weights.tilde_transform(model)
-        k_max = min(k_max, len(tail))
-        got = moments.moment_sequence(model, k_max, x, n)
-        assert got == fraction_moment_sequence(model, k_max, x, n)
-
-    @given(st.sampled_from(sorted(MODEL_ZOO)), st.integers(0, 60),
-           st.fractions(min_value=-3, max_value=3, max_denominator=50), st.sampled_from(POPULATIONS))
-    def test_random_orders_and_intensities(self, name, k_max, x, n):
-        model = MODEL_ZOO[name]
-        got = moments.moment_sequence(model, k_max, x, n)
-        assert got == fraction_moment_sequence(model, k_max, x, n)
+    """``moment_sequence``'s scale, work bound and tables past float range;
+    the exact atlas (``test_exact_atlas.py``) checks its values."""
 
     def test_custom_moments_past_float_range(self):
         # the exact and the log tables read the exact V_j, never their floats
         big = Fraction(10**400)
         model = weights.custom_model([1, big, -big])
-        for n in POPULATIONS:
+        for n in (None, 1, 2, 1000):
             got = moments.moment_sequence(model, 2, 3, n)
-            assert got == fraction_moment_sequence(model, 2, 3, n)
+            assert got == reference.exact_moments([1, big, -big], 3, 2, n)
         logs = moments.log_moment_sequence(weights.custom_model([1, big, big]), 2, 1)
         assert logs[2] == pytest.approx(weights.log_rational(big + big**2))
 
-    @pytest.mark.parametrize("spec", ["gaussian:1e400", "gamma:1e400,1", "gamma:1,1e400"])
-    def test_laws_past_float_range(self, spec):
-        # a parameter past float range is inf in the floats only: the exact
-        # table runs on its route, and the log table reads the exact parameter
+    @pytest.mark.parametrize("spec", ["gaussian:1e400", "gamma:1e400,1", "gamma:1,1e400"] + [
+        f"gamma:{m},{theta}" for m in ("1", "2", "1/2", "1e400") for theta in ("1e-320", "1e-400")])
+    def test_log_tables_past_float_range(self, spec):
+        # a parameter past float range is inf in the floats only, and theta
+        # below it is subnormal or 0 with a radius large or inf: the log table
+        # reads the exact parameter, and agrees with the exact table, whose
+        # value the exact atlas checks on these laws
         model = weights.from_spec(spec)
         for x in (1, Fraction(7, 2)):
-            exact = moments.moment_sequence(model, 40, x)
-            assert exact == fraction_moment_sequence(model, 40, x)
-            want = np.array([weights.log_rational(m) for m in exact])
-            assert_logs_agree(moments.log_moment_sequence(model, 40, x), want, 1e-12)
-
-    @pytest.mark.parametrize("spec", [f"gamma:{m},{theta}" for m in ("1", "2", "1/2", "1e400")
-                                      for theta in ("1e-320", "1e-400")])
-    def test_gamma_scale_below_float_range(self, spec):
-        # theta is subnormal or 0 in the floats and the radius 1/theta large or
-        # inf: the tables read the exact V_j, as they do from a custom list
-        model = weights.from_spec(spec)
-        listed = weights.custom_model([model.moment(j) for j in range(41)])
-        for x in (1, Fraction(7, 2)):
-            exact = moments.moment_sequence(model, 40, x)
-            assert exact == moments.moment_sequence(listed, 40, x)
-            want = np.array([weights.log_rational(m) for m in exact])
+            want = np.array([weights.log_rational(m) for m in moments.moment_sequence(model, 40, x)])
             assert_logs_agree(moments.log_moment_sequence(model, 40, x), want, 1e-12)
 
     def test_scale_stays_small_for_geometric_denominators(self):
         # V_j = (2j-1)!!/2^j needs l = 2, where the lcm of the denominators is 2^j;
         # den(V_2) = 10^300 needs l = 10^150, and V_j = 1/p_j^j needs l = p_1 .. p_j
+        laws = [(weights.from_spec(spec), ell) for spec, ell in (
+            ("gamma:1/2,1", 2), ("gaussian:1/3", 3), ("gamma:2/3,5/7", 21), ("gaussian:1/4", 2),
+            ("gaussian:1/100", 10), ("gaussian:1e-300", 10**150))]
         for model, ell in ((MODELS["unit"], 1), (MODELS["exponential"], 1), (MODELS["logfact"], 1),
                            (MODELS["bernoulli"], 1), (MODELS["gaussian"], 1), (MODELS["gamma"], 2),
-                           (MODEL_ZOO["gamma(1/2,1)"], 2), (MODEL_ZOO["gaussian(1/3)"], 3),
-                           (MODEL_ZOO["gamma(2/3,5/7)"], 21), (MODEL_ZOO["gaussian(1/4)"], 2),
-                           (MODEL_ZOO["gaussian(1/100)"], 10),
-                           (weights.from_spec("gaussian:1e-300"), 10**150),
-                           (weights.custom_model(prime_power_moments(60)),
-                            math.prod(first_primes(60)))):
+                           *laws, (weights.custom_model(prime_power_moments(60)),
+                                   math.prod(first_primes(60)))):
             vs = [model.moment(j) for j in range(1, 61)]
             got = moments._scale(enumerate(vs, start=1), 60, 1, 1)
             assert got == ell, model.name
@@ -316,15 +214,6 @@ class TestBell:
         assert moments.bell_number(5) == 52
         assert moments.bell_number(10) == 115975
 
-    @pytest.mark.parametrize("x", [0, 1, Fraction(1, 3), Fraction(7, 2), Fraction(-5, 3)])
-    def test_all_ones_route_matches_fraction_recurrence(self, x):
-        # unit weights take the q-Aitken array, an all-ones custom list the
-        # convolution; x = 0 zeroes the array's first entry, 1/3 scales by q
-        # alone, -5/3 flips sign
-        expected = fraction_moment_sequence(weights.unit(), 300, x)
-        assert moments.moment_sequence(weights.unit(), 300, x) == expected
-        assert moments.moment_sequence(weights.custom_model([1] * 301), 300, x) == expected
-
     def test_refused_by_the_engine_bound_before_any_row(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a row of the array was built")
@@ -346,58 +235,9 @@ class TestBell:
         assert moments.moment_sequence(weights.unit(), 0, 5)[0] == 1
 
 
-ROUTE_INTENSITIES = (0, Fraction(1, 3), 1, Fraction(7, 2), Fraction(-5, 3))
-ROUTE_FAMILIES = (
-    ("exponential", 300), ("logfact", 300),
-    *((f"gamma:{m},{theta}", 60) for m in (1, 2, 3, 5) for theta in ("1", "1/2", "2/3", "5/7")),
-    ("gamma:1e18,1", 60),  # a recurrence of order 1e18 + 1, cut at the orders read
-    *((f"gaussian:{v}", 300) for v in ("1", "1/3", "1/8", "3/5")),
-)
-
-
 class TestRoutes:
-    """Each structured route of ``moment_sequence`` equals the convolution."""
-
-    @pytest.mark.parametrize("x", ROUTE_INTENSITIES, ids=str)
-    @pytest.mark.parametrize("spec, k_max", ROUTE_FAMILIES)
-    def test_route_matches_fraction_recurrence(self, spec, k_max, x):
-        model = weights.from_spec(spec)
-        assert moments.moment_sequence(model, k_max, x) == fraction_moment_sequence(model, k_max, x)
-
-    def test_each_model_takes_its_route(self, monkeypatch):
-        # the q-Aitken array, or the one recurrence: on a declared P/Q, on the
-        # V_j with Q = 1, and at a finite n on the V_j with Miller's row
-        taken = []
-        array, recurrence = moments._touchard_table, moments._recurrence_table
-
-        def traced_array(*args):
-            taken.append("array")
-            return array(*args)
-
-        def traced_recurrence(ps, qs, n, *args):
-            taken.append((tuple(ps), qs, n))
-            return recurrence(ps, qs, n, *args)
-
-        monkeypatch.setattr(moments, "_touchard_table", traced_array)
-        monkeypatch.setattr(moments, "_recurrence_table", traced_recurrence)
-        laws = [(weights.from_spec(spec), route) for spec, route in (
-            ("unit", "array"), ("gaussian:3/5", "array"), ("exponential", "P/Q"),
-            ("logfact", "P/Q"), ("gamma:2,1/2", "P/Q"), ("bernoulli", "V_j"),
-            ("gamma:1/2,1", "V_j"))]
-        laws += [(model, "V_j") for model in (
-            weights.tilde_transform(MODELS["exponential"]),
-            weights.tilde_transform(MODELS["unit"]), weights.custom_model([1] * 21),
-            central_model(MODELS["logfact"]))]
-        for model, route in laws:
-            vs = tuple(model.moment(j) for j in range(1, 21))
-            if route == "P/Q":
-                want = (*model.d1_ratio(20), None)
-            else:
-                want = "array" if route == "array" else (vs, None, None)
-            for n, path in ((None, want), (1000, (vs, None, 1000))):
-                taken.clear()
-                moments.moment_sequence(model, 20, Fraction(7, 2), n)
-                assert taken == [path], (model.name, n)
+    """The coefficients each route of ``moment_sequence`` reads, and the
+    scale it runs at; the exact atlas checks which route runs and its table."""
 
     def test_structured_routes_read_no_weight_moment(self, monkeypatch):
         # each route's scale grows over the coefficients it reads, so a law
@@ -483,46 +323,13 @@ class TestEvenPartitionNumbers:
 
 
 class TestFiniteN:
-    def test_first_order(self):
-        for model in MODELS.values():
-            got = moments.finite_n_moment(model, 1, 50, Fraction(2, 3)).value_exact
-            assert got == Fraction(2, 3) * model.moment(1)
-
-    def test_second_order_two_sites(self):
-        lam = Fraction(1, 2)
-        for model in (MODELS["exponential"], MODELS["gamma"]):
-            got = moments.finite_n_moment(model, 2, 2, lam).value_exact
-            v1, v2 = model.moment(1), model.moment(2)
-            assert got == lam * v2 + lam**2 * v1**2 / 2
-
     def test_matches_direct_expectation(self):
         for model in (MODELS["unit"], MODELS["exponential"]):
             for n, k in ((2, 3), (3, 3), (4, 2)):
                 got = moments.finite_n_moment(model, k, n, Fraction(1, 2)).value_exact
                 assert got == brute_force_finite_n(model, k, n, Fraction(1, 2))
 
-    def test_converges_to_compound_poisson_moment(self):
-        unit = MODELS["unit"]
-        k = 3
-        target = moments.moment_recurrence(unit, k, 1).value_exact
-        got = moments.finite_n_moment(unit, k, 10**6, 1).value_exact
-        assert abs(got / target - 1) <= 10 * k**2 / 10**6
-
-    def test_beyond_profile_enumeration_range(self):
-        # unit weights: E Bin(n, lam/n)^k = sum_p S(k, p) (n)_p (lam/n)^p
-        k, lam = 40, Fraction(7, 2)
-        stirling = [[1]]
-        for row in range(1, k + 1):
-            prev = stirling[-1] + [0]
-            stirling.append([0] + [p * prev[p] + prev[p - 1] for p in range(1, row + 1)])
-        for n in (7, 1000):
-            expected = sum(
-                stirling[k][p] * math.perm(n, p) * (lam / n) ** p for p in range(k + 1)
-            )
-            assert moments.finite_n_moment(MODELS["unit"], k, n, lam).value_exact == expected
-
-    def test_small_population_allowed_zero_rejected(self):
-        assert moments.finite_n_moment(MODELS["unit"], 3, 2, 1).value_exact > 0
+    def test_zero_population_rejected(self):
         with pytest.raises(DomainError):
             moments.finite_n_moment(MODELS["unit"], 2, 0, 1)
 
@@ -534,15 +341,6 @@ class TestCenteredMoments:
     @staticmethod
     def centered(model, k_max, x):
         return moments.moment_sequence(weights.tilde_transform(model), k_max, x)
-
-    def test_low_orders(self):
-        for model in MODELS.values():
-            assert self.centered(model, 1, 2) == [1, 0]
-            got = self.centered(model, 2, Fraction(5, 2))[2]
-            assert got == Fraction(5, 2) * model.moment(2)
-
-    def test_third_cumulant_identity(self):
-        assert self.centered(MODELS["unit"], 3, 1)[3] == 1  # lam * V_3 at lam = V_3 = 1
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(7, 2), 100.0], ids=str)
