@@ -13,15 +13,15 @@ command.
 
 from __future__ import annotations
 
-import csv
 import decimal
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -141,15 +141,40 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# a cell's conversion by its type; "%.17g" gives the text f"{v:.17g}" gives
+# (``format_log``'s), which JSON quotes, and a JSON str cell is encoded first
+_CSV_CONVERSIONS = {int: "%d", float: "%.17g", str: "%s"}
+_JSON_CONVERSIONS = {int: "%d", float: '"%.17g"', str: "%s"}
+
+
 def _write_table(path: str, columns: list[str], rows: list[tuple], fmt: str) -> None:
     """Rows in the order of ``columns``: a CSV table under one header line,
-    or a JSON list of one object per row."""
+    or a JSON list of one object per row, byte for byte as ``csv.writer``
+    and ``json.dumps(indent=2)`` write the same rows with each float cell
+    ``format_log``'d.
+
+    Every row has the first row's cell types, each int, float or str, and
+    the table is one %-format: the row template, repeated once per row,
+    over the flattened cells.  A CSV str cell that csv would quote (one
+    holding a comma, a quote, CR or LF) is refused with ValueError."""
+    types = [type(cell) for cell in rows[0]] if rows else []
+    cells, width = list(chain.from_iterable(rows)), len(types)
     if fmt == "json":
-        _atomic_write(path, json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n")
+        for i, kind in enumerate(types):
+            if kind is str:
+                cells[i::width] = map(encode_basestring_ascii, cells[i::width])
+        members = ",\n".join(
+            f"    {encode_basestring_ascii(column).replace('%', '%%')}: {_JSON_CONVERSIONS[kind]}"
+            for column, kind in zip(columns, types))
+        objects = ",\n".join(["  {\n" + members + "\n  }"] * len(rows)) % tuple(cells)
+        _atomic_write(path, f"[\n{objects}\n]\n" if rows else "[]\n")
         return
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
-    _atomic_write(path, buf.getvalue())
+    row = ",".join(_CSV_CONVERSIONS[kind] for kind in types) + "\n"
+    text = ",".join(columns) + "\n" + row * len(rows) % tuple(cells)
+    if (text.count(",") != (len(columns) - 1) * (len(rows) + 1)
+            or text.count("\n") != len(rows) + 1 or '"' in text or "\r" in text):
+        raise ValueError("a table cell holds a comma, a quote or a line break")
+    _atomic_write(path, text)
 
 
 _DIGITS_30 = decimal.Context(prec=30)
@@ -233,7 +258,7 @@ def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
         seq = mom.moment_sequence(model, k_max, x, finite_n)
         rows = [
             (k, x_text, method, format_exact(value),
-             format_log(wts.log_rational(value) if value >= 0 else None))
+             format_log(wts.log_rational(value) if value.numerator >= 0 else None))
             for k, value in enumerate(seq)
         ]
         if fmt == "json":
@@ -242,7 +267,7 @@ def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
             rows = [row + (format_ratio(value),) for row, value in zip(rows, seq)]
     else:
         seq = mom.log_moment_sequence(model, k_max, x)
-        rows = [(k, x_text, "recurrence", "", format_log(float(seq[k]))) for k in range(k_max + 1)]
+        rows = [(k, x_text, "recurrence", "", value) for k, value in enumerate(seq.tolist())]
     _write_table(out_path, columns, rows, fmt)
 
 
@@ -274,8 +299,7 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
     orders = range(model.span, k_max + 1, model.span)
     log_exacts = auxdist.log_moments_on_ray(model, rv.saddle, orders)
     rows = [
-        (k, format_log(log_exact), format_log(rv.log_refined(k)),
-         format_log(abs((log_exact - k * math.log(chi * k)) / k - rv.psi)))
+        (k, log_exact, rv.log_refined(k), abs((log_exact - k * math.log(chi * k)) / k - rv.psi))
         for k, log_exact in zip(orders, log_exacts.tolist())
     ]
     _write_table(out_path, ["k", "log_exact", "log_predicted", "rate_gap"], rows, fmt)
@@ -310,7 +334,7 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
     }
     if llt_chi is not None:
         summary["r_k"] = dist.local_limit_ratio(k_val)
-    rows = [(j, format_log(math.exp(lp))) for j, lp in enumerate(dist.log_pmf) if lp > -math.inf]
+    rows = [(j, math.exp(lp)) for j, lp in enumerate(dist.log_pmf.tolist()) if lp > -math.inf]
     _write_table(out_path, ["j", "p_j"], rows, fmt)
     click.echo(json.dumps(summary, sort_keys=True))
 

@@ -51,7 +51,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, repeat, tee
+from itertools import accumulate, count, repeat, tee, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from . import weights as _weights
@@ -275,10 +275,12 @@ def _recurrence_table(ps, qs, n: int | None, k_max: int, p: int, q: int, ell: in
     coefficients of the ordinary P = ``ps`` and Q = ``qs`` of a declared
     H' = P/Q.  ``qs`` None is Q = 1 and P = H', whose EGF coefficients are
     the V_{i+1} in ``ps``: c_i = p l D^i V_{i+1}, integers at ``_scale``'s l
-    on the V_j, and no e-sum.  C(k, .) is one Pascal row, grown to the
-    width of the coefficients, with the zero C(k, k+1) at its end until
-    then for the e-sum; with a population n it is Miller's n C(k, i) -
-    C(k, i+1), the same rule seeded n with edge -1 in place of 1 and 0."""
+    on the V_j, and no e-sum.  A declared P/Q has few coefficients (Q of
+    degree m + 1 for gamma of integer shape m), so its C(k, i) are taken
+    inline, one running product C(k, i+1) = C(k, i) (k - i) / (i + 1) an
+    order; the V_j's C(k, .) is one Pascal row, grown an entry an order.
+    With a population n the row is Miller's n C(k, i) - C(k, i+1), the same
+    rule seeded n with edge -1 in place of 1 and 0."""
     d, declared = q * ell, qs is not None
 
     def integers(coefficients, step):  # times D^i, and i! for a declared law
@@ -286,23 +288,23 @@ def _recurrence_table(ps, qs, n: int | None, k_max: int, p: int, q: int, ell: in
                            initial=step)
         return [s * c.numerator // c.denominator for s, c in zip(steps, coefficients)]
 
-    cs, es = integers(ps, p * ell), integers(qs, 1)[1:] if declared else []
-    width = max(len(cs), len(es))
-    if es:  # both sums run over one width
-        cs, es = (xs + [0] * (width - len(xs)) for xs in (cs, es))
-    ns = [1]
-    row, edge = ([1, 0], 0) if n is None else ([n, 0], -1)
+    cs, ns = integers(ps, p * ell), [1]
+    if declared:
+        terms = list(zip_longest(cs, integers(qs, 1)[1:], fillvalue=0))
+        for k in range(k_max):
+            total, binomial = 0, 1  # C(k, i)
+            for i, (c, e) in enumerate(terms[: k + 1]):
+                above = binomial * (k - i) // (i + 1)  # C(k, i+1)
+                total += (binomial * c - above * e) * ns[k - i]
+                binomial = above
+            ns.append(total)
+        return ns
+    row, edge = ([1], 0) if n is None else ([n], -1)
     for _ in range(k_max):
-        above = row[1:]  # C(k, i+1)
-        terms = map(operator.mul, row, cs)
-        if es:
-            terms = map(operator.sub, terms, map(operator.mul, above, es))
         # summed from the first product: a sum from 0 would copy it
-        products = map(operator.mul, terms, reversed(ns))
+        products = map(operator.mul, map(operator.mul, row, cs), reversed(ns))
         ns.append(sum(products, next(products)))
-        row = [row[0] + edge, *map(operator.add, above, row)]
-        if len(row) <= width:  # C(k+1, k+2) = 0
-            row.append(0)
+        row = [row[0] + edge, *map(operator.add, row[1:], row), row[-1]]
     return ns
 
 

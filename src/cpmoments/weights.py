@@ -458,26 +458,28 @@ def tilde_transform(model: WeightModel) -> WeightModel:
     moment sequence of a weight distribution.  Its H' and H'' are built on
     the base law's closures, not on its ``egf_d1``/``egf_d2``, so the
     shift's own methods apply the range check and the overflow rule once.
-    A mean past float range is inf in the shift's floats (``or_inf``).
-    Identity when V_1 = 0 already.
+    A mean past float range has no shift in floats (H - u V_1 would be
+    inf - inf): each float closure refuses it with a DomainError, and the
+    exact and log tables run on the exact moments.  Identity when V_1 = 0
+    already.
     """
     v1 = model.moment(1)
     if v1 == 0:
         return model
-    fv1 = or_inf(float, v1)
+    name, fv1 = f"tilde({model.name})", or_inf(float, v1)
 
     def mom(order: int) -> Fraction:
         return Fraction(0) if order == 1 else model.moment(order)
 
-    return WeightModel(
-        name=f"tilde({model.name})",
-        radius=model.radius,
-        horizon=model.horizon,
-        _moment_fn=mom,
-        egf_m1=lambda z: model.egf_m1(z) - fv1 * z,
-        _egf_d1=lambda u: model._egf_d1(u) - fv1,
-        _egf_d2=model._egf_d2,
-    )
+    def past_range(_):
+        raise DomainError(f"model {name!r} shifts by a mean V_1 past float range")
+
+    shift = (dict(egf_m1=past_range, _egf_d1=past_range, _egf_d2=past_range)
+             if math.isinf(fv1) else
+             dict(egf_m1=lambda z: model.egf_m1(z) - fv1 * z,
+                  _egf_d1=lambda u: model._egf_d1(u) - fv1, _egf_d2=model._egf_d2))
+    return WeightModel(name=name, radius=model.radius, horizon=model.horizon, _moment_fn=mom,
+                       **shift)
 
 
 # family -> (constructor, allowed numbers of parameters)

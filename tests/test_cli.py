@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 import time
@@ -897,6 +899,46 @@ class TestCsvTables:
         objects = json.loads(tables["json"])
         assert len(objects) == len(tables["csv"].splitlines()) - 1
         assert all(list(row) == header for row in objects)
+
+    def test_write_table_writes_the_bytes_of_the_stdlib(self, tmp_path):
+        # one %-format per table gives the bytes csv.writer and
+        # json.dumps(indent=2) give over the format_log'd cells, on every
+        # platform: floats from random bit patterns, the specials and the
+        # subnormals included
+        rng = random.Random(45)
+        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 0.1,
+                  2.0**-1022, sys.float_info.max, 1.0, -2.5]
+        floats += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                   for _ in range(2000)]
+        labels = ["", "recurrence", "7/2", "-inf", "tab\there", "back\\slash", "100%"]
+        columns = ["k", "label", "value", "note"]
+        rows = [(k - 7, labels[k % len(labels)], v, labels[-1 - k % len(labels)])
+                for k, v in enumerate(floats)]
+        rows[0] = (10**40, *rows[0][1:])
+        cells = [(k, label, cli.format_log(v), note) for k, label, v, note in rows]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([columns, *cells])
+        objects = [dict(zip(columns, row)) for row in cells]
+        expected = {"csv": buf.getvalue(), "json": json.dumps(objects, indent=2) + "\n"}
+        empty = {"csv": "k,label,value,note\n", "json": json.dumps([], indent=2) + "\n"}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"t.{fmt}"
+            cli._write_table(str(out), columns, rows, fmt)
+            assert out.read_bytes() == expected[fmt].encode()
+            cli._write_table(str(out), columns, [], fmt)
+            assert out.read_bytes() == empty[fmt].encode()
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "cr\r", "lf\n", ","])
+    def test_write_table_refuses_a_cell_csv_would_quote(self, tmp_path, cell):
+        columns, rows = ["k", "label", "value"], [(1, "ok", 0.5), (2, cell, 1.5)]
+        with pytest.raises(ValueError, match="comma, a quote or a line break"):
+            cli._write_table(str(tmp_path / "t.csv"), columns, rows, "csv")
+        assert not (tmp_path / "t.csv").exists()
+        # JSON escapes every string: the cell is written as json.dumps writes it
+        out = tmp_path / "t.json"
+        cli._write_table(str(out), columns, rows, "json")
+        objects = [dict(zip(columns, (k, label, cli.format_log(v)))) for k, label, v in rows]
+        assert out.read_text() == json.dumps(objects, indent=2) + "\n"
 
 
 def run_fresh(code, *argv):

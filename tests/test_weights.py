@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from cpmoments import weights
+from cpmoments import asymptotics, graphsim, moments, weights
 from cpmoments.errors import DomainError, HorizonError
 
 
@@ -303,6 +303,24 @@ class TestTildeTransform:
         assert tilde.name == "tilde(gamma(inf,1))"
         assert tilde.moment(1) == 0
         assert [tilde.moment(j) for j in range(2, 6)] == [base.moment(j) for j in range(2, 6)]
+
+    def test_mean_past_float_range_refused_in_floats(self):
+        # H - u V_1 is inf - inf there: each float route refuses the shift
+        # with one line, where it gave nan, while its exact and log tables run
+        base = weights.from_spec("gamma:1e400,1")
+        tilde = weights.tilde_transform(base)
+        message = r"'tilde\(gamma\(inf,1\)\)' shifts by a mean V_1 past float range"
+        for route in (lambda: tilde.egf_m1(0.5), lambda: tilde.egf_d1(0.5),
+                      lambda: tilde.egf_d2(0.5), lambda: tilde.egf_m1(np.array([0.25j])),
+                      lambda: asymptotics.rate_function(tilde, 1.0),
+                      lambda: graphsim.critical_deviation_threshold(base, 4.0)):
+            with pytest.raises(DomainError, match=message):
+                route()
+        x = Fraction(1, 2)
+        exact = moments.moment_sequence(tilde, 6, x)
+        assert exact[1] == 0 and exact[2] == x * base.moment(2)
+        logs = moments.log_moment_sequence(tilde, 6, x)
+        assert logs[2] == pytest.approx(weights.log_rational(exact[2]), rel=1e-12)
 
     @given(st.integers(1, 15))
     def test_shift_identity_on_grid(self, tenths):
