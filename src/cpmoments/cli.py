@@ -7,8 +7,12 @@ resolved configuration: every option under its long name (``--k-max`` as
 output goes to ``--out`` as CSV or JSON, written atomically: a new table
 gets mode 0666 under the umask, and an overwritten one keeps its mode.
 Exit codes: 0 success, 2 usage error, 3 numeric or domain error, 4 I/O
-error; one boundary, the command group, maps the last two for every
-command.
+error; one boundary, ``_run``, maps the last two for every command.
+
+Each command declares its options as one table of ``Option`` rows, which
+one scanner, ``_scan``, and one converter, ``_values``, fill: the syntax,
+the help layout and the wording of every usage error are those of the click
+front end this module replaced.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-
-import click
+from typing import Callable, NamedTuple
 
 from . import __version__
 from ._numpy import lazy_module
@@ -37,6 +41,7 @@ asym = lazy_module("cpmoments.asymptotics")
 auxdist = lazy_module("cpmoments.auxdist")
 graphsim = lazy_module("cpmoments.graphsim")
 
+EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
@@ -60,20 +65,70 @@ def validate_header(obj: object) -> dict:
     return obj
 
 
-class _Parsed(click.ParamType):
-    """Option type from a parse function; its ValueError, ZeroDivisionError
-    or OverflowError is a usage error."""
+class UsageError(Exception):
+    """A malformed command line: ``main`` prints it under the usage line and
+    exits 2."""
 
-    def __init__(self, name: str, parse, expected: str) -> None:
-        self.name, self._parse, self._expected = name, parse, expected
 
-    def convert(self, value, param, ctx):
-        try:
-            return self._parse(value)
-        except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not {self._expected}", param, ctx)
-        except OverflowError as exc:
-            self.fail(str(exc), param, ctx)
+class Kind(NamedTuple):
+    """How an option's text becomes its value.  ``parse`` raising ValueError
+    or ZeroDivisionError is the usage error "'text' is not ``expected``"; its
+    OverflowError's message is the error itself."""
+
+    metavar: str
+    parse: Callable[[str], object]
+    expected: str = ""
+
+
+class Option(NamedTuple):
+    """One row of a command's option table.  ``name`` is the long flag, or
+    for a switch (``kind`` None) its on and off flags, ``--exact/--log``;
+    ``dest`` is the keyword of the command's function, by default the flag
+    without its dashes (``--k-max`` as ``k_max``), which is also the header's
+    key.  An option not given takes ``envvar``'s value where that is set and
+    not empty, and else ``default``, unless it is ``required``."""
+
+    name: str
+    kind: Kind | None
+    dest: str | None = None
+    required: bool = False
+    default: object = None
+    help: str = ""
+    envvar: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.name.split("/")[0][2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    """A subcommand: its function, its option table, and each long flag it
+    reads to its option, ``--help`` included."""
+
+    name: str
+    run: Callable[..., None]
+    options: tuple[Option, ...]
+    flags: dict[str, Option]
+
+
+HELP = Option("--help", None, help="Show this message and exit.")
+VERSION = Option("--version", None, help="Show the version and exit.")
+COMMANDS: dict[str, Command] = {}
+
+
+def command(*options: Option, name: str | None = None):
+    """Register the decorated function as the subcommand ``name`` (by default
+    the function's) with the option table ``options``.  It takes its header
+    writer, then each option's value under the option's ``dest``; the first
+    paragraph of its docstring is its help."""
+    def register(run):
+        flags = {"--help": HELP}
+        for opt in options:
+            flags.update(dict.fromkeys(opt.name.split("/"), opt))
+        COMMANDS[name or run.__name__] = Command(name or run.__name__, run, options, flags)
+        return run
+
+    return register
 
 
 def _finite_float(text: str) -> float:
@@ -83,40 +138,244 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# refusing nan and +-inf keeps every header and result line standard JSON
-FINITE_FLOAT = _Parsed("float", _finite_float, "a finite number")
-RATIONAL = _Parsed("rational", lambda text: wts.parse_rational(text),
-                   "an integer, decimal or ratio")
-FINITE_FLOAT_LIST = _Parsed("list", lambda text: tuple(map(_finite_float, text.split(","))),
-                            "a comma-separated list of finite numbers")
+def _table_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(text)
+    return text
 
-WEIGHTS_OPTION = click.option("--weights", "weights_spec", required=True, help=(
+
+INTEGER = Kind("INTEGER", int, "a valid integer.")
+TEXT = Kind("TEXT", str)
+PATH = Kind("PATH", str)
+TABLE_FORMAT = Kind("[csv|json]", _table_format, "one of 'csv', 'json'.")
+# refusing nan and +-inf keeps every header and result line standard JSON
+FINITE_FLOAT = Kind("FLOAT", _finite_float, "a finite number")
+RATIONAL = Kind("RATIONAL", lambda text: wts.parse_rational(text), "an integer, decimal or ratio")
+FINITE_FLOAT_LIST = Kind("LIST", lambda text: tuple(map(_finite_float, text.split(","))),
+                         "a comma-separated list of finite numbers")
+
+WEIGHTS = Option("--weights", TEXT, "weights_spec", required=True, help=(
     "unit | gaussian[:V2] | gamma:m,theta | bernoulli | exponential | logfact | custom:path.json"
     ' holding {"moments": [1, v1, ...]}; parameters are integers, decimals or ratios such as'
     " 1/2.  graphsim cannot sample logfact or custom."))
+# --out and --format, the options of every command that writes a table
+TABLE_OPTIONS = (Option("--out", PATH, "out_path", required=True),
+                 Option("--format", TABLE_FORMAT, "fmt", default="csv"))
 
 
-def TABLE_OPTIONS(fn):
-    """--out and --format, the options of every command that writes a table."""
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")(fn)
-    return click.option("--out", "out_path", required=True, type=click.Path())(fn)
+def _no_such(what: str, name: str, known) -> UsageError:
+    """The error for an unknown option or command ``name``, naming the near
+    ones among ``known``."""
+    from difflib import get_close_matches  # only an unknown name needs it
+
+    message, near = f"No such {what} {name!r}.", sorted(get_close_matches(name, known))
+    if len(near) > 1:
+        return UsageError(f"{message} (Did you mean one of: {', '.join(map(repr, near))}?)")
+    return UsageError(f"{message} Did you mean {near[0]!r}?" if near else message)
 
 
-def _echo_header(**effective) -> None:
-    """The header line of the running command: its config keys every option's
-    parsed value by the option's long name (a Fraction as its ratio string),
-    then takes ``effective``, values a command derives or adds."""
-    ctx = click.get_current_context()
-    config = {}
-    for param in ctx.command.params:
-        value = ctx.params[param.name]
-        config[max(param.opts, key=len).lstrip("-").replace("-", "_")] = (
-            str(value) if isinstance(value, Fraction) else value)
-    click.echo(json.dumps(
-        {"tool": "cpm", "version": __version__, "command": ctx.command.name,
+def _convert(opt: Option, text: str) -> object:
+    try:
+        return opt.kind.parse(text)
+    except (ValueError, ZeroDivisionError):
+        problem = f"{text!r} is not {opt.kind.expected}"
+    except OverflowError as exc:
+        problem = str(exc)
+    raise UsageError(f"Invalid value for {opt.name!r}: {problem}")
+
+
+def _scan(args: list[str], flags: dict[str, Option],
+          interspersed: bool = True) -> tuple[dict[Option, object], list[str]]:
+    """The options ``args`` give, each to its text (a switch to True or
+    False, ``-h`` to HELP), in the order they first appear, and the other
+    arguments.  ``--name value`` and ``--name=value`` both give a value, the
+    last of a repeated option wins, and ``--`` ends the options, as does the
+    first other argument unless ``interspersed``.  A flag not in ``flags``
+    and a missing value are usage errors."""
+    given: dict[Option, object] = {}
+    positional: list[str] = []
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            positional += rest
+        elif arg[:2] == "--":
+            flag, eq, text = arg.partition("=")
+            if flag not in flags:
+                raise _no_such("option", flag, flags)
+            opt = flags[flag]
+            if opt.kind is None:
+                if eq:
+                    raise UsageError(f"Option {flag!r} does not take a value.")
+                given[opt] = flag == opt.name.split("/")[0]
+                continue
+            if not eq:
+                text = next(rest, None)
+                if text is None:
+                    raise UsageError(f"Option {flag!r} requires an argument.")
+            given[opt] = text
+        elif arg[:1] == "-" and arg != "-":
+            unknown = arg[1:].replace("h", "")
+            if unknown:
+                raise UsageError(f"No such option '-{unknown[0]}'.")
+            given[HELP] = True
+        elif interspersed:
+            positional.append(arg)
+        else:
+            positional += [arg, *rest]
+    return given, positional
+
+
+def _values(cmd: Command, given: dict[Option, object], extra: list[str]) -> dict[Option, object]:
+    """Every option's value: converted in the order the options first appear,
+    then the rest in the table's order, so that the first bad or missing
+    option is the one reported; other arguments are refused last."""
+    values = {}
+    for opt in [*given, *(opt for opt in cmd.options if opt not in given)]:
+        if opt in given:
+            values[opt] = given[opt] if opt.kind is None else _convert(opt, given[opt])
+        elif opt.envvar and os.environ.get(opt.envvar):
+            values[opt] = _convert(opt, os.environ[opt.envvar])
+        elif opt.required:
+            raise UsageError(f"Missing option {opt.name!r}.")
+        else:
+            values[opt] = opt.default
+    if extra:
+        raise UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)}"
+                         f" ({' '.join(extra)})")
+    return values
+
+
+_HELP_WIDTH = 78  # click's width on a terminal of 80 columns or more
+
+
+def _help(usage: str, doc: str, sections: dict[str, list[tuple[str, str]]]) -> str:
+    """Help as click lays it out: the usage line, the first paragraph of
+    ``doc``, and each section's rows with their terms in one column and
+    each text wrapped beside it."""
+    import textwrap  # only help needs it
+
+    lines = [f"Usage: {usage}", "", *textwrap.wrap(
+        " ".join(doc.split("\n\n")[0].split()), _HELP_WIDTH, initial_indent="  ",
+        subsequent_indent="  ")]
+    for title, rows in sections.items():
+        column = max(len(term) for term, _ in rows) + 4
+        lines += ["", f"{title}:"]
+        for term, text in rows:
+            wrapped = textwrap.wrap(text, _HELP_WIDTH - column) or [""]
+            lines.append(f"  {term:<{column - 2}}{wrapped[0]}".rstrip())
+            lines += [" " * column + line for line in wrapped[1:]]
+    return "\n".join(lines)
+
+
+def _command_help(cmd: Command, path: str) -> str:
+    rows = [(opt.name.replace("/", " / ") + (f" {opt.kind.metavar}" if opt.kind else ""),
+             "  ".join(filter(None, (opt.help, "[required]" * opt.required))))
+            for opt in cmd.options]
+    return _help(f"{path} [OPTIONS]", cmd.run.__doc__,
+                 {"Options": [*rows, ("-h, --help", HELP.help)]})
+
+
+def _group_help(path: str) -> str:
+    """The group's help: each command with its docstring's first line, cut
+    at a word to fit one line of the listing, marked "...", as click cut it."""
+    names = sorted(COMMANDS)
+    limit = _HELP_WIDTH - 6 - max(map(len, names))
+    rows = []
+    for name in names:
+        words = COMMANDS[name].run.__doc__.split("\n")[0].split()
+        summary = " ".join(words)
+        while len(summary) > limit:
+            words.pop()
+            summary = " ".join(words) + "..."
+        rows.append((name, summary))
+    return _help(f"{path} [OPTIONS] COMMAND [ARGS]...", main.__doc__, {
+        "Options": [("--version", VERSION.help), ("-h, --help", HELP.help)], "Commands": rows})
+
+
+def _echo(text: str, err: bool = False) -> None:
+    """``text`` and a newline on stdout, or stderr, flushed at once."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(text + "\n")
+    stream.flush()
+
+
+def _echo_header(command: str, config: dict, **effective) -> None:
+    """The header line of ``command``: ``config`` keys every option's parsed
+    value by the option's long name, and ``effective`` adds the values a
+    command derives or adds."""
+    _echo(json.dumps(
+        {"tool": "cpm", "version": __version__, "command": command,
          "config": {**config, **effective}},
         sort_keys=True,
     ))
+
+
+def _run(cmd: Command, values: dict[Option, object]) -> None:
+    """The one error boundary of every command: a CpmError exits 3 and an
+    OSError exits 4, each as one stderr line; a UsageError passes to main.
+    The command's first argument writes its header (``_echo_header``), each
+    option's value keyed by its long name, a Fraction as its ratio string."""
+    config = {opt.key: str(value) if isinstance(value, Fraction) else value
+              for opt, value in values.items()}
+    try:
+        cmd.run(partial(_echo_header, cmd.name, config),
+                **{opt.dest or opt.key: value for opt, value in values.items()})
+    except CpmError as exc:
+        _echo(f"cpm: error: {exc}", err=True)
+        sys.exit(EXIT_NUMERIC)
+    except OSError as exc:
+        _echo(f"cpm: i/o error: {exc}", err=True)
+        sys.exit(EXIT_IO)
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None,
+         standalone_mode: bool = True) -> None:
+    """Compound Poisson moment calculator and experiment driver.
+
+    Runs ``cpm`` on ``args`` (``sys.argv[1:]`` by default) under the program
+    name ``prog_name`` (by default that of ``sys.argv[0]``), and exits 0 when
+    the command returns, unless ``standalone_mode`` is false, when it
+    returns.  ``-h``/``--help`` and ``--version`` print and exit 0; a usage
+    error prints the usage line and ``Error: ...`` to stderr and exits 2.
+    ``main.main`` and ``main.name`` are the entry point and name that
+    ``click.testing.CliRunner`` calls and reads."""
+    args = list(sys.argv[1:] if args is None else args)
+    path = prog_name or os.path.basename(sys.argv[0])
+    usage = f"{path} [OPTIONS] COMMAND [ARGS]..."
+    try:
+        given, positional = _scan(args, {"--version": VERSION, "--help": HELP}, interspersed=False)
+        eager = next(iter(given), None)  # the first of --version and --help
+        if eager is VERSION:
+            _echo(f"cpm, version {__version__}")
+        elif eager is HELP:
+            _echo(_group_help(path))
+        elif not args:
+            _echo(_group_help(path), err=True)
+            sys.exit(EXIT_USAGE)
+        elif not positional:
+            raise UsageError("Missing command.")
+        elif positional[0] not in COMMANDS:
+            raise _no_such("command", positional[0], COMMANDS)
+        else:
+            cmd = COMMANDS[positional[0]]
+            path = f"{path} {cmd.name}"
+            usage = f"{path} [OPTIONS]"
+            given, extra = _scan(positional[1:], cmd.flags)
+            if HELP in given:  # before any value is converted
+                _echo(_command_help(cmd, path))
+            else:
+                _run(cmd, _values(cmd, given, extra))
+    except UsageError as exc:
+        _echo(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
+        sys.exit(1)
+    if standalone_mode:
+        sys.exit(0)
+
+
+main.main, main.name = main, "cpm"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -216,42 +475,22 @@ def format_log(value: float | None) -> str:
     return f"{value:.17g}"
 
 
-class _ErrorBoundary(click.Group):
-    """The one error boundary of every command: a CpmError exits 3 and an
-    OSError exits 4, each as one stderr line; click's own exceptions pass."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except CpmError as exc:
-            click.echo(f"cpm: error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
-        except OSError as exc:
-            click.echo(f"cpm: i/o error: {exc}", err=True)
-            sys.exit(EXIT_IO)
-
-
-@click.group(cls=_ErrorBoundary, context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(version=__version__, prog_name="cpm")
-def main() -> None:
-    """Compound Poisson moment calculator and experiment driver."""
-
-
-@main.command()
-@WEIGHTS_OPTION
-@click.option("--k", "k_max", type=int, required=True, help="Largest moment order.")
-@click.option("--x", type=RATIONAL, required=True, help="Poisson intensity (integer, decimal or ratio).")
-@click.option("--exact/--log", "exact", default=True,
-              help="Exact rational recurrence (default) or log-space values.")
-@click.option("--finite-n", "finite_n", type=int, default=None,
-              help="Use the exact finite-population moment for this n instead.")
-@TABLE_OPTIONS
-def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
+@command(
+    WEIGHTS,
+    Option("--k", INTEGER, "k_max", required=True, help="Largest moment order."),
+    Option("--x", RATIONAL, required=True, help="Poisson intensity (integer, decimal or ratio)."),
+    Option("--exact/--log", None, default=True,
+           help="Exact rational recurrence (default) or log-space values."),
+    Option("--finite-n", INTEGER,
+           help="Use the exact finite-population moment for this n instead."),
+    *TABLE_OPTIONS,
+)
+def moments(header, weights_spec, k_max, x, exact, finite_n, out_path, fmt):
     """Tabulate M_0(x) .. M_k(x)."""
     if finite_n is not None and not exact:
-        raise click.UsageError("--finite-n needs the exact path; drop --log")
+        raise UsageError("--finite-n needs the exact path; drop --log")
     model = wts.from_spec(weights_spec)
-    _echo_header()
+    header()
     columns, x_text = ["k", "x", "method", "value", "log_value"], str(x)
     if exact:
         method = "recurrence" if finite_n is None else "finite_n"
@@ -271,29 +510,24 @@ def moments(weights_spec, k_max, x, exact, finite_n, out_path, fmt):
     _write_table(out_path, columns, rows, fmt)
 
 
-@main.command()
-@WEIGHTS_OPTION
-@click.option("--chi", type=FINITE_FLOAT, required=True, help="Intensity-to-order ratio x/k.")
-def rate(weights_spec, chi):
+@command(WEIGHTS, Option("--chi", FINITE_FLOAT, required=True, help="Intensity-to-order ratio x/k."))
+def rate(header, weights_spec, chi):
     """Print the limiting rate: chi, tilt u, psi, fluctuation prefactor."""
     model = wts.from_spec(weights_spec)
-    _echo_header()
+    header()
     rv = asym.rate_function(model, chi)
-    click.echo(json.dumps({
+    _echo(json.dumps({
         "chi": chi, "u": rv.saddle.u, "psi": rv.psi, "prefactor": rv.prefactor,
         "residual": rv.saddle.residual,
     }, sort_keys=True))
 
 
-@main.command()
-@WEIGHTS_OPTION
-@click.option("--chi", type=FINITE_FLOAT, required=True)
-@click.option("--k-max", "k_max", type=int, required=True)
-@TABLE_OPTIONS
-def compare(weights_spec, chi, k_max, out_path, fmt):
+@command(WEIGHTS, Option("--chi", FINITE_FLOAT, required=True),
+         Option("--k-max", INTEGER, required=True), *TABLE_OPTIONS)
+def compare(header, weights_spec, chi, k_max, out_path, fmt):
     """Exact log-moments against the refined prediction along k, x = chi k."""
     model = wts.from_spec(weights_spec)
-    _echo_header(method="saddle_dft")
+    header(method="saddle_dft")
     mom.check_nonnegative_order(k_max)
     rv = asym.rate_function(model, chi)
     orders = range(model.span, k_max + 1, model.span)
@@ -305,28 +539,28 @@ def compare(weights_spec, chi, k_max, out_path, fmt):
     _write_table(out_path, ["k", "log_exact", "log_predicted", "rate_gap"], rows, fmt)
 
 
-@main.command()
-@WEIGHTS_OPTION
-@click.option("--x", "x_val", type=FINITE_FLOAT, default=None, help="Intensity (direct tilt mode).")
-@click.option("--u", "u_val", type=FINITE_FLOAT, default=None, help="Tilt parameter (direct mode).")
-@click.option("--llt-chi", "llt_chi", type=FINITE_FLOAT, default=None,
-              help="Ratio x/k for the local-limit mode; supply --k too.")
-@click.option("--k", "k_val", type=int, default=None, help="Order for the local-limit mode.")
-@TABLE_OPTIONS
-def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
+@command(
+    WEIGHTS,
+    Option("--x", FINITE_FLOAT, "x_val", help="Intensity (direct tilt mode)."),
+    Option("--u", FINITE_FLOAT, "u_val", help="Tilt parameter (direct mode)."),
+    Option("--llt-chi", FINITE_FLOAT, help="Ratio x/k for the local-limit mode; supply --k too."),
+    Option("--k", INTEGER, "k_val", help="Order for the local-limit mode."),
+    *TABLE_OPTIONS,
+)
+def aux(header, weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
     """Emit the tilted law's pmf and a summary line (mean, variance, r_k)."""
     model = wts.from_spec(weights_spec)
     if llt_chi is not None:
         if k_val is None:
-            raise click.UsageError("--llt-chi requires --k")
+            raise UsageError("--llt-chi requires --k")
         if x_val is not None or u_val is not None:
-            raise click.UsageError("--llt-chi with --k sets x and u; drop --x and --u")
+            raise UsageError("--llt-chi with --k sets x and u; drop --x and --u")
         x_eff, u_eff = auxdist.ray_tilt(model, llt_chi, k_val)
     else:
         if x_val is None or u_val is None or k_val is not None:
-            raise click.UsageError("either give --x and --u, or --llt-chi with --k")
+            raise UsageError("either give --x and --u, or --llt-chi with --k")
         x_eff, u_eff = x_val, u_val
-    _echo_header(x=x_eff, u=u_eff)
+    header(x=x_eff, u=u_eff)
     dist = auxdist.build_aux(model, x_eff, u_eff)
     summary = {
         "mean": dist.mean, "variance": dist.variance, "log_G": dist.log_G,
@@ -336,23 +570,25 @@ def aux(weights_spec, x_val, u_val, llt_chi, k_val, out_path, fmt):
         summary["r_k"] = dist.local_limit_ratio(k_val)
     rows = [(j, math.exp(lp)) for j, lp in enumerate(dist.log_pmf.tolist()) if lp > -math.inf]
     _write_table(out_path, ["j", "p_j"], rows, fmt)
-    click.echo(json.dumps(summary, sort_keys=True))
+    _echo(json.dumps(summary, sort_keys=True))
 
 
-@main.command(name="graphsim")
-@click.option("--n", type=int, required=True, help="Vertex count.")
-@click.option("--kappa", type=FINITE_FLOAT, required=True, help="Edge intensity: rho = kappa ln n.")
-@WEIGHTS_OPTION
-@click.option("--s", "s_values", type=FINITE_FLOAT_LIST, required=True,
-              help="Deviation levels, comma separated.")
-@click.option("--trials", type=int, required=True)
-@click.option("--seed", type=int, envvar="CPM_SEED", default=0, show_default=True)
-@TABLE_OPTIONS
-def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
+@command(
+    Option("--n", INTEGER, required=True, help="Vertex count."),
+    Option("--kappa", FINITE_FLOAT, required=True, help="Edge intensity: rho = kappa ln n."),
+    WEIGHTS,
+    Option("--s", FINITE_FLOAT_LIST, "s_values", required=True,
+           help="Deviation levels, comma separated."),
+    Option("--trials", INTEGER, required=True),
+    Option("--seed", INTEGER, default=0, help="[default: 0]", envvar="CPM_SEED"),
+    *TABLE_OPTIONS,
+    name="graphsim",
+)
+def graphsim_cmd(header, n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
     """Monte Carlo deviation probabilities of the maximal weighted degree."""
     graphsim.weight_sampler(weights_spec)  # a bad spec fails before the header
     config = graphsim.GraphSimConfig(n, kappa, weights_spec, s_values, trials, seed)
-    _echo_header()
+    header()
     result = graphsim.deviation_experiment(config)
     kappa_text, threshold = format_log(kappa), format_log(result.threshold_s)
     levels = zip(config.s_values, result.p_hat, result.ci_half_width, result.bound, result.vacuous)
@@ -362,18 +598,17 @@ def graphsim_cmd(n, kappa, weights_spec, s_values, trials, seed, out_path, fmt):
                  rows, fmt)
 
 
-@main.command()
-@click.option("--k", type=int, required=True)
-def bell(k):
+@command(Option("--k", INTEGER, required=True))
+def bell(header, k):
     """Print the k-th Bell number."""
-    _echo_header()
-    click.echo(format_ratio(mom.bell_number(k)))
+    header()
+    _echo(format_ratio(mom.bell_number(k)))
 
 
-@main.command()
-def identities() -> None:
+@command()
+def identities(header) -> None:
     """Run the exact combinatorial identity suites and print a pass/fail table."""
-    _echo_header()
+    header()
     checks: list[tuple[str, bool]] = []
 
     counts = mom.composition_counts(12)
@@ -403,11 +638,11 @@ def identities() -> None:
     width = max(len(name) for name, _ in checks)
     failed = False
     for name, passed in checks:
-        click.echo(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}")
+        _echo(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}")
         failed = failed or not passed
     if failed:
         sys.exit(EXIT_NUMERIC)
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m cpmoments.cli")

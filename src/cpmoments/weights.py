@@ -387,16 +387,22 @@ def bernoulli_centered() -> WeightModel:
 
 def exponential() -> WeightModel:
     """Exponential(1) weights: V_k = k!, H(u) = 1/(1-u) on [0, 1).  The law
-    is gamma(1, 1) (its radius, V_k, ln V_k and declared H' = P/Q) with its
-    own rational closures z/(1-z), (1-u)^-2 and 2 (1-u)^-3 and its own
-    sampler, which draws gamma(1, 1)'s bits faster."""
-    return dataclasses.replace(
-        gamma(1, 1),
+    is gamma(1, 1) on its exact side, with gamma's closures at m = theta = 1:
+    V_k by the running product of theta (m + l - 1) = l, ln V_k =
+    lgamma(k + 1) (gamma's 0 + lgamma(1 + k) - lgamma(2), the same float)
+    and H' = 1/(1 - u)^2 declared as gamma's P/Q.  Its own rational closures
+    z/(1-z), (1-u)^-2 and 2 (1-u)^-3 and its own sampler draw gamma(1, 1)'s
+    bits faster."""
+    return WeightModel(
         name="exponential",
+        radius=1.0,
+        _moment_fn=_running_product(Fraction),
+        _log_moment_fn=lambda order: math.lgamma(order + 1.0),
         egf_m1=lambda z: z / (1.0 - z),
         _egf_d1=lambda u: (1.0 - u) ** -2.0,
         _egf_d2=lambda u: 2.0 * (1.0 - u) ** -3.0,
         sample=lambda rng, size: rng.standard_exponential(size),
+        d1_ratio=_power_ratio(Fraction(1), Fraction(1), 2),
     )
 
 

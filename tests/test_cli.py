@@ -49,14 +49,14 @@ class TestHeader:
             "graphsim": ["--n", "50", "--kappa", "1", "--weights", "unit", "--s", "1.0",
                          "--trials", "2", *out],
         }
-        assert set(invocations) == set(cli.main.commands)
-        for name, command in cli.main.commands.items():
+        assert set(invocations) == set(cli.COMMANDS)
+        for name, command in cli.COMMANDS.items():
             result = runner.invoke(cli.main, [name, *invocations[name]])
             assert result.exit_code == 0, result.output
             header = header_of(result.output)
             assert header["command"] == name
-            keys = {opt[2:].replace("-", "_") for param in command.params
-                    for opt in param.opts if opt.startswith("--")}
+            # a switch's key is its on flag's: --exact/--log as exact
+            keys = {opt.name.split("/")[0][2:].replace("-", "_") for opt in command.options}
             assert set(header["config"]) == keys | ({"method"} if name == "compare" else set())
             if name == "aux":  # the effective x and u replace the unset --x and --u
                 x, u = auxdist.ray_tilt(weights.unit(), 1.0, 20)
@@ -767,12 +767,12 @@ def throwaway_command():
     """Register a command ``throwaway`` that raises the exception it is
     given on the cpm group, and remove it afterwards."""
     def register(exc):
-        @cli.main.command(name="throwaway")
-        def throwaway():
+        @cli.command(name="throwaway")
+        def throwaway(header):
             raise exc
 
     yield register
-    cli.main.commands.pop("throwaway", None)
+    cli.COMMANDS.pop("throwaway", None)
 
 
 class TestExitCodes:
@@ -791,6 +791,66 @@ class TestExitCodes:
     def test_usage_error_is_two(self, runner):
         assert runner.invoke(cli.main, ["rate", "--weights", "unit"]).exit_code == 2
         assert runner.invoke(cli.main, ["frobnicate"]).exit_code == 2
+
+    # recorded with the click front end: the exit code, the last stderr line
+    # (None for none) and stdout: empty, the option list of a command's help
+    # (each row's first column), or the config of the header line
+    @pytest.mark.parametrize("args, code, stdout, last_err", [
+        pytest.param([], 2, "",
+                     "  rate        Print the limiting rate: chi, tilt u, psi, fluctuation...",
+                     id="no-subcommand"),
+        pytest.param(["frobnicate"], 2, "", "Error: No such command 'frobnicate'.",
+                     id="unknown-command"),
+        pytest.param(["rate", "--weights", "unit", "--chi", "1", "--frob"], 2, "",
+                     "Error: No such option '--frob'.", id="unknown-option"),
+        pytest.param(["rate", "--wieghts", "unit", "--chi", "1"], 2, "",
+                     "Error: No such option '--wieghts'. Did you mean '--weights'?",
+                     id="misspelt-option"),
+        pytest.param(["bell", "--k"], 2, "", "Error: Option '--k' requires an argument.",
+                     id="option-without-value"),
+        pytest.param(["moments", "--weights", "unit", "--k", "3", "--x", "1", "--out", "t.csv",
+                      "--format", "xml"], 2, "",
+                     "Error: Invalid value for '--format': 'xml' is not one of 'csv', 'json'.",
+                     id="format-xml"),
+        pytest.param(["bell", "--k", "abc"], 2, "",
+                     "Error: Invalid value for '--k': 'abc' is not a valid integer.", id="k-abc"),
+        pytest.param(["rate", "--weights", "unit"], 2, "", "Error: Missing option '--chi'.",
+                     id="missing-option"),
+        pytest.param(["bell", "--k", "3", "a", "b"], 2, "",
+                     "Error: Got unexpected extra arguments (a b)", id="extra-arguments"),
+        pytest.param(["moments", "-h"], 0, [
+            "--weights TEXT", "--k INTEGER", "--x RATIONAL", "--exact / --log",
+            "--finite-n INTEGER", "--out PATH", "--format [csv|json]", "-h, --help"], None,
+            id="moments-help"),
+        pytest.param(["rate", "-h"], 0, ["--weights TEXT", "--chi FLOAT", "-h, --help"], None,
+                     id="rate-help"),
+        pytest.param(["compare", "-h"], 0, [
+            "--weights TEXT", "--chi FLOAT", "--k-max INTEGER", "--out PATH",
+            "--format [csv|json]", "-h, --help"], None, id="compare-help"),
+        pytest.param(["aux", "-h"], 0, [
+            "--weights TEXT", "--x FLOAT", "--u FLOAT", "--llt-chi FLOAT", "--k INTEGER",
+            "--out PATH", "--format [csv|json]", "-h, --help"], None, id="aux-help"),
+        pytest.param(["graphsim", "-h"], 0, [
+            "--n INTEGER", "--kappa FLOAT", "--weights TEXT", "--s LIST", "--trials INTEGER",
+            "--seed INTEGER", "--out PATH", "--format [csv|json]", "-h, --help"], None,
+            id="graphsim-help"),
+        pytest.param(["bell", "-h"], 0, ["--k INTEGER", "-h, --help"], None, id="bell-help"),
+        pytest.param(["identities", "-h"], 0, ["-h, --help"], None, id="identities-help"),
+        pytest.param(["bell", "--k=5"], 0, {"k": 5}, None, id="equals-value"),
+        pytest.param(["rate", "--chi", "1", "--weights", "unit", "--chi", "2"], 0,
+                     {"chi": 2.0, "weights": "unit"}, None, id="repeated-option-keeps-last"),
+    ])
+    def test_parser_edge_cases(self, runner, args, code, stdout, last_err):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == code, result.output
+        assert (result.stderr.splitlines() or [None])[-1] == last_err
+        if isinstance(stdout, list):
+            assert [line.split("  ")[1] for line in result.stdout.splitlines()
+                    if line.startswith("  -")] == stdout
+        elif isinstance(stdout, dict):
+            assert header_of(result.stdout)["config"] == stdout
+        else:
+            assert result.stdout == stdout
 
     def test_domain_error_is_three(self, runner):
         result = runner.invoke(cli.main, ["rate", "--weights", "unit", "--chi", "-1"])
@@ -987,6 +1047,22 @@ class TestImport:
         # use: the exact tables and the graph draws never pay for it
         code = "import sys, cpmoments.cli; print('numpy.fft' in sys.modules)"
         assert run_fresh(code) == "False\n"
+
+    def test_import_leaves_click_unloaded(self):
+        # the front end is cli's own option tables: click is a test dependency
+        code = "import sys, cpmoments.cli; print('click' in sys.modules)"
+        assert run_fresh(code) == "False\n"
+
+    def test_version_line(self):
+        from cpmoments import __version__
+
+        code = "from cpmoments.cli import main; main()"
+        assert run_fresh(code, "--version") == f"cpm, version {__version__}\n"
+
+    def test_help_lists_every_command(self):
+        text = run_fresh("from cpmoments.cli import main; main()", "--help")
+        for command in ("aux", "bell", "compare", "graphsim", "identities", "moments", "rate"):
+            assert any(line.startswith(f"  {command} ") for line in text.splitlines()), command
 
     def test_exact_commands_never_load_numpy(self, tmp_path):
         moments_args = ["moments", "--weights", "gamma:2,1/2", "--k", "30", "--x", "7/2"]
